@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .dynamics import (
+    Control,
     energy_residual,
     load_control,
     load_trajectory,
@@ -41,7 +42,7 @@ from .dynamics import (
 )
 from .errors import BlowUpError, FixedPointDivergenceError, ValidationError
 from .grid import GridFunction, l2_norm, load_grid_function, tail_mass
-from .measure import save_measure
+from .measure import save_measure, second_moment
 from .mckean_vlasov import picard_solve
 from .rate_function import RateProblem, control_cost, estimate_rate
 from .verify import SUITES, format_report, run_suites
@@ -107,13 +108,13 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
         ],
     )
 
-    w = cfg.grid.cell_volume
-    flat = flow.states.reshape(flow.n_times, flow.n_particles, -1)
-    m2 = w * np.mean(np.sum(flat**2, axis=2), axis=1)
     _write_csv(
         out / "flow_summary.csv",
         ["node", "time", "mean_second_moment"],
-        [(s, f"{flow.times[s]:.17g}", f"{m2[s]:.17g}") for s in range(flow.n_times)],
+        [
+            (s, f"{flow.times[s]:.17g}", f"{second_moment(flow.measure(s)):.17g}")
+            for s in range(flow.n_times)
+        ],
     )
 
     margin = cfg.grid.half_width / 2.0
@@ -147,6 +148,22 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     return out
 
 
+def _load_run_control(cfg: RunConfig, path: str | Path, what: str) -> Control:
+    """Read a control file and check it against the run's time grid and modes."""
+    v = load_control(path)
+    if v.steps != cfg.tgrid.steps or v.n_modes != cfg.coeffs.sigma.n_modes:
+        raise ValidationError(
+            f"{what} has shape {v.values.shape}, expected "
+            f"({cfg.tgrid.steps}, {cfg.coeffs.sigma.n_modes})"
+        )
+    if abs(v.dt - cfg.tgrid.dt) > 1e-12 * cfg.tgrid.dt:
+        raise ValidationError(
+            f"{what} {path} has dt={v.dt!r}, but the time grid has "
+            f"dt = time.horizon / time.steps = {cfg.tgrid.dt!r}"
+        )
+    return v
+
+
 def cmd_skeleton(cfg: RunConfig, out: str | Path, control_path: str | Path | None = None) -> Path:
     """Solve the zero-noise path, plus a controlled run when given one."""
     out = Path(out)
@@ -170,12 +187,7 @@ def cmd_skeleton(cfg: RunConfig, out: str | Path, control_path: str | Path | Non
 
     extra: dict = {"control": None}
     if control_path is not None:
-        v = load_control(control_path)
-        if v.steps != cfg.tgrid.steps or v.n_modes != cfg.coeffs.sigma.n_modes:
-            raise ValidationError(
-                f"control file has shape {v.values.shape}, expected "
-                f"({cfg.tgrid.steps}, {cfg.coeffs.sigma.n_modes})"
-            )
+        v = _load_run_control(cfg, control_path, "control file")
         controlled = solve_controlled(cfg.u0, v, base, cfg.coeffs, cfg.tgrid)
         save_trajectory(controlled, out / f"controlled{ext}", fmt=cfg.output_format)
         _write_csv(
@@ -205,12 +217,7 @@ def _parse_target(spec: str, cfg: RunConfig, base):
             f"'trajectory:PATH', or 'terminal:PATH', got {spec!r}"
         )
     if kind == "manufactured":
-        vbar = load_control(path)
-        if vbar.steps != cfg.tgrid.steps or vbar.n_modes != cfg.coeffs.sigma.n_modes:
-            raise ValidationError(
-                f"manufactured control has shape {vbar.values.shape}, expected "
-                f"({cfg.tgrid.steps}, {cfg.coeffs.sigma.n_modes})"
-            )
+        vbar = _load_run_control(cfg, path, "manufactured control")
         return solve_controlled(cfg.u0, vbar, base, cfg.coeffs, cfg.tgrid), vbar
     if kind == "trajectory":
         return load_trajectory(path), None
@@ -299,6 +306,14 @@ def _env(name: str) -> str | None:
     return os.environ.get(f"FRACMV_{name}")
 
 
+def _env_int(name: str) -> int | None:
+    raw = _env(name)
+    try:
+        return None if raw is None else int(raw)
+    except ValueError:
+        raise ValidationError(f"FRACMV_{name} must be an integer, got {raw!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracmv",
@@ -337,12 +352,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config or _env("CONFIG"))
-        seed = args.seed if args.seed is not None else _env("SEED")
+        seed = args.seed if args.seed is not None else _env_int("SEED")
         if seed is not None:
-            cfg = cfg.with_overrides(seed=int(seed))
-        workers = args.workers if args.workers is not None else _env("WORKERS")
+            cfg = cfg.with_overrides(seed=seed)
+        workers = args.workers if args.workers is not None else _env_int("WORKERS")
         if workers is not None:
-            cfg = cfg.with_overrides(workers=int(workers))
+            cfg = cfg.with_overrides(workers=workers)
         out = args.out or _env("OUT") or f"runs/{args.command}-{cfg.seed}"
 
         if args.command == "simulate":

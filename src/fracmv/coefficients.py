@@ -7,11 +7,13 @@ structural constants (dissipation rate, Lipschitz rates, growth bound
 fields), and :func:`verify_conditions` audits the claimed inequalities
 on randomized draws, reporting worst-case slack per condition.
 
-The measure enters through two bounded statistics of the particle
-ensemble: a capped mean norm (drift coupling) and the root second
-moment (noise coupling).  Both are 1-Lipschitz along Wasserstein-2,
-which is what makes the audit's Lipschitz conditions uniform in the
-ensemble.
+The measure enters through bounded statistics of the particle
+ensemble (:func:`law_statistics`): capped mean norms (drift coupling)
+and the root second moment (noise coupling).  All are 1-Lipschitz
+along Wasserstein-2, which is what makes the audit's Lipschitz
+conditions uniform in the ensemble.  Each formula is written once, as
+a method on field arrays and those scalars; the steppers, the energy
+balance and the audit all call it.
 """
 
 from __future__ import annotations
@@ -32,11 +34,8 @@ __all__ = [
     "DriftG",
     "NoiseSigma",
     "CoefficientSet",
+    "law_statistics",
     "capped_mean_norm",
-    "eval_f",
-    "eval_g",
-    "apply_sigma",
-    "hs_norm_sq",
     "hs_bound_constant",
     "sigma_lipschitz_constant",
     "ConditionCheck",
@@ -118,6 +117,29 @@ class TimeProfile:
         return max(abs(self(t)) for t in candidates)
 
 
+def law_statistics(states: np.ndarray, grid: SpatialGrid, h_cap: float) -> np.ndarray:
+    """The scalars through which an ensemble enters the coefficients.
+
+    ``states`` holds ``N`` atoms, shape ``(..., N, *grid.shape)``; the
+    result has shape ``(..., 3)`` with ``(hbar_f, hbar1, root_m2)``: the
+    mean of ``min(||atom||, h_cap)``, the mean of ``min(||atom||, 1)``
+    and ``sqrt(mu(||.||^2))``.  The Dirac mass at a field is the
+    one-atom ensemble.
+    """
+    lead = states.shape[: states.ndim - grid.dim]
+    sq = np.sum(states.reshape(lead + (-1,)) ** 2, axis=-1)
+    w = grid.cell_volume
+    norms = np.sqrt(sq * w)
+    return np.stack(
+        [
+            np.mean(np.minimum(norms, float(h_cap)), axis=-1),
+            np.mean(np.minimum(norms, 1.0), axis=-1),
+            np.sqrt(np.mean(sq, axis=-1) * w),
+        ],
+        axis=-1,
+    )
+
+
 def capped_mean_norm(mu: EmpiricalMeasure, cap: float) -> float:
     """Mean of ``min(||atom||, cap)`` over the ensemble.
 
@@ -126,9 +148,7 @@ def capped_mean_norm(mu: EmpiricalMeasure, cap: float) -> float:
     """
     if not (float(cap) > 0.0):
         raise ValidationError(f"cap must be positive, got {cap!r}")
-    w = mu.grid.cell_volume
-    norms = np.sqrt(np.sum(mu.flat() ** 2, axis=1) * w)
-    return float(np.mean(np.minimum(norms, float(cap))))
+    return float(law_statistics(mu.states, mu.grid, cap)[0])
 
 
 # -- drift f -----------------------------------------------------------
@@ -196,13 +216,10 @@ class DriftF:
             return self.lambda_f * u_values
         return self.lambda_f * u_values ** (self.p - 1)
 
-
-def eval_f(f: DriftF, t: float, u: GridFunction, mu: EmpiricalMeasure) -> GridFunction:
-    if u.grid != mu.grid:
-        raise GridMismatchError("field and measure live on different grids")
-    hbar = capped_mean_norm(mu, f.h_cap)
-    vals = f.power_values(u.values) + f.phi.values(t, u.grid) * hbar
-    return GridFunction(u.grid, vals)
+    def values(self, t: float, grid: SpatialGrid, u: np.ndarray, hbar_f: float) -> np.ndarray:
+        """``f`` at field values ``u`` (any batch of fields on ``grid``),
+        with the law entering through its capped mean norm ``hbar_f``."""
+        return self.power_values(u) + self.phi.values(t, grid) * hbar_f
 
 
 # -- drift g -----------------------------------------------------------
@@ -236,13 +253,10 @@ class DriftG:
         """The claimed envelope field (``psi`` itself)."""
         return np.abs(self.psi.values(t, grid))
 
-
-def eval_g(g: DriftG, t: float, u: GridFunction, mu: EmpiricalMeasure) -> GridFunction:
-    if u.grid != mu.grid:
-        raise GridMismatchError("field and measure live on different grids")
-    hbar1 = capped_mean_norm(mu, 1.0)
-    vals = g.psi.values(t, u.grid) * (g.c0 + g.c1 * np.tanh(u.values) + g.c2 * hbar1)
-    return GridFunction(u.grid, vals)
+    def values(self, t: float, grid: SpatialGrid, u: np.ndarray, hbar1: float) -> np.ndarray:
+        """``g`` at field values ``u`` (any batch of fields on ``grid``),
+        with the law entering through its unit-capped mean norm ``hbar1``."""
+        return self.psi.values(t, grid) * (self.c0 + self.c1 * np.tanh(u) + self.c2 * hbar1)
 
 
 # -- noise family ------------------------------------------------------
@@ -306,42 +320,41 @@ class NoiseSigma:
         """Per-mode Lipschitz rates ``max(beta_k, gamma_k)``."""
         return np.maximum(self.beta, self.gamma)
 
-    def _bshape(self, arr: np.ndarray) -> np.ndarray:
-        return arr.reshape((self.n_modes,) + (1,) * self.grid.dim)
+    def sigma2(self, u: np.ndarray, root_m2: float) -> np.ndarray:
+        """``sigma2_k(t, u, mu) = beta_k root_m2 + gamma_k u`` for every mode.
 
-    def mode_fields(self, t: float, u_values: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        """Stack of per-mode coefficient fields, shape ``(K, *grid.shape)``."""
-        root_m2 = math.sqrt(second_moment(mu))
-        sig2 = self._bshape(self.beta) * root_m2 + self._bshape(self.gamma) * u_values[None]
+        ``u`` is one field or a batch ``(N, *grid.shape)``; the mode
+        axis is inserted in front of the grid axes, giving
+        ``(K, *grid.shape)`` or ``(N, K, *grid.shape)``.
+        """
+        col = (self.n_modes,) + (1,) * self.grid.dim
+        u_col = np.expand_dims(u, -1 - self.grid.dim)
+        return self.beta.reshape(col) * root_m2 + self.gamma.reshape(col) * u_col
+
+    def fields(self, t: float, u: np.ndarray, root_m2: float) -> np.ndarray:
+        """The mode fields ``sigma1_k(t) + kappa * sigma2_k(t, u, mu)``,
+        shaped like :meth:`sigma2`."""
+        sig2 = self.sigma2(u, root_m2)
         return self.profile(t) * self.shape_stack() + self.kappa.values[None] * sig2
 
+    def drive(self, t: float, u: np.ndarray, root_m2: float, theta: np.ndarray) -> np.ndarray:
+        """The noise operator applied to mode coefficients, path by path.
 
-def apply_sigma(
-    sig: NoiseSigma, t: float, u: GridFunction, mu: EmpiricalMeasure, theta: np.ndarray
-) -> GridFunction:
-    """Contract the mode fields against a coefficient vector ``theta``."""
-    if u.grid != sig.grid or mu.grid != sig.grid:
-        raise GridMismatchError("field, measure, and noise must share one grid")
-    th = np.asarray(theta, dtype=float)
-    if th.shape != (sig.n_modes,):
-        raise ValidationError(f"theta must have shape ({sig.n_modes},), got {th.shape}")
-    fields = sig.mode_fields(t, u.values, mu)
-    out = np.tensordot(th, fields, axes=(0, 0))
-    return GridFunction(u.grid, out)
-
-
-def hs_norm_sq(sig: NoiseSigma, t: float, u: GridFunction, mu: EmpiricalMeasure) -> float:
-    """Squared Hilbert-Schmidt norm: sum over modes of squared L2 norms."""
-    if u.grid != sig.grid or mu.grid != sig.grid:
-        raise GridMismatchError("field, measure, and noise must share one grid")
-    fields = sig.mode_fields(t, u.values, mu)
-    return float(sig.grid.cell_volume * np.sum(fields**2))
+        ``u`` is a batch ``(N, *grid.shape)`` and ``theta`` has shape
+        ``(N, K)``; path ``n`` gets ``sum_k theta[n, k] * field_k(u[n])``.
+        The contraction is one matrix product per path, which sums the
+        modes in the same order as a per-path dot product.
+        """
+        n, k = theta.shape
+        stack = self.fields(t, u, root_m2).reshape(n, k, -1)
+        return np.matmul(theta[:, None, :], stack).reshape(u.shape)
 
 
 def hs_bound_constant(sig: NoiseSigma, horizon: float) -> float:
     """Growth constant ``M_T`` of the Hilbert-Schmidt bound.
 
-    ``hs_norm_sq(t, u, mu) <= M_T (1 + ||u||^2 + mu(||.||^2))`` with::
+    ``sum_k ||field_k(t, u, mu)||^2 <= M_T (1 + ||u||^2 + mu(||.||^2))``
+    with::
 
         M_T = 2 sup_t sum_k ||sigma1_k(t)||^2
             + 8 ||kappa||^2 |beta|^2 + 4 ||kappa||_inf^2 |gamma|^2
@@ -499,12 +512,11 @@ def verify_conditions(
 
     M_T = hs_bound_constant(sig, T)
     L_sig = sigma_lipschitz_constant(sig)
-    L_modes = sig.mode_lipschitz()
+    L_modes = sig.mode_lipschitz().reshape((sig.n_modes,) + (1,) * grid.dim)
     kappa_vals = sig.kappa.values
     w = grid.cell_volume
 
     zero_u = np.zeros(grid.shape)
-    dirac0 = EmpiricalMeasure(grid, zero_u[None])
 
     p = f.p
     lam1, lam2, lam3 = f.dissipation_rate, f.lipschitz_rate, f.growth_rate
@@ -517,47 +529,46 @@ def verify_conditions(
         mu1 = _random_measure(rng, grid, 4)
         mu2 = _random_measure(rng, grid, 4)
         w2 = wasserstein2(mu1, mu2)
-        m2_1, m2_2 = second_moment(mu1), second_moment(mu2)
+        m2_1 = second_moment(mu1)
+        hb1, hb1_unit, r1 = law_statistics(mu1.states, grid, f.h_cap)
+        hb2, hb2_unit, r2 = law_statistics(mu2.states, grid, f.h_cap)
 
-        hb1, hb2 = capped_mean_norm(mu1, f.h_cap), capped_mean_norm(mu2, f.h_cap)
-        phi_t = f.phi.values(t, grid)
-        f1 = f.power_values(u1) + phi_t * hb1
-        f2 = f.power_values(u2) + phi_t * hb2
+        f1 = f.values(t, grid, u1, hb1)
+        f2 = f.values(t, grid, u2, hb2)
         psi1 = f.dissipation_bound_values(t, grid)
         psi3 = f.measure_coupling_values(t, grid)
 
         track("f_dissipativity", lam1 * np.abs(u1) ** p - psi1 * (1.0 + u1**2 + m2_1), f1 * u1)
         lip_rhs = lam2 * (np.abs(u1) ** (p - 2) + np.abs(u2) ** (p - 2)) * np.abs(u1 - u2)
         track("f_lipschitz", np.abs(f1 - f2), lip_rhs + psi3 * w2)
-        track("f_growth", np.abs(f1), lam3 * np.abs(u1) ** (p - 1) + psi3 * (1.0 + math.sqrt(m2_1)))
-        f1_mu, f2_mu = f.power_values(u1) + phi_t * hb1, f.power_values(u2) + phi_t * hb1
-        track("f_monotonicity", 0.0, (f1_mu - f2_mu) * (u1 - u2))
+        track("f_growth", np.abs(f1), lam3 * np.abs(u1) ** (p - 1) + psi3 * (1.0 + r1))
+        # monotonicity in the state alone: both fields against mu1's law
+        f2_mu = f.values(t, grid, u2, hb1)
+        track("f_monotonicity", 0.0, (f1 - f2_mu) * (u1 - u2))
         if include_strong_dissipativity:
             track(
                 "f_strong_dissipativity",
                 lam4 * np.abs(u1 - u2) ** p,
-                (f1_mu - f2_mu) * (u1 - u2),
+                (f1 - f2_mu) * (u1 - u2),
             )
 
-        hb1_unit, hb2_unit = capped_mean_norm(mu1, 1.0), capped_mean_norm(mu2, 1.0)
-        psi_t = g.psi.values(t, grid)
         bound = g.bound_values(t, grid)
-        g0 = psi_t * (g.c0 + g.c1 * np.tanh(zero_u) + g.c2 * capped_mean_norm(dirac0, 1.0))
+        # the Dirac mass at the zero field has capped mean norm 0
+        g0 = g.values(t, grid, zero_u, 0.0)
         track("g_bound_at_zero", np.abs(g0), bound)
-        g1 = psi_t * (g.c0 + g.c1 * np.tanh(u1) + g.c2 * hb1_unit)
-        g2 = psi_t * (g.c0 + g.c1 * np.tanh(u2) + g.c2 * hb2_unit)
+        g1 = g.values(t, grid, u1, hb1_unit)
+        g2 = g.values(t, grid, u2, hb2_unit)
         track("g_lipschitz", np.abs(g1 - g2), bound * (np.abs(u1 - u2) + w2))
-        track("g_growth", np.abs(g1), bound * (1.0 + np.abs(u1) + math.sqrt(m2_1)))
+        track("g_growth", np.abs(g1), bound * (1.0 + np.abs(u1) + r1))
 
-        r1, r2 = math.sqrt(m2_1), math.sqrt(m2_2)
-        sig2_1 = sig._bshape(sig.beta) * r1 + sig._bshape(sig.gamma) * u1[None]
-        sig2_2 = sig._bshape(sig.beta) * r2 + sig._bshape(sig.gamma) * u2[None]
-        rhs = sig._bshape(sig.beta) * (1.0 + r1) + sig._bshape(sig.gamma) * np.abs(u1)[None]
-        track("sigma2_growth", np.abs(sig2_1), rhs)
-        lip = sig._bshape(L_modes) * (np.abs(u1 - u2)[None] + w2)
+        sig2_1 = sig.sigma2(u1, r1)
+        sig2_2 = sig.sigma2(u2, r2)
+        # the growth envelope beta_k (1 + root_m2) + gamma_k |u| has the sigma2 form
+        track("sigma2_growth", np.abs(sig2_1), sig.sigma2(np.abs(u1), 1.0 + r1))
+        lip = L_modes * (np.abs(u1 - u2)[None] + w2)
         track("sigma2_lipschitz", np.abs(sig2_1 - sig2_2), lip)
 
-        fields1 = sig.profile(t) * sig.shape_stack() + kappa_vals[None] * sig2_1
+        fields1 = sig.fields(t, u1, r1)
         hs1 = w * np.sum(fields1**2)
         norm_u1_sq = w * np.sum(u1**2)
         track("hs_growth", hs1, M_T * (1.0 + norm_u1_sq + m2_1))

@@ -365,7 +365,7 @@ class RunConfig:
             ]
         )
 
-    def problem(self, workers: int | None = None, epsilon: float | None = None) -> MeanFieldProblem:
+    def problem(self, epsilon: float | None = None) -> MeanFieldProblem:
         n = self.picard_config().n_particles
         return MeanFieldProblem(
             grid=self.grid,
@@ -374,7 +374,6 @@ class RunConfig:
             u0=self.u0,
             epsilon=self.epsilon if epsilon is None else epsilon,
             master_seed=self.seed,
-            workers=self.workers if workers is None else workers,
             initial_states=self.initial_ensemble(n),
         )
 

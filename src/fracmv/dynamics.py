@@ -11,10 +11,13 @@ is frozen there as well).  The polynomial drift is tamed pointwise, the
 fractional diffusion is treated by the exact spectral resolvent, and a
 non-finite state aborts the run with the offending step attached.
 
-Three solvers share this kernel and differ only in where the measure
-comes from: a caller-supplied flow (``solve_frozen``), the Dirac mass
-at the current state (``solve_deterministic``), or the Dirac mass along
-a precomputed deterministic path (``solve_controlled``).
+The law enters only through three scalars per node, so all solvers
+share one batched kernel that advances ``N`` paths against one such
+triple per step: the particle ensemble of the fixed-point map, and with
+``N = 1`` the three single-path solvers, which differ only in where the
+measure comes from: a caller-supplied flow (``solve_frozen``), the Dirac
+mass at the current state (``solve_deterministic``), or the Dirac mass
+along a precomputed deterministic path (``solve_controlled``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientSet, capped_mean_norm
+from .coefficients import CoefficientSet, law_statistics
 from .errors import BlowUpError, GridMismatchError, ValidationError
 from .grid import (
     GridFunction,
@@ -36,8 +39,9 @@ from .grid import (
     l2_norm,
     load_grid_function,
     save_grid_function,
+    sq_norms,
 )
-from .measure import EmpiricalMeasure, MeasureFlow, second_moment
+from .measure import MeasureFlow
 
 __all__ = [
     "TimeGrid",
@@ -45,7 +49,6 @@ __all__ = [
     "Control",
     "Trajectory",
     "stable_seed_key",
-    "step_frozen",
     "solve_frozen",
     "solve_deterministic",
     "solve_controlled",
@@ -204,32 +207,6 @@ class Trajectory:
         return GridFunction(self.grid, self.values[-1])
 
 
-# -- measure statistics consumed by the stepper -------------------------
-
-
-@dataclass(frozen=True)
-class _MeasureStats:
-    """The three scalars through which the measure enters the coefficients."""
-
-    hbar_f: float
-    hbar1: float
-    root_m2: float
-
-
-def _stats_from_measure(mu: EmpiricalMeasure, h_cap: float) -> _MeasureStats:
-    return _MeasureStats(
-        hbar_f=capped_mean_norm(mu, h_cap),
-        hbar1=capped_mean_norm(mu, 1.0),
-        root_m2=math.sqrt(second_moment(mu)),
-    )
-
-
-def _stats_from_state(vals: np.ndarray, grid: SpatialGrid, h_cap: float) -> _MeasureStats:
-    """Statistics of the Dirac mass at a single field."""
-    n = math.sqrt(grid.cell_volume * float(np.sum(vals**2)))
-    return _MeasureStats(hbar_f=min(n, float(h_cap)), hbar1=min(n, 1.0), root_m2=n)
-
-
 def _check_epsilon(eps: float) -> float:
     e = float(eps)
     if not (0.0 <= e < 1.0):
@@ -241,95 +218,69 @@ def _step_values(
     grid: SpatialGrid,
     coeffs: CoefficientSet,
     vals: np.ndarray,
-    stats: _MeasureStats,
+    stats: np.ndarray,
     t: float,
     dt: float,
     res_mult: np.ndarray,
-    eps: float = 0.0,
-    v_s: np.ndarray | None = None,
-    dw_s: np.ndarray | None = None,
+    eps: float,
+    v_s: np.ndarray | None,
+    dw_s: np.ndarray | None,
 ) -> np.ndarray:
-    """One semi-implicit step on raw arrays; may return non-finite values."""
-    F, G, sig = coeffs.f, coeffs.g, coeffs.sigma
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_vals = F.power_values(vals) + F.phi.values(t, grid) * stats.hbar_f
-        tamed = f_vals / (1.0 + dt * np.abs(f_vals))
-        g_vals = G.psi.values(t, grid) * (G.c0 + G.c1 * np.tanh(vals) + G.c2 * stats.hbar1)
-        tilde = vals + dt * (g_vals - tamed)
-        if v_s is not None or (dw_s is not None and eps > 0.0):
-            sig2 = sig._bshape(sig.beta) * stats.root_m2 + sig._bshape(sig.gamma) * vals[None]
-            fields = sig.profile(t) * sig.shape_stack() + sig.kappa.values[None] * sig2
-            if v_s is not None:
-                tilde = tilde + dt * np.tensordot(v_s, fields, axes=(0, 0))
-            if dw_s is not None and eps > 0.0:
-                tilde = tilde + math.sqrt(eps) * np.tensordot(dw_s, fields, axes=(0, 0))
-        return grid.apply_multiplier(tilde, res_mult)
+    """One semi-implicit step of a batch ``vals`` of shape ``(N, *grid.shape)``.
 
-
-def step_frozen(
-    u: GridFunction,
-    mu: EmpiricalMeasure,
-    t: float,
-    dt: float,
-    coeffs: CoefficientSet,
-    eps: float = 0.0,
-    control_vec: np.ndarray | None = None,
-    noise_vec: np.ndarray | None = None,
-) -> GridFunction:
-    """Advance one step against a frozen measure.
-
-    ``control_vec`` and ``noise_vec`` are per-mode coefficient vectors
-    (the control slot is multiplied by ``dt``, the noise slot by
-    ``sqrt(eps)``).  Raises a blow-up error if the step leaves the
-    finite range.
+    ``stats`` is the law triple ``(hbar_f, hbar1, root_m2)`` shared by
+    the batch; ``v_s`` and ``dw_s`` are per-path mode coefficients of
+    shape ``(N, K)``.  May return non-finite values.
     """
-    if u.grid != mu.grid or u.grid != coeffs.sigma.grid:
-        raise GridMismatchError("state, measure, and coefficients must share one grid")
-    if not (float(dt) > 0.0):
-        raise ValidationError(f"dt must be positive, got {dt!r}")
-    eps = _check_epsilon(eps)
-    K = coeffs.sigma.n_modes
-    for name, vec in (("control_vec", control_vec), ("noise_vec", noise_vec)):
-        if vec is not None and np.asarray(vec).shape != (K,):
-            raise ValidationError(f"{name} must have shape ({K},)")
-    stats = _stats_from_measure(mu, coeffs.f.h_cap)
-    res_mult = u.grid.resolvent_multiplier(coeffs.alpha, float(dt))
-    out = _step_values(
-        u.grid, coeffs, u.values, stats, float(t), float(dt), res_mult, eps,
-        None if control_vec is None else np.asarray(control_vec, dtype=float),
-        None if noise_vec is None else np.asarray(noise_vec, dtype=float),
-    )
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(step=0, time=float(t) + float(dt))
-    return GridFunction(u.grid, out)
+    hbar_f, hbar1, root_m2 = stats
+    sig = coeffs.sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_vals = coeffs.f.values(t, grid, vals, hbar_f)
+        tamed = f_vals / (1.0 + dt * np.abs(f_vals))
+        tilde = vals + dt * (coeffs.g.values(t, grid, vals, hbar1) - tamed)
+        if v_s is not None:
+            tilde = tilde + dt * sig.drive(t, vals, root_m2, v_s)
+        if dw_s is not None and eps > 0.0:
+            tilde = tilde + math.sqrt(eps) * sig.drive(t, vals, root_m2, dw_s)
+        return grid.apply_multiplier(tilde, res_mult)
 
 
 def _run_steps(
     grid: SpatialGrid,
     coeffs: CoefficientSet,
-    u0_vals: np.ndarray,
+    starts: np.ndarray,
     tgrid: TimeGrid,
-    stats_at,
+    stats: np.ndarray | None,
     eps: float = 0.0,
-    control: Control | None = None,
-    noise: NoisePath | None = None,
+    control: np.ndarray | None = None,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Shared solver loop.  ``stats_at(s, vals)`` supplies the measure scalars."""
+    """Advance ``N`` paths from ``starts``, shape ``(N, *grid.shape)``, to
+    shape ``(S+1, N, *grid.shape)``.
+
+    ``stats`` holds the law triple of each left node, shape ``(S, 3)``,
+    or is None to take it from the current state (the Dirac mass of a
+    single path).  ``control`` and ``noise`` hold per-path mode
+    coefficients, shape ``(S, N, K)``.
+    """
     S, dt = tgrid.steps, tgrid.dt
     nodes = tgrid.nodes
     res_mult = grid.resolvent_multiplier(coeffs.alpha, dt)
-    out = np.empty((S + 1,) + grid.shape)
-    out[0] = u0_vals
-    vals = u0_vals
+    n = starts.shape[0]
+    out = np.empty((S + 1,) + starts.shape)
+    out[0] = starts
+    vals = starts
     for s in range(S):
-        v_s = None if control is None else control.values[s]
-        dw_s = None if noise is None else noise.increments[s]
+        row = law_statistics(vals, grid, coeffs.f.h_cap) if stats is None else stats[s]
         vals = _step_values(
-            grid, coeffs, vals, stats_at(s, vals), float(nodes[s]), dt, res_mult,
-            eps, v_s, dw_s,
+            grid, coeffs, vals, row, float(nodes[s]), dt, res_mult, eps,
+            None if control is None else control[s],
+            None if noise is None else noise[s],
         )
         if not np.all(np.isfinite(vals)):
-            raise BlowUpError(step=s, time=float(nodes[s + 1]))
+            finite = np.isfinite(vals.reshape(n, -1)).all(axis=1)
+            particle = int(np.argmin(finite)) if n > 1 else None
+            raise BlowUpError(s, float(nodes[s + 1]), particle)
         out[s + 1] = vals
     return out
 
@@ -377,12 +328,14 @@ def solve_frozen(
         raise GridMismatchError("measure flow and initial state live on different grids")
     if mu_flow.n_times != tgrid.steps + 1 or not np.array_equal(mu_flow.times, tgrid.nodes):
         raise GridMismatchError("measure flow is not sampled on the solver's time nodes")
-    h_cap = coeffs.f.h_cap
-    stats = [_stats_from_measure(mu_flow.measure(s), h_cap) for s in range(tgrid.steps)]
+    g, h_cap = u0.grid, coeffs.f.h_cap
+    stats = np.array([law_statistics(mu, g, h_cap) for mu in mu_flow.states[:-1]])
     vals = _run_steps(
-        u0.grid, coeffs, u0.values, tgrid, lambda s, _v: stats[s], eps, control, noise
+        g, coeffs, u0.values[None], tgrid, stats, eps,
+        None if control is None else control.values[:, None],
+        None if noise is None else noise.increments[:, None],
     )
-    return Trajectory(u0.grid, tgrid.nodes, vals)
+    return Trajectory(g, tgrid.nodes, vals[:, 0])
 
 
 def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGrid) -> Trajectory:
@@ -392,11 +345,8 @@ def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGri
     point mass travelling along it.
     """
     _validate_run_args(u0, coeffs, tgrid, None, None, 0.0)
-    g, h_cap = u0.grid, coeffs.f.h_cap
-    vals = _run_steps(
-        g, coeffs, u0.values, tgrid, lambda _s, v: _stats_from_state(v, g, h_cap)
-    )
-    return Trajectory(g, tgrid.nodes, vals)
+    vals = _run_steps(u0.grid, coeffs, u0.values[None], tgrid, None)
+    return Trajectory(u0.grid, tgrid.nodes, vals[:, 0])
 
 
 def solve_controlled(
@@ -419,14 +369,10 @@ def solve_controlled(
         raise GridMismatchError("base trajectory is not sampled on the solver's time nodes")
     if not np.array_equal(base.values[0], u0.values):
         raise ValidationError("base trajectory does not start at the given initial state")
-    g, h_cap = u0.grid, coeffs.f.h_cap
-    base_stats = [
-        _stats_from_state(base.values[s], g, h_cap) for s in range(tgrid.steps)
-    ]
-    vals = _run_steps(
-        g, coeffs, u0.values, tgrid, lambda s, _v: base_stats[s], 0.0, control, None
-    )
-    return Trajectory(g, tgrid.nodes, vals)
+    g = u0.grid
+    stats = law_statistics(base.values[:-1, None], g, coeffs.f.h_cap)
+    vals = _run_steps(g, coeffs, u0.values[None], tgrid, stats, 0.0, control.values[:, None])
+    return Trajectory(g, tgrid.nodes, vals[:, 0])
 
 
 # -- energy bookkeeping --------------------------------------------------
@@ -456,7 +402,7 @@ def energy_residual(
     the point mass at the trajectory's own state.
     """
     g = traj.grid
-    F, G, sig = coeffs.f, coeffs.g, coeffs.sigma
+    sig = coeffs.sigma
     S = traj.n_nodes - 1
     if S < 1:
         raise ValidationError("trajectory must contain at least one step")
@@ -466,28 +412,26 @@ def energy_residual(
     if base is not None and (base.grid != g or not np.array_equal(base.times, traj.times)):
         raise GridMismatchError("base trajectory does not match the path's nodes")
     w = g.cell_volume
-    h_cap = F.h_cap
+    ref = traj if base is None else base
+    stats = law_statistics(ref.values[:-1, None], g, coeffs.f.h_cap)
+    energy = sq_norms(traj.values, g)
 
     res = np.zeros(S + 1)
-    e0 = w * float(np.sum(traj.values[0] ** 2))
     acc = 0.0
     for s in range(S):
         t = float(traj.times[s])
         u_s = traj.values[s]
         u_next = traj.values[s + 1]
-        ref = u_s if base is None else base.values[s]
-        stats = _stats_from_state(ref, g, h_cap)
-        f_vals = F.power_values(u_s) + F.phi.values(t, g) * stats.hbar_f
-        g_vals = G.psi.values(t, g) * (G.c0 + G.c1 * np.tanh(u_s) + G.c2 * stats.hbar1)
+        hbar_f, hbar1, root_m2 = stats[s]
+        f_vals = coeffs.f.values(t, g, u_s, hbar_f)
+        g_vals = coeffs.g.values(t, g, u_s, hbar1)
         semi_sq = h_alpha_seminorm(GridFunction(g, u_next), coeffs.alpha) ** 2
         work = w * float(np.sum((f_vals - g_vals) * u_s))
         if control is not None:
-            sig2 = sig._bshape(sig.beta) * stats.root_m2 + sig._bshape(sig.gamma) * u_s[None]
-            fields = sig.profile(t) * sig.shape_stack() + sig.kappa.values[None] * sig2
-            drive = np.tensordot(control.values[s], fields, axes=(0, 0))
+            drive = sig.drive(t, u_s[None], root_m2, control.values[s][None])[0]
             work -= w * float(np.sum(drive * u_s))
         acc += 2.0 * dt * (semi_sq + work)
-        res[s + 1] = w * float(np.sum(u_next**2)) - e0 + acc
+        res[s + 1] = energy[s + 1] - energy[0] + acc
     return res
 
 
@@ -504,10 +448,7 @@ def _check_comparable(a: Trajectory, b: Trajectory) -> None:
 def sup_distance(a: Trajectory, b: Trajectory) -> float:
     """``sup_s || a(t_s) - b(t_s) ||`` in the discrete L2 norm."""
     _check_comparable(a, b)
-    w = a.grid.cell_volume
-    diff = a.values - b.values
-    flat = diff.reshape(diff.shape[0], -1)
-    return float(np.sqrt(w * np.max(np.sum(flat**2, axis=1))))
+    return float(np.sqrt(np.max(sq_norms(a.values - b.values, a.grid))))
 
 
 def integrated_v_distance(a: Trajectory, b: Trajectory, alpha: float, c_v: float = 1.0) -> float:
@@ -575,14 +516,19 @@ def load_trajectory(path: str | Path) -> Trajectory:
         magic = fh.read(len(_TRAJ_MAGIC))
         if magic != _TRAJ_MAGIC:
             raise ValidationError(f"{path}: not a trajectory blob")
-        header = json.loads(fh.readline().decode())
-        ginfo = header["grid"]
-        grid = SpatialGrid(int(ginfo["dim"]), float(ginfo["half_width"]), int(ginfo["points_per_dim"]))
-        n = int(header["n_nodes"])
-        times = np.frombuffer(fh.read(8 * n), dtype="<f8")
+        try:
+            header = json.loads(fh.readline().decode())
+            ginfo = header["grid"]
+            grid = SpatialGrid(int(ginfo["dim"]), float(ginfo["half_width"]), int(ginfo["points_per_dim"]))
+            n = int(header["n_nodes"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"{path}: malformed trajectory header ({exc})") from exc
         count = n * grid.n_cells
-        values = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape((n,) + grid.shape)
-    return Trajectory(grid, times, values)
+        times, values = fh.read(8 * n), fh.read(8 * count)
+    if n < 1 or len(times) != 8 * n or len(values) != 8 * count:
+        raise ValidationError(f"{path}: truncated trajectory blob (header says {n} nodes)")
+    values = np.frombuffer(values, dtype="<f8").reshape((n,) + grid.shape)
+    return Trajectory(grid, np.frombuffer(times, dtype="<f8"), values)
 
 
 def save_control(v: Control, path: str | Path) -> Path:

@@ -31,15 +31,18 @@ class BlowUpError(FracmvError, ArithmeticError):
     """Time stepping produced a non-finite state.
 
     Carries the step index and physical time at which the first
-    non-finite value appeared.
+    non-finite value appeared, and ``particle``: the lowest index among
+    the paths of an ensemble that failed at that step, or None for a
+    single path.
     """
 
-    def __init__(self, step: int, time: float, message: str | None = None):
+    def __init__(self, step: int, time: float, particle: int | None = None):
         self.step = step
         self.time = time
+        self.particle = particle
+        where = "" if particle is None else f"particle {particle}: "
         super().__init__(
-            message
-            or f"non-finite state after step {step} (t = {time:.6g}); aborting"
+            f"{where}non-finite state after step {step} (t = {time:.6g}); aborting"
         )
 
 

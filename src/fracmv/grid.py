@@ -30,6 +30,7 @@ __all__ = [
     "apply_fractional_laplacian",
     "apply_semigroup_resolvent",
     "l2_norm",
+    "sq_norms",
     "l2_inner",
     "h_alpha_seminorm",
     "v_norm",
@@ -165,8 +166,12 @@ class SpatialGrid:
         return self._cache[key]
 
     def apply_multiplier(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        """Apply a real Fourier multiplier to a real field array."""
-        axes = tuple(range(self.dim))
+        """Apply a real Fourier multiplier to a real field array.
+
+        The transform runs over the last ``dim`` axes, so ``values`` may
+        be one field or a batch of fields stacked on leading axes.
+        """
+        axes = tuple(range(-self.dim, 0))
         spec = np.fft.rfftn(values, axes=axes)
         spec *= mult
         return np.fft.irfftn(spec, s=self.shape, axes=axes)
@@ -242,6 +247,18 @@ def apply_semigroup_resolvent(u: GridFunction, alpha: float, tau: float) -> Grid
 def l2_norm(u: GridFunction) -> float:
     """Discrete L2 norm: ``sqrt(cell_volume * sum(values^2))``."""
     return float(np.sqrt(u.grid.cell_volume * np.sum(u.values**2)))
+
+
+def sq_norms(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Squared discrete L2 norms of fields stacked on leading axes.
+
+    ``values`` has shape ``(..., *grid.shape)``; the result has shape
+    ``(...)``.  Each field is summed as one flat row, so every entry
+    equals the norm of that field taken on its own.
+    """
+    lead = values.shape[: values.ndim - grid.dim]
+    rows = np.sum(values.reshape(-1, grid.n_cells) ** 2, axis=1)
+    return grid.cell_volume * rows.reshape(lead)
 
 
 def l2_inner(u: GridFunction, w: GridFunction) -> float:

@@ -3,8 +3,9 @@
 The mean-field equation couples each path to the law of the solution.
 Numerically the law is an ``N``-particle empirical flow and the
 coupling is resolved by iterating the freezing map: given a candidate
-flow, solve ``N`` frozen-measure paths driven by per-particle noise,
-and return the empirical flow of the solved ensemble.  Under the
+flow, solve ``N`` frozen-measure paths driven by per-particle noise
+(all ``N`` advanced together by the batched step kernel), and return
+the empirical flow of the solved ensemble.  Under the
 weighted sup metric ``d(., .; lam)`` the map contracts once ``lam`` is
 large enough; ``auto_lambda`` measures the contraction ratio on probe
 flows and picks the weight empirically.
@@ -18,28 +19,15 @@ flows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
-from .coefficients import CoefficientSet
-from .dynamics import (
-    NoisePath,
-    TimeGrid,
-    Trajectory,
-    _run_steps,
-    _stats_from_measure,
-    solve_deterministic,
-)
-from .errors import (
-    BlowUpError,
-    FixedPointDivergenceError,
-    GridMismatchError,
-    ValidationError,
-)
-from .grid import GridFunction, SpatialGrid, l2_norm
+from .coefficients import CoefficientSet, law_statistics
+from .dynamics import NoisePath, TimeGrid, Trajectory, _run_steps, solve_deterministic
+from .errors import FixedPointDivergenceError, GridMismatchError, ValidationError
+from .grid import GridFunction, SpatialGrid, l2_norm, sq_norms
 from .measure import EmpiricalMeasure, MeasureFlow, flow_distance
 
 __all__ = [
@@ -73,7 +61,6 @@ class MeanFieldProblem:
     u0: GridFunction
     epsilon: float
     master_seed: int
-    workers: int = 1
     initial_states: np.ndarray | None = None
 
     def __post_init__(self):
@@ -83,8 +70,6 @@ class MeanFieldProblem:
             raise ValidationError(
                 f"epsilon must lie in [0, 1), got {self.epsilon!r}"
             )
-        if not (isinstance(self.workers, (int, np.integer)) and self.workers >= 1):
-            raise ValidationError(f"workers must be an integer >= 1, got {self.workers!r}")
         if self.initial_states is not None:
             arr = np.asarray(self.initial_states, dtype=float)
             if arr.ndim != 1 + self.grid.dim or arr.shape[1:] != self.grid.shape:
@@ -178,39 +163,29 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
 
     Solves one frozen path per particle of ``flow`` (common random
     numbers across applications) and returns the empirical flow of the
-    solved ensemble.  The result is a deterministic function of the
-    problem and the input flow, independent of ``workers``.
+    solved ensemble.  All particles advance together, one batched step
+    per node; particle ``i`` is driven by ``NoisePath.generate(...,
+    particle=i)``, so its path equals the single-particle
+    ``solve_frozen`` run byte for byte.
     """
     if flow.grid != problem.grid:
         raise GridMismatchError("flow lives on a different grid than the problem")
     nodes = problem.tgrid.nodes
     if flow.n_times != nodes.size or not np.array_equal(flow.times, nodes):
         raise GridMismatchError("flow is not sampled on the problem's time nodes")
-    coeffs, tgrid, eps = problem.coeffs, problem.tgrid, float(problem.epsilon)
-    h_cap = coeffs.f.h_cap
-    stats = [_stats_from_measure(flow.measure(s), h_cap) for s in range(tgrid.steps)]
-    K = coeffs.sigma.n_modes
-    starts = _initial_states(problem, flow.n_particles)
-
-    def solve_one(i: int) -> np.ndarray:
-        noise = (
-            NoisePath.generate(tgrid, K, problem.master_seed, i) if eps > 0.0 else None
+    grid, coeffs, tgrid = problem.grid, problem.coeffs, problem.tgrid
+    eps, n = float(problem.epsilon), flow.n_particles
+    # node by node: one call over the whole flow would square a copy of it
+    stats = np.array([law_statistics(mu, grid, coeffs.f.h_cap) for mu in flow.states[:-1]])
+    noise = None
+    if eps > 0.0:
+        K = coeffs.sigma.n_modes
+        noise = np.stack(
+            [NoisePath.generate(tgrid, K, problem.master_seed, i).increments for i in range(n)],
+            axis=1,
         )
-        try:
-            return _run_steps(
-                problem.grid, coeffs, starts[i], tgrid,
-                lambda s, _v: stats[s], eps, None, noise,
-            )
-        except BlowUpError as exc:
-            raise BlowUpError(exc.step, exc.time, f"particle {i}: {exc}") from exc
-
-    n = flow.n_particles
-    if problem.workers > 1:
-        with ThreadPoolExecutor(max_workers=problem.workers) as pool:
-            paths = list(pool.map(solve_one, range(n)))
-    else:
-        paths = [solve_one(i) for i in range(n)]
-    return MeasureFlow(problem.grid, nodes, np.stack(paths, axis=1))
+    paths = _run_steps(grid, coeffs, _initial_states(problem, n), tgrid, stats, eps, None, noise)
+    return MeasureFlow(grid, nodes, paths)
 
 
 def auto_lambda(
@@ -371,7 +346,6 @@ def small_noise_sweep(
     base_cfg = cfg or PicardConfig()
     cfg = replace(base_cfg, n_particles=int(n_replicas))
     base = solve_deterministic(problem.u0, problem.coeffs, problem.tgrid)
-    w = problem.grid.cell_volume
     rows = []
     for eps in eps_list:
         e = float(eps)
@@ -380,9 +354,7 @@ def small_noise_sweep(
             continue
         sub = replace(problem, epsilon=e)
         res = picard_solve(sub, cfg)
-        diff = res.flow.states - base.values[:, None]
-        flat = diff.reshape(diff.shape[0], diff.shape[1], -1)
-        sup_sq = np.max(w * np.sum(flat**2, axis=2), axis=0)
+        sup_sq = np.max(sq_norms(res.flow.states - base.values[:, None], problem.grid), axis=0)
         stderr = (
             float(np.std(sup_sq, ddof=1) / math.sqrt(sup_sq.size))
             if sup_sq.size > 1

@@ -36,7 +36,7 @@ from .dynamics import (
     solve_deterministic,
 )
 from .errors import GridMismatchError, ValidationError
-from .grid import GridFunction, l2_norm, lp_norm
+from .grid import GridFunction, SpatialGrid, l2_norm, lp_norm, sq_norms
 
 __all__ = [
     "RateProblem",
@@ -105,21 +105,10 @@ class RateEstimate:
     stages: tuple[tuple[float, float, float], ...]
 
 
-def _trajectory_gap(traj: Trajectory, target: Trajectory, dt: float) -> float:
-    diff = traj.values - target.values
-    flat = diff.reshape(diff.shape[0], -1)
-    w = traj.grid.cell_volume
-    sq = w * np.sum(flat**2, axis=1)
+def _path_norm(values: np.ndarray, grid: SpatialGrid, dt: float) -> float:
+    """Left-sum integrated plus terminal L2 norm of a path of fields."""
+    sq = sq_norms(values, grid)
     return math.sqrt(dt * float(np.sum(sq[:-1])) + float(sq[-1]))
-
-
-def _target_scale(target: Trajectory | GridFunction, dt: float) -> float:
-    if isinstance(target, Trajectory):
-        flat = target.values.reshape(target.values.shape[0], -1)
-        w = target.grid.cell_volume
-        sq = w * np.sum(flat**2, axis=1)
-        return math.sqrt(dt * float(np.sum(sq[:-1])) + float(sq[-1]))
-    return l2_norm(target)
 
 
 def estimate_rate(
@@ -163,7 +152,7 @@ def estimate_rate(
     def gap_of(x: np.ndarray) -> float:
         traj = solve_controlled(u0, Control(x.reshape(S, K), dt), base, coeffs, tgrid)
         if isinstance(target, Trajectory):
-            return _trajectory_gap(traj, target, dt)
+            return _path_norm(traj.values - target.values, traj.grid, dt)
         return l2_norm(GridFunction(traj.grid, traj.terminal().values - target.values))
 
     def objective(eta: float):
@@ -215,7 +204,12 @@ def estimate_rate(
 
     v_star = Control(x.reshape(S, K), dt)
     gap = gap_of(x)
-    gap_rel = gap / (1.0 + _target_scale(target, dt))
+    scale = (
+        _path_norm(target.values, target.grid, dt)
+        if isinstance(target, Trajectory)
+        else l2_norm(target)
+    )
+    gap_rel = gap / (1.0 + scale)
     return RateEstimate(
         value=control_cost(v_star),
         v_star=v_star,
@@ -278,7 +272,6 @@ def weak_convergence_experiment(
     u_ref = solve_controlled(u0, v, base, coeffs, tgrid)
     t_left = tgrid.nodes[:-1]
     alpha, c_v, p = coeffs.alpha, coeffs.c_v, coeffs.f.p
-    w = u0.grid.cell_volume
 
     rows = []
     lp_rows = []
@@ -288,8 +281,7 @@ def weak_convergence_experiment(
         vi = Control(vals, v.dt)
         ui = solve_controlled(u0, vi, base, coeffs, tgrid)
         diff = ui.values - u_ref.values
-        flat = diff.reshape(diff.shape[0], -1)
-        sup_h = math.sqrt(float(np.max(w * np.sum(flat**2, axis=1))))
+        sup_h = math.sqrt(float(np.max(sq_norms(diff, u0.grid))))
         l2_v = integrated_v_distance(ui, u_ref, alpha, c_v)
         offset = math.sqrt(v.dt * float(np.sum((vals - v.values) ** 2)))
         rows.append((int(i), sup_h, l2_v, math.sqrt(vi.l2_norm_sq()), offset))

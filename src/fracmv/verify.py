@@ -26,16 +26,25 @@ from .coefficients import CoefficientSet, DriftF, DriftG, verify_conditions
 from .config import RunConfig
 from .dynamics import (
     Control,
+    NoisePath,
     TimeGrid,
     energy_residual,
     solve_controlled,
     solve_deterministic,
+    solve_frozen,
     sup_distance,
 )
 from .errors import ValidationError
-from .grid import GridFunction, SpatialGrid, apply_fractional_laplacian, l2_norm, tail_mass
-from .measure import EmpiricalMeasure, wasserstein2
-from .mckean_vlasov import PicardConfig, picard_solve, small_noise_sweep
+from .grid import (
+    GridFunction,
+    SpatialGrid,
+    apply_fractional_laplacian,
+    l2_norm,
+    sq_norms,
+    tail_mass,
+)
+from .measure import EmpiricalMeasure, MeasureFlow, wasserstein2
+from .mckean_vlasov import PicardConfig, apply_phi, picard_solve, small_noise_sweep
 from .rate_function import (
     RateProblem,
     control_cost,
@@ -237,8 +246,7 @@ def suite_energy(cfg: RunConfig) -> list[CheckResult]:
         run = base.with_overrides(time={"steps": steps})
         traj = solve_deterministic(run.u0, run.coeffs, run.tgrid)
         res = energy_residual(traj, run.coeffs)
-        flat = traj.values.reshape(traj.values.shape[0], -1)
-        scale = 1.0 + float(np.max(run.grid.cell_volume * np.sum(flat**2, axis=1)))
+        scale = 1.0 + float(np.max(sq_norms(traj.values, run.grid)))
         metrics.append(float(np.max(np.abs(res))) / scale)
         dts.append(run.tgrid.dt)
     slope = float(np.polyfit(np.log(dts), np.log(metrics), 1)[0])
@@ -589,8 +597,8 @@ def _hash_tree(root: Path) -> dict[str, str]:
 
 
 def suite_determinism(cfg: RunConfig) -> list[CheckResult]:
-    """The simulate command is byte-reproducible, including across
-    worker counts."""
+    """The simulate command is byte-reproducible, and the batched
+    freezing map equals one single-particle solve per particle."""
     from .cli import cmd_simulate
 
     t0 = time.perf_counter()
@@ -598,20 +606,37 @@ def suite_determinism(cfg: RunConfig) -> list[CheckResult]:
         grid={"points_per_dim": 64},
         time={"horizon": 0.25, "steps": 100},
         picard={"n_particles": 8},
-        workers=1,
     )
     hashes = []
     with tempfile.TemporaryDirectory() as tmp:
-        for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
-            run = small.with_overrides(workers=workers)
+        for tag in ("a", "b"):
             out_dir = Path(tmp) / tag
-            cmd_simulate(run, out_dir)
+            cmd_simulate(small, out_dir)
             tree = _hash_tree(out_dir / "trajectories")
             if not tree:
                 raise ValidationError("simulate wrote no trajectory files")
             hashes.append(tree)
     same_seed = hashes[0] == hashes[1]
-    across_workers = hashes[0] == hashes[2]
+    rerun_s = time.perf_counter() - t0
+
+    t1 = time.perf_counter()
+    problem, tgrid = small.problem(), small.tgrid
+    n = small.picard_config().n_particles
+    # freeze a time-varying law: the image of the initial ensemble
+    mu0 = EmpiricalMeasure(small.grid, np.broadcast_to(small.u0.values, (n,) + small.grid.shape))
+    frozen = apply_phi(problem, MeasureFlow.constant(mu0, tgrid.nodes))
+    batched = apply_phi(problem, frozen)
+    K = small.coeffs.sigma.n_modes
+    single = [
+        solve_frozen(
+            GridFunction(small.grid, batched.states[0, i]), frozen, small.coeffs, tgrid,
+            eps=small.epsilon, noise=NoisePath.generate(tgrid, K, small.seed, particle=i),
+        ).values
+        for i in range(n)
+    ]
+    across_batch = all(
+        batched.states[:, i].tobytes() == single[i].tobytes() for i in range(n)
+    )
     return [
         CheckResult(
             11,
@@ -619,15 +644,15 @@ def suite_determinism(cfg: RunConfig) -> list[CheckResult]:
             same_seed,
             f"{len(hashes[0])} files compared",
             "identical hashes",
-            time.perf_counter() - t0,
+            rerun_s,
         ),
         CheckResult(
             11,
-            "simulate_byte_identical_across_workers",
-            across_workers,
-            "1 worker vs 4 workers",
-            "identical hashes",
-            0.0,
+            "apply_phi_byte_identical_across_batch_size",
+            across_batch,
+            f"{n}-particle batch vs {n} one-particle solve_frozen runs",
+            "identical bytes",
+            time.perf_counter() - t1,
         ),
     ]
 

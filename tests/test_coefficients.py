@@ -12,12 +12,9 @@ from fracmv.coefficients import (
     NoiseSigma,
     PsiField,
     TimeProfile,
-    apply_sigma,
     capped_mean_norm,
-    eval_f,
-    eval_g,
     hs_bound_constant,
-    hs_norm_sq,
+    law_statistics,
     sigma_lipschitz_constant,
     verify_conditions,
 )
@@ -28,6 +25,11 @@ from fracmv.measure import EmpiricalMeasure, second_moment, wasserstein2
 
 def random_measure(grid, rng, n=4, scale=1.0):
     return EmpiricalMeasure(grid, scale * rng.standard_normal((n,) + grid.shape))
+
+
+def law(mu, h_cap=1.0):
+    """``(hbar_f, hbar1, root_m2)`` of an ensemble."""
+    return law_statistics(mu.states, mu.grid, h_cap)
 
 
 # -- scalar pieces -----------------------------------------------------
@@ -61,6 +63,10 @@ def test_capped_mean_norm_oracle(rng):
     assert capped_mean_norm(mu, cap) <= cap
     with pytest.raises(ValidationError):
         capped_mean_norm(mu, 0.0)
+    hbar_f, hbar1, root_m2 = law(mu, cap)
+    assert hbar_f == capped_mean_norm(mu, cap)
+    assert hbar1 == capped_mean_norm(mu, 1.0)
+    assert root_m2 == np.sqrt(second_moment(mu))
 
 
 def test_capped_mean_norm_is_w2_lipschitz(rng):
@@ -82,8 +88,8 @@ def test_eval_f_closed_form(rng):
     mu = random_measure(g, rng)
     hbar = capped_mean_norm(mu, f.h_cap)
     expected = 0.7 * u.values**3 + f.phi.values(0.3, g) * hbar
-    got = eval_f(f, 0.3, u, mu)
-    assert np.allclose(got.values, expected, rtol=1e-14, atol=0.0)
+    got = f.values(0.3, g, u.values, law(mu, f.h_cap)[0])
+    assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
 
 def test_eval_f_quadratic_case(rng):
@@ -91,7 +97,7 @@ def test_eval_f_quadratic_case(rng):
     f = DriftF(p=2, lambda_f=0.9, h_cap=1.0, phi=PsiField("gaussian", 0.0, 1.0))
     u = random_field(g, rng)
     mu = random_measure(g, rng)
-    assert np.allclose(eval_f(f, 0.0, u, mu).values, 0.9 * u.values, rtol=1e-14)
+    assert np.allclose(f.values(0.0, g, u.values, law(mu)[0]), 0.9 * u.values, rtol=1e-14)
 
 
 def test_eval_g_closed_form_and_bound(rng):
@@ -102,11 +108,11 @@ def test_eval_g_closed_form_and_bound(rng):
     t = 0.7
     hbar1 = capped_mean_norm(mu, 1.0)
     expected = gg.psi.values(t, g) * (0.3 + 0.5 * np.tanh(u.values) + 0.4 * hbar1)
-    got = eval_g(gg, t, u, mu)
-    assert np.allclose(got.values, expected, rtol=1e-14, atol=0.0)
+    got = gg.values(t, g, u.values, law(mu)[1])
+    assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
     # both nonlinear slots are capped by 1, so psi scaled by the
     # coefficient-sum envelopes the term pointwise
-    assert np.all(np.abs(got.values) <= (0.3 + 0.5 + 0.4) * np.abs(gg.bound_values(t, g)) + 1e-12)
+    assert np.all(np.abs(got) <= (0.3 + 0.5 + 0.4) * np.abs(gg.bound_values(t, g)) + 1e-12)
 
 
 def test_drift_validation_and_bypass():
@@ -143,15 +149,18 @@ def test_apply_sigma_matches_mode_sum_and_is_linear(rng):
             + sig.kappa.values * (sig.beta[k] * root_m2 + sig.gamma[k] * u.values)
         )
         manual += theta[k] * field_k
-    got = apply_sigma(sig, t, u, mu, theta)
-    assert np.allclose(got.values, manual, rtol=1e-13, atol=1e-15)
+
+    def apply_sigma(th):
+        return sig.drive(t, u.values[None], root_m2, th[None])[0]
+
+    assert np.allclose(apply_sigma(theta), manual, rtol=1e-13, atol=1e-15)
 
     th2 = rng.standard_normal(3)
-    lhs = apply_sigma(sig, t, u, mu, theta + th2).values
-    rhs = apply_sigma(sig, t, u, mu, theta).values + apply_sigma(sig, t, u, mu, th2).values
+    lhs = apply_sigma(theta + th2)
+    rhs = apply_sigma(theta) + apply_sigma(th2)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
-    with pytest.raises(ValidationError):
-        apply_sigma(sig, t, u, mu, np.zeros(5))
+    with pytest.raises(ValueError):
+        apply_sigma(np.zeros(5))
 
 
 def test_hs_norm_and_growth_bound(rng):
@@ -164,8 +173,8 @@ def test_hs_norm_and_growth_bound(rng):
         t = float(rng.uniform(0.0, T))
         u = random_field(g, rng, scale=float(rng.uniform(0.1, 3.0)))
         mu = random_measure(g, rng, scale=float(rng.uniform(0.1, 3.0)))
-        hs = hs_norm_sq(sig, t, u, mu)
-        fields = sig.mode_fields(t, u.values, mu)
+        fields = sig.fields(t, u.values, law(mu)[2])
+        hs = g.cell_volume * float(np.sum(fields**2))
         direct = sum(
             l2_norm(GridFunction(g, fields[k])) ** 2 for k in range(sig.n_modes)
         )
@@ -197,7 +206,7 @@ def test_sigma_lipschitz_bound_on_draws(rng):
         t = float(rng.uniform(0.0, 1.0))
         u1, u2 = random_field(g, rng), random_field(g, rng)
         mu1, mu2 = random_measure(g, rng), random_measure(g, rng)
-        d_fields = sig.mode_fields(t, u1.values, mu1) - sig.mode_fields(t, u2.values, mu2)
+        d_fields = sig.fields(t, u1.values, law(mu1)[2]) - sig.fields(t, u2.values, law(mu2)[2])
         lhs = float(w * np.sum(d_fields**2))
         du = l2_norm(GridFunction(g, u1.values - u2.values))
         dw = wasserstein2(mu1, mu2)

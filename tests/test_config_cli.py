@@ -225,3 +225,43 @@ def test_skeleton_with_control_reports_consistency(tiny_config, tmp_path):
     assert manifest["control"]["zero_control_check"] is True
     assert manifest["control"]["sup_distance_to_skeleton"] == 0.0
     assert (out / "controlled.traj").exists()
+
+
+# -- malformed inputs at the boundary ------------------------------------------
+
+
+def test_control_with_foreign_dt_exits_2(tiny_config, tmp_path, capsys):
+    """A control whose header dt disagrees with the time grid would be
+    integrated with the grid's dt but costed with its own."""
+    from fracmv.dynamics import Control, save_control
+
+    vpath = save_control(Control(np.ones((20, 2)), 1.0), tmp_path / "v.csv")
+    rc = main(["skeleton", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
+               "--control", str(vpath)])
+    assert rc == 2
+    assert "dt" in capsys.readouterr().err
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
+               "--target", f"manufactured:{vpath}"])
+    assert rc == 2
+    assert "dt" in capsys.readouterr().err
+
+
+def test_truncated_trajectory_target_exits_2(tiny_config, tmp_path, capsys):
+    out = tmp_path / "sk"
+    assert main(["skeleton", "--config", str(tiny_config), "--out", str(out)]) == 0
+    blob = (out / "skeleton.traj").read_bytes()
+    trunc = tmp_path / "trunc.traj"
+    trunc.write_bytes(blob[: len(blob) - 100])
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
+               "--target", f"trajectory:{trunc}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "trunc.traj" in err
+
+
+@pytest.mark.parametrize("name", ["SEED", "WORKERS"])
+def test_non_integer_environment_value_exits_2(name, tiny_config, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(f"FRACMV_{name}", "abc")
+    rc = main(["skeleton", "--config", str(tiny_config), "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert f"FRACMV_{name}" in capsys.readouterr().err

@@ -208,6 +208,7 @@ def test_overflowing_state_raises_blow_up(small_grid, small_coeffs):
     err = exc_info.value
     assert err.step == 0
     assert err.time == pytest.approx(tg.dt)
+    assert err.particle is None
     assert "non-finite" in str(err)
 
 

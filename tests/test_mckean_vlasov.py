@@ -3,9 +3,9 @@ import pytest
 
 from helpers import build_coeffs, build_grid, build_tgrid, build_u0
 
-from fracmv.dynamics import NoisePath, solve_frozen, sup_distance
-from fracmv.errors import FixedPointDivergenceError, ValidationError
-from fracmv.grid import l2_norm
+from fracmv.dynamics import NoisePath, TimeGrid, solve_frozen, sup_distance
+from fracmv.errors import BlowUpError, FixedPointDivergenceError, ValidationError
+from fracmv.grid import GridFunction, l2_norm
 from fracmv.measure import EmpiricalMeasure, MeasureFlow, flow_distance, second_moment
 from fracmv.mckean_vlasov import (
     MeanFieldProblem,
@@ -17,7 +17,7 @@ from fracmv.mckean_vlasov import (
 )
 
 
-def make_problem(grid, coeffs, tgrid, u0=None, eps=0.01, seed=99, workers=1, **kw):
+def make_problem(grid, coeffs, tgrid, u0=None, eps=0.01, seed=99, **kw):
     return MeanFieldProblem(
         grid=grid,
         tgrid=tgrid,
@@ -25,7 +25,6 @@ def make_problem(grid, coeffs, tgrid, u0=None, eps=0.01, seed=99, workers=1, **k
         u0=u0 if u0 is not None else build_u0(grid),
         epsilon=eps,
         master_seed=seed,
-        workers=workers,
         **kw,
     )
 
@@ -38,17 +37,42 @@ def constant_flow(grid, values, n, nodes):
 # -- the frozen-measure map ----------------------------------------------
 
 
-def test_apply_phi_is_deterministic_and_worker_invariant(small_grid, small_coeffs, small_tgrid):
-    """Common random numbers make the update a pure function of the input
-    flow, independent of thread count."""
-    p1 = make_problem(small_grid, small_coeffs, small_tgrid, workers=1)
-    p3 = make_problem(small_grid, small_coeffs, small_tgrid, workers=3)
-    flow = constant_flow(small_grid, p1.u0.values, 6, small_tgrid.nodes)
-    out_a = apply_phi(p1, flow)
-    out_b = apply_phi(p1, flow)
-    out_c = apply_phi(p3, flow)
-    assert np.array_equal(out_a.states, out_b.states)
-    assert np.array_equal(out_a.states, out_c.states)
+def test_apply_phi_matches_single_particle_solves(rng):
+    """The batched update is a pure function of the input flow and equals,
+    byte for byte, one ``solve_frozen`` run per particle with that
+    particle's noise, in 1-d and 2-d."""
+    tgrid = TimeGrid(horizon=0.25, steps=30)
+    for grid in (build_grid(points=32), build_grid(dim=2, points=16)):
+        coeffs = build_coeffs(grid, n_modes=3)
+        u0 = build_u0(grid)
+        n = 5
+        states = u0.values[None] * (1.0 + 0.2 * rng.standard_normal((n,) + (1,) * grid.dim))
+        p = make_problem(grid, coeffs, tgrid, u0=u0, eps=0.05, initial_states=states)
+        # a time-varying frozen law: the image of the initial ensemble
+        flow = apply_phi(p, MeasureFlow.constant(EmpiricalMeasure(grid, states), tgrid.nodes))
+        out = apply_phi(p, flow)
+        assert np.array_equal(out.states, apply_phi(p, flow).states)
+        for i in range(n):
+            noise = NoisePath.generate(tgrid, coeffs.sigma.n_modes, p.master_seed, particle=i)
+            ref = solve_frozen(GridFunction(grid, states[i]), flow, coeffs, tgrid,
+                               eps=0.05, noise=noise)
+            assert out.states[:, i].tobytes() == ref.values.tobytes()
+
+
+def test_blow_up_names_the_first_failing_particle(small_grid, small_coeffs, small_tgrid):
+    """Rows 2 and 3 overflow at the first step; the lowest index is named."""
+    u0 = build_u0(small_grid)
+    states = np.stack([u0.values] * 4)
+    states[2:] *= 1e120
+    p = make_problem(small_grid, small_coeffs, small_tgrid, initial_states=states)
+    flow = constant_flow(small_grid, u0.values, 4, small_tgrid.nodes)
+    with pytest.raises(BlowUpError) as exc_info:
+        apply_phi(p, flow)
+    err = exc_info.value
+    assert err.particle == 2
+    assert err.step == 0
+    assert err.time == pytest.approx(small_tgrid.dt)
+    assert "particle 2" in str(err)
 
 
 def test_particles_differ_but_share_the_initial_state(small_grid, small_coeffs, small_tgrid):
@@ -141,8 +165,6 @@ def test_custom_initial_ensemble(small_grid, small_coeffs, small_tgrid, rng):
 def test_problem_validation(small_grid, small_coeffs, small_tgrid):
     with pytest.raises(ValidationError):
         make_problem(small_grid, small_coeffs, small_tgrid, eps=1.0)
-    with pytest.raises(ValidationError):
-        make_problem(small_grid, small_coeffs, small_tgrid, workers=0)
     with pytest.raises(ValidationError):
         make_problem(small_grid, small_coeffs, small_tgrid,
                      initial_states=np.zeros((4, 7)))
