@@ -6,14 +6,13 @@ zero-noise and (optionally) controlled deterministic equations,
 ``rate`` estimates the minimal steering cost to a target, and
 ``verify`` runs the property suites.  Every run directory gets a
 manifest carrying the seed and the config hash; nothing in the outputs
-depends on wall time or worker count, so reruns are byte-identical.
+depends on wall time, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 validation problems, 3 numerical failures
 (blow-up, non-contraction), 4 verification-suite failures.  Flags may
 also be supplied through ``FRACMV_``-prefixed environment variables
 (``FRACMV_CONFIG``, ``FRACMV_OUT``, ``FRACMV_SEED``, ``FRACMV_SUITE``,
-``FRACMV_CONTROL``, ``FRACMV_TARGET``, ``FRACMV_WORKERS``); explicit
-flags win.
+``FRACMV_CONTROL``, ``FRACMV_TARGET``); explicit flags win.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .errors import BlowUpError, FixedPointDivergenceError, ValidationError
 from .grid import GridFunction, l2_norm, load_grid_function, tail_mass
 from .measure import save_measure, second_moment
 from .mckean_vlasov import picard_solve
-from .rate_function import RateProblem, control_cost, estimate_rate
+from .rate_function import control_cost, estimate_rate
 from .verify import SUITES, format_report, run_suites
 
 __all__ = ["cmd_simulate", "cmd_skeleton", "cmd_rate", "cmd_verify", "main"]
@@ -210,18 +209,13 @@ def cmd_skeleton(cfg: RunConfig, out: str | Path, control_path: str | Path | Non
 def _parse_target(spec: str, cfg: RunConfig, base):
     if spec == "deterministic":
         return base, None
-    kind, sep, path = spec.partition(":")
-    if not sep or not path:
-        raise ValidationError(
-            f"target spec must be 'deterministic', 'manufactured:PATH', "
-            f"'trajectory:PATH', or 'terminal:PATH', got {spec!r}"
-        )
-    if kind == "manufactured":
+    kind, _, path = spec.partition(":")
+    if path and kind == "manufactured":
         vbar = _load_run_control(cfg, path, "manufactured control")
         return solve_controlled(cfg.u0, vbar, base, cfg.coeffs, cfg.tgrid), vbar
-    if kind == "trajectory":
+    if path and kind == "trajectory":
         return load_trajectory(path), None
-    if kind == "terminal":
+    if path and kind == "terminal":
         return load_grid_function(path), None
     raise ValidationError(
         f"target spec must be 'deterministic', 'manufactured:PATH', "
@@ -235,15 +229,7 @@ def cmd_rate(cfg: RunConfig, out: str | Path, target_spec: str) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     base = solve_deterministic(cfg.u0, cfg.coeffs, cfg.tgrid)
     target, vbar = _parse_target(target_spec, cfg, base)
-    problem = RateProblem(
-        target,
-        eta_ladder=cfg.eta_ladder(),
-        max_stage_iters=int(cfg.raw["rate"]["max_stage_iters"]),
-        gap_tol=float(cfg.raw["rate"]["gap_tol"]),
-    )
-    est = estimate_rate(
-        problem, cfg.u0, cfg.coeffs, cfg.tgrid, base=base, workers=cfg.workers
-    )
+    est = estimate_rate(cfg.rate_problem(target), cfg.u0, cfg.coeffs, cfg.tgrid, base=base)
     _write_csv(
         out / "rate_estimate.csv",
         ["value", "gap", "gap_rel", "converged", "n_evaluations"],
@@ -330,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="YAML config (default: built-in canonical)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=None, help="override worker count")
         if name == "skeleton":
             p.add_argument("--control", default=None, help="control CSV to drive the dynamics")
         if name == "rate":
@@ -355,9 +340,6 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else _env_int("SEED")
         if seed is not None:
             cfg = cfg.with_overrides(seed=seed)
-        workers = args.workers if args.workers is not None else _env_int("WORKERS")
-        if workers is not None:
-            cfg = cfg.with_overrides(workers=workers)
         out = args.out or _env("OUT") or f"runs/{args.command}-{cfg.seed}"
 
         if args.command == "simulate":

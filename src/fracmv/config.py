@@ -28,6 +28,7 @@ from .dynamics import TimeGrid, stable_seed_key
 from .errors import ValidationError
 from .grid import GridFunction, SpatialGrid
 from .mckean_vlasov import MeanFieldProblem, PicardConfig
+from .rate_function import RateProblem
 
 __all__ = ["RunConfig", "load_config", "canonical_dict"]
 
@@ -204,10 +205,6 @@ class RunConfig:
 
         dim = _int(cfg, "grid.dim", lo=1, hi=2)
         M = _int(cfg, "grid.points_per_dim", lo=4)
-        if M % 2 != 0:
-            raise ValidationError(
-                f"config: grid.points_per_dim must be even, got {M}"
-            )
         L = _num(cfg, "grid.half_width", lo=0.0, strict_lo=True)
         self.grid = SpatialGrid(dim=dim, half_width=L, points_per_dim=M)
 
@@ -291,7 +288,7 @@ class RunConfig:
         self.u0 = GridFunction(self.grid, _initial_values(self.grid, kind, i_amp, i_width))
 
         _int(cfg, "seed", lo=0, hi=2**64 - 1)
-        _int(cfg, "workers", lo=1)
+        _int(cfg, "workers", lo=1)  # retired; kept so old configs and hashes stay valid
         lam = cfg["picard"]["lambda_weight"]
         if not (lam == "auto" or (isinstance(lam, (int, float)) and not isinstance(lam, bool))):
             raise ValidationError(
@@ -323,10 +320,6 @@ class RunConfig:
         return int(self.raw["seed"])
 
     @property
-    def workers(self) -> int:
-        return int(self.raw["workers"])
-
-    @property
     def epsilon(self) -> float:
         return float(self.raw["model"]["epsilon"])
 
@@ -346,6 +339,15 @@ class RunConfig:
 
     def eta_ladder(self) -> tuple[float, ...]:
         return tuple(float(e) for e in self.raw["rate"]["eta_ladder"])
+
+    def rate_problem(self, target) -> RateProblem:
+        blk = self.raw["rate"]
+        return RateProblem(
+            target,
+            eta_ladder=self.eta_ladder(),
+            max_stage_iters=int(blk["max_stage_iters"]),
+            gap_tol=float(blk["gap_tol"]),
+        )
 
     def initial_ensemble(self, n_particles: int) -> np.ndarray | None:
         """Per-particle initial states when jitter is on, else None."""

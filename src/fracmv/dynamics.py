@@ -17,7 +17,8 @@ triple per step: the particle ensemble of the fixed-point map, and with
 ``N = 1`` the three single-path solvers, which differ only in where the
 measure comes from: a caller-supplied flow (``solve_frozen``), the Dirac
 mass at the current state (``solve_deterministic``), or the Dirac mass
-along a precomputed deterministic path (``solve_controlled``).
+along a precomputed deterministic path (``solve_controlled``).  Stacks
+of controls against one such path run as rows of one batch.
 """
 
 from __future__ import annotations
@@ -349,6 +350,42 @@ def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGri
     return Trajectory(u0.grid, tgrid.nodes, vals[:, 0])
 
 
+# Rows per batched controlled solve; bounds memory to one chunk of paths.
+_CHUNK = 64
+
+
+def _controlled_solver(
+    u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid, control=None
+):
+    """Check a controlled run; return a map from a stack of controls
+    ``(m, S, K)`` to an iterator over their paths ``(S+1, *grid.shape)``.
+
+    Rows run ``_CHUNK`` at a time against the law along ``base``, taken
+    once here.  Rows are independent: each equals its own solve bit for bit.
+    """
+    _validate_run_args(u0, coeffs, tgrid, control, None, 0.0)
+    if base.grid != u0.grid:
+        raise GridMismatchError("base trajectory lives on a different grid")
+    if base.n_nodes != tgrid.steps + 1 or not np.array_equal(base.times, tgrid.nodes):
+        raise GridMismatchError("base trajectory is not sampled on the solver's time nodes")
+    if not np.array_equal(base.values[0], u0.values):
+        raise ValidationError("base trajectory does not start at the given initial state")
+    stats = law_statistics(base.values[:-1, None], u0.grid, coeffs.f.h_cap)
+
+    def paths(controls: np.ndarray):
+        for lo in range(0, len(controls), _CHUNK):
+            chunk = np.ascontiguousarray(controls[lo : lo + _CHUNK].transpose(1, 0, 2))
+            starts = np.repeat(u0.values[None], chunk.shape[1], axis=0)
+            try:
+                vals = _run_steps(u0.grid, coeffs, starts, tgrid, stats, 0.0, chunk)
+            except BlowUpError as exc:
+                row = None if len(controls) == 1 else lo + (exc.particle or 0)
+                raise BlowUpError(exc.step, exc.time, row) from None
+            yield from vals.swapaxes(0, 1)
+
+    return paths
+
+
 def solve_controlled(
     u0: GridFunction,
     control: Control,
@@ -362,17 +399,8 @@ def solve_controlled(
     zero-noise solution from the same initial state; it is not the law
     of the controlled path itself.
     """
-    _validate_run_args(u0, coeffs, tgrid, control, None, 0.0)
-    if base.grid != u0.grid:
-        raise GridMismatchError("base trajectory lives on a different grid")
-    if base.n_nodes != tgrid.steps + 1 or not np.array_equal(base.times, tgrid.nodes):
-        raise GridMismatchError("base trajectory is not sampled on the solver's time nodes")
-    if not np.array_equal(base.values[0], u0.values):
-        raise ValidationError("base trajectory does not start at the given initial state")
-    g = u0.grid
-    stats = law_statistics(base.values[:-1, None], g, coeffs.f.h_cap)
-    vals = _run_steps(g, coeffs, u0.values[None], tgrid, stats, 0.0, control.values[:, None])
-    return Trajectory(g, tgrid.nodes, vals[:, 0])
+    paths = _controlled_solver(u0, base, coeffs, tgrid, control)
+    return Trajectory(u0.grid, tgrid.nodes, next(paths(control.values[None])))
 
 
 # -- energy bookkeeping --------------------------------------------------
@@ -544,6 +572,9 @@ def load_control(path: str | Path) -> Control:
     first = path.read_text().splitlines()[0]
     if not first.startswith("# dt="):
         raise ValidationError(f"{path}: missing control header")
-    dt = float(first.split("dt=")[1].split()[0])
+    try:
+        dt = float(first.split("dt=")[1].split()[0])
+    except (IndexError, ValueError):
+        raise ValidationError(f"{path}: control header dt is not a number: {first!r}") from None
     values = np.loadtxt(path, delimiter=",", ndmin=2)
     return Control(values, dt)

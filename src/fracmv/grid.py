@@ -362,7 +362,10 @@ def save_grid_function(u: GridFunction, path: str | Path) -> Path:
 def load_grid_function(path: str | Path) -> GridFunction:
     """Read a field written by :func:`save_grid_function`."""
     path = Path(path)
-    meta = json.loads(_meta_path(path).read_text())
+    meta_path = _meta_path(path)
+    if not meta_path.is_file():
+        raise ValidationError(f"{path}: geometry sidecar {meta_path} not found")
+    meta = json.loads(meta_path.read_text())
     grid = SpatialGrid(
         dim=int(meta["dim"]),
         half_width=float(meta["half_width"]),

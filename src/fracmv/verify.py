@@ -45,12 +45,7 @@ from .grid import (
 )
 from .measure import EmpiricalMeasure, MeasureFlow, wasserstein2
 from .mckean_vlasov import PicardConfig, apply_phi, picard_solve, small_noise_sweep
-from .rate_function import (
-    RateProblem,
-    control_cost,
-    estimate_rate,
-    weak_convergence_experiment,
-)
+from .rate_function import control_cost, estimate_rate, weak_convergence_experiment
 
 __all__ = ["CheckResult", "SUITES", "SUITE_BUDGETS", "run_suites", "format_report"]
 
@@ -470,20 +465,10 @@ def suite_rate(cfg: RunConfig) -> list[CheckResult]:
         time={"steps": 50},
     )
     grid, tgrid, coeffs, u0 = run.grid, run.tgrid, run.coeffs, run.u0
-    ladder, iters, gap_tol = run.eta_ladder(), int(run.raw["rate"]["max_stage_iters"]), float(
-        run.raw["rate"]["gap_tol"]
-    )
     base = solve_deterministic(u0, coeffs, tgrid)
 
     t0 = time.perf_counter()
-    est0 = estimate_rate(
-        RateProblem(base, eta_ladder=ladder, max_stage_iters=iters, gap_tol=gap_tol),
-        u0,
-        coeffs,
-        tgrid,
-        base=base,
-        workers=run.workers,
-    )
+    est0 = estimate_rate(run.rate_problem(base), u0, coeffs, tgrid, base=base)
     out = [
         CheckResult(
             9,
@@ -509,14 +494,7 @@ def suite_rate(cfg: RunConfig) -> list[CheckResult]:
     )
     target = solve_controlled(u0, vbar, base, coeffs, tgrid)
     ref_cost = control_cost(vbar)
-    est = estimate_rate(
-        RateProblem(target, eta_ladder=ladder, max_stage_iters=iters, gap_tol=gap_tol),
-        u0,
-        coeffs,
-        tgrid,
-        base=base,
-        workers=run.workers,
-    )
+    est = estimate_rate(run.rate_problem(target), u0, coeffs, tgrid, base=base)
     out.append(
         CheckResult(
             9,

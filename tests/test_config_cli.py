@@ -259,7 +259,30 @@ def test_truncated_trajectory_target_exits_2(tiny_config, tmp_path, capsys):
     assert "error[validation]" in err and "trunc.traj" in err
 
 
-@pytest.mark.parametrize("name", ["SEED", "WORKERS"])
+def test_malformed_control_header_exits_2(tiny_config, tmp_path, capsys):
+    vpath = tmp_path / "v.csv"
+    vpath.write_text("# dt=abc steps=20 modes=2\n" + "0,0\n" * 20)
+    rc = main(["skeleton", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
+               "--control", str(vpath)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "dt" in err
+
+
+def test_terminal_target_without_sidecar_exits_2(tiny_config, tmp_path, capsys):
+    from fracmv.grid import save_grid_function
+
+    field = tmp_path / "field.csv"
+    save_grid_function(load_config(tiny_config).u0, field)
+    (tmp_path / "field.csv.meta.json").unlink()
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
+               "--target", f"terminal:{field}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "field.csv.meta.json" in err
+
+
+@pytest.mark.parametrize("name", ["SEED"])
 def test_non_integer_environment_value_exits_2(name, tiny_config, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(f"FRACMV_{name}", "abc")
     rc = main(["skeleton", "--config", str(tiny_config), "--out", str(tmp_path / "s")])

@@ -212,6 +212,27 @@ def test_overflowing_state_raises_blow_up(small_grid, small_coeffs):
     assert "non-finite" in str(err)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 64])
+def test_controlled_batch_blow_up_names_the_row(small_grid, small_coeffs, small_tgrid,
+                                                chunk, monkeypatch):
+    """Row 3 of a stack of controls overflows; the row is named whatever
+    the chunking, and a single controlled path still names none."""
+    from fracmv import dynamics
+
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    u0 = build_u0(small_grid)
+    base = solve_deterministic(u0, small_coeffs, small_tgrid)
+    controls = np.zeros((5, small_tgrid.steps, small_coeffs.sigma.n_modes))
+    controls[3] = 1e300
+    solve = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)
+    with pytest.raises(BlowUpError) as exc_info:
+        list(solve(controls))
+    assert exc_info.value.particle == 3
+    with pytest.raises(BlowUpError) as exc_info:
+        solve_controlled(u0, Control(controls[3], small_tgrid.dt), base, small_coeffs, small_tgrid)
+    assert exc_info.value.particle is None
+
+
 # -- persistence ---------------------------------------------------------
 
 

@@ -1,13 +1,22 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import build_coeffs, build_grid, build_u0
 
-from fracmv.dynamics import Control, TimeGrid, solve_controlled, solve_deterministic
+from fracmv import dynamics, rate_function
+from fracmv.dynamics import (
+    Control,
+    TimeGrid,
+    Trajectory,
+    integrated_v_distance,
+    solve_controlled,
+    solve_deterministic,
+)
 from fracmv.errors import GridMismatchError, ValidationError
-from fracmv.grid import GridFunction
+from fracmv.grid import GridFunction, l2_norm, sq_norms
 from fracmv.rate_function import (
     RateProblem,
     control_cost,
@@ -144,6 +153,81 @@ def test_target_validation(instance):
         RateProblem(target=base, gap_tol=0.0)
 
 
+# -- batched gradient against the per-coordinate loop ----------------------
+
+
+@pytest.fixture(scope="module")
+def odd_instance():
+    """S*K = 21 rows per control, so the stacked rows sit at odd offsets."""
+    g = build_grid(half_width=4.0, points=32)
+    coeffs = build_coeffs(g, n_modes=3)
+    u0 = build_u0(g)
+    tg = TimeGrid(horizon=0.1, steps=7)
+    base = solve_deterministic(u0, coeffs, tg)
+    t_left = tg.nodes[:-1]
+    vbar = Control(np.column_stack([np.sin(7 * t_left), np.cos(5 * t_left), t_left]), tg.dt)
+    path = solve_controlled(u0, vbar, base, coeffs, tg)
+    return g, coeffs, u0, tg, base, {"trajectory": path, "terminal": path.terminal()}
+
+
+def loop_objective_and_gradient(x, eta, target, u0, coeffs, tg, base):
+    """The slow path: one solve_controlled per forward difference."""
+    S, K, dt = tg.steps, coeffs.sigma.n_modes, tg.dt
+
+    def fun(x):
+        traj = solve_controlled(u0, Control(x.reshape(S, K), dt), base, coeffs, tg)
+        if isinstance(target, Trajectory):
+            sq = sq_norms(traj.values - target.values, traj.grid)
+            gap = math.sqrt(dt * float(np.sum(sq[:-1])) + float(sq[-1]))
+        else:
+            gap = l2_norm(GridFunction(traj.grid, traj.terminal().values - target.values))
+        return 0.5 * dt * float(np.dot(x, x)) + gap**2 / (2.0 * eta)
+
+    f0 = fun(x)
+    steps = math.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))
+    grad = []
+    for i in range(x.size):
+        xp = x.copy()
+        xp[i] += steps[i]
+        grad.append((fun(xp) - f0) / steps[i])
+    return f0, np.asarray(grad)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+@pytest.mark.parametrize("kind", ["trajectory", "terminal"])
+def test_batched_gradient_matches_single_solve_loop(odd_instance, kind, chunk, monkeypatch):
+    g, coeffs, u0, tg, base, targets = odd_instance
+    target, eta = targets[kind], 1e-3
+    x = 0.5 * np.random.default_rng(3).standard_normal(tg.steps * coeffs.sigma.n_modes)
+    seen = {}
+
+    def probe(fun, x0, method, jac, options):
+        seen["f"], seen["g"] = fun(x), jac(x)
+        return SimpleNamespace(x=x0)
+
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    monkeypatch.setattr(rate_function, "minimize", probe)
+    est = estimate_rate(RateProblem(target, eta_ladder=(eta,)), u0, coeffs, tg, base=base)
+    f0, grad = loop_objective_and_gradient(x, eta, target, u0, coeffs, tg, base)
+    assert seen["f"] == f0
+    assert np.array_equal(seen["g"], grad)
+    assert est.n_evaluations == 1 + (x.size + 1)
+
+
+def test_estimate_is_byte_identical_across_chunk_sizes(odd_instance, monkeypatch):
+    g, coeffs, u0, tg, base, targets = odd_instance
+    problem = RateProblem(targets["trajectory"], eta_ladder=(1e-2, 1e-3), max_stage_iters=8)
+    runs = []
+    for chunk in (1, 3, 1000):
+        monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+        runs.append(estimate_rate(problem, u0, coeffs, tg, base=base))
+    for est in runs[1:]:
+        assert est.v_star.values.tobytes() == runs[0].v_star.values.tobytes()
+        assert est.stages == runs[0].stages
+        assert est.n_evaluations == runs[0].n_evaluations
+        assert (est.value, est.gap) == (runs[0].value, runs[0].gap)
+
+
 # -- weak-convergence experiment --------------------------------------------
 
 
@@ -189,6 +273,23 @@ def test_weak_experiment_validation(instance):
     bad_v = Control(np.zeros((tg.steps + 1, coeffs.sigma.n_modes)), tg.dt)
     with pytest.raises(ValidationError):
         weak_convergence_experiment(bad_v, 0, 0.5, [1], u0, coeffs, tg)
+
+
+def test_weak_experiment_batch_matches_single_solves(instance, monkeypatch):
+    g, coeffs, u0, tg, base = instance
+    t_left = tg.nodes[:-1]
+    v = Control(np.column_stack([0.3 * np.ones_like(t_left), 0.1 * np.sin(t_left)]), tg.dt)
+    freqs, A = [1, 2, 4, 8], 0.5
+    monkeypatch.setattr(dynamics, "_CHUNK", 3)
+    table = weak_convergence_experiment(v, 0, A, freqs, u0, coeffs, tg, base=base)
+    u_ref = solve_controlled(u0, v, base, coeffs, tg)
+    for row, i in zip(table.rows, freqs):
+        vals = v.values.copy()
+        vals[:, 0] += A * np.sin(i * t_left)
+        ui = solve_controlled(u0, Control(vals, tg.dt), base, coeffs, tg)
+        sup_h = math.sqrt(float(np.max(sq_norms(ui.values - u_ref.values, g))))
+        assert row[1] == sup_h
+        assert row[2] == integrated_v_distance(ui, u_ref, coeffs.alpha, coeffs.c_v)
 
 
 # -- level sets --------------------------------------------------------------
