@@ -365,12 +365,15 @@ def load_grid_function(path: str | Path) -> GridFunction:
     meta_path = _meta_path(path)
     if not meta_path.is_file():
         raise ValidationError(f"{path}: geometry sidecar {meta_path} not found")
-    meta = json.loads(meta_path.read_text())
-    grid = SpatialGrid(
-        dim=int(meta["dim"]),
-        half_width=float(meta["half_width"]),
-        points_per_dim=int(meta["points_per_dim"]),
-    )
+    try:
+        meta = json.loads(meta_path.read_text())
+        dim, half_width = int(meta["dim"]), float(meta["half_width"])
+        points = int(meta["points_per_dim"])
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(
+            f"{path}: malformed geometry sidecar {meta_path}: {type(exc).__name__} {exc}"
+        ) from None
+    grid = SpatialGrid(dim=dim, half_width=half_width, points_per_dim=points)
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape != (grid.n_cells, grid.dim + 1):
         raise ValidationError(

@@ -25,10 +25,17 @@ from itertools import combinations
 import numpy as np
 
 from .coefficients import CoefficientSet, law_statistics
-from .dynamics import NoisePath, TimeGrid, Trajectory, _run_steps, solve_deterministic
+from .dynamics import (
+    NoisePath,
+    TimeGrid,
+    Trajectory,
+    _check_epsilon,
+    _run_steps,
+    solve_deterministic,
+)
 from .errors import FixedPointDivergenceError, GridMismatchError, ValidationError
 from .grid import GridFunction, SpatialGrid, l2_norm, sq_norms
-from .measure import EmpiricalMeasure, MeasureFlow, flow_distance
+from .measure import EmpiricalMeasure, MeasureFlow, flow_distance, w2_curve, weighted_sup
 
 __all__ = [
     "MeanFieldProblem",
@@ -66,10 +73,7 @@ class MeanFieldProblem:
     def __post_init__(self):
         if self.u0.grid != self.grid or self.coeffs.sigma.grid != self.grid:
             raise GridMismatchError("problem components live on different grids")
-        if not (0.0 <= float(self.epsilon) < 1.0):
-            raise ValidationError(
-                f"epsilon must lie in [0, 1), got {self.epsilon!r}"
-            )
+        _check_epsilon(self.epsilon)
         if self.initial_states is not None:
             arr = np.asarray(self.initial_states, dtype=float)
             if arr.ndim != 1 + self.grid.dim or arr.shape[1:] != self.grid.shape:
@@ -201,7 +205,25 @@ def auto_lambda(
     ``d(phi(a), phi(b); lam) / d(a, b; lam)`` over probe pairs is
     measured; the smallest weight pushing it to ``target_ratio`` or
     below is returned doubled, as a safety margin, together with the
-    full ``(lam, worst ratio)`` curve.
+    full ``(lam, worst ratio)`` curve.  The per-node W2 curve of each
+    probe pair and of its image pair is computed once and reduced for
+    every candidate weight, so the grid costs one node sweep per pair.
+    """
+    lam, curve, _ = _calibrate(problem, probe_flows, images, lambda_grid, target_ratio)
+    return lam, curve
+
+
+def _calibrate(
+    problem: MeanFieldProblem,
+    probe_flows: list[MeasureFlow],
+    images: list[MeasureFlow | None] | None,
+    lambda_grid: tuple[float, ...] = _LAMBDA_GRID,
+    target_ratio: float = 0.5,
+) -> tuple[float, tuple[tuple[float, float], ...], dict]:
+    """:func:`auto_lambda`, also returning the node curves it measured.
+
+    ``curves[a, b]`` is ``(w2_curve(probe a, probe b), w2_curve(image a,
+    image b))`` for each probe pair ``a < b``.
     """
     if len(probe_flows) < 2:
         raise ValidationError("auto_lambda needs at least two probe flows")
@@ -213,18 +235,22 @@ def auto_lambda(
         img if img is not None else apply_phi(problem, probe)
         for probe, img in zip(probe_flows, images)
     ]
+    curves = {
+        (a, b): (w2_curve(probe_flows[a], probe_flows[b]), w2_curve(images[a], images[b]))
+        for a, b in combinations(range(len(probe_flows)), 2)
+    }
     tiny = 1e3 * np.finfo(float).eps * (1.0 + l2_norm(problem.u0))
     curve = []
     chosen = None
     for lam in lambda_grid:
         worst = 0.0
         resolved = False
-        for a, b in combinations(range(len(probe_flows)), 2):
-            denom = flow_distance(probe_flows[a], probe_flows[b], lam)
+        for (a, b), (probe_curve, image_curve) in curves.items():
+            denom = weighted_sup(probe_curve, probe_flows[a].times, lam)
             if denom <= tiny:
                 continue
             resolved = True
-            num = flow_distance(images[a], images[b], lam)
+            num = weighted_sup(image_curve, images[a].times, lam)
             worst = max(worst, num / denom)
         if not resolved:
             raise ValidationError("probe flows are indistinguishable; cannot calibrate")
@@ -236,7 +262,7 @@ def auto_lambda(
             "no metric weight on the grid reaches the target contraction ratio; "
             "measured curve: " + ", ".join(f"(lam={l:g}, r={r:.3g})" for l, r in curve)
         )
-    return 2.0 * chosen, tuple(curve)
+    return 2.0 * chosen, tuple(curve), curves
 
 
 def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) -> PicardResult:
@@ -254,21 +280,21 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
 
     auto_curve = None
     flows: list[MeasureFlow] = [flow0]
+    distances: list[float] = []
     if cfg.lambda_weight == "auto":
         image0 = apply_phi(problem, flow0)
         image1 = apply_phi(problem, image0)
         scaled = MeasureFlow(flow0.grid, flow0.times, 1.25 * flow0.states)
         image_s = apply_phi(problem, scaled)
-        lam, auto_curve = auto_lambda(
-            problem, [flow0, image0, scaled], images=[image0, image1, image_s]
+        lam, auto_curve, curves = _calibrate(
+            problem, [flow0, image0, scaled], [image0, image1, image_s]
         )
         flows.extend([image0, image1])
+        # probe pair (flow0, image0) and its image pair (image0, image1)
+        # are the first two iterate steps
+        distances = [weighted_sup(c, flow0.times, lam) for c in curves[0, 1]]
     else:
         lam = float(cfg.lambda_weight)
-
-    distances: list[float] = []
-    for prev, cur in zip(flows, flows[1:]):
-        distances.append(flow_distance(prev, cur, lam))
 
     def ratios_of(ds: list[float]) -> list[float]:
         return [b / a for a, b in zip(ds, ds[1:]) if a > tiny]

@@ -9,6 +9,11 @@ measures (one per time node) carries the weighted sup metric
     d(mu, nu; lam) = sup_t exp(-lam * t) * W2(mu(t), nu(t)),
 
 the contraction metric of the measure-freezing fixed-point iteration.
+It is evaluated in two parts: :func:`w2_curve` solves one assignment
+per time node and returns the per-node distances, and
+:func:`weighted_sup` reduces such a curve for one ``lam``.  A caller
+that needs the metric for several weights computes the curve once and
+reduces it per weight; :func:`flow_distance` is the two composed.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ __all__ = [
     "wasserstein2",
     "wasserstein2_to_dirac0",
     "flow_distance",
+    "w2_curve",
+    "weighted_sup",
     "save_measure",
     "load_measure",
 ]
@@ -175,16 +182,12 @@ class MeasureFlow:
         return cls(mu.grid, t, reps)
 
 
-def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
-    """Weighted sup distance ``sup_t exp(-lam t) W2(mu(t), nu(t))``.
+def w2_curve(mu: MeasureFlow, nu: MeasureFlow) -> np.ndarray:
+    """Per-node distances ``W2(mu(t_s), nu(t_s))``, shape ``(n_times,)``.
 
     Both flows must share the grid, the time nodes, and the particle
-    count; no temporal interpolation is attempted.  ``lam = 0`` gives
-    the plain sup metric; larger ``lam`` discounts late-time
-    discrepancies.
+    count; no temporal interpolation is attempted.
     """
-    if not (float(lam) >= 0.0):
-        raise ValidationError(f"flow metric weight lam must be >= 0, got {lam!r}")
     if mu.grid != nu.grid:
         raise GridMismatchError("flows live on different grids")
     if mu.times.shape != nu.times.shape or not np.array_equal(mu.times, nu.times):
@@ -193,11 +196,27 @@ def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
         raise ValidationError(
             f"flow particle counts differ ({mu.n_particles} vs {nu.n_particles})"
         )
-    best = 0.0
-    for s in range(mu.n_times):
-        d = wasserstein2(mu.measure(s), nu.measure(s))
-        best = max(best, float(np.exp(-float(lam) * mu.times[s])) * d)
-    return best
+    return np.array([wasserstein2(mu.measure(s), nu.measure(s)) for s in range(mu.n_times)])
+
+
+def weighted_sup(curve: np.ndarray, times: np.ndarray, lam: float) -> float:
+    """Exact weighted sup ``max_s exp(-lam t_s) curve[s]`` of a node curve.
+
+    ``lam = 0`` gives the plain sup; larger ``lam`` discounts late-time
+    values.  An empty curve gives 0.
+    """
+    if not (float(lam) >= 0.0):
+        raise ValidationError(f"flow metric weight lam must be >= 0, got {lam!r}")
+    return float(np.max(np.exp(-float(lam) * times) * curve, initial=0.0))
+
+
+def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
+    """Weighted sup distance ``sup_t exp(-lam t) W2(mu(t), nu(t))``.
+
+    The node curve of :func:`w2_curve` reduced by :func:`weighted_sup`;
+    see those for the checks on the flows and on ``lam``.
+    """
+    return weighted_sup(w2_curve(mu, nu), mu.times, lam)
 
 
 # -- persistence -------------------------------------------------------

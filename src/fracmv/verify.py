@@ -359,13 +359,13 @@ def suite_controlled(cfg: RunConfig) -> list[CheckResult]:
     v_ref_vals = np.zeros((S, K))
     v_ref_vals[:, 0] = 0.2
     v_ref = Control(v_ref_vals, tgrid.dt)
+    uref = solve_controlled(u0, v_ref, base, coeffs, tgrid)
 
     def solve_pair(du_vals: np.ndarray, dv_vals: np.ndarray) -> float:
         """Squared sup distance between the perturbed and reference runs."""
         u0p = GridFunction(grid, u0.values + du_vals)
         basep = solve_deterministic(u0p, coeffs, tgrid)
         up = solve_controlled(u0p, Control(v_ref.values + dv_vals, tgrid.dt), basep, coeffs, tgrid)
-        uref = solve_controlled(u0, v_ref, base, coeffs, tgrid)
         return sup_distance(up, uref) ** 2
 
     ratios_full, ratios_half = [], []

@@ -282,6 +282,20 @@ def test_terminal_target_without_sidecar_exits_2(tiny_config, tmp_path, capsys):
     assert "error[validation]" in err and "field.csv.meta.json" in err
 
 
+@pytest.mark.parametrize("sidecar", ['{"dim": 1', '{"dim": 1, "half_width": 4.0}'])
+def test_terminal_target_with_malformed_sidecar_exits_2(sidecar, tiny_config, tmp_path, capsys):
+    from fracmv.grid import save_grid_function
+
+    field = tmp_path / "field.csv"
+    save_grid_function(load_config(tiny_config).u0, field)
+    (tmp_path / "field.csv.meta.json").write_text(sidecar)
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
+               "--target", f"terminal:{field}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "field.csv.meta.json" in err
+
+
 @pytest.mark.parametrize("name", ["SEED"])
 def test_non_integer_environment_value_exits_2(name, tiny_config, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(f"FRACMV_{name}", "abc")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from fracmv.errors import BlowUpError, FixedPointDivergenceError, ValidationErro
 from fracmv.grid import GridFunction, l2_norm
 from fracmv.measure import EmpiricalMeasure, MeasureFlow, flow_distance, second_moment
 from fracmv.mckean_vlasov import (
+    _LAMBDA_GRID,
     MeanFieldProblem,
     PicardConfig,
+    _initial_flow,
     apply_phi,
     auto_lambda,
     picard_solve,
@@ -182,6 +186,68 @@ def test_auto_lambda_rejects_identical_probes(small_grid, small_coeffs, small_tg
     flow = constant_flow(small_grid, p.u0.values, 4, small_tgrid.nodes)
     with pytest.raises(ValidationError):
         auto_lambda(p, [flow, flow])
+
+
+def per_weight_auto_lambda(problem, probes, images, target_ratio=0.5):
+    """The calibration loop as it was before node curves were reused:
+    two full flow distances per probe pair and candidate weight."""
+    tiny = 1e3 * np.finfo(float).eps * (1.0 + l2_norm(problem.u0))
+    curve, chosen = [], None
+    for lam in _LAMBDA_GRID:
+        worst, resolved = 0.0, False
+        for a, b in itertools.combinations(range(len(probes)), 2):
+            denom = flow_distance(probes[a], probes[b], lam)
+            if denom <= tiny:
+                continue
+            resolved = True
+            worst = max(worst, flow_distance(images[a], images[b], lam) / denom)
+        assert resolved
+        curve.append((float(lam), float(worst)))
+        if chosen is None and worst <= target_ratio:
+            chosen = float(lam)
+    return 2.0 * chosen, tuple(curve)
+
+
+def test_auto_lambda_matches_the_per_weight_distance_loop(small_grid, small_coeffs,
+                                                          small_tgrid):
+    p = make_problem(small_grid, small_coeffs, small_tgrid)
+    nodes = small_tgrid.nodes
+    mu = constant_flow(small_grid, p.u0.values, 4, nodes)
+    nu = constant_flow(small_grid, 1.5 * p.u0.values, 4, nodes)
+    # differs from mu only at the last node, by an amount that the
+    # larger weights push below the resolution floor
+    late_states = mu.states.copy()
+    late_states[-1, 0] += 1e-9
+    late = MeasureFlow(small_grid, nodes, late_states)
+    twin = MeasureFlow(small_grid, nodes, mu.states.copy())  # never resolved against mu
+    probes = [mu, twin, nu, late]
+    tiny = 1e3 * np.finfo(float).eps * (1.0 + l2_norm(p.u0))
+    assert flow_distance(mu, late, _LAMBDA_GRID[0]) > tiny
+    assert flow_distance(mu, late, _LAMBDA_GRID[-1]) <= tiny
+    images = [apply_phi(p, f) for f in probes]
+    lam, curve = auto_lambda(p, probes, images=images)
+    oracle_lam, oracle_curve = per_weight_auto_lambda(p, probes, images)
+    assert float(lam).hex() == float(oracle_lam).hex()
+    assert [tuple(x.hex() for x in row) for row in curve] == [
+        tuple(x.hex() for x in row) for row in oracle_curve
+    ]
+
+
+def test_picard_distances_match_recomputed_flow_distances(small_grid, small_coeffs,
+                                                          small_tgrid):
+    """The distances reused from calibration, and those the loop computes,
+    equal flow_distance between the successive iterates."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid)
+    result = picard_solve(p, PicardConfig(n_particles=6, tol=1e-8, lambda_weight="auto"))
+    rep = result.report
+    flows = [_initial_flow(p, 6)]
+    for _ in range(rep.iterations):
+        flows.append(apply_phi(p, flows[-1]))
+    assert np.array_equal(flows[-1].states, result.flow.states)
+    recomputed = tuple(
+        flow_distance(prev, cur, rep.lambda_weight) for prev, cur in zip(flows, flows[1:])
+    )
+    assert [d.hex() for d in rep.distances] == [d.hex() for d in recomputed]
 
 
 # -- stability of the mean-field estimate ---------------------------------

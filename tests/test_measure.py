@@ -15,9 +15,12 @@ from fracmv.measure import (
     load_measure,
     save_measure,
     second_moment,
+    w2_curve,
     wasserstein2,
     wasserstein2_to_dirac0,
+    weighted_sup,
 )
+from fracmv.mckean_vlasov import _LAMBDA_GRID
 
 
 def brute_force_w2(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -98,6 +101,44 @@ def test_flow_distance_matches_node_loop(rng):
     assert flow_distance(mu, mu, 0.0) <= 1e-12
     with pytest.raises(ValidationError):
         flow_distance(mu, nu, -1.0)
+
+
+def test_w2_curve_is_the_per_node_solves_byte_for_byte(rng):
+    g = build_grid(half_width=2.0, points=8)
+    times = np.linspace(0.0, 1.0, 6)
+    mu = MeasureFlow(g, times, rng.standard_normal((6, 4) + g.shape))
+    nu = MeasureFlow(g, times, rng.standard_normal((6, 4) + g.shape))
+    oracle = np.array([wasserstein2(mu.measure(s), nu.measure(s)) for s in range(6)])
+    curve = w2_curve(mu, nu)
+    assert curve.shape == (6,) and curve.dtype == oracle.dtype
+    assert curve.tobytes() == oracle.tobytes()
+    with pytest.raises(GridMismatchError):
+        w2_curve(mu, MeasureFlow(g, times + 0.5, nu.states))
+    with pytest.raises(GridMismatchError):
+        w2_curve(mu, MeasureFlow(build_grid(half_width=2.0, points=16), times,
+                                 rng.standard_normal((6, 4, 16))))
+    with pytest.raises(ValidationError):
+        w2_curve(mu, MeasureFlow(g, times, nu.states[:, :3]))
+
+
+def test_flow_distance_equals_the_scalar_weight_loop_bitwise(rng):
+    """The vectorized reduction reproduces the per-node scalar loop it
+    replaced, bit for bit, for every weight of the calibration grid."""
+    g = build_grid(half_width=2.0, points=8)
+    times = np.linspace(0.0, 0.5, 201)
+    mu = MeasureFlow(g, times, rng.standard_normal((201, 4) + g.shape))
+    nu = MeasureFlow(g, times, rng.standard_normal((201, 4) + g.shape))
+    curve = w2_curve(mu, nu)
+    for lam in _LAMBDA_GRID:
+        best = 0.0
+        for s in range(mu.n_times):
+            d = wasserstein2(mu.measure(s), nu.measure(s))
+            best = max(best, float(np.exp(-float(lam) * mu.times[s])) * d)
+        assert flow_distance(mu, nu, lam) == best
+        assert weighted_sup(curve, times, lam) == best
+    assert weighted_sup(np.zeros(3), times[:3], 1.0) == 0.0
+    with pytest.raises(ValidationError):
+        weighted_sup(curve, times, float("nan"))
 
 
 def test_discount_weight_reduces_late_discrepancies(rng):
