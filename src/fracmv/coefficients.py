@@ -61,11 +61,11 @@ class PsiField:
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "separable"):
-            raise ValidationError(f"psi field kind must be gaussian or separable, got {self.kind!r}")
+            raise ValidationError(f"kind must be gaussian or separable, got {self.kind!r}")
         if not (float(self.amp) >= 0.0):
-            raise ValidationError(f"psi field amp must be >= 0, got {self.amp!r}")
+            raise ValidationError(f"amp must be >= 0, got {self.amp!r}")
         if not (float(self.width) > 0.0):
-            raise ValidationError(f"psi field width must be positive, got {self.width!r}")
+            raise ValidationError(f"width must be positive, got {self.width!r}")
 
     def spatial(self, grid: SpatialGrid) -> np.ndarray:
         key = ("spatial", grid)
@@ -177,7 +177,7 @@ class DriftF:
 
     def __post_init__(self, validate: bool):
         if not (isinstance(self.p, (int, np.integer)) and self.p >= 2 and self.p % 2 == 0):
-            raise ValidationError(f"drift exponent p must be an even integer >= 2, got {self.p!r}")
+            raise ValidationError(f"p must be an even integer >= 2, got {self.p!r}")
         if not (float(self.h_cap) > 0.0):
             raise ValidationError(f"h_cap must be positive, got {self.h_cap!r}")
         if validate and not (float(self.lambda_f) > 0.0):
@@ -245,9 +245,9 @@ class DriftG:
         for name in ("c0", "c1", "c2"):
             v = float(getattr(self, name))
             if not np.isfinite(v):
-                raise ValidationError(f"drift_g.{name} must be finite, got {v!r}")
+                raise ValidationError(f"{name} must be finite, got {v!r}")
             if validate and abs(v) > 1.0:
-                raise ValidationError(f"drift_g.{name} must satisfy |{name}| <= 1, got {v!r}")
+                raise ValidationError(f"{name} must satisfy |{name}| <= 1, got {v!r}")
 
     def bound_values(self, t: float, grid: SpatialGrid) -> np.ndarray:
         """The claimed envelope field (``psi`` itself)."""
@@ -285,22 +285,19 @@ class NoiseSigma:
     def __post_init__(self):
         shapes = tuple(self.shapes)
         if len(shapes) < 1:
-            raise ValidationError("noise needs at least one mode")
+            raise ValidationError("n_modes must be >= 1, got no mode shapes")
         g = self.kappa.grid
         for s in shapes:
             if s.grid != g:
                 raise GridMismatchError("noise mode shapes and kappa must share one grid")
-        b = np.asarray(self.beta, dtype=float)
-        c = np.asarray(self.gamma, dtype=float)
-        if b.shape != (len(shapes),) or c.shape != (len(shapes),):
-            raise ValidationError(
-                f"beta/gamma must have shape ({len(shapes)},), got {b.shape} and {c.shape}"
-            )
-        if np.any(b < 0.0) or np.any(c < 0.0):
-            raise ValidationError("beta and gamma entries must be >= 0")
+        for name in ("beta", "gamma"):
+            w = np.asarray(getattr(self, name), dtype=float)
+            if w.shape != (len(shapes),):
+                raise ValidationError(f"{name} must have shape ({len(shapes)},), got {w.shape}")
+            if not np.all((w >= 0.0) & (w < np.inf)):
+                raise ValidationError(f"{name} entries must be finite and >= 0, got {w.tolist()}")
+            object.__setattr__(self, name, w)
         object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", c)
 
     @property
     def grid(self) -> SpatialGrid:

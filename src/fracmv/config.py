@@ -1,9 +1,12 @@
 """Run configuration: one YAML file describing a whole experiment.
 
-Every module-level precondition is checked at load time with the
-offending key path in the error message, and the normalized document
-(defaults filled in, key order fixed) is hashed so that output
-manifests pin down exactly what produced them.
+Loading builds every component once.  This module checks key names,
+YAML types and the few rules no component owns (noise shape and
+envelope, initial state, seed, output and verify settings); every other
+rule lives in the component that uses the value, and ``_at`` adds the
+key path to its message.  The normalized document (defaults filled in,
+key order fixed) is hashed so that output manifests pin down exactly
+what produced them.
 
 The noise family is generated from compact rules rather than listing
 fields: mode ``k`` (1-based) gets the shape
@@ -17,14 +20,15 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .coefficients import CoefficientSet, DriftF, DriftG, NoiseSigma, PsiField, TimeProfile
-from .dynamics import TimeGrid, stable_seed_key
+from .dynamics import TimeGrid, _check_epsilon, stable_seed_key
 from .errors import ValidationError
 from .grid import GridFunction, SpatialGrid
 from .mckean_vlasov import MeanFieldProblem, PicardConfig
@@ -104,10 +108,31 @@ def _merge_defaults(raw: dict, defaults: dict, path: str) -> dict:
     return out
 
 
-def _num(cfg: dict, path: str, lo=None, hi=None, strict_lo=False, strict_hi=False) -> float:
+@contextmanager
+def _at(block: str):
+    """Prefix a component's ``ValidationError`` with its key path.
+
+    Component messages start with the bare field name, so ``p must be
+    ...`` raised under ``_at("drift_f")`` reads ``config: drift_f.p must
+    be ...``.  Messages this module wrote already carry their path.
+    """
+    try:
+        yield
+    except ValidationError as exc:
+        if str(exc).startswith("config: "):
+            raise
+        raise type(exc)(f"config: {block}.{exc}") from None
+
+
+def _get(cfg: dict, path: str):
     node = cfg
     for part in path.split("."):
-        node = node[part]
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    return node
+
+
+def _num(cfg: dict, path: str, lo=None, strict_lo=False) -> float:
+    node = _get(cfg, path)
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"config: {path} must be a number, got {node!r}")
     v = float(node)
@@ -116,16 +141,18 @@ def _num(cfg: dict, path: str, lo=None, hi=None, strict_lo=False, strict_hi=Fals
     if lo is not None and (v <= lo if strict_lo else v < lo):
         op = ">" if strict_lo else ">="
         raise ValidationError(f"config: {path} must be {op} {lo}, got {node!r}")
-    if hi is not None and (v >= hi if strict_hi else v > hi):
-        op = "<" if strict_hi else "<="
-        raise ValidationError(f"config: {path} must be {op} {hi}, got {node!r}")
     return v
 
 
+def _numbers(cfg: dict, path: str) -> list[float]:
+    node = _get(cfg, path)
+    if not isinstance(node, list):
+        raise ValidationError(f"config: {path} must be a list of numbers, got {node!r}")
+    return [_num(cfg, f"{path}.{j}") for j in range(len(node))]
+
+
 def _int(cfg: dict, path: str, lo=None, hi=None) -> int:
-    node = cfg
-    for part in path.split("."):
-        node = node[part]
+    node = _get(cfg, path)
     if isinstance(node, bool) or not isinstance(node, int):
         raise ValidationError(f"config: {path} must be an integer, got {node!r}")
     if lo is not None and node < lo:
@@ -136,9 +163,7 @@ def _int(cfg: dict, path: str, lo=None, hi=None) -> int:
 
 
 def _choice(cfg: dict, path: str, allowed: tuple) -> str:
-    node = cfg
-    for part in path.split("."):
-        node = node[part]
+    node = _get(cfg, path)
     if node not in allowed:
         raise ValidationError(
             f"config: {path} must be one of {allowed}, got {node!r}"
@@ -149,30 +174,21 @@ def _choice(cfg: dict, path: str, allowed: tuple) -> str:
 def _mode_weights(cfg: dict, block: str, n_modes: int) -> np.ndarray:
     node = cfg["noise"][block]
     if isinstance(node, list):
-        if len(node) != n_modes:
-            raise ValidationError(
-                f"config: noise.{block} list must have length {n_modes}, got {len(node)}"
-            )
-        vals = []
-        for j, item in enumerate(node):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ValidationError(
-                    f"config: noise.{block}[{j}] must be a number, got {item!r}"
-                )
-            if item < 0:
-                raise ValidationError(
-                    f"config: noise.{block}[{j}] must be >= 0, got {item!r}"
-                )
-            vals.append(float(item))
-        return np.asarray(vals)
+        return np.asarray(_numbers(cfg, f"noise.{block}"))
     if not isinstance(node, dict):
         raise ValidationError(
             f"config: noise.{block} must be a rule mapping or a list of {n_modes} numbers"
         )
-    amp = _num(cfg, f"noise.{block}.amp", lo=0.0)
+    amp = _num(cfg, f"noise.{block}.amp")
     decay = _num(cfg, f"noise.{block}.decay", lo=0.0)
     ks = np.arange(1, n_modes + 1, dtype=float)
     return amp * ks ** (-decay)
+
+
+def _psi_field(cfg: dict, path: str) -> PsiField:
+    with _at(path):
+        kind = _get(cfg, f"{path}.kind")
+        return PsiField(kind, _num(cfg, f"{path}.amp"), _num(cfg, f"{path}.width"))
 
 
 def _initial_values(grid: SpatialGrid, kind: str, amp: float, width: float) -> np.ndarray:
@@ -196,6 +212,9 @@ class RunConfig:
     tgrid: TimeGrid = field(init=False)
     coeffs: CoefficientSet = field(init=False)
     u0: GridFunction = field(init=False)
+    epsilon: float = field(init=False)
+    _picard: PicardConfig = field(init=False, repr=False)
+    _rate: RateProblem = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.raw, dict):
@@ -203,49 +222,32 @@ class RunConfig:
         cfg = _merge_defaults(self.raw, canonical_dict(), "")
         self.raw = cfg
 
-        dim = _int(cfg, "grid.dim", lo=1, hi=2)
-        M = _int(cfg, "grid.points_per_dim", lo=4)
-        L = _num(cfg, "grid.half_width", lo=0.0, strict_lo=True)
-        self.grid = SpatialGrid(dim=dim, half_width=L, points_per_dim=M)
+        with _at("grid"):
+            self.grid = SpatialGrid(
+                dim=_int(cfg, "grid.dim"),
+                half_width=_num(cfg, "grid.half_width"),
+                points_per_dim=_int(cfg, "grid.points_per_dim"),
+            )
+        L = self.grid.half_width
+        with _at("time"):
+            self.tgrid = TimeGrid(horizon=_num(cfg, "time.horizon"), steps=_int(cfg, "time.steps"))
 
-        self.tgrid = TimeGrid(
-            horizon=_num(cfg, "time.horizon", lo=0.0, strict_lo=True),
-            steps=_int(cfg, "time.steps", lo=1),
-        )
+        with _at("drift_f"):
+            f = DriftF(
+                p=_int(cfg, "drift_f.p"),
+                lambda_f=_num(cfg, "drift_f.lambda_f"),
+                h_cap=_num(cfg, "drift_f.h_cap"),
+                phi=_psi_field(cfg, "drift_f.phi"),
+            )
+        with _at("drift_g"):
+            g = DriftG(
+                c0=_num(cfg, "drift_g.c0"),
+                c1=_num(cfg, "drift_g.c1"),
+                c2=_num(cfg, "drift_g.c2"),
+                psi=_psi_field(cfg, "drift_g.psi"),
+            )
 
-        alpha = _num(cfg, "model.alpha", lo=0.0, hi=1.0, strict_lo=True, strict_hi=True)
-        c_v = _num(cfg, "model.c_v", lo=0.0, strict_lo=True)
-        _num(cfg, "model.epsilon", lo=0.0, hi=1.0, strict_hi=True)
-
-        p = _int(cfg, "drift_f.p", lo=2)
-        if p % 2 != 0:
-            raise ValidationError(f"config: drift_f.p must be even, got {p}")
-        for blk, fld in (("drift_f", "phi"), ("drift_g", "psi")):
-            _choice(cfg, f"{blk}.{fld}.kind", ("gaussian", "separable"))
-            _num(cfg, f"{blk}.{fld}.amp", lo=0.0)
-            _num(cfg, f"{blk}.{fld}.width", lo=0.0, strict_lo=True)
-        f = DriftF(
-            p=p,
-            lambda_f=_num(cfg, "drift_f.lambda_f", lo=0.0, strict_lo=True),
-            h_cap=_num(cfg, "drift_f.h_cap", lo=0.0, strict_lo=True),
-            phi=PsiField(
-                cfg["drift_f"]["phi"]["kind"],
-                _num(cfg, "drift_f.phi.amp"),
-                _num(cfg, "drift_f.phi.width"),
-            ),
-        )
-        g = DriftG(
-            c0=_num(cfg, "drift_g.c0", lo=-1.0, hi=1.0),
-            c1=_num(cfg, "drift_g.c1", lo=-1.0, hi=1.0),
-            c2=_num(cfg, "drift_g.c2", lo=-1.0, hi=1.0),
-            psi=PsiField(
-                cfg["drift_g"]["psi"]["kind"],
-                _num(cfg, "drift_g.psi.amp"),
-                _num(cfg, "drift_g.psi.width"),
-            ),
-        )
-
-        K = _int(cfg, "noise.n_modes", lo=1)
+        K = _int(cfg, "noise.n_modes")
         s_amp = _num(cfg, "noise.shape.amp", lo=0.0)
         s_width = _num(cfg, "noise.shape.width", lo=0.0, strict_lo=True)
         s_decay = _num(cfg, "noise.shape.decay", lo=0.0)
@@ -268,14 +270,19 @@ class RunConfig:
             freq=_num(cfg, "noise.profile.freq"),
             phase=_num(cfg, "noise.profile.phase"),
         )
-        sigma = NoiseSigma(
-            shapes=shapes,
-            kappa=kappa,
-            beta=_mode_weights(cfg, "beta", K),
-            gamma=_mode_weights(cfg, "gamma", K),
-            profile=profile,
-        )
-        self.coeffs = CoefficientSet(f=f, g=g, sigma=sigma, alpha=alpha, c_v=c_v)
+        with _at("noise"):
+            sigma = NoiseSigma(
+                shapes=shapes,
+                kappa=kappa,
+                beta=_mode_weights(cfg, "beta", K),
+                gamma=_mode_weights(cfg, "gamma", K),
+                profile=profile,
+            )
+        with _at("model"):
+            self.coeffs = CoefficientSet(
+                f=f, g=g, sigma=sigma, alpha=_num(cfg, "model.alpha"), c_v=_num(cfg, "model.c_v")
+            )
+            self.epsilon = _check_epsilon(_num(cfg, "model.epsilon"))
 
         kind = _choice(cfg, "initial.kind", ("gaussian", "bump"))
         i_amp = _num(cfg, "initial.amp")
@@ -290,21 +297,21 @@ class RunConfig:
         _int(cfg, "seed", lo=0, hi=2**64 - 1)
         _int(cfg, "workers", lo=1)  # retired; kept so old configs and hashes stay valid
         lam = cfg["picard"]["lambda_weight"]
-        if not (lam == "auto" or (isinstance(lam, (int, float)) and not isinstance(lam, bool))):
-            raise ValidationError(
-                f"config: picard.lambda_weight must be a number or 'auto', got {lam!r}"
+        with _at("picard"):
+            self._picard = PicardConfig(
+                n_particles=_int(cfg, "picard.n_particles"),
+                tol=_num(cfg, "picard.tol"),
+                max_iters=_int(cfg, "picard.max_iters"),
+                lambda_weight=lam if isinstance(lam, str) else _num(cfg, "picard.lambda_weight"),
             )
-        self.picard_config()  # validates the picard block
-        ladder = cfg["rate"]["eta_ladder"]
-        if not isinstance(ladder, list) or not ladder:
-            raise ValidationError("config: rate.eta_ladder must be a non-empty list")
-        for j, e in enumerate(ladder):
-            if isinstance(e, bool) or not isinstance(e, (int, float)) or not e > 0:
-                raise ValidationError(
-                    f"config: rate.eta_ladder[{j}] must be a positive number, got {e!r}"
-                )
-        _int(cfg, "rate.max_stage_iters", lo=1)
-        _num(cfg, "rate.gap_tol", lo=0.0, strict_lo=True)
+        with _at("rate"):
+            # a settings template; rate_problem() supplies the target
+            self._rate = RateProblem(
+                None,
+                eta_ladder=tuple(_numbers(cfg, "rate.eta_ladder")),
+                max_stage_iters=_int(cfg, "rate.max_stage_iters"),
+                gap_tol=_num(cfg, "rate.gap_tol"),
+            )
         _choice(cfg, "output.trajectory_format", ("blob", "csv"))
         _num(cfg, "verify.tail_delta", lo=0.0, strict_lo=True)
         _num(cfg, "verify.domain_margin_delta", lo=0.0, strict_lo=True)
@@ -320,34 +327,17 @@ class RunConfig:
         return int(self.raw["seed"])
 
     @property
-    def epsilon(self) -> float:
-        return float(self.raw["model"]["epsilon"])
-
-    @property
     def output_format(self) -> str:
         return self.raw["output"]["trajectory_format"]
 
     def picard_config(self) -> PicardConfig:
-        blk = self.raw["picard"]
-        lam = blk["lambda_weight"]
-        return PicardConfig(
-            n_particles=_int(self.raw, "picard.n_particles", lo=1),
-            tol=_num(self.raw, "picard.tol", lo=0.0, strict_lo=True),
-            max_iters=_int(self.raw, "picard.max_iters", lo=1),
-            lambda_weight=lam if lam == "auto" else float(lam),
-        )
+        return self._picard
 
     def eta_ladder(self) -> tuple[float, ...]:
-        return tuple(float(e) for e in self.raw["rate"]["eta_ladder"])
+        return self._rate.eta_ladder
 
     def rate_problem(self, target) -> RateProblem:
-        blk = self.raw["rate"]
-        return RateProblem(
-            target,
-            eta_ladder=self.eta_ladder(),
-            max_stage_iters=int(blk["max_stage_iters"]),
-            gap_tol=float(blk["gap_tol"]),
-        )
+        return replace(self._rate, target=target)
 
     def initial_ensemble(self, n_particles: int) -> np.ndarray | None:
         """Per-particle initial states when jitter is on, else None."""
@@ -368,7 +358,6 @@ class RunConfig:
         )
 
     def problem(self, epsilon: float | None = None) -> MeanFieldProblem:
-        n = self.picard_config().n_particles
         return MeanFieldProblem(
             grid=self.grid,
             tgrid=self.tgrid,
@@ -376,7 +365,7 @@ class RunConfig:
             u0=self.u0,
             epsilon=self.epsilon if epsilon is None else epsilon,
             master_seed=self.seed,
-            initial_states=self.initial_ensemble(n),
+            initial_states=self.initial_ensemble(self._picard.n_particles),
         )
 
     def config_hash(self) -> str:

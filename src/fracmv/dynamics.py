@@ -72,9 +72,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not (float(self.horizon) > 0.0):
-            raise ValidationError(f"time.horizon must be positive, got {self.horizon!r}")
+            raise ValidationError(f"horizon must be positive, got {self.horizon!r}")
         if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
-            raise ValidationError(f"time.steps must be an integer >= 1, got {self.steps!r}")
+            raise ValidationError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
     def dt(self) -> float:
@@ -211,7 +211,7 @@ class Trajectory:
 def _check_epsilon(eps: float) -> float:
     e = float(eps)
     if not (0.0 <= e < 1.0):
-        raise ValidationError(f"noise intensity epsilon must lie in [0, 1), got {eps!r}")
+        raise ValidationError(f"epsilon must lie in [0, 1), got {eps!r}")
     return e
 
 
@@ -534,12 +534,19 @@ def load_trajectory(path: str | Path) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory` (either format)."""
     path = Path(path)
     if path.is_dir():
-        times = np.loadtxt(path / "times.csv", delimiter=",", skiprows=1, ndmin=1)
+        try:
+            times = np.loadtxt(path / "times.csv", delimiter=",", skiprows=1, ndmin=1)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"{path}: missing or malformed times.csv ({exc})") from None
         nodes = sorted(path.glob("node_*.csv"))
         fns = [load_grid_function(p) for p in nodes]
         if not fns or len(fns) != times.size:
             raise ValidationError(f"{path}: node files do not match the time array")
+        if any(f.grid != fns[0].grid for f in fns):
+            raise ValidationError(f"{path}: node files live on different grids")
         return Trajectory(fns[0].grid, times, np.stack([f.values for f in fns]))
+    if not path.is_file():
+        raise ValidationError(f"{path}: trajectory file not found")
     with open(path, "rb") as fh:
         magic = fh.read(len(_TRAJ_MAGIC))
         if magic != _TRAJ_MAGIC:
@@ -568,13 +575,19 @@ def save_control(v: Control, path: str | Path) -> Path:
 
 
 def load_control(path: str | Path) -> Control:
+    """Read a control written by :func:`save_control`."""
     path = Path(path)
-    first = path.read_text().splitlines()[0]
-    if not first.startswith("# dt="):
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError):
+        raise ValidationError(f"{path}: control file not found or not text") from None
+    if not lines or not lines[0].startswith("# dt="):
         raise ValidationError(f"{path}: missing control header")
     try:
-        dt = float(first.split("dt=")[1].split()[0])
+        dt = float(lines[0].split("dt=")[1].split()[0])
     except (IndexError, ValueError):
-        raise ValidationError(f"{path}: control header dt is not a number: {first!r}") from None
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
-    return Control(values, dt)
+        raise ValidationError(f"{path}: control header dt is not a number: {lines[0]!r}") from None
+    try:
+        return Control(np.loadtxt(lines, delimiter=",", ndmin=2), dt)
+    except ValueError as exc:  # a ValidationError from Control is one too
+        raise ValidationError(f"{path}: malformed control values ({exc})") from None

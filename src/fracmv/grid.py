@@ -53,7 +53,7 @@ def check_fractional_order(alpha: float, *, allow_one: bool = False) -> float:
     hi_ok = a < 1.0 or (allow_one and a == 1.0)
     if not (0.0 < a and hi_ok):
         rng = "(0, 1]" if allow_one else "(0, 1)"
-        raise ValidationError(f"fractional order alpha must lie in {rng}, got {alpha!r}")
+        raise ValidationError(f"alpha must lie in {rng}, got {alpha!r}")
     return a
 
 
@@ -80,16 +80,16 @@ class SpatialGrid:
 
     def __post_init__(self):
         if self.dim not in (1, 2):
-            raise ValidationError(f"grid.dim must be 1 or 2, got {self.dim!r}")
+            raise ValidationError(f"dim must be 1 or 2, got {self.dim!r}")
         if not (float(self.half_width) > 0.0):
             raise ValidationError(
-                f"grid.half_width must be positive, got {self.half_width!r}"
+                f"half_width must be positive, got {self.half_width!r}"
             )
         m = self.points_per_dim
         if not (isinstance(m, (int, np.integer)) and m >= 4):
-            raise ValidationError(f"grid.points_per_dim must be an integer >= 4, got {m!r}")
+            raise ValidationError(f"points_per_dim must be an integer >= 4, got {m!r}")
         if m % 2 != 0:
-            raise ValidationError(f"grid.points_per_dim must be even, got {m}")
+            raise ValidationError(f"points_per_dim must be even, got {m}")
 
     # -- geometry ------------------------------------------------------
 
@@ -367,14 +367,15 @@ def load_grid_function(path: str | Path) -> GridFunction:
         raise ValidationError(f"{path}: geometry sidecar {meta_path} not found")
     try:
         meta = json.loads(meta_path.read_text())
-        dim, half_width = int(meta["dim"]), float(meta["half_width"])
-        points = int(meta["points_per_dim"])
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        grid = SpatialGrid(int(meta["dim"]), float(meta["half_width"]), int(meta["points_per_dim"]))
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ValidationError too
         raise ValidationError(
             f"{path}: malformed geometry sidecar {meta_path}: {type(exc).__name__} {exc}"
         ) from None
-    grid = SpatialGrid(dim=dim, half_width=half_width, points_per_dim=points)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{path}: unreadable grid function values ({exc})") from None
     if data.shape != (grid.n_cells, grid.dim + 1):
         raise ValidationError(
             f"{path}: expected {grid.n_cells} rows x {grid.dim + 1} cols, got {data.shape}"

@@ -95,23 +95,18 @@ class PicardConfig:
     def __post_init__(self):
         if not (isinstance(self.n_particles, (int, np.integer)) and self.n_particles >= 1):
             raise ValidationError(
-                f"picard.n_particles must be an integer >= 1, got {self.n_particles!r}"
+                f"n_particles must be an integer >= 1, got {self.n_particles!r}"
             )
-        if not (float(self.tol) > 0.0):
-            raise ValidationError(f"picard.tol must be positive, got {self.tol!r}")
+        if not (0.0 < float(self.tol) < math.inf):
+            raise ValidationError(f"tol must be finite and positive, got {self.tol!r}")
         if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
             raise ValidationError(
-                f"picard.max_iters must be an integer >= 1, got {self.max_iters!r}"
+                f"max_iters must be an integer >= 1, got {self.max_iters!r}"
             )
         lw = self.lambda_weight
-        if isinstance(lw, str):
-            if lw != "auto":
-                raise ValidationError(
-                    f"picard.lambda_weight must be a number >= 0 or 'auto', got {lw!r}"
-                )
-        elif not (float(lw) >= 0.0):
+        if lw != "auto" and (isinstance(lw, str) or not 0.0 <= float(lw) < math.inf):
             raise ValidationError(
-                f"picard.lambda_weight must be >= 0, got {lw!r}"
+                f"lambda_weight must be 'auto' or a finite number >= 0, got {lw!r}"
             )
 
 

@@ -205,8 +205,8 @@ def weighted_sup(curve: np.ndarray, times: np.ndarray, lam: float) -> float:
     ``lam = 0`` gives the plain sup; larger ``lam`` discounts late-time
     values.  An empty curve gives 0.
     """
-    if not (float(lam) >= 0.0):
-        raise ValidationError(f"flow metric weight lam must be >= 0, got {lam!r}")
+    if not (0.0 <= float(lam) < np.inf):
+        raise ValidationError(f"lam must be finite and >= 0, got {lam!r}")
     return float(np.max(np.exp(-float(lam) * times) * curve, initial=0.0))
 
 

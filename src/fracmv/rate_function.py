@@ -63,27 +63,29 @@ class RateProblem:
     ``target`` is either a full trajectory (matched in integrated plus
     terminal distance) or a single field (matched at the final time
     only).  The penalty ladder runs from loose to tight; each rung is
-    warm-started from the previous minimizer.
+    warm-started from the previous minimizer.  ``target = None`` holds
+    validated settings only, for ``dataclasses.replace`` to complete.
     """
 
-    target: Trajectory | GridFunction
+    target: Trajectory | GridFunction | None
     eta_ladder: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     max_stage_iters: int = 100
     gap_tol: float = 1e-3
 
     def __post_init__(self):
         ladder = tuple(float(e) for e in self.eta_ladder)
-        if len(ladder) < 1 or any(not (e > 0.0) for e in ladder):
+        if len(ladder) < 1 or not all(0.0 < e < math.inf for e in ladder):
             raise ValidationError(
-                f"eta_ladder entries must be positive, got {self.eta_ladder!r}"
+                "eta_ladder must be a non-empty sequence of finite positive numbers, "
+                f"got {self.eta_ladder!r}"
             )
         object.__setattr__(self, "eta_ladder", ladder)
         if not (isinstance(self.max_stage_iters, (int, np.integer)) and self.max_stage_iters >= 1):
             raise ValidationError(
                 f"max_stage_iters must be an integer >= 1, got {self.max_stage_iters!r}"
             )
-        if not (float(self.gap_tol) > 0.0):
-            raise ValidationError(f"gap_tol must be positive, got {self.gap_tol!r}")
+        if not (0.0 < float(self.gap_tol) < math.inf):
+            raise ValidationError(f"gap_tol must be finite and positive, got {self.gap_tol!r}")
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,16 @@ def test_hs_bound_constant_hand_value():
     assert hs_bound_constant(sig, 1.0) == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+def test_noise_weights_must_be_finite_and_nonnegative(bad):
+    g = build_grid(points=16)
+    shape = GridFunction(g, np.ones(g.shape))
+    for name in ("beta", "gamma"):
+        weights = {"beta": np.zeros(1), "gamma": np.zeros(1), name: np.array([bad])}
+        with pytest.raises(ValidationError, match=name):
+            NoiseSigma(shapes=(shape,), kappa=shape, **weights)
+
+
 def test_sigma_lipschitz_bound_on_draws(rng):
     g = build_grid(points=16)
     sig = build_coeffs(g, n_modes=3).sigma

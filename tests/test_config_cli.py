@@ -1,4 +1,5 @@
 import json
+import math
 import textwrap
 
 import numpy as np
@@ -61,6 +62,22 @@ def test_defaults_build_canonical_instance(canonical_cfg):
         ({"picard": {"lambda_weight": "car"}}, "picard.lambda_weight"),
         ({"output": {"trajectory_format": "parquet"}}, "output.trajectory_format"),
         ({"noise": {"shape": {"width": -1.0}}}, "noise.shape.width"),
+        ({"grid": {"dim": 3}}, "grid.dim"),
+        ({"grid": {"half_width": -1.0}}, "grid.half_width"),
+        ({"time": {"horizon": 0.0}}, "time.horizon"),
+        ({"model": {"c_v": 0.0}}, "model.c_v"),
+        ({"drift_f": {"lambda_f": 0.0}}, "drift_f.lambda_f"),
+        ({"drift_f": {"h_cap": 0.0}}, "drift_f.h_cap"),
+        ({"drift_f": {"phi": {"kind": "cosine"}}}, "drift_f.phi.kind"),
+        ({"drift_g": {"psi": {"width": 0.0}}}, "drift_g.psi.width"),
+        ({"noise": {"n_modes": 0}}, "noise.n_modes"),
+        ({"noise": {"beta": [0.2, -0.1, 0.1, 0.1]}}, "noise.beta"),
+        ({"picard": {"n_particles": 0}}, "picard.n_particles"),
+        ({"picard": {"tol": 0.0}}, "picard.tol"),
+        ({"picard": {"max_iters": 0}}, "picard.max_iters"),
+        ({"rate": {"eta_ladder": [1.0e-2, -1.0e-3]}}, "rate.eta_ladder"),
+        ({"rate": {"max_stage_iters": 0}}, "rate.max_stage_iters"),
+        ({"rate": {"gap_tol": 0.0}}, "rate.gap_tol"),
     ],
 )
 def test_validation_errors_name_the_field(patch, needle):
@@ -73,6 +90,39 @@ def test_validation_errors_name_the_field(patch, needle):
     with pytest.raises(ValidationError) as exc_info:
         RunConfig(raw)
     assert needle in str(exc_info.value)
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every leaf of a config document; list entries count too."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _leaf_paths(val, path + (key,))
+        return
+    yield path
+    if isinstance(node, list):
+        for j in range(len(node)):
+            yield path + (j,)
+
+
+@pytest.mark.parametrize(
+    "path", list(_leaf_paths(canonical_dict())), ids=lambda p: ".".join(map(str, p))
+)
+def test_every_leaf_rejects_bad_values_by_name(path):
+    """A wrong type or a non-finite number at any key either builds a valid
+    config or raises a ValidationError naming the key; never anything else."""
+    key = ".".join(p for p in path if isinstance(p, str))
+    for bad in ("x", None, math.nan, math.inf):
+        raw = canonical_dict()
+        node = raw
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = bad
+        try:
+            RunConfig(raw)
+        except ValidationError as exc:
+            assert key in str(exc), (bad, str(exc))
+        else:
+            assert not isinstance(bad, float), f"{key} accepted {bad!r}"
 
 
 def test_unknown_keys_are_rejected():
@@ -282,7 +332,14 @@ def test_terminal_target_without_sidecar_exits_2(tiny_config, tmp_path, capsys):
     assert "error[validation]" in err and "field.csv.meta.json" in err
 
 
-@pytest.mark.parametrize("sidecar", ['{"dim": 1', '{"dim": 1, "half_width": 4.0}'])
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        '{"dim": 1',
+        '{"dim": 1, "half_width": 4.0}',
+        '{"dim": 3, "half_width": 4.0, "points_per_dim": 32}',
+    ],
+)
 def test_terminal_target_with_malformed_sidecar_exits_2(sidecar, tiny_config, tmp_path, capsys):
     from fracmv.grid import save_grid_function
 
@@ -302,3 +359,90 @@ def test_non_integer_environment_value_exits_2(name, tiny_config, tmp_path, monk
     rc = main(["skeleton", "--config", str(tiny_config), "--out", str(tmp_path / "s")])
     assert rc == 2
     assert f"FRACMV_{name}" in capsys.readouterr().err
+
+
+def _tiny_with(tmp_path, **sections):
+    doc = yaml.safe_load(TINY_YAML)
+    for key, val in sections.items():
+        doc[key] = {**doc.get(key, {}), **val}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command,sections,needle",
+    [
+        ("simulate", {"picard": {"lambda_weight": math.inf}}, "picard.lambda_weight"),
+        ("skeleton", {"rate": {"eta_ladder": [math.inf]}}, "rate.eta_ladder"),
+        ("rate", {"rate": {"eta_ladder": [math.inf]}}, "rate.eta_ladder"),
+    ],
+    ids=["simulate-lambda_weight", "skeleton-eta_ladder", "rate-eta_ladder"],
+)
+def test_non_finite_weight_exits_2(command, sections, needle, tmp_path, capsys):
+    config = _tiny_with(tmp_path, **sections)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+    if command == "rate":
+        argv += ["--target", "deterministic"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and needle in err
+
+
+@pytest.mark.parametrize(
+    "where,name,content",
+    [
+        ("--control", "empty.csv", ""),
+        ("manufactured", "empty.csv", ""),
+        ("--control", "text.csv", "# dt=0.0125 steps=20 modes=2\n" + "0,abc\n" * 20),
+        ("--control", "missing.csv", None),
+        ("trajectory", "missing.traj", None),
+        ("trajectory", "no_times", "mkdir"),
+    ],
+    ids=["empty-control", "empty-manufactured", "non-numeric-control", "missing-control",
+         "missing-trajectory", "trajectory-dir-without-times"],
+)
+def test_malformed_input_file_exits_2(where, name, content, tiny_config, tmp_path, capsys):
+    path = tmp_path / name
+    if content == "mkdir":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    if where == "--control":
+        argv = ["skeleton", "--control", str(path)]
+    else:
+        argv = ["rate", "--target", f"{where}:{path}"]
+    rc = main(argv + ["--config", str(tiny_config), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and name in err
+
+
+def test_terminal_target_with_non_numeric_value_exits_2(tiny_config, tmp_path, capsys):
+    from fracmv.grid import save_grid_function
+
+    field = save_grid_function(load_config(tiny_config).u0, tmp_path / "field.csv")
+    rows = field.read_text().splitlines()
+    rows[5] = rows[5].split(",")[0] + ",abc"
+    field.write_text("\n".join(rows) + "\n")
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
+               "--target", f"terminal:{field}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "field.csv" in err
+
+
+def test_trajectory_directory_with_mixed_grids_exits_2(tiny_config, tmp_path, capsys):
+    from fracmv.grid import GridFunction, SpatialGrid, save_grid_function
+
+    traj = tmp_path / "mixed"
+    traj.mkdir()
+    np.savetxt(traj / "times.csv", [0.0, 0.1], header="t", comments="")
+    for s, m in enumerate((32, 16)):
+        save_grid_function(GridFunction(SpatialGrid(1, 4.0, m), np.zeros(m)),
+                           traj / f"node_{s:05d}.csv")
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
+               "--target", f"trajectory:{traj}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "mixed" in err

@@ -179,6 +179,8 @@ def test_problem_validation(small_grid, small_coeffs, small_tgrid):
         PicardConfig(lambda_weight="fast")
     with pytest.raises(ValidationError):
         PicardConfig(lambda_weight=-1.0)
+    with pytest.raises(ValidationError, match="lambda_weight"):
+        PicardConfig(lambda_weight=float("inf"))
 
 
 def test_auto_lambda_rejects_identical_probes(small_grid, small_coeffs, small_tgrid):

@@ -139,6 +139,8 @@ def test_flow_distance_equals_the_scalar_weight_loop_bitwise(rng):
     assert weighted_sup(np.zeros(3), times[:3], 1.0) == 0.0
     with pytest.raises(ValidationError):
         weighted_sup(curve, times, float("nan"))
+    with pytest.raises(ValidationError, match="lam"):
+        weighted_sup(curve, times, float("inf"))
 
 
 def test_discount_weight_reduces_late_discrepancies(rng):

@@ -151,6 +151,8 @@ def test_target_validation(instance):
         RateProblem(target=base, eta_ladder=())
     with pytest.raises(ValidationError):
         RateProblem(target=base, gap_tol=0.0)
+    with pytest.raises(ValidationError, match="eta_ladder"):
+        RateProblem(target=base, eta_ladder=(1e-2, float("inf")))
 
 
 # -- batched gradient against the per-coordinate loop ----------------------
