@@ -190,8 +190,8 @@ class Trajectory:
                 f"trajectory arrays inconsistent: times {t.shape}, values {arr.shape}, "
                 f"grid {self.grid.shape}"
             )
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
-            raise ValidationError("trajectory times must be strictly increasing")
+        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0.0):
+            raise ValidationError("trajectory times must be finite and strictly increasing")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("trajectory contains non-finite values")
         object.__setattr__(self, "times", t)
@@ -544,7 +544,7 @@ def load_trajectory(path: str | Path) -> Trajectory:
             raise ValidationError(f"{path}: node files do not match the time array")
         if any(f.grid != fns[0].grid for f in fns):
             raise ValidationError(f"{path}: node files live on different grids")
-        return Trajectory(fns[0].grid, times, np.stack([f.values for f in fns]))
+        return _trajectory_at(path, fns[0].grid, times, np.stack([f.values for f in fns]))
     if not path.is_file():
         raise ValidationError(f"{path}: trajectory file not found")
     with open(path, "rb") as fh:
@@ -563,7 +563,15 @@ def load_trajectory(path: str | Path) -> Trajectory:
     if n < 1 or len(times) != 8 * n or len(values) != 8 * count:
         raise ValidationError(f"{path}: truncated trajectory blob (header says {n} nodes)")
     values = np.frombuffer(values, dtype="<f8").reshape((n,) + grid.shape)
-    return Trajectory(grid, np.frombuffer(times, dtype="<f8"), values)
+    return _trajectory_at(path, grid, np.frombuffer(times, dtype="<f8"), values)
+
+
+def _trajectory_at(path: Path, grid: SpatialGrid, times: np.ndarray, values: np.ndarray) -> Trajectory:
+    """``Trajectory(grid, times, values)``, naming ``path`` if the arrays are refused."""
+    try:
+        return Trajectory(grid, times, values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_control(v: Control, path: str | Path) -> Path:

@@ -35,7 +35,7 @@ from .dynamics import (
 )
 from .errors import FixedPointDivergenceError, GridMismatchError, ValidationError
 from .grid import GridFunction, SpatialGrid, l2_norm, sq_norms
-from .measure import EmpiricalMeasure, MeasureFlow, flow_distance, w2_curve, weighted_sup
+from .measure import EmpiricalMeasure, FlowPairW2, MeasureFlow, flow_distance
 
 __all__ = [
     "MeanFieldProblem",
@@ -200,9 +200,9 @@ def auto_lambda(
     ``d(phi(a), phi(b); lam) / d(a, b; lam)`` over probe pairs is
     measured; the smallest weight pushing it to ``target_ratio`` or
     below is returned doubled, as a safety margin, together with the
-    full ``(lam, worst ratio)`` curve.  The per-node W2 curve of each
-    probe pair and of its image pair is computed once and reduced for
-    every candidate weight, so the grid costs one node sweep per pair.
+    full ``(lam, worst ratio)`` curve.  Each probe pair and each image
+    pair is one :class:`FlowPairW2`, whose node solves serve every
+    candidate weight.
     """
     lam, curve, _ = _calibrate(problem, probe_flows, images, lambda_grid, target_ratio)
     return lam, curve
@@ -215,10 +215,10 @@ def _calibrate(
     lambda_grid: tuple[float, ...] = _LAMBDA_GRID,
     target_ratio: float = 0.5,
 ) -> tuple[float, tuple[tuple[float, float], ...], dict]:
-    """:func:`auto_lambda`, also returning the node curves it measured.
+    """:func:`auto_lambda`, also returning the flow pairs it measured.
 
-    ``curves[a, b]`` is ``(w2_curve(probe a, probe b), w2_curve(image a,
-    image b))`` for each probe pair ``a < b``.
+    ``pairs[a, b]`` is ``(FlowPairW2(probe a, probe b), FlowPairW2(image
+    a, image b))`` for each probe pair ``a < b``.
     """
     if len(probe_flows) < 2:
         raise ValidationError("auto_lambda needs at least two probe flows")
@@ -230,8 +230,8 @@ def _calibrate(
         img if img is not None else apply_phi(problem, probe)
         for probe, img in zip(probe_flows, images)
     ]
-    curves = {
-        (a, b): (w2_curve(probe_flows[a], probe_flows[b]), w2_curve(images[a], images[b]))
+    pairs = {
+        (a, b): (FlowPairW2(probe_flows[a], probe_flows[b]), FlowPairW2(images[a], images[b]))
         for a, b in combinations(range(len(probe_flows)), 2)
     }
     tiny = 1e3 * np.finfo(float).eps * (1.0 + l2_norm(problem.u0))
@@ -240,13 +240,12 @@ def _calibrate(
     for lam in lambda_grid:
         worst = 0.0
         resolved = False
-        for (a, b), (probe_curve, image_curve) in curves.items():
-            denom = weighted_sup(probe_curve, probe_flows[a].times, lam)
+        for probe_pair, image_pair in pairs.values():
+            denom = probe_pair.sup(lam)
             if denom <= tiny:
                 continue
             resolved = True
-            num = weighted_sup(image_curve, images[a].times, lam)
-            worst = max(worst, num / denom)
+            worst = max(worst, image_pair.sup(lam) / denom)
         if not resolved:
             raise ValidationError("probe flows are indistinguishable; cannot calibrate")
         curve.append((float(lam), float(worst)))
@@ -257,7 +256,28 @@ def _calibrate(
             "no metric weight on the grid reaches the target contraction ratio; "
             "measured curve: " + ", ".join(f"(lam={l:g}, r={r:.3g})" for l, r in curve)
         )
-    return 2.0 * chosen, tuple(curve), curves
+    return 2.0 * chosen, tuple(curve), pairs
+
+
+def _auto_start(
+    problem: MeanFieldProblem, flow0: MeasureFlow
+) -> tuple[float, tuple[tuple[float, float], ...], list[float], MeasureFlow]:
+    """Calibrate the weight on the first two iterates and a scaled start.
+
+    Returns the weight, the ``(lam, worst ratio)`` curve, the first two
+    iterate distances and the second iterate.  The probe pair (flow0,
+    image0) and its image pair (image0, image1) are the first two
+    iterate steps, so their distances are read from the calibration;
+    every other probe flow is released on return.
+    """
+    image0 = apply_phi(problem, flow0)
+    image1 = apply_phi(problem, image0)
+    scaled = MeasureFlow(flow0.grid, flow0.times, 1.25 * flow0.states)
+    image_s = apply_phi(problem, scaled)
+    lam, auto_curve, pairs = _calibrate(
+        problem, [flow0, image0, scaled], [image0, image1, image_s]
+    )
+    return lam, auto_curve, [pair.sup(lam) for pair in pairs[0, 1]], image1
 
 
 def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) -> PicardResult:
@@ -266,75 +286,58 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     Stops when the weighted distance between successive flows drops
     below ``tol * (1 + initial ensemble scale)``.  Raises a divergence
     error (with the report attached) if the budget is exhausted or the
-    measured ratios sit at or above 1 on two consecutive steps.
+    measured ratios sit at or above 1 on two consecutive steps.  Only
+    the latest iterate is held.
     """
-    flow0 = _initial_flow(problem, cfg.n_particles)
+    latest = _initial_flow(problem, cfg.n_particles)
     initial_scale = l2_norm(problem.u0)
     threshold = cfg.tol * (1.0 + initial_scale)
     tiny = 10.0 * np.finfo(float).eps * (1.0 + initial_scale)
 
     auto_curve = None
-    flows: list[MeasureFlow] = [flow0]
     distances: list[float] = []
     if cfg.lambda_weight == "auto":
-        image0 = apply_phi(problem, flow0)
-        image1 = apply_phi(problem, image0)
-        scaled = MeasureFlow(flow0.grid, flow0.times, 1.25 * flow0.states)
-        image_s = apply_phi(problem, scaled)
-        lam, auto_curve, curves = _calibrate(
-            problem, [flow0, image0, scaled], [image0, image1, image_s]
-        )
-        flows.extend([image0, image1])
-        # probe pair (flow0, image0) and its image pair (image0, image1)
-        # are the first two iterate steps
-        distances = [weighted_sup(c, flow0.times, lam) for c in curves[0, 1]]
+        lam, auto_curve, distances, latest = _auto_start(problem, latest)
     else:
         lam = float(cfg.lambda_weight)
+    iterations = len(distances)
 
     def ratios_of(ds: list[float]) -> list[float]:
         return [b / a for a, b in zip(ds, ds[1:]) if a > tiny]
 
+    def report(converged: bool) -> PicardReport:
+        return PicardReport(
+            iterations=iterations,
+            distances=tuple(distances),
+            ratios=tuple(ratios_of(distances)),
+            converged=converged,
+            lambda_weight=lam,
+            threshold=threshold,
+            initial_scale=initial_scale,
+            auto_curve=auto_curve,
+        )
+
     converged = any(d <= threshold for d in distances)
-    while not converged and len(flows) - 1 < cfg.max_iters:
-        nxt = apply_phi(problem, flows[-1])
-        distances.append(flow_distance(flows[-1], nxt, lam))
-        flows.append(nxt)
+    while not converged and iterations < cfg.max_iters:
+        nxt = apply_phi(problem, latest)
+        distances.append(flow_distance(latest, nxt, lam))
+        latest, iterations = nxt, iterations + 1
         if distances[-1] <= threshold:
             converged = True
             break
         rs = ratios_of(distances)
         if len(rs) >= 2 and rs[-1] >= 1.0 and rs[-2] >= 1.0:
-            report = PicardReport(
-                iterations=len(flows) - 1,
-                distances=tuple(distances),
-                ratios=tuple(rs),
-                converged=False,
-                lambda_weight=lam,
-                threshold=threshold,
-                initial_scale=initial_scale,
-                auto_curve=auto_curve,
-            )
             raise FixedPointDivergenceError(
-                "freezing map is not contracting (two successive ratios >= 1)", report
+                "freezing map is not contracting (two successive ratios >= 1)", report(False)
             )
 
-    report = PicardReport(
-        iterations=len(flows) - 1,
-        distances=tuple(distances),
-        ratios=tuple(ratios_of(distances)),
-        converged=converged,
-        lambda_weight=lam,
-        threshold=threshold,
-        initial_scale=initial_scale,
-        auto_curve=auto_curve,
-    )
     if not converged:
         raise FixedPointDivergenceError(
             f"no convergence within {cfg.max_iters} iterations "
             f"(last distance {distances[-1]:.3e} vs threshold {threshold:.3e})",
-            report,
+            report(False),
         )
-    return PicardResult(flow=flows[-1], report=report)
+    return PicardResult(flow=latest, report=report(True))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from fracmv.coefficients import (
 )
 from fracmv.dynamics import TimeGrid
 from fracmv.grid import GridFunction, SpatialGrid
+from fracmv.measure import MeasureFlow, wasserstein2
 
 
 def build_grid(dim: int = 1, half_width: float = 4.0, points: int = 32) -> SpatialGrid:
@@ -76,3 +77,9 @@ def build_tgrid(horizon: float = 0.25, steps: int = 40) -> TimeGrid:
 
 def random_field(grid: SpatialGrid, rng: np.random.Generator, scale: float = 1.0) -> GridFunction:
     return GridFunction(grid, scale * rng.standard_normal(grid.shape))
+
+
+def full_sweep_sup(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
+    """Oracle for the flow metric: solve every node, then take the weighted max."""
+    curve = np.array([wasserstein2(mu.measure(s), nu.measure(s)) for s in range(mu.n_times)])
+    return float(np.max(np.exp(-float(lam) * mu.times) * curve, initial=0.0))

@@ -446,3 +446,28 @@ def test_trajectory_directory_with_mixed_grids_exits_2(tiny_config, tmp_path, ca
     assert rc == 2
     err = capsys.readouterr().err
     assert "error[validation]" in err and "mixed" in err
+
+
+@pytest.mark.parametrize(
+    "fmt,times",
+    [("csv", [0.1, 0.0]), ("blob", [0.1, 0.0]), ("blob", [0.0, math.nan])],
+    ids=["csv-decreasing", "blob-decreasing", "blob-nan-time"],
+)
+def test_trajectory_with_bad_times_names_the_file(fmt, times, tiny_config, tmp_path, capsys):
+    from fracmv.dynamics import Trajectory, save_trajectory
+    from fracmv.grid import SpatialGrid
+
+    grid = SpatialGrid(1, 4.0, 32)
+    path = save_trajectory(Trajectory(grid, [0.0, 0.1], np.zeros((2, 32))),
+                           tmp_path / "bad_times", fmt)
+    if fmt == "csv":
+        np.savetxt(path / "times.csv", times, header="t", comments="")
+    else:
+        blob = path.read_bytes()
+        start = blob.index(b"\n", blob.index(b"\n") + 1) + 1
+        path.write_bytes(blob[:start] + np.array(times, "<f8").tobytes() + blob[start + 16:])
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
+               "--target", f"trajectory:{path}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "bad_times" in err and "increasing" in err

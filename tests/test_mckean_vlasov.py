@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import build_coeffs, build_grid, build_tgrid, build_u0
+from helpers import build_coeffs, build_grid, build_tgrid, build_u0, full_sweep_sup
 
+from fracmv import measure
 from fracmv.dynamics import NoisePath, TimeGrid, solve_frozen, sup_distance
 from fracmv.errors import BlowUpError, FixedPointDivergenceError, ValidationError
 from fracmv.grid import GridFunction, l2_norm
@@ -250,6 +251,22 @@ def test_picard_distances_match_recomputed_flow_distances(small_grid, small_coef
         flow_distance(prev, cur, rep.lambda_weight) for prev, cur in zip(flows, flows[1:])
     )
     assert [d.hex() for d in rep.distances] == [d.hex() for d in recomputed]
+
+
+def test_successive_iterates_take_few_node_solves(small_grid, small_coeffs, small_tgrid,
+                                                  monkeypatch):
+    """Common random numbers keep particle i of one iterate closest to
+    particle i of the next, so the identity bound is tight and the
+    flow metric between successive iterates needs only a few solves."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid)
+    first = apply_phi(p, _initial_flow(p, 8))
+    second = apply_phi(p, first)
+    solved = []
+    real = measure.wasserstein2
+    monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real(a, b))
+    for lam in (0.0, 1.0, 16.0):
+        assert flow_distance(first, second, lam) == full_sweep_sup(first, second, lam)
+    assert len(solved) <= small_tgrid.nodes.size // 8
 
 
 # -- stability of the mean-field estimate ---------------------------------

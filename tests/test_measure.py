@@ -4,21 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import build_grid, random_field
+from helpers import build_grid, full_sweep_sup, random_field
 
+from fracmv import measure
 from fracmv.errors import GridMismatchError, ValidationError
 from fracmv.grid import GridFunction
 from fracmv.measure import (
     EmpiricalMeasure,
+    FlowPairW2,
     MeasureFlow,
     flow_distance,
     load_measure,
     save_measure,
     second_moment,
-    w2_curve,
     wasserstein2,
     wasserstein2_to_dirac0,
-    weighted_sup,
 )
 from fracmv.mckean_vlasov import _LAMBDA_GRID
 
@@ -103,44 +103,82 @@ def test_flow_distance_matches_node_loop(rng):
         flow_distance(mu, nu, -1.0)
 
 
-def test_w2_curve_is_the_per_node_solves_byte_for_byte(rng):
+def _oracle_flow_pairs(rng):
+    """Flow pairs that exercise every way the identity bound can sit."""
     g = build_grid(half_width=2.0, points=8)
-    times = np.linspace(0.0, 1.0, 6)
-    mu = MeasureFlow(g, times, rng.standard_normal((6, 4) + g.shape))
-    nu = MeasureFlow(g, times, rng.standard_normal((6, 4) + g.shape))
-    oracle = np.array([wasserstein2(mu.measure(s), nu.measure(s)) for s in range(6)])
-    curve = w2_curve(mu, nu)
-    assert curve.shape == (6,) and curve.dtype == oracle.dtype
-    assert curve.tobytes() == oracle.tobytes()
+    times = np.linspace(0.0, 0.5, 21)
+    mu = MeasureFlow(g, times, rng.standard_normal((21, 5) + g.shape))
+    nu = MeasureFlow(g, times, rng.standard_normal((21, 5) + g.shape))
+    # close to mu but with the particles shuffled per node: the identity
+    # matching is far from optimal, so the bound is loose everywhere
+    near = mu.states + 1e-3 * rng.standard_normal(mu.states.shape)
+    shuffled = MeasureFlow(g, times, np.stack([x[rng.permutation(5)] for x in near]))
+    # constant flows: at lam = 0 every node's bound ties
+    still_mu = MeasureFlow.constant(random_measure(g, rng, 5), times)
+    still_nu = MeasureFlow.constant(random_measure(g, rng, 5), times)
+    return {
+        "random": (mu, nu),
+        "shuffled": (mu, shuffled),
+        "constant": (still_mu, still_nu),
+        "zero": (mu, MeasureFlow(g, times, mu.states.copy())),
+    }
+
+
+def test_flow_pair_sup_is_the_full_node_sweep_byte_for_byte(rng):
+    for name, (mu, nu) in _oracle_flow_pairs(rng).items():
+        pair = FlowPairW2(mu, nu)
+        for lam in (0.0, 0.25, 16.0, 128.0, 256.0):
+            oracle = full_sweep_sup(mu, nu, lam)
+            assert pair.sup(lam) == oracle, (name, lam)
+            assert flow_distance(mu, nu, lam) == oracle, (name, lam)
+        if name == "zero":
+            assert pair.sup(0.0) == 0.0
+    g, times = mu.grid, mu.times
     with pytest.raises(GridMismatchError):
-        w2_curve(mu, MeasureFlow(g, times + 0.5, nu.states))
+        FlowPairW2(mu, MeasureFlow(g, times + 0.5, nu.states))
     with pytest.raises(GridMismatchError):
-        w2_curve(mu, MeasureFlow(build_grid(half_width=2.0, points=16), times,
-                                 rng.standard_normal((6, 4, 16))))
+        FlowPairW2(mu, MeasureFlow(build_grid(half_width=2.0, points=16), times,
+                                   rng.standard_normal((times.size, 5, 16))))
     with pytest.raises(ValidationError):
-        w2_curve(mu, MeasureFlow(g, times, nu.states[:, :3]))
+        FlowPairW2(mu, MeasureFlow(g, times, nu.states[:, :3]))
+
+
+def test_flow_pair_solves_only_nodes_that_can_hold_the_sup(rng, monkeypatch):
+    """Equal node pairs share one solve, and a tight bound stops the sweep."""
+    pairs = _oracle_flow_pairs(rng)
+    solved = []
+    real = measure.wasserstein2
+    monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real(a, b))
+    still = FlowPairW2(*pairs["constant"])
+    for lam in (0.0, 0.25, 16.0):
+        still.sup(lam)
+    assert len(solved) == 1
+    solved.clear()
+    mu, _ = pairs["random"]
+    # each particle moves a little: the identity matching is optimal
+    moved = MeasureFlow(mu.grid, mu.times, mu.states + 0.01 * rng.standard_normal(mu.states.shape))
+    assert FlowPairW2(mu, moved).sup(0.0) == full_sweep_sup(mu, moved, 0.0)
+    assert len(solved) == 1
 
 
 def test_flow_distance_equals_the_scalar_weight_loop_bitwise(rng):
-    """The vectorized reduction reproduces the per-node scalar loop it
-    replaced, bit for bit, for every weight of the calibration grid."""
+    """The pruned sup reproduces the per-node scalar loop, bit for bit,
+    for every weight of the calibration grid."""
     g = build_grid(half_width=2.0, points=8)
     times = np.linspace(0.0, 0.5, 201)
     mu = MeasureFlow(g, times, rng.standard_normal((201, 4) + g.shape))
     nu = MeasureFlow(g, times, rng.standard_normal((201, 4) + g.shape))
-    curve = w2_curve(mu, nu)
+    pair = FlowPairW2(mu, nu)
     for lam in _LAMBDA_GRID:
         best = 0.0
         for s in range(mu.n_times):
             d = wasserstein2(mu.measure(s), nu.measure(s))
             best = max(best, float(np.exp(-float(lam) * mu.times[s])) * d)
         assert flow_distance(mu, nu, lam) == best
-        assert weighted_sup(curve, times, lam) == best
-    assert weighted_sup(np.zeros(3), times[:3], 1.0) == 0.0
-    with pytest.raises(ValidationError):
-        weighted_sup(curve, times, float("nan"))
-    with pytest.raises(ValidationError, match="lam"):
-        weighted_sup(curve, times, float("inf"))
+        assert pair.sup(lam) == best
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValidationError, match="lam"):
+            pair.sup(bad)
 
 
 def test_discount_weight_reduces_late_discrepancies(rng):
