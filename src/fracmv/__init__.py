@@ -44,11 +44,11 @@ from .grid import (
     SpatialGrid,
     apply_fractional_laplacian,
     apply_semigroup_resolvent,
-    h_alpha_seminorm,
     l2_inner,
     l2_norm,
-    tail_mass,
-    v_norm,
+    sq_seminorms,
+    sq_v_norms,
+    tail_masses,
 )
 from .measure import (
     EmpiricalMeasure,

@@ -36,11 +36,11 @@ from .errors import BlowUpError, GridMismatchError, ValidationError
 from .grid import (
     GridFunction,
     SpatialGrid,
-    h_alpha_seminorm,
-    l2_norm,
     load_grid_function,
     save_grid_function,
     sq_norms,
+    sq_seminorms,
+    sq_v_norms,
 )
 from .measure import MeasureFlow
 
@@ -443,23 +443,21 @@ def energy_residual(
     ref = traj if base is None else base
     stats = law_statistics(ref.values[:-1, None], g, coeffs.f.h_cap)
     energy = sq_norms(traj.values, g)
+    semi_sq = sq_seminorms(traj.values[1:], g, coeffs.alpha)
 
-    res = np.zeros(S + 1)
-    acc = 0.0
+    work = np.zeros(S)
     for s in range(S):
         t = float(traj.times[s])
         u_s = traj.values[s]
-        u_next = traj.values[s + 1]
         hbar_f, hbar1, root_m2 = stats[s]
         f_vals = coeffs.f.values(t, g, u_s, hbar_f)
         g_vals = coeffs.g.values(t, g, u_s, hbar1)
-        semi_sq = h_alpha_seminorm(GridFunction(g, u_next), coeffs.alpha) ** 2
-        work = w * float(np.sum((f_vals - g_vals) * u_s))
+        work[s] = w * float(np.sum((f_vals - g_vals) * u_s))
         if control is not None:
             drive = sig.drive(t, u_s[None], root_m2, control.values[s][None])[0]
-            work -= w * float(np.sum(drive * u_s))
-        acc += 2.0 * dt * (semi_sq + work)
-        res[s + 1] = energy[s + 1] - energy[0] + acc
+            work[s] -= w * float(np.sum(drive * u_s))
+    res = np.zeros(S + 1)
+    res[1:] = energy[1:] - energy[0] + np.cumsum(2.0 * dt * (semi_sq + work))
     return res
 
 
@@ -482,12 +480,8 @@ def sup_distance(a: Trajectory, b: Trajectory) -> float:
 def integrated_v_distance(a: Trajectory, b: Trajectory, alpha: float, c_v: float = 1.0) -> float:
     """Left-sum approximation of the L2(0, T; V) distance."""
     _check_comparable(a, b)
-    dt = float(a.times[1] - a.times[0])
-    total = 0.0
-    for s in range(a.n_nodes - 1):
-        d = GridFunction(a.grid, a.values[s] - b.values[s])
-        total += dt * (l2_norm(d) ** 2 + float(c_v) * h_alpha_seminorm(d, alpha) ** 2)
-    return float(np.sqrt(total))
+    sq = sq_v_norms(a.values[:-1] - b.values[:-1], a.grid, alpha, c_v)
+    return math.sqrt(float(a.times[1] - a.times[0]) * float(np.sum(sq)))
 
 
 # -- persistence ---------------------------------------------------------

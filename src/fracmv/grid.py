@@ -7,7 +7,9 @@ the Fourier multiplier ``|xi|^(2*alpha)`` with discrete wavenumbers
 modes are exact eigenfunctions up to FFT round-off.  All norms are
 discrete quadratures weighted by the cell volume, standing in for their
 whole-space counterparts when the field mass is concentrated well away
-from the boundary.
+from the boundary.  Each norm has one implementation, over fields
+stacked on leading axes ``(..., *grid.shape)``; ``l2_norm`` is the
+single-field view of ``sq_norms``.
 
 Grid functions serialize to CSV (one row per cell, coordinate columns
 then the value) with a small JSON sidecar recording the grid geometry.
@@ -29,13 +31,13 @@ __all__ = [
     "check_fractional_order",
     "apply_fractional_laplacian",
     "apply_semigroup_resolvent",
-    "l2_norm",
     "sq_norms",
+    "sq_seminorms",
+    "sq_v_norms",
+    "lp_norms",
+    "tail_masses",
+    "l2_norm",
     "l2_inner",
-    "h_alpha_seminorm",
-    "v_norm",
-    "lp_norm",
-    "tail_mass",
     "save_grid_function",
     "load_grid_function",
 ]
@@ -244,42 +246,47 @@ def apply_semigroup_resolvent(u: GridFunction, alpha: float, tau: float) -> Grid
     return GridFunction(u.grid, out)
 
 
-def l2_norm(u: GridFunction) -> float:
-    """Discrete L2 norm: ``sqrt(cell_volume * sum(values^2))``."""
-    return float(np.sqrt(u.grid.cell_volume * np.sum(u.values**2)))
-
-
-def sq_norms(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Squared discrete L2 norms of fields stacked on leading axes.
-
-    ``values`` has shape ``(..., *grid.shape)``; the result has shape
-    ``(...)``.  Each field is summed as one flat row, so every entry
-    equals the norm of that field taken on its own.
-    """
-    lead = values.shape[: values.ndim - grid.dim]
-    rows = np.sum(values.reshape(-1, grid.n_cells) ** 2, axis=1)
-    return grid.cell_volume * rows.reshape(lead)
-
-
 def l2_inner(u: GridFunction, w: GridFunction) -> float:
     """Discrete L2 inner product of two fields on the same grid."""
     _ensure_same_grid(u, w)
     return float(u.grid.cell_volume * np.sum(u.values * w.values))
 
 
-def h_alpha_seminorm(u: GridFunction, alpha: float) -> float:
-    """Seminorm ``|| (-lap)^(alpha/2) u ||`` via Parseval.
+def _rows(values: np.ndarray, grid: SpatialGrid) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Fields stacked on leading axes as C-contiguous flat rows, and the
+    stack shape.
 
-    Computed directly from the spectrum; agrees with applying the
-    half-order operator and taking the L2 norm.
+    Every norm reduces each row on its own and does its arithmetic on
+    whole arrays, so each entry of a stack equals the value of that
+    field taken alone, bit for bit.
+    """
+    lead = values.shape[: values.ndim - grid.dim]
+    return np.ascontiguousarray(values).reshape(-1, grid.n_cells), lead
+
+
+def sq_norms(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Squared discrete L2 norms ``cell_volume * sum(values^2)``.
+
+    ``values`` has shape ``(..., *grid.shape)``; the result has shape
+    ``(...)``.
+    """
+    rows, lead = _rows(values, grid)
+    return (grid.cell_volume * np.sum(rows**2, axis=1)).reshape(lead)
+
+
+def sq_seminorms(values: np.ndarray, grid: SpatialGrid, alpha: float) -> np.ndarray:
+    """Squared seminorms ``|| (-lap)^(alpha/2) u ||^2`` via Parseval.
+
+    Computed directly from the spectrum of each field in ``values``,
+    shape ``(..., *grid.shape)``; agrees with applying the half-order
+    operator and taking the squared L2 norm.
     """
     a = check_fractional_order(alpha, allow_one=True)
-    g = u.grid
-    spec = np.fft.rfftn(u.values)
-    weights = _rfft_parseval_weights(g)
-    power = (np.abs(spec) ** 2) * g.fractional_symbol(a)
-    total = np.sum(weights * power) * g.cell_volume / g.n_cells
-    return float(np.sqrt(total))
+    rows, lead = _rows(values, grid)
+    spec = np.fft.rfftn(rows.reshape((-1,) + grid.shape), axes=tuple(range(1, grid.dim + 1)))
+    power = _rfft_parseval_weights(grid) * ((np.abs(spec) ** 2) * grid.fractional_symbol(a))
+    total = np.sum(power.reshape(len(rows), -1), axis=1) * grid.cell_volume / grid.n_cells
+    return total.reshape(lead)
 
 
 def _rfft_parseval_weights(g: SpatialGrid) -> np.ndarray:
@@ -298,8 +305,8 @@ def _rfft_parseval_weights(g: SpatialGrid) -> np.ndarray:
     return g._cache[key]
 
 
-def v_norm(u: GridFunction, alpha: float, c_v: float = 1.0) -> float:
-    """Energy-space norm ``sqrt(||u||^2 + c_v * |u|_alpha^2)``.
+def sq_v_norms(values: np.ndarray, grid: SpatialGrid, alpha: float, c_v: float = 1.0) -> np.ndarray:
+    """Squared energy-space norms ``||u||^2 + c_v * |u|_alpha^2``.
 
     ``c_v`` weights the seminorm part; the normalization constant of the
     whole-space fractional Dirichlet form is not pinned here, so it is a
@@ -307,30 +314,39 @@ def v_norm(u: GridFunction, alpha: float, c_v: float = 1.0) -> float:
     """
     if not (float(c_v) > 0.0):
         raise ValidationError(f"c_v must be positive, got {c_v!r}")
-    return float(np.sqrt(l2_norm(u) ** 2 + float(c_v) * h_alpha_seminorm(u, alpha) ** 2))
+    return sq_norms(values, grid) + float(c_v) * sq_seminorms(values, grid, alpha)
 
 
-def lp_norm(u: GridFunction, p: float) -> float:
-    """Discrete Lp norm, ``p >= 1``."""
+def lp_norms(values: np.ndarray, grid: SpatialGrid, p: float) -> np.ndarray:
+    """Discrete Lp norms ``(cell_volume * sum(|values|^p))^(1/p)``, ``p >= 1``."""
     if not (float(p) >= 1.0):
-        raise ValidationError(f"lp_norm exponent must satisfy p >= 1, got {p!r}")
+        raise ValidationError(f"Lp exponent must satisfy p >= 1, got {p!r}")
     p = float(p)
-    return float((u.grid.cell_volume * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
+    rows, lead = _rows(values, grid)
+    return ((grid.cell_volume * np.sum(np.abs(rows) ** p, axis=1)) ** (1.0 / p)).reshape(lead)
 
 
-def tail_mass(u: GridFunction, m: float) -> float:
-    """Squared L2 mass sitting at cells with ``|x| >= m``.
+def tail_masses(values: np.ndarray, grid: SpatialGrid, m: float) -> np.ndarray:
+    """Squared L2 mass of each field sitting at cells with ``|x| >= m``.
 
-    ``m`` must lie in ``[0, L]``.  ``tail_mass(u, 0)`` equals the full
-    squared norm; the quantity is non-increasing in ``m``.
+    ``m`` must lie in ``[0, L]``.  At ``m = 0`` this is the full squared
+    norm; the quantity is non-increasing in ``m``.
     """
     mm = float(m)
-    if not (0.0 <= mm <= u.grid.half_width):
+    if not (0.0 <= mm <= grid.half_width):
         raise ValidationError(
-            f"tail radius m must lie in [0, L] = [0, {u.grid.half_width}], got {m!r}"
+            f"tail radius m must lie in [0, L] = [0, {grid.half_width}], got {m!r}"
         )
-    mask = u.grid.radius() >= mm
-    return float(u.grid.cell_volume * np.sum(u.values[mask] ** 2))
+    rows, lead = _rows(values, grid)
+    # np.take writes C-contiguous rows; a boolean or index gather would not,
+    # and its row sums would differ from the single-field sums in the last bit
+    outside = np.take(rows, np.flatnonzero(grid.radius() >= mm), axis=1)
+    return (grid.cell_volume * np.sum(outside**2, axis=1)).reshape(lead)
+
+
+def l2_norm(u: GridFunction) -> float:
+    """Discrete L2 norm of one field: the root of its :func:`sq_norms` entry."""
+    return float(np.sqrt(sq_norms(u.values, u.grid)))
 
 
 # -- serialization -----------------------------------------------------

@@ -288,9 +288,14 @@ def save_measure(mu: EmpiricalMeasure, directory: str | Path) -> Path:
 def load_measure(directory: str | Path) -> EmpiricalMeasure:
     """Read an ensemble written by :func:`save_measure`."""
     directory = Path(directory)
-    manifest = json.loads((directory / "measure_manifest.json").read_text())
-    particles = [load_grid_function(directory / name) for name in manifest["particle_files"]]
-    mu = EmpiricalMeasure.from_functions(particles)
-    if mu.n_particles != int(manifest["n_particles"]):
+    try:
+        manifest = json.loads((directory / "measure_manifest.json").read_text())
+        names, count = manifest["particle_files"], int(manifest["n_particles"])
+    except (OSError, UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"{directory}: missing or malformed measure_manifest.json: {type(exc).__name__} {exc}"
+        ) from None
+    mu = EmpiricalMeasure.from_functions([load_grid_function(directory / n) for n in names])
+    if mu.n_particles != count:
         raise ValidationError(f"{directory}: manifest particle count mismatch")
     return mu

@@ -20,7 +20,7 @@ gap; no infinities are ever serialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,9 +34,10 @@ from .dynamics import (
     integrated_v_distance,
     solve_controlled,
     solve_deterministic,
+    sup_distance,
 )
 from .errors import GridMismatchError, ValidationError
-from .grid import GridFunction, SpatialGrid, l2_norm, lp_norm, sq_norms
+from .grid import GridFunction, SpatialGrid, l2_norm, lp_norms, sq_norms
 
 __all__ = [
     "RateProblem",
@@ -154,7 +155,7 @@ def estimate_rate(
     def gap_to_target(path: np.ndarray) -> float:
         if isinstance(target, Trajectory):
             return _path_norm(path - target.values, u0.grid, dt)
-        return l2_norm(GridFunction(u0.grid, path[-1] - target.values))
+        return math.sqrt(float(sq_norms(path[-1] - target.values, u0.grid)))
 
     def gap_of(x: np.ndarray) -> float:
         traj = solve_controlled(u0, Control(x.reshape(S, K), dt), base, coeffs, tgrid)
@@ -284,18 +285,17 @@ def weak_convergence_experiment(
     rows = []
     lp_rows = []
     for i, vals, path in zip(i_list, controls[1:], paths):
-        vi = Control(vals, v.dt)
         ui = Trajectory(u0.grid, tgrid.nodes, path)
-        diff = ui.values - u_ref.values
-        sup_h = math.sqrt(float(np.max(sq_norms(diff, u0.grid))))
-        l2_v = integrated_v_distance(ui, u_ref, alpha, c_v)
-        offset = math.sqrt(v.dt * float(np.sum((vals - v.values) ** 2)))
-        rows.append((int(i), sup_h, l2_v, math.sqrt(vi.l2_norm_sq()), offset))
+        rows.append((
+            int(i),
+            sup_distance(ui, u_ref),
+            integrated_v_distance(ui, u_ref, alpha, c_v),
+            math.sqrt(Control(vals, v.dt).l2_norm_sq()),
+            math.sqrt(Control(vals - v.values, v.dt).l2_norm_sq()),
+        ))
         if include_lp:
-            lp_s = np.array(
-                [lp_norm(GridFunction(u0.grid, d), p) ** p for d in diff]
-            )
-            lp_rows.append(float((v.dt * np.sum(lp_s[:-1])) ** (1.0 / p)))
+            lp_s = lp_norms(path[:-1] - u_ref.values[:-1], u0.grid, p) ** p
+            lp_rows.append(float((v.dt * np.sum(lp_s)) ** (1.0 / p)))
     return WeakConvergenceTable(
         rows=tuple(rows), lp_diag=tuple(lp_rows) if include_lp else None
     )
@@ -321,14 +321,14 @@ def level_set_probe(
     u0: GridFunction,
     coeffs: CoefficientSet,
     tgrid: TimeGrid,
-    eta_ladder: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-    max_stage_iters: int = 100,
-    gap_tol: float = 1e-3,
+    settings: RateProblem = RateProblem(None),
     base: Trajectory | None = None,
 ) -> LevelSetReport:
     """Run the estimator on each candidate and compare against ``level``.
 
-    A candidate is reported inside the level set only when its estimate
+    ``settings`` is a target-free :class:`RateProblem` whose penalty
+    ladder, stage budget and gap tolerance every candidate shares.  A
+    candidate is reported inside the level set only when its estimate
     both attained the target (converged) and costs at most ``level``;
     non-attained candidates are reported outside with their best finite
     value.
@@ -339,18 +339,7 @@ def level_set_probe(
         base = solve_deterministic(u0, coeffs, tgrid)
     rows = []
     for idx, target in enumerate(targets):
-        est = estimate_rate(
-            RateProblem(
-                target,
-                eta_ladder=eta_ladder,
-                max_stage_iters=max_stage_iters,
-                gap_tol=gap_tol,
-            ),
-            u0,
-            coeffs,
-            tgrid,
-            base=base,
-        )
+        est = estimate_rate(replace(settings, target=target), u0, coeffs, tgrid, base=base)
         rows.append(
             (
                 idx,

@@ -39,9 +39,8 @@ from .grid import (
     GridFunction,
     SpatialGrid,
     apply_fractional_laplacian,
-    l2_norm,
     sq_norms,
-    tail_mass,
+    tail_masses,
 )
 from .measure import EmpiricalMeasure, MeasureFlow, wasserstein2
 from .mckean_vlasov import PicardConfig, apply_phi, picard_solve, small_noise_sweep
@@ -380,10 +379,7 @@ def suite_controlled(cfg: RunConfig) -> list[CheckResult]:
         dv = 0.1 * rng.standard_normal((S, K))
         for scale, sink in ((1.0, ratios_full), (0.5, ratios_half)):
             d_sq = solve_pair(scale * du, scale * dv)
-            denom = (
-                l2_norm(GridFunction(grid, scale * du)) ** 2
-                + Control(scale * dv, tgrid.dt).l2_norm_sq()
-            )
+            denom = float(sq_norms(scale * du, grid)) + Control(scale * dv, tgrid.dt).l2_norm_sq()
             sink.append(d_sq / denom)
     drift = max(abs(h - f) / f for f, h in zip(ratios_full, ratios_half))
     out.append(
@@ -424,10 +420,7 @@ def suite_tails(cfg: RunConfig) -> list[CheckResult]:
         )
 
     def worst_tail(m: float) -> float:
-        return max(
-            max(tail_mass(GridFunction(grid, vals), m) for vals in tr.values)
-            for tr in trajs
-        )
+        return max(float(np.max(tail_masses(tr.values, grid, m))) for tr in trajs)
 
     m0, worst = None, None
     for m in np.arange(2.0, grid.half_width / 2, 2.0):

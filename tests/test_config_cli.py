@@ -8,6 +8,7 @@ import yaml
 
 from fracmv.cli import main
 from fracmv.config import RunConfig, canonical_dict, load_config
+from fracmv.dynamics import load_trajectory
 from fracmv.errors import ValidationError
 
 TINY_YAML = textwrap.dedent(
@@ -198,6 +199,27 @@ def test_simulate_command_writes_artifacts(tiny_config, tmp_path):
     assert (out / "picard_report.csv").exists()
     summary = (out / "flow_summary.csv").read_text().strip().splitlines()
     assert len(summary) == 1 + 20 + 1
+
+
+@pytest.mark.filterwarnings("ignore:mass .* outside")
+@pytest.mark.parametrize("dim,points", [(1, 32), (2, 16)])
+def test_simulate_worst_tail_is_the_max_over_every_field(dim, points, tmp_path):
+    """The manifest's worst tail equals the per-field tail masses' maximum
+    over every particle and node, taken one field at a time."""
+    doc = yaml.safe_load(TINY_YAML)
+    doc["grid"].update(dim=dim, points_per_dim=points)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    margin = json.loads((out / "manifest.json").read_text())["domain_margin"]
+    slow = []
+    for path in sorted((out / "trajectories").iterdir()):
+        traj = load_trajectory(path)
+        mask = traj.grid.radius() >= margin["radius"]
+        slow += [traj.grid.cell_volume * np.sum(vals[mask] ** 2) for vals in traj.values]
+    assert len(slow) == 4 * 21
+    assert margin["worst_tail"] == max(slow)
 
 
 def test_environment_supplies_defaults_and_flags_win(tiny_config, tmp_path, monkeypatch):

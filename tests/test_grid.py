@@ -10,14 +10,15 @@ from fracmv.grid import (
     apply_fractional_laplacian,
     apply_semigroup_resolvent,
     check_fractional_order,
-    h_alpha_seminorm,
     l2_inner,
     l2_norm,
     load_grid_function,
-    lp_norm,
+    lp_norms,
     save_grid_function,
-    tail_mass,
-    v_norm,
+    sq_norms,
+    sq_seminorms,
+    sq_v_norms,
+    tail_masses,
 )
 
 
@@ -64,7 +65,7 @@ def test_seminorm_agrees_with_operator_routes(rng):
     g = build_grid(points=64)
     u = random_field(g, rng)
     for alpha in (0.3, 0.6, 0.9):
-        semi = h_alpha_seminorm(u, alpha)
+        semi = np.sqrt(sq_seminorms(u.values, g, alpha))
         via_half = l2_norm(apply_fractional_laplacian(u, alpha / 2))
         via_form = np.sqrt(l2_inner(u, apply_fractional_laplacian(u, alpha)))
         assert semi == pytest.approx(via_half, rel=1e-10)
@@ -75,10 +76,10 @@ def test_v_norm_combines_parts(rng):
     g = build_grid()
     u = random_field(g, rng)
     alpha, c_v = 0.6, 2.5
-    expected = np.sqrt(l2_norm(u) ** 2 + c_v * h_alpha_seminorm(u, alpha) ** 2)
-    assert v_norm(u, alpha, c_v) == pytest.approx(expected, rel=1e-14)
+    expected = l2_norm(u) ** 2 + c_v * sq_seminorms(u.values, g, alpha)
+    assert sq_v_norms(u.values, g, alpha, c_v) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ValidationError):
-        v_norm(u, alpha, c_v=0.0)
+        sq_v_norms(u.values, g, alpha, c_v=0.0)
 
 
 def test_lp_norm_against_direct_sum(rng):
@@ -87,21 +88,66 @@ def test_lp_norm_against_direct_sum(rng):
     w = g.cell_volume
     for p in (1.0, 2.0, 4.0):
         brute = (w * float(np.sum(np.abs(u.values) ** p))) ** (1.0 / p)
-        assert lp_norm(u, p) == pytest.approx(brute, rel=1e-14)
-    assert lp_norm(u, 2.0) == pytest.approx(l2_norm(u), rel=1e-14)
+        assert lp_norms(u.values, g, p) == pytest.approx(brute, rel=1e-14)
+    assert lp_norms(u.values, g, 2.0) == pytest.approx(l2_norm(u), rel=1e-14)
     with pytest.raises(ValidationError):
-        lp_norm(u, 0.5)
+        lp_norms(u.values, g, 0.5)
 
 
 def test_tail_mass_endpoints_and_monotonicity():
     g = build_grid(half_width=8.0, points=128)
     u = build_u0(g, amp=1.0, width=1.0)
-    assert tail_mass(u, 0.0) == pytest.approx(l2_norm(u) ** 2, rel=1e-14)
+    assert tail_masses(u.values, g, 0.0) == pytest.approx(l2_norm(u) ** 2, rel=1e-14)
     ms = np.linspace(0.0, g.half_width, 33)
-    vals = [tail_mass(u, m) for m in ms]
+    vals = [tail_masses(u.values, g, m) for m in ms]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValidationError):
-        tail_mass(u, g.half_width + 1.0)
+        tail_masses(u.values, g, g.half_width + 1.0)
+
+
+def per_field_seminorm_sq(u: GridFunction, alpha: float) -> float:
+    """The Parseval sum of one field, with the full spectrum's multiplicities."""
+    g = u.grid
+    m = g.points_per_dim
+    mult = np.full(m // 2 + 1, 2.0)
+    mult[0] = mult[-1] = 1.0
+    weights = mult if g.dim == 1 else np.broadcast_to(mult, (m, m // 2 + 1))
+    power = (np.abs(np.fft.rfftn(u.values)) ** 2) * g.fractional_symbol(alpha)
+    return np.sum(weights * power) * g.cell_volume / g.n_cells
+
+
+@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16)])
+def test_batched_norms_equal_each_field_taken_alone(dim, points, rng):
+    """Every entry of an (S, N, *shape) stack equals the norm of that field
+    taken alone, and the per-field formulas, bit for bit."""
+    g = build_grid(dim=dim, half_width=3.0, points=points)
+    stack = rng.standard_normal((3, 4) + g.shape) * rng.uniform(0.1, 3.0, (3, 4) + (1,) * dim)
+    alpha, c_v, w = 0.6, 2.5, g.cell_volume
+    radii = (0.0, 1.1, g.half_width / 2, g.half_width)
+    # |x| >= 1.1 keeps both ends of each row: the gathered cells are not one block
+    assert np.count_nonzero(np.diff((g.radius() >= 1.1).ravel().astype(int))) >= 2
+    sq, semi = sq_norms(stack, g), sq_seminorms(stack, g, alpha)
+    sq_v = sq_v_norms(stack, g, alpha, c_v)
+    lps = {p: lp_norms(stack, g, p) for p in (1.0, 2.0, 3.5)}
+    tails = {m: tail_masses(stack, g, m) for m in radii}
+    assert sq.shape == semi.shape == sq_v.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        u = GridFunction(g, stack[idx])
+        assert sq[idx] == sq_norms(u.values, g) == w * np.sum(u.values**2)
+        assert np.sqrt(sq[idx]) == l2_norm(u)
+        assert semi[idx] == sq_seminorms(u.values, g, alpha) == per_field_seminorm_sq(u, alpha)
+        assert sq_v[idx] == sq_v_norms(u.values, g, alpha, c_v) == sq[idx] + c_v * semi[idx]
+        for p, vals in lps.items():
+            assert vals[idx] == lp_norms(u.values, g, p)
+            brute = (w * np.sum(np.abs(u.values) ** p)) ** (1.0 / p)
+            assert vals[idx] == pytest.approx(brute, rel=1e-14)
+        for m, vals in tails.items():
+            outside = u.values[g.radius() >= m]
+            assert vals[idx] == tail_masses(u.values, g, m) == w * np.sum(outside**2)
+    # a strided view of the stack reads the same fields
+    for m, vals in tails.items():
+        assert np.array_equal(tail_masses(stack[::2, ::-1], g, m), vals[::2, ::-1])
+    assert np.array_equal(sq_seminorms(stack[:, 1:3], g, alpha), semi[:, 1:3])
 
 
 def test_save_load_roundtrip_is_exact(tmp_path, rng):

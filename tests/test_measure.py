@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,3 +222,20 @@ def test_measure_roundtrip_is_exact(tmp_path, rng):
     back = load_measure(tmp_path / "m")
     assert back.n_particles == 4
     assert np.array_equal(back.states, mu.states)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [None, "{not json", '{"n_particles": 4, "grid": {}}'],
+    ids=["missing", "not-json", "no-particle-files"],
+)
+def test_load_measure_names_the_directory(tmp_path, rng, manifest):
+    g = build_grid(half_width=2.0, points=8)
+    directory = save_measure(random_measure(g, rng, 4), tmp_path / "m")
+    path = directory / "measure_manifest.json"
+    if manifest is None:
+        path.unlink()
+    else:
+        path.write_text(manifest)
+    with pytest.raises(ValidationError, match=re.escape(str(directory))):
+        load_measure(directory)

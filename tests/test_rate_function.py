@@ -300,17 +300,12 @@ def test_weak_experiment_batch_matches_single_solves(instance, monkeypatch):
 def test_level_set_probe_separates_cheap_and_dear(instance, manufactured):
     g, coeffs, u0, tg, base = instance
     vbar, target, est = manufactured
+    settings = RateProblem(None, eta_ladder=(1e-2, 1e-3, 1e-4, 1e-5), max_stage_iters=80)
     level_hi = 2.0 * est.value
-    report = level_set_probe(
-        level_hi, [base, target], u0, coeffs, tg,
-        eta_ladder=(1e-2, 1e-3, 1e-4, 1e-5), max_stage_iters=80, base=base,
-    )
+    report = level_set_probe(level_hi, [base, target], u0, coeffs, tg, settings, base=base)
     assert report.inside() == [0, 1]
     level_lo = 0.25 * est.value
-    report_lo = level_set_probe(
-        level_lo, [target], u0, coeffs, tg,
-        eta_ladder=(1e-2, 1e-3, 1e-4, 1e-5), max_stage_iters=80, base=base,
-    )
+    report_lo = level_set_probe(level_lo, [target], u0, coeffs, tg, settings, base=base)
     assert report_lo.inside() == []
     assert report_lo.rows[0][1] > level_lo  # best value found exceeds the level
     with pytest.raises(ValidationError):
