@@ -78,10 +78,19 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
         writer.writerows(rows)
 
 
+def _out_dir(out: str | Path) -> Path:
+    """Create the run directory; a path that cannot be one fails validation."""
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out {str(out)!r} is not a usable directory: {exc}") from None
+    return out
+
+
 def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     """Solve the mean-field fixed point and persist the ensemble."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out)
     result = picard_solve(cfg.problem(), cfg.picard_config())
     rep = result.report
 
@@ -162,8 +171,7 @@ def _load_run_control(cfg: RunConfig, path: str | Path, what: str) -> Control:
 
 def cmd_skeleton(cfg: RunConfig, out: str | Path, control_path: str | Path | None = None) -> Path:
     """Solve the zero-noise path, plus a controlled run when given one."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out)
     base = solve_deterministic(cfg.u0, cfg.coeffs, cfg.tgrid)
     ext = ".traj" if cfg.output_format == "blob" else ""
     save_trajectory(base, out / f"skeleton{ext}", fmt=cfg.output_format)
@@ -222,8 +230,7 @@ def _parse_target(spec: str, cfg: RunConfig, base):
 
 def cmd_rate(cfg: RunConfig, out: str | Path, target_spec: str) -> Path:
     """Estimate the minimal control cost to reach a target."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out)
     base = solve_deterministic(cfg.u0, cfg.coeffs, cfg.tgrid)
     target, vbar = _parse_target(target_spec, cfg, base)
     est = estimate_rate(cfg.rate_problem(target), cfg.u0, cfg.coeffs, cfg.tgrid, base=base)
@@ -258,8 +265,7 @@ def cmd_rate(cfg: RunConfig, out: str | Path, target_spec: str) -> Path:
 
 def cmd_verify(cfg: RunConfig, out: str | Path, suites: list[str] | None = None) -> int:
     """Run property suites; returns 0 when everything passed, 4 otherwise."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out)
     results = run_suites(cfg, suites)
     print(format_report(results))
     _write_csv(

@@ -8,9 +8,11 @@ controls attaining the target is estimated by penalized minimisation:
 
 driven down an eta-ladder with warm starts, so the soft constraint
 tightens gradually.  Gradients are batched forward differences over the
-control coefficients: the base point and all ``S*K`` perturbed controls
-are solved as rows of one batch, each row bit-identical to its own
-single solve, which keeps every run bit-reproducible.
+control coefficients: L-BFGS-B gets the objective and its gradient from
+one call, which solves the base point and all ``S*K`` perturbed controls
+as rows of one batch, each row bit-identical to its own single solve,
+which keeps every run bit-reproducible.  ``n_evaluations`` counts the
+controlled paths solved, ``S*K + 1`` per optimizer evaluation.
 
 A target that the optimizer cannot attain within budget is reported
 with its best finite value and ``converged = False`` plus the residual
@@ -96,7 +98,8 @@ class RateEstimate:
     ``value == control_cost(v_star)`` exactly.  ``converged`` means the
     relative attainment gap fell below the problem's tolerance; a large
     gap with ``converged = False`` is the finite stand-in for an
-    unreachable target.
+    unreachable target.  ``n_evaluations`` is the number of controlled
+    paths solved inside the optimizer; the per-stage gaps are not counted.
     """
 
     value: float
@@ -164,28 +167,21 @@ def estimate_rate(
     h0 = math.sqrt(np.finfo(float).eps)
 
     def objective(eta: float):
-        def rows(xs: np.ndarray) -> np.ndarray:
-            """The penalized objective of each row of a stack of controls."""
+        def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+            """The penalized objective at ``x`` and its forward-difference
+            gradient: the base point and its S*K perturbations, one batch."""
             nonlocal n_evals
-            n_evals += len(xs)
-            paths = solve_batch(xs.reshape(-1, S, K))
-            return np.array([
-                0.5 * dt * float(np.dot(x, x)) + gap_to_target(path) ** 2 / (2.0 * eta)
-                for x, path in zip(xs, paths)
-            ])
-
-        def fun(x: np.ndarray) -> float:
-            return float(rows(x[None])[0])
-
-        def jac(x: np.ndarray) -> np.ndarray:
-            # The base point and its S*K forward perturbations, one batch.
             steps = h0 * (1.0 + np.abs(x))
             xs = np.repeat(x[None], n + 1, axis=0)
             xs[np.arange(1, n + 1), np.arange(n)] += steps
-            f = rows(xs)
-            return (f[1:] - f[0]) / steps
+            n_evals += n + 1
+            f = np.array([
+                0.5 * dt * float(np.dot(row, row)) + gap_to_target(path) ** 2 / (2.0 * eta)
+                for row, path in zip(xs, solve_batch(xs.reshape(-1, S, K)))
+            ])
+            return float(f[0]), (f[1:] - f[0]) / steps
 
-        return fun, jac
+        return value_and_grad
 
     if v_init is not None and v_init.values.shape != (S, K):
         raise ValidationError(
@@ -194,12 +190,11 @@ def estimate_rate(
     x = v_init.values.reshape(-1).copy() if v_init is not None else np.zeros(n)
     stages = []
     for eta in problem.eta_ladder:
-        fun, jac = objective(eta)
         res = minimize(
-            fun,
+            objective(eta),
             x,
             method="L-BFGS-B",
-            jac=jac,
+            jac=True,
             options={"maxiter": problem.max_stage_iters},
         )
         x = res.x

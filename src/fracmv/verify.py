@@ -646,14 +646,12 @@ SUITES = {
 def run_suites(cfg: RunConfig, names: list[str] | None = None) -> list[CheckResult]:
     if names is None:
         names = list(SUITES)
-    results = []
     for name in names:
         if name not in SUITES:
             raise ValidationError(
                 f"unknown suite {name!r}; available: {', '.join(SUITES)}"
             )
-        results.extend(SUITES[name](cfg))
-    return results
+    return [result for name in names for result in SUITES[name](cfg)]
 
 
 def format_report(results: list[CheckResult]) -> str:

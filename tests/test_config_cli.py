@@ -268,6 +268,31 @@ def test_unknown_suite_exits_2(tiny_config, tmp_path, capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_unknown_suite_is_caught_before_any_suite_runs(tiny_config, tmp_path, monkeypatch, capsys):
+    from fracmv import verify
+
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "recording", lambda cfg: ran.append(cfg) or [])
+    rc = main(["verify", "--config", str(tiny_config), "--out", str(tmp_path / "v"),
+               "--suite", "recording,nope"])
+    assert rc == 2
+    assert "unknown suite 'nope'" in capsys.readouterr().err
+    assert ran == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "skeleton", "rate", "verify"])
+def test_out_naming_a_file_exits_2(command, tiny_config, tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("not a directory\n")
+    argv = [command, "--config", str(tiny_config), "--out", str(plain)]
+    if command == "rate":
+        argv += ["--target", "deterministic"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "--out" in err and str(plain) in err
+    assert plain.read_text() == "not a directory\n"
+
+
 def test_rate_deterministic_target_floor(tiny_config, tmp_path):
     out = tmp_path / "rate"
     rc = main(["rate", "--config", str(tiny_config), "--out", str(out),

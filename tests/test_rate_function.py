@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from helpers import build_coeffs, build_grid, build_u0
 
@@ -204,7 +205,8 @@ def test_batched_gradient_matches_single_solve_loop(odd_instance, kind, chunk, m
     seen = {}
 
     def probe(fun, x0, method, jac, options):
-        seen["f"], seen["g"] = fun(x), jac(x)
+        assert jac is True
+        seen["f"], seen["g"] = fun(x)
         return SimpleNamespace(x=x0)
 
     monkeypatch.setattr(dynamics, "_CHUNK", chunk)
@@ -213,7 +215,30 @@ def test_batched_gradient_matches_single_solve_loop(odd_instance, kind, chunk, m
     f0, grad = loop_objective_and_gradient(x, eta, target, u0, coeffs, tg, base)
     assert seen["f"] == f0
     assert np.array_equal(seen["g"], grad)
-    assert est.n_evaluations == 1 + (x.size + 1)
+    assert est.n_evaluations == x.size + 1
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "terminal"])
+def test_fused_objective_walks_the_same_path_as_separate_callables(
+    odd_instance, kind, monkeypatch
+):
+    """L-BFGS-B fed the value and the gradient by two callables, the way
+    scipy calls them when ``jac`` is a function, takes the same iterates."""
+    g, coeffs, u0, tg, base, targets = odd_instance
+    problem = RateProblem(targets[kind], eta_ladder=(1e-2, 1e-3), max_stage_iters=8)
+    fused = estimate_rate(problem, u0, coeffs, tg, base=base)
+
+    def separate(vg, x0, method, jac, options):
+        assert jac is True
+        return minimize(
+            lambda x: vg(x)[0], x0, method=method, jac=lambda x: vg(x)[1], options=options
+        )
+
+    monkeypatch.setattr(rate_function, "minimize", separate)
+    split = estimate_rate(problem, u0, coeffs, tg, base=base)
+    assert split.v_star.values.tobytes() == fused.v_star.values.tobytes()
+    assert split.stages == fused.stages
+    assert (split.value, split.gap) == (fused.value, fused.gap)
 
 
 def test_estimate_is_byte_identical_across_chunk_sizes(odd_instance, monkeypatch):
