@@ -44,7 +44,7 @@ from .grid import load_grid_function, tail_masses
 from .measure import save_measure, second_moment
 from .mckean_vlasov import picard_solve
 from .rate_function import control_cost, estimate_rate
-from .verify import SUITES, format_report, run_suites
+from .verify import SUITES, check_suites, format_report, run_suites
 
 __all__ = ["cmd_simulate", "cmd_skeleton", "cmd_rate", "cmd_verify", "main"]
 
@@ -54,11 +54,7 @@ def _manifest(cfg: RunConfig, command: str, extra: dict) -> dict:
         "command": command,
         "seed": cfg.seed,
         "config_hash": cfg.config_hash(),
-        "grid": {
-            "dim": cfg.grid.dim,
-            "half_width": cfg.grid.half_width,
-            "points_per_dim": cfg.grid.points_per_dim,
-        },
+        "grid": cfg.grid.geometry(),
         "time": {"horizon": cfg.tgrid.horizon, "steps": cfg.tgrid.steps},
         "n_modes": cfg.coeffs.sigma.n_modes,
         **extra,
@@ -171,6 +167,7 @@ def _load_run_control(cfg: RunConfig, path: str | Path, what: str) -> Control:
 
 def cmd_skeleton(cfg: RunConfig, out: str | Path, control_path: str | Path | None = None) -> Path:
     """Solve the zero-noise path, plus a controlled run when given one."""
+    v = None if control_path is None else _load_run_control(cfg, control_path, "control file")
     out = _out_dir(out)
     base = solve_deterministic(cfg.u0, cfg.coeffs, cfg.tgrid)
     ext = ".traj" if cfg.output_format == "blob" else ""
@@ -190,8 +187,7 @@ def cmd_skeleton(cfg: RunConfig, out: str | Path, control_path: str | Path | Non
     )
 
     extra: dict = {"control": None}
-    if control_path is not None:
-        v = _load_run_control(cfg, control_path, "control file")
+    if v is not None:
         controlled = solve_controlled(cfg.u0, v, base, cfg.coeffs, cfg.tgrid)
         save_trajectory(controlled, out / f"controlled{ext}", fmt=cfg.output_format)
         _write_csv(
@@ -230,9 +226,9 @@ def _parse_target(spec: str, cfg: RunConfig, base):
 
 def cmd_rate(cfg: RunConfig, out: str | Path, target_spec: str) -> Path:
     """Estimate the minimal control cost to reach a target."""
-    out = _out_dir(out)
     base = solve_deterministic(cfg.u0, cfg.coeffs, cfg.tgrid)
     target, vbar = _parse_target(target_spec, cfg, base)
+    out = _out_dir(out)
     est = estimate_rate(cfg.rate_problem(target), cfg.u0, cfg.coeffs, cfg.tgrid, base=base)
     _write_csv(
         out / "rate_estimate.csv",
@@ -265,8 +261,9 @@ def cmd_rate(cfg: RunConfig, out: str | Path, target_spec: str) -> Path:
 
 def cmd_verify(cfg: RunConfig, out: str | Path, suites: list[str] | None = None) -> int:
     """Run property suites; returns 0 when everything passed, 4 otherwise."""
+    names = check_suites(suites)
     out = _out_dir(out)
-    results = run_suites(cfg, suites)
+    results = run_suites(cfg, names)
     print(format_report(results))
     _write_csv(
         out / "verify_report.csv",
@@ -282,7 +279,7 @@ def cmd_verify(cfg: RunConfig, out: str | Path, suites: list[str] | None = None)
             cfg,
             "verify",
             {
-                "suites": suites or list(SUITES),
+                "suites": names,
                 "passed": sum(1 for r in results if r.passed),
                 "failed": sum(1 for r in results if not r.passed),
             },
@@ -363,6 +360,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         suites = args.suite or _env("SUITE")
         names = [s.strip() for s in suites.split(",") if s.strip()] if suites else None
+        if names == []:
+            raise ValidationError(f"--suite {suites!r} names no suite; available: {', '.join(SUITES)}")
         return cmd_verify(cfg, out, names)
     except ValidationError as exc:
         print(f"error[validation] {type(exc).__name__}: {exc}", file=sys.stderr)

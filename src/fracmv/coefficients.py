@@ -452,6 +452,10 @@ def _random_measure(rng: np.random.Generator, grid: SpatialGrid, n: int) -> Empi
     return EmpiricalMeasure(grid, np.stack([_random_field(rng, grid) for _ in range(n)]))
 
 
+# Worst normalized slack that passes: round-off in a tight but true inequality.
+_SLACK_TOL = 1e-9
+
+
 def verify_conditions(
     coeffs: CoefficientSet,
     grid: SpatialGrid,
@@ -459,7 +463,6 @@ def verify_conditions(
     n_draws: int = 1000,
     seed: int = 0,
     include_strong_dissipativity: bool = False,
-    tol: float = 1e-9,
 ) -> ConditionReport:
     """Randomized audit of every structural inequality of the model.
 
@@ -470,7 +473,7 @@ def verify_conditions(
     scale-free gap ``(rhs - lhs) / (1 + |lhs| + |rhs|)``, so a tight
     but true inequality sits at round-off level regardless of the draw
     amplitude.  A condition passes when its worst observed slack stays
-    above ``-tol``.  Structural facts (positivity of rates, coefficient
+    above ``-_SLACK_TOL``.  Structural facts (positivity of rates, coefficient
     caps) are folded into the condition they underwrite.
     """
     if n_draws < 1:
@@ -593,7 +596,7 @@ def verify_conditions(
     checks = []
     for name in order:
         slack = worst.get(name, np.inf)
-        passed = slack >= -tol and name not in notes
+        passed = slack >= -_SLACK_TOL and name not in notes
         checks.append(
             ConditionCheck(
                 condition=name,

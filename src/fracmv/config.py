@@ -333,9 +333,6 @@ class RunConfig:
     def picard_config(self) -> PicardConfig:
         return self._picard
 
-    def eta_ladder(self) -> tuple[float, ...]:
-        return self._rate.eta_ladder
-
     def rate_problem(self, target) -> RateProblem:
         return replace(self._rate, target=target)
 
@@ -357,13 +354,13 @@ class RunConfig:
             ]
         )
 
-    def problem(self, epsilon: float | None = None) -> MeanFieldProblem:
+    def problem(self) -> MeanFieldProblem:
         return MeanFieldProblem(
             grid=self.grid,
             tgrid=self.tgrid,
             coeffs=self.coeffs,
             u0=self.u0,
-            epsilon=self.epsilon if epsilon is None else epsilon,
+            epsilon=self.epsilon,
             master_seed=self.seed,
             initial_states=self.initial_ensemble(self._picard.n_particles),
         )

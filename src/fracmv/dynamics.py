@@ -319,12 +319,11 @@ def solve_frozen(
     coeffs: CoefficientSet,
     tgrid: TimeGrid,
     eps: float = 0.0,
-    control: Control | None = None,
     noise: NoisePath | None = None,
 ) -> Trajectory:
     """Integrate against a prescribed measure flow (left-node freezing)."""
     eps = _check_epsilon(eps)
-    _validate_run_args(u0, coeffs, tgrid, control, noise, eps)
+    _validate_run_args(u0, coeffs, tgrid, None, noise, eps)
     if mu_flow.grid != u0.grid:
         raise GridMismatchError("measure flow and initial state live on different grids")
     if mu_flow.n_times != tgrid.steps + 1 or not np.array_equal(mu_flow.times, tgrid.nodes):
@@ -332,8 +331,7 @@ def solve_frozen(
     g, h_cap = u0.grid, coeffs.f.h_cap
     stats = np.array([law_statistics(mu, g, h_cap) for mu in mu_flow.states[:-1]])
     vals = _run_steps(
-        g, coeffs, u0.values[None], tgrid, stats, eps,
-        None if control is None else control.values[:, None],
+        g, coeffs, u0.values[None], tgrid, stats, eps, None,
         None if noise is None else noise.increments[:, None],
     )
     return Trajectory(g, tgrid.nodes, vals[:, 0])
@@ -500,15 +498,7 @@ def save_trajectory(traj: Trajectory, path: str | Path, fmt: str = "blob") -> Pa
     """
     path = Path(path)
     if fmt == "blob":
-        header = {
-            "grid": {
-                "dim": traj.grid.dim,
-                "half_width": traj.grid.half_width,
-                "points_per_dim": traj.grid.points_per_dim,
-            },
-            "n_nodes": traj.n_nodes,
-            "dtype": "<f8",
-        }
+        header = {"grid": traj.grid.geometry(), "n_nodes": traj.n_nodes, "dtype": "<f8"}
         with open(path, "wb") as fh:
             fh.write(_TRAJ_MAGIC)
             fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
@@ -547,8 +537,7 @@ def load_trajectory(path: str | Path) -> Trajectory:
             raise ValidationError(f"{path}: not a trajectory blob")
         try:
             header = json.loads(fh.readline().decode())
-            ginfo = header["grid"]
-            grid = SpatialGrid(int(ginfo["dim"]), float(ginfo["half_width"]), int(ginfo["points_per_dim"]))
+            grid = SpatialGrid.from_geometry(header["grid"])
             n = int(header["n_nodes"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"{path}: malformed trajectory header ({exc})") from exc

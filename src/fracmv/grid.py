@@ -95,6 +95,15 @@ class SpatialGrid:
 
     # -- geometry ------------------------------------------------------
 
+    def geometry(self) -> dict:
+        """The fields that define the grid, as every output file records them."""
+        return {"dim": self.dim, "half_width": self.half_width, "points_per_dim": self.points_per_dim}
+
+    @classmethod
+    def from_geometry(cls, meta: dict) -> "SpatialGrid":
+        """Inverse of :meth:`geometry`, for a mapping read back from JSON."""
+        return cls(int(meta["dim"]), float(meta["half_width"]), int(meta["points_per_dim"]))
+
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_dim,) * self.dim
@@ -177,18 +186,6 @@ class SpatialGrid:
         spec = np.fft.rfftn(values, axes=axes)
         spec *= mult
         return np.fft.irfftn(spec, s=self.shape, axes=axes)
-
-    def __eq__(self, other):
-        if not isinstance(other, SpatialGrid):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.half_width == other.half_width
-            and self.points_per_dim == other.points_per_dim
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.half_width, self.points_per_dim))
 
 
 @dataclass(frozen=True)
@@ -370,8 +367,7 @@ def save_grid_function(u: GridFunction, path: str | Path) -> Path:
     header = ",".join([f"x{i + 1}" for i in range(g.dim)] + ["value"])
     data = np.column_stack(cols)
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
-    meta = {"dim": g.dim, "half_width": g.half_width, "points_per_dim": g.points_per_dim}
-    _meta_path(path).write_text(json.dumps(meta, sort_keys=True) + "\n")
+    _meta_path(path).write_text(json.dumps(g.geometry(), sort_keys=True) + "\n")
     return path
 
 
@@ -382,8 +378,7 @@ def load_grid_function(path: str | Path) -> GridFunction:
     if not meta_path.is_file():
         raise ValidationError(f"{path}: geometry sidecar {meta_path} not found")
     try:
-        meta = json.loads(meta_path.read_text())
-        grid = SpatialGrid(int(meta["dim"]), float(meta["half_width"]), int(meta["points_per_dim"]))
+        grid = SpatialGrid.from_geometry(json.loads(meta_path.read_text()))
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ValidationError too
         raise ValidationError(
             f"{path}: malformed geometry sidecar {meta_path}: {type(exc).__name__} {exc}"

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _LAMBDA_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+_TARGET_RATIO = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,34 +192,16 @@ def auto_lambda(
     problem: MeanFieldProblem,
     probe_flows: list[MeasureFlow],
     images: list[MeasureFlow | None] | None = None,
-    lambda_grid: tuple[float, ...] = _LAMBDA_GRID,
-    target_ratio: float = 0.5,
 ) -> tuple[float, tuple[tuple[float, float], ...]]:
     """Pick the metric weight empirically from probe contraction ratios.
 
-    For each candidate weight the worst ratio
+    For each candidate weight in ``_LAMBDA_GRID`` the worst ratio
     ``d(phi(a), phi(b); lam) / d(a, b; lam)`` over probe pairs is
-    measured; the smallest weight pushing it to ``target_ratio`` or
+    measured; the smallest weight pushing it to ``_TARGET_RATIO`` or
     below is returned doubled, as a safety margin, together with the
     full ``(lam, worst ratio)`` curve.  Each probe pair and each image
     pair is one :class:`FlowPairW2`, whose node solves serve every
     candidate weight.
-    """
-    lam, curve, _ = _calibrate(problem, probe_flows, images, lambda_grid, target_ratio)
-    return lam, curve
-
-
-def _calibrate(
-    problem: MeanFieldProblem,
-    probe_flows: list[MeasureFlow],
-    images: list[MeasureFlow | None] | None,
-    lambda_grid: tuple[float, ...] = _LAMBDA_GRID,
-    target_ratio: float = 0.5,
-) -> tuple[float, tuple[tuple[float, float], ...], dict]:
-    """:func:`auto_lambda`, also returning the flow pairs it measured.
-
-    ``pairs[a, b]`` is ``(FlowPairW2(probe a, probe b), FlowPairW2(image
-    a, image b))`` for each probe pair ``a < b``.
     """
     if len(probe_flows) < 2:
         raise ValidationError("auto_lambda needs at least two probe flows")
@@ -230,17 +213,17 @@ def _calibrate(
         img if img is not None else apply_phi(problem, probe)
         for probe, img in zip(probe_flows, images)
     ]
-    pairs = {
-        (a, b): (FlowPairW2(probe_flows[a], probe_flows[b]), FlowPairW2(images[a], images[b]))
+    pairs = [
+        (FlowPairW2(probe_flows[a], probe_flows[b]), FlowPairW2(images[a], images[b]))
         for a, b in combinations(range(len(probe_flows)), 2)
-    }
+    ]
     tiny = 1e3 * np.finfo(float).eps * (1.0 + l2_norm(problem.u0))
     curve = []
     chosen = None
-    for lam in lambda_grid:
+    for lam in _LAMBDA_GRID:
         worst = 0.0
         resolved = False
-        for probe_pair, image_pair in pairs.values():
+        for probe_pair, image_pair in pairs:
             denom = probe_pair.sup(lam)
             if denom <= tiny:
                 continue
@@ -249,14 +232,14 @@ def _calibrate(
         if not resolved:
             raise ValidationError("probe flows are indistinguishable; cannot calibrate")
         curve.append((float(lam), float(worst)))
-        if chosen is None and worst <= target_ratio:
+        if chosen is None and worst <= _TARGET_RATIO:
             chosen = float(lam)
     if chosen is None:
         raise FixedPointDivergenceError(
             "no metric weight on the grid reaches the target contraction ratio; "
             "measured curve: " + ", ".join(f"(lam={l:g}, r={r:.3g})" for l, r in curve)
         )
-    return 2.0 * chosen, tuple(curve), pairs
+    return 2.0 * chosen, tuple(curve)
 
 
 def _auto_start(
@@ -267,17 +250,15 @@ def _auto_start(
     Returns the weight, the ``(lam, worst ratio)`` curve, the first two
     iterate distances and the second iterate.  The probe pair (flow0,
     image0) and its image pair (image0, image1) are the first two
-    iterate steps, so their distances are read from the calibration;
-    every other probe flow is released on return.
+    iterate steps; every other probe flow is released on return.
     """
     image0 = apply_phi(problem, flow0)
     image1 = apply_phi(problem, image0)
     scaled = MeasureFlow(flow0.grid, flow0.times, 1.25 * flow0.states)
     image_s = apply_phi(problem, scaled)
-    lam, auto_curve, pairs = _calibrate(
-        problem, [flow0, image0, scaled], [image0, image1, image_s]
-    )
-    return lam, auto_curve, [pair.sup(lam) for pair in pairs[0, 1]], image1
+    lam, auto_curve = auto_lambda(problem, [flow0, image0, scaled], [image0, image1, image_s])
+    distances = [flow_distance(flow0, image0, lam), flow_distance(image0, image1, lam)]
+    return lam, auto_curve, distances, image1
 
 
 def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) -> PicardResult:

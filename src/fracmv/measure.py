@@ -272,11 +272,7 @@ def save_measure(mu: EmpiricalMeasure, directory: str | Path) -> Path:
         save_grid_function(mu.particle(i), directory / f"particle_{i:0{width}d}.csv")
     manifest = {
         "n_particles": mu.n_particles,
-        "grid": {
-            "dim": mu.grid.dim,
-            "half_width": mu.grid.half_width,
-            "points_per_dim": mu.grid.points_per_dim,
-        },
+        "grid": mu.grid.geometry(),
         "particle_files": [f"particle_{i:0{width}d}.csv" for i in range(mu.n_particles)],
     }
     (directory / "measure_manifest.json").write_text(

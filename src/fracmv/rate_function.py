@@ -39,7 +39,7 @@ from .dynamics import (
     sup_distance,
 )
 from .errors import GridMismatchError, ValidationError
-from .grid import GridFunction, SpatialGrid, l2_norm, lp_norms, sq_norms
+from .grid import GridFunction, SpatialGrid, l2_norm, sq_norms
 
 __all__ = [
     "RateProblem",
@@ -123,7 +123,6 @@ def estimate_rate(
     coeffs: CoefficientSet,
     tgrid: TimeGrid,
     base: Trajectory | None = None,
-    v_init: Control | None = None,
 ) -> RateEstimate:
     """Minimize the penalized steering objective over controls.
 
@@ -183,11 +182,7 @@ def estimate_rate(
 
         return value_and_grad
 
-    if v_init is not None and v_init.values.shape != (S, K):
-        raise ValidationError(
-            f"v_init must have shape ({S}, {K}), got {v_init.values.shape}"
-        )
-    x = v_init.values.reshape(-1).copy() if v_init is not None else np.zeros(n)
+    x = np.zeros(n)
     stages = []
     for eta in problem.eta_ladder:
         res = minimize(
@@ -232,11 +227,9 @@ class WeakConvergenceTable:
     control norm ``||v_i||``, and ``||v_i - v||``.  The offset norms
     stay bounded away from zero while the solution distances shrink:
     the convergence is driven by oscillation, not by control smallness.
-    ``lp_diag`` (optional) carries integrated p-norm distances.
     """
 
     rows: tuple[tuple[int, float, float, float, float], ...]
-    lp_diag: tuple[float, ...] | None = None
 
 
 def weak_convergence_experiment(
@@ -248,7 +241,6 @@ def weak_convergence_experiment(
     coeffs: CoefficientSet,
     tgrid: TimeGrid,
     base: Trajectory | None = None,
-    include_lp: bool = False,
 ) -> WeakConvergenceTable:
     """Drive the dynamics with ``v + A sin(i t) e_k`` for increasing ``i``.
 
@@ -268,7 +260,7 @@ def weak_convergence_experiment(
     if base is None:
         base = solve_deterministic(u0, coeffs, tgrid)
     t_left = tgrid.nodes[:-1]
-    alpha, c_v, p = coeffs.alpha, coeffs.c_v, coeffs.f.p
+    alpha, c_v = coeffs.alpha, coeffs.c_v
 
     # The reference control and every perturbation, solved as one batch.
     controls = np.repeat(v.values[None], len(i_list) + 1, axis=0)
@@ -278,7 +270,6 @@ def weak_convergence_experiment(
     u_ref = Trajectory(u0.grid, tgrid.nodes, next(paths))
 
     rows = []
-    lp_rows = []
     for i, vals, path in zip(i_list, controls[1:], paths):
         ui = Trajectory(u0.grid, tgrid.nodes, path)
         rows.append((
@@ -288,12 +279,7 @@ def weak_convergence_experiment(
             math.sqrt(Control(vals, v.dt).l2_norm_sq()),
             math.sqrt(Control(vals - v.values, v.dt).l2_norm_sq()),
         ))
-        if include_lp:
-            lp_s = lp_norms(path[:-1] - u_ref.values[:-1], u0.grid, p) ** p
-            lp_rows.append(float((v.dt * np.sum(lp_s)) ** (1.0 / p)))
-    return WeakConvergenceTable(
-        rows=tuple(rows), lp_diag=tuple(lp_rows) if include_lp else None
-    )
+    return WeakConvergenceTable(rows=tuple(rows))
 
 
 # -- level-set probing -----------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fracmv.cli import main
+from fracmv.cli import cmd_verify, main
 from fracmv.config import RunConfig, canonical_dict, load_config
 from fracmv.dynamics import load_trajectory
 from fracmv.errors import ValidationError
@@ -48,7 +48,7 @@ def test_defaults_build_canonical_instance(canonical_cfg):
     assert canonical_cfg.coeffs.sigma.n_modes == 4
     assert canonical_cfg.epsilon == pytest.approx(0.01)
     assert canonical_cfg.picard_config().n_particles == 64
-    assert canonical_cfg.eta_ladder() == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    assert canonical_cfg.rate_problem(None).eta_ladder == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 @pytest.mark.parametrize(
@@ -291,6 +291,46 @@ def test_out_naming_a_file_exits_2(command, tiny_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error[validation]" in err and "--out" in err and str(plain) in err
     assert plain.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_empty_suite_list_exits_2(source, tiny_config, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "v"
+    argv = ["verify", "--config", str(tiny_config), "--out", str(out)]
+    if source == "flag":
+        argv += ["--suite", ","]
+    else:
+        monkeypatch.setenv("FRACMV_SUITE", ",")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "--suite" in err
+    assert not out.exists()
+
+
+def test_verify_manifest_lists_the_suites_that_ran(tiny_config, tmp_path):
+    out = tmp_path / "v"
+    rc = main(["verify", "--config", str(tiny_config), "--out", str(out),
+               "--suite", "spectral,wasserstein"])
+    assert rc == 0
+    assert json.loads((out / "manifest.json").read_text())["suites"] == ["spectral", "wasserstein"]
+    assert cmd_verify(load_config(tiny_config), tmp_path / "none", []) == 0
+    manifest = json.loads((tmp_path / "none" / "manifest.json").read_text())
+    assert (manifest["suites"], manifest["passed"]) == ([], 0)
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("skeleton", ["--control", "no/such/control.csv"]),
+        ("rate", ["--target", "bogus"]),
+        ("verify", ["--suite", "bogus"]),
+    ],
+)
+def test_rejected_input_creates_no_out_directory(command, flags, tiny_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main([command, "--config", str(tiny_config), "--out", str(out), *flags]) == 2
+    assert "error[validation]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rate_deterministic_target_floor(tiny_config, tmp_path):

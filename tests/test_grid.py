@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from helpers import build_grid, build_u0, random_field
 
+from fracmv.coefficients import PsiField
 from fracmv.errors import GridMismatchError, InvalidFieldError, ValidationError
 from fracmv.grid import (
     GridFunction,
@@ -197,3 +200,29 @@ def test_grid_and_order_validation(rng):
     other = build_grid(points=16)
     with pytest.raises(GridMismatchError):
         l2_inner(random_field(g, rng), random_field(other, rng))
+
+
+# -- grid identity -------------------------------------------------------
+
+
+def test_warm_cache_does_not_change_equality_or_hash():
+    warm = SpatialGrid(dim=1, half_width=4.0, points_per_dim=32)
+    warm.symbol_sq(), warm.radius(), warm.resolvent_multiplier(0.6, 0.01)
+    fresh = SpatialGrid(dim=1, half_width=4.0, points_per_dim=32)
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert SpatialGrid(dim=1, half_width=5.0, points_per_dim=32) != fresh
+
+
+@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16)])
+def test_geometry_round_trips_through_json(dim, points):
+    g = SpatialGrid(dim=dim, half_width=3.0, points_per_dim=points)
+    meta = json.loads(json.dumps(g.geometry(), sort_keys=True))
+    assert meta == {"dim": dim, "half_width": 3.0, "points_per_dim": points}
+    assert SpatialGrid.from_geometry(meta) == g
+
+
+def test_psi_field_cache_serves_an_equal_fresh_grid():
+    psi = PsiField("gaussian", 0.5, 1.0)
+    first = psi.spatial(SpatialGrid(dim=1, half_width=4.0, points_per_dim=32))
+    assert psi.spatial(SpatialGrid(dim=1, half_width=4.0, points_per_dim=32)) is first
+    assert psi.spatial(SpatialGrid(dim=1, half_width=5.0, points_per_dim=32)) is not first

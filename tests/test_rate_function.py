@@ -276,11 +276,6 @@ def test_oscillatory_perturbations_fade(instance):
     exact_offset = A * math.sqrt(T / 2.0)
     for row in table.rows:
         assert row[4] == pytest.approx(exact_offset, rel=1e-12)
-    assert table.lp_diag is None
-
-    with_lp = weak_convergence_experiment(v, 0, A, [1, 2], u0, coeffs, tg, include_lp=True)
-    assert with_lp.lp_diag is not None and len(with_lp.lp_diag) == 2
-    assert all(x >= 0.0 for x in with_lp.lp_diag)
 
 
 def test_zero_amplitude_gives_identical_paths(instance):
