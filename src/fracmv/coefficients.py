@@ -339,12 +339,18 @@ class NoiseSigma:
 
         ``u`` is a batch ``(N, *grid.shape)`` and ``theta`` has shape
         ``(N, K)``; path ``n`` gets ``sum_k theta[n, k] * field_k(u[n])``.
-        The contraction is one matrix product per path, which sums the
-        modes in the same order as a per-path dot product.
+        The fields are affine in ``u``: the state-free stack ``profile(t)
+        shape_k + kappa beta_k root_m2`` is contracted with ``theta[n]`` and
+        ``kappa u[n]`` is scaled by ``theta[n] . gamma``, one matrix product
+        per path each, so a row equals its one-path call bit for bit and no
+        ``(N, K, *grid.shape)`` stack is built.
         """
-        n, k = theta.shape
-        stack = self.fields(t, u, root_m2).reshape(n, k, -1)
-        return np.matmul(theta[:, None, :], stack).reshape(u.shape)
+        col = (-1,) + (1,) * self.grid.dim
+        kappa = self.kappa.values
+        free = self.profile(t) * self.shape_stack() + kappa * (self.beta.reshape(col) * root_m2)
+        out = np.matmul(theta[:, None, :], free.reshape(1, self.n_modes, -1)).reshape(u.shape)
+        slope = np.matmul(theta[:, None, :], self.gamma[:, None]).reshape(col)
+        return out + kappa * (slope * u)
 
 
 def hs_bound_constant(sig: NoiseSigma, horizon: float) -> float:

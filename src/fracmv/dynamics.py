@@ -3,13 +3,14 @@
 One semi-implicit step from node ``s`` reads::
 
     u~      = u_s + dt * (g_s - f_s / (1 + dt |f_s|))
-              + dt * sigma_s(v_s) + sqrt(eps) * sigma_s(dW_s)
+              + sigma_s(dt * v_s + sqrt(eps) * dW_s)
     u_{s+1} = (I + dt (-lap)^alpha)^(-1) u~
 
 with every coefficient evaluated at the left node (the measure argument
-is frozen there as well).  The polynomial drift is tamed pointwise, the
-fractional diffusion is treated by the exact spectral resolvent, and a
-non-finite state aborts the run with the offending step attached.
+is frozen there as well); ``sigma_s`` is linear, so control and noise
+share one application of it.  The polynomial drift is tamed pointwise,
+the fractional diffusion is treated by the exact spectral resolvent, and
+a non-finite state aborts the run with the offending step attached.
 
 The law enters only through three scalars per node, so all solvers
 share one batched kernel that advances ``N`` paths against one such
@@ -239,10 +240,11 @@ def _step_values(
         f_vals = coeffs.f.values(t, grid, vals, hbar_f)
         tamed = f_vals / (1.0 + dt * np.abs(f_vals))
         tilde = vals + dt * (coeffs.g.values(t, grid, vals, hbar1) - tamed)
-        if v_s is not None:
-            tilde = tilde + dt * sig.drive(t, vals, root_m2, v_s)
+        parts = [] if v_s is None else [dt * v_s]
         if dw_s is not None and eps > 0.0:
-            tilde = tilde + math.sqrt(eps) * sig.drive(t, vals, root_m2, dw_s)
+            parts.append(math.sqrt(eps) * dw_s)
+        if parts:
+            tilde = tilde + sig.drive(t, vals, root_m2, np.sum(parts, axis=0))
         return grid.apply_multiplier(tilde, res_mult)
 
 

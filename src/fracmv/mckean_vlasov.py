@@ -192,16 +192,16 @@ def auto_lambda(
     problem: MeanFieldProblem,
     probe_flows: list[MeasureFlow],
     images: list[MeasureFlow | None] | None = None,
-) -> tuple[float, tuple[tuple[float, float], ...]]:
+) -> tuple[float, tuple[tuple[float, float], ...], list[tuple[FlowPairW2, FlowPairW2]]]:
     """Pick the metric weight empirically from probe contraction ratios.
 
     For each candidate weight in ``_LAMBDA_GRID`` the worst ratio
     ``d(phi(a), phi(b); lam) / d(a, b; lam)`` over probe pairs is
     measured; the smallest weight pushing it to ``_TARGET_RATIO`` or
     below is returned doubled, as a safety margin, together with the
-    full ``(lam, worst ratio)`` curve.  Each probe pair and each image
-    pair is one :class:`FlowPairW2`, whose node solves serve every
-    candidate weight.
+    full ``(lam, worst ratio)`` curve and the ``(probe pair, image pair)``
+    :class:`FlowPairW2` objects, whose node solves serve every candidate
+    weight and any later ``sup``.
     """
     if len(probe_flows) < 2:
         raise ValidationError("auto_lambda needs at least two probe flows")
@@ -239,7 +239,7 @@ def auto_lambda(
             "no metric weight on the grid reaches the target contraction ratio; "
             "measured curve: " + ", ".join(f"(lam={l:g}, r={r:.3g})" for l, r in curve)
         )
-    return 2.0 * chosen, tuple(curve)
+    return 2.0 * chosen, tuple(curve), pairs
 
 
 def _auto_start(
@@ -256,9 +256,8 @@ def _auto_start(
     image1 = apply_phi(problem, image0)
     scaled = MeasureFlow(flow0.grid, flow0.times, 1.25 * flow0.states)
     image_s = apply_phi(problem, scaled)
-    lam, auto_curve = auto_lambda(problem, [flow0, image0, scaled], [image0, image1, image_s])
-    distances = [flow_distance(flow0, image0, lam), flow_distance(image0, image1, lam)]
-    return lam, auto_curve, distances, image1
+    lam, curve, pairs = auto_lambda(problem, [flow0, image0, scaled], [image0, image1, image_s])
+    return lam, curve, [pair.sup(lam) for pair in pairs[0]], image1
 
 
 def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) -> PicardResult:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,29 @@ def test_apply_sigma_matches_mode_sum_and_is_linear(rng):
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
     with pytest.raises(ValueError):
         apply_sigma(np.zeros(5))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_modes", [1, 4])
+@pytest.mark.parametrize("n", [1, 7])
+def test_drive_matches_the_mode_stack_contraction(dim, n_modes, n, rng):
+    """``drive`` equals the slow path it replaces, the ``(N, K, *grid)``
+    stack of mode fields contracted over the modes, and each row equals
+    its own one-path call bit for bit."""
+    g = build_grid(dim=dim, points=16)
+    sig = dataclasses.replace(
+        build_coeffs(g, n_modes=n_modes).sigma, profile=TimeProfile(1.0, 0.5, 3.0, 0.2)
+    )
+    u = rng.standard_normal((n,) + g.shape)
+    theta = rng.standard_normal((n, n_modes))
+    t, root_m2 = 0.3, 0.8
+    stack = sig.fields(t, u, root_m2).reshape(n, n_modes, -1)
+    slow = np.einsum("nk,nkj->nj", theta, stack).reshape(u.shape)
+    fast = sig.drive(t, u, root_m2, theta)
+    assert fast.shape == u.shape
+    np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=1e-15)
+    for i in range(n):
+        assert sig.drive(t, u[i : i + 1], root_m2, theta[i : i + 1]).tobytes() == fast[i].tobytes()
 
 
 def test_hs_norm_and_growth_bound(rng):

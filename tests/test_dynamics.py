@@ -3,7 +3,15 @@ import pytest
 
 from helpers import build_coeffs, build_grid, build_tgrid, build_u0
 
-from fracmv.coefficients import CoefficientSet, DriftF, DriftG, NoiseSigma, PsiField, TimeProfile
+from fracmv.coefficients import (
+    CoefficientSet,
+    DriftF,
+    DriftG,
+    NoiseSigma,
+    PsiField,
+    TimeProfile,
+    law_statistics,
+)
 from fracmv.dynamics import (
     Control,
     NoisePath,
@@ -29,6 +37,7 @@ from fracmv.grid import (
     l2_norm,
 )
 from fracmv.measure import EmpiricalMeasure, MeasureFlow
+from fracmv.mckean_vlasov import MeanFieldProblem, apply_phi
 
 
 def diffusion_only_coeffs(grid, n_modes=2, alpha=0.6):
@@ -231,6 +240,61 @@ def test_controlled_batch_blow_up_names_the_row(small_grid, small_coeffs, small_
     with pytest.raises(BlowUpError) as exc_info:
         solve_controlled(u0, Control(controls[3], small_tgrid.dt), base, small_coeffs, small_tgrid)
     assert exc_info.value.particle is None
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_run_steps_rows_with_control_and_noise_match_one_row_runs(dim, rng):
+    """A batch driven by both a control and noise: each row equals its
+    own one-row run bit for bit, so the batch size never shows."""
+    from fracmv import dynamics
+
+    grid = build_grid(dim=dim, points=16)
+    coeffs = build_coeffs(grid, n_modes=3)
+    tg = build_tgrid(steps=12)
+    n, K = 6, coeffs.sigma.n_modes
+    u0 = build_u0(grid)
+    starts = u0.values[None] * (1.0 + 0.2 * rng.standard_normal((n,) + (1,) * dim))
+    base = solve_deterministic(u0, coeffs, tg)
+    stats = law_statistics(base.values[:-1, None], grid, coeffs.f.h_cap)
+    control = 0.5 * rng.standard_normal((tg.steps, n, K))
+    noise = np.sqrt(tg.dt) * rng.standard_normal((tg.steps, n, K))
+    out = dynamics._run_steps(grid, coeffs, starts, tg, stats, 0.05, control, noise)
+    for i in range(n):
+        one = dynamics._run_steps(grid, coeffs, starts[i : i + 1], tg, stats, 0.05,
+                                  control[:, i : i + 1], noise[:, i : i + 1])
+        assert out[:, i].tobytes() == one[:, 0].tobytes()
+
+
+def test_controlled_stack_longer_than_a_chunk_matches_single_solves(small_grid, small_coeffs,
+                                                                   rng):
+    """A stack of more than ``_CHUNK`` controls runs in several chunks;
+    every row equals its own ``solve_controlled`` bit for bit."""
+    from fracmv import dynamics
+
+    tg = build_tgrid(steps=8)
+    u0 = build_u0(small_grid)
+    base = solve_deterministic(u0, small_coeffs, tg)
+    controls = rng.standard_normal((dynamics._CHUNK + 3, tg.steps, small_coeffs.sigma.n_modes))
+    solve = dynamics._controlled_solver(u0, base, small_coeffs, tg)
+    for v, path in zip(controls, solve(controls), strict=True):
+        ref = solve_controlled(u0, Control(v, tg.dt), base, small_coeffs, tg)
+        assert path.tobytes() == ref.values.tobytes()
+
+
+def test_no_step_path_builds_the_mode_stack(small_grid, small_coeffs, small_tgrid, monkeypatch):
+    """The stepper and the energy balance apply the noise operator
+    without the ``(N, K, *grid)`` stack of mode fields."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("NoiseSigma.fields called on a step path")
+
+    monkeypatch.setattr(NoiseSigma, "fields", refuse)
+    u0 = build_u0(small_grid)
+    problem = MeanFieldProblem(small_grid, small_tgrid, small_coeffs, u0, 0.05, 3)
+    apply_phi(problem, constant_flow(u0, 4, small_tgrid.nodes))
+    base = solve_deterministic(u0, small_coeffs, small_tgrid)
+    v = Control(0.3 * np.ones((small_tgrid.steps, small_coeffs.sigma.n_modes)), small_tgrid.dt)
+    path = solve_controlled(u0, v, base, small_coeffs, small_tgrid)
+    assert np.all(np.isfinite(energy_residual(path, small_coeffs, v, base)))
 
 
 # -- persistence ---------------------------------------------------------

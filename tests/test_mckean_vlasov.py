@@ -228,7 +228,7 @@ def test_auto_lambda_matches_the_per_weight_distance_loop(small_grid, small_coef
     assert flow_distance(mu, late, _LAMBDA_GRID[0]) > tiny
     assert flow_distance(mu, late, _LAMBDA_GRID[-1]) <= tiny
     images = [apply_phi(p, f) for f in probes]
-    lam, curve = auto_lambda(p, probes, images=images)
+    lam, curve, _ = auto_lambda(p, probes, images=images)
     oracle_lam, oracle_curve = per_weight_auto_lambda(p, probes, images)
     assert float(lam).hex() == float(oracle_lam).hex()
     assert [tuple(x.hex() for x in row) for row in curve] == [
