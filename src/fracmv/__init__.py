@@ -43,8 +43,6 @@ from .grid import (
     GridFunction,
     SpatialGrid,
     apply_fractional_laplacian,
-    apply_semigroup_resolvent,
-    l2_inner,
     l2_norm,
     sq_seminorms,
     sq_v_norms,
@@ -55,7 +53,6 @@ from .measure import (
     MeasureFlow,
     flow_distance,
     wasserstein2,
-    wasserstein2_to_dirac0,
 )
 from .mckean_vlasov import (
     MeanFieldProblem,
@@ -73,7 +70,6 @@ from .rate_function import (
     RateProblem,
     control_cost,
     estimate_rate,
-    level_set_probe,
     weak_convergence_experiment,
 )
 from .verify import SUITES, CheckResult, run_suites

@@ -35,7 +35,6 @@ __all__ = [
     "NoiseSigma",
     "CoefficientSet",
     "law_statistics",
-    "capped_mean_norm",
     "hs_bound_constant",
     "sigma_lipschitz_constant",
     "ConditionCheck",
@@ -108,8 +107,9 @@ class TimeProfile:
             raise ValidationError(f"horizon must be >= 0, got {horizon!r}")
         candidates = [0.0, T]
         if self.amp != 0.0 and self.freq != 0.0:
-            k_lo = math.floor((self.freq * 0.0 + self.phase - math.pi / 2) / math.pi) - 1
-            k_hi = math.ceil((self.freq * T + self.phase - math.pi / 2) / math.pi) + 1
+            a_lo, a_hi = sorted((self.phase, self.freq * T + self.phase))
+            k_lo = math.floor((a_lo - math.pi / 2) / math.pi) - 1
+            k_hi = math.ceil((a_hi - math.pi / 2) / math.pi) + 1
             for k in range(k_lo, k_hi + 1):
                 t_crit = (math.pi / 2 + k * math.pi - self.phase) / self.freq
                 if 0.0 <= t_crit <= T:
@@ -138,17 +138,6 @@ def law_statistics(states: np.ndarray, grid: SpatialGrid, h_cap: float) -> np.nd
         ],
         axis=-1,
     )
-
-
-def capped_mean_norm(mu: EmpiricalMeasure, cap: float) -> float:
-    """Mean of ``min(||atom||, cap)`` over the ensemble.
-
-    Bounded by ``cap`` and by the root second moment, and 1-Lipschitz
-    with respect to Wasserstein-2.
-    """
-    if not (float(cap) > 0.0):
-        raise ValidationError(f"cap must be positive, got {cap!r}")
-    return float(law_statistics(mu.states, mu.grid, cap)[0])
 
 
 # -- drift f -----------------------------------------------------------
@@ -422,22 +411,6 @@ class ConditionReport:
 
     def failed(self) -> list[ConditionCheck]:
         return [c for c in self.checks if not c.passed]
-
-    def by_name(self, condition: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.condition == condition:
-                return c
-        raise KeyError(condition)
-
-    def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "ok" if c.passed else "VIOLATED"
-            lines.append(
-                f"{c.condition:<24s} {status:<9s} worst slack {c.worst_slack: .3e}"
-                + (f"  ({c.detail})" if c.detail else "")
-            )
-        return "\n".join(lines)
 
 
 def _random_field(rng: np.random.Generator, grid: SpatialGrid) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -385,6 +386,17 @@ class RunConfig:
         return RunConfig(raw)
 
 
+class _Loader(yaml.SafeLoader):
+    """``SafeLoader`` that also reads YAML 1.2 floats such as ``1e-6``."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path: str | Path | None) -> RunConfig:
     """Read a YAML config; ``None`` gives the canonical experiment."""
     if path is None:
@@ -394,7 +406,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise ValidationError(f"config: file not found: {p}")
     with open(p) as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ValidationError(f"config: {p} is not valid YAML: {exc}") from exc
     if doc is None:

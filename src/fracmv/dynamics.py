@@ -205,9 +205,6 @@ class Trajectory:
     def state(self, s: int) -> GridFunction:
         return GridFunction(self.grid, self.values[s])
 
-    def terminal(self) -> GridFunction:
-        return GridFunction(self.grid, self.values[-1])
-
 
 def _check_epsilon(eps: float) -> float:
     e = float(eps)

@@ -23,21 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidFieldError, ValidationError
+from .errors import InvalidFieldError, ValidationError
 
 __all__ = [
     "SpatialGrid",
     "GridFunction",
     "check_fractional_order",
     "apply_fractional_laplacian",
-    "apply_semigroup_resolvent",
     "sq_norms",
     "sq_seminorms",
     "sq_v_norms",
-    "lp_norms",
     "tail_masses",
     "l2_norm",
-    "l2_inner",
     "save_grid_function",
     "load_grid_function",
 ]
@@ -208,14 +205,6 @@ class GridFunction:
             raise InvalidFieldError("grid function contains non-finite values")
         object.__setattr__(self, "values", vals)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
-
-def _ensure_same_grid(a: GridFunction, b: GridFunction) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError("grid functions live on different grids")
-
 
 def apply_fractional_laplacian(u: GridFunction, alpha: float) -> GridFunction:
     """Apply ``(-lap)^alpha`` spectrally.
@@ -227,26 +216,6 @@ def apply_fractional_laplacian(u: GridFunction, alpha: float) -> GridFunction:
     a = check_fractional_order(alpha, allow_one=True)
     out = u.grid.apply_multiplier(u.values, u.grid.fractional_symbol(a))
     return GridFunction(u.grid, out)
-
-
-def apply_semigroup_resolvent(u: GridFunction, alpha: float, tau: float) -> GridFunction:
-    """Apply ``(I + tau (-lap)^alpha)^(-1)``, the implicit Euler solve.
-
-    ``tau`` must be strictly positive.  Composing with ``I + tau A``
-    returns the input up to round-off, and the resolvent is a spectral
-    contraction: every Fourier coefficient shrinks in magnitude.
-    """
-    a = check_fractional_order(alpha, allow_one=True)
-    if not (float(tau) > 0.0):
-        raise ValidationError(f"resolvent time step tau must be positive, got {tau!r}")
-    out = u.grid.apply_multiplier(u.values, u.grid.resolvent_multiplier(a, float(tau)))
-    return GridFunction(u.grid, out)
-
-
-def l2_inner(u: GridFunction, w: GridFunction) -> float:
-    """Discrete L2 inner product of two fields on the same grid."""
-    _ensure_same_grid(u, w)
-    return float(u.grid.cell_volume * np.sum(u.values * w.values))
 
 
 def _rows(values: np.ndarray, grid: SpatialGrid) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -312,15 +281,6 @@ def sq_v_norms(values: np.ndarray, grid: SpatialGrid, alpha: float, c_v: float =
     if not (float(c_v) > 0.0):
         raise ValidationError(f"c_v must be positive, got {c_v!r}")
     return sq_norms(values, grid) + float(c_v) * sq_seminorms(values, grid, alpha)
-
-
-def lp_norms(values: np.ndarray, grid: SpatialGrid, p: float) -> np.ndarray:
-    """Discrete Lp norms ``(cell_volume * sum(|values|^p))^(1/p)``, ``p >= 1``."""
-    if not (float(p) >= 1.0):
-        raise ValidationError(f"Lp exponent must satisfy p >= 1, got {p!r}")
-    p = float(p)
-    rows, lead = _rows(values, grid)
-    return ((grid.cell_volume * np.sum(np.abs(rows) ** p, axis=1)) ** (1.0 / p)).reshape(lead)
 
 
 def tail_masses(values: np.ndarray, grid: SpatialGrid, m: float) -> np.ndarray:

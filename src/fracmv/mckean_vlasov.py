@@ -191,28 +191,22 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
 def auto_lambda(
     problem: MeanFieldProblem,
     probe_flows: list[MeasureFlow],
-    images: list[MeasureFlow | None] | None = None,
+    images: list[MeasureFlow],
 ) -> tuple[float, tuple[tuple[float, float], ...], list[tuple[FlowPairW2, FlowPairW2]]]:
     """Pick the metric weight empirically from probe contraction ratios.
 
-    For each candidate weight in ``_LAMBDA_GRID`` the worst ratio
-    ``d(phi(a), phi(b); lam) / d(a, b; lam)`` over probe pairs is
-    measured; the smallest weight pushing it to ``_TARGET_RATIO`` or
-    below is returned doubled, as a safety margin, together with the
-    full ``(lam, worst ratio)`` curve and the ``(probe pair, image pair)``
-    :class:`FlowPairW2` objects, whose node solves serve every candidate
-    weight and any later ``sup``.
+    ``images[i]`` is ``phi(probe_flows[i])``.  For each candidate weight
+    in ``_LAMBDA_GRID`` the worst ratio ``d(phi(a), phi(b); lam) /
+    d(a, b; lam)`` over probe pairs is measured; the smallest weight
+    pushing it to ``_TARGET_RATIO`` or below is returned doubled, as a
+    safety margin, together with the full ``(lam, worst ratio)`` curve
+    and the ``(probe pair, image pair)`` :class:`FlowPairW2` objects,
+    whose node solves serve every candidate weight and any later ``sup``.
     """
     if len(probe_flows) < 2:
         raise ValidationError("auto_lambda needs at least two probe flows")
-    if images is None:
-        images = [None] * len(probe_flows)
     if len(images) != len(probe_flows):
         raise ValidationError("images must align with probe_flows")
-    images = [
-        img if img is not None else apply_phi(problem, probe)
-        for probe, img in zip(probe_flows, images)
-    ]
     pairs = [
         (FlowPairW2(probe_flows[a], probe_flows[b]), FlowPairW2(images[a], images[b]))
         for a, b in combinations(range(len(probe_flows)), 2)
@@ -331,7 +325,6 @@ class SmallNoiseSweep:
 
     rows: tuple[tuple[float, float, float], ...]
     slope: float
-    base_norm_sq: float
 
 
 def small_noise_sweep(
@@ -372,6 +365,4 @@ def small_noise_sweep(
         slope = float(np.polyfit(xs, ys, 1)[0])
     else:
         slope = float("nan")
-    return SmallNoiseSweep(
-        rows=tuple(rows), slope=slope, base_norm_sq=l2_norm(problem.u0) ** 2
-    )
+    return SmallNoiseSweep(rows=tuple(rows), slope=slope)

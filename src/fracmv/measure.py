@@ -38,7 +38,6 @@ __all__ = [
     "MeasureFlow",
     "second_moment",
     "wasserstein2",
-    "wasserstein2_to_dirac0",
     "flow_distance",
     "FlowPairW2",
     "save_measure",
@@ -130,11 +129,6 @@ def wasserstein2(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     cost = _cost_matrix(mu, nu)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].sum() / mu.n_particles))
-
-
-def wasserstein2_to_dirac0(mu: EmpiricalMeasure) -> float:
-    """Distance to the point mass at the zero field: ``sqrt(mu(||.||^2))``."""
-    return float(np.sqrt(second_moment(mu)))
 
 
 @dataclass(frozen=True)

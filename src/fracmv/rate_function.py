@@ -22,7 +22,7 @@ gap; no infinities are ever serialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -48,8 +48,6 @@ __all__ = [
     "estimate_rate",
     "WeakConvergenceTable",
     "weak_convergence_experiment",
-    "LevelSetReport",
-    "level_set_probe",
 ]
 
 
@@ -280,54 +278,3 @@ def weak_convergence_experiment(
             math.sqrt(Control(vals - v.values, v.dt).l2_norm_sq()),
         ))
     return WeakConvergenceTable(rows=tuple(rows))
-
-
-# -- level-set probing -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LevelSetReport:
-    """Which candidate targets the estimator places inside ``{I <= c}``."""
-
-    level: float
-    rows: tuple[tuple[int, float, float, bool, bool], ...]
-
-    def inside(self) -> list[int]:
-        return [i for i, _, _, _, ins in self.rows if ins]
-
-
-def level_set_probe(
-    level: float,
-    targets: list[Trajectory | GridFunction],
-    u0: GridFunction,
-    coeffs: CoefficientSet,
-    tgrid: TimeGrid,
-    settings: RateProblem = RateProblem(None),
-    base: Trajectory | None = None,
-) -> LevelSetReport:
-    """Run the estimator on each candidate and compare against ``level``.
-
-    ``settings`` is a target-free :class:`RateProblem` whose penalty
-    ladder, stage budget and gap tolerance every candidate shares.  A
-    candidate is reported inside the level set only when its estimate
-    both attained the target (converged) and costs at most ``level``;
-    non-attained candidates are reported outside with their best finite
-    value.
-    """
-    if not (float(level) >= 0.0):
-        raise ValidationError(f"level must be >= 0, got {level!r}")
-    if base is None:
-        base = solve_deterministic(u0, coeffs, tgrid)
-    rows = []
-    for idx, target in enumerate(targets):
-        est = estimate_rate(replace(settings, target=target), u0, coeffs, tgrid, base=base)
-        rows.append(
-            (
-                idx,
-                est.value,
-                est.gap_rel,
-                est.converged,
-                bool(est.converged and est.value <= float(level)),
-            )
-        )
-    return LevelSetReport(level=float(level), rows=tuple(rows))

@@ -13,7 +13,6 @@ from fracmv.coefficients import (
     NoiseSigma,
     PsiField,
     TimeProfile,
-    capped_mean_norm,
     hs_bound_constant,
     law_statistics,
     sigma_lipschitz_constant,
@@ -43,6 +42,7 @@ def law(mu, h_cap=1.0):
         TimeProfile(offset=0.5, amp=1.5, freq=2.7, phase=0.4),
         TimeProfile(offset=-0.2, amp=0.3, freq=9.0),
         TimeProfile(offset=1.0, amp=2.0, freq=0.0, phase=1.0),
+        TimeProfile(offset=-0.2, amp=0.3, freq=-9.0),
     ],
 )
 def test_time_profile_sup_matches_dense_scan(profile):
@@ -59,14 +59,10 @@ def test_capped_mean_norm_oracle(rng):
     mu = random_measure(g, rng, n=6, scale=2.0)
     cap = 1.3
     norms = [l2_norm(mu.particle(i)) for i in range(6)]
-    brute = float(np.mean([min(n, cap) for n in norms]))
-    assert capped_mean_norm(mu, cap) == pytest.approx(brute, rel=1e-14)
-    assert capped_mean_norm(mu, cap) <= cap
-    with pytest.raises(ValidationError):
-        capped_mean_norm(mu, 0.0)
     hbar_f, hbar1, root_m2 = law(mu, cap)
-    assert hbar_f == capped_mean_norm(mu, cap)
-    assert hbar1 == capped_mean_norm(mu, 1.0)
+    assert hbar_f == pytest.approx(np.mean([min(n, cap) for n in norms]), rel=1e-14)
+    assert hbar1 == pytest.approx(np.mean([min(n, 1.0) for n in norms]), rel=1e-14)
+    assert hbar_f <= min(cap, root_m2) and hbar1 <= min(1.0, root_m2)
     assert root_m2 == np.sqrt(second_moment(mu))
 
 
@@ -75,8 +71,8 @@ def test_capped_mean_norm_is_w2_lipschitz(rng):
     for _ in range(20):
         mu = random_measure(g, rng, n=5)
         nu = random_measure(g, rng, n=5)
-        lhs = abs(capped_mean_norm(mu, 1.0) - capped_mean_norm(nu, 1.0))
-        assert lhs <= wasserstein2(mu, nu) + 1e-12
+        lhs = np.abs(law(mu, 1.7)[:2] - law(nu, 1.7)[:2])
+        assert np.all(lhs <= wasserstein2(mu, nu) + 1e-12)
 
 
 # -- drift closed forms ------------------------------------------------
@@ -87,9 +83,9 @@ def test_eval_f_closed_form(rng):
     f = DriftF(p=4, lambda_f=0.7, h_cap=1.2, phi=PsiField("gaussian", 0.5, 1.0))
     u = random_field(g, rng)
     mu = random_measure(g, rng)
-    hbar = capped_mean_norm(mu, f.h_cap)
+    hbar = law(mu, f.h_cap)[0]
     expected = 0.7 * u.values**3 + f.phi.values(0.3, g) * hbar
-    got = f.values(0.3, g, u.values, law(mu, f.h_cap)[0])
+    got = f.values(0.3, g, u.values, hbar)
     assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
 
@@ -107,9 +103,9 @@ def test_eval_g_closed_form_and_bound(rng):
     u = random_field(g, rng, scale=3.0)
     mu = random_measure(g, rng)
     t = 0.7
-    hbar1 = capped_mean_norm(mu, 1.0)
+    hbar1 = law(mu)[1]
     expected = gg.psi.values(t, g) * (0.3 + 0.5 * np.tanh(u.values) + 0.4 * hbar1)
-    got = gg.values(t, g, u.values, law(mu)[1])
+    got = gg.values(t, g, u.values, hbar1)
     assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
     # both nonlinear slots are capped by 1, so psi scaled by the
     # coefficient-sum envelopes the term pointwise
@@ -255,7 +251,7 @@ def test_audit_passes_on_small_instance(rng):
     coeffs = build_coeffs(g, n_modes=2)
     report = verify_conditions(coeffs, g, 0.5, n_draws=200, seed=3,
                                include_strong_dissipativity=True)
-    assert report.ok, report.summary()
+    assert report.ok, report.failed()
     assert all(c.worst_slack >= -1e-9 for c in report.checks if np.isfinite(c.worst_slack))
 
 
@@ -285,14 +281,3 @@ def test_audit_flags_oversized_reaction(rng):
     report = verify_conditions(bad, g, 0.5, n_draws=100, seed=5)
     failed = [x.condition for x in report.failed()]
     assert failed and any(name.startswith("g_") for name in failed)
-
-
-def test_report_lookup_and_summary(rng):
-    g = build_grid(points=16)
-    coeffs = build_coeffs(g, n_modes=2)
-    report = verify_conditions(coeffs, g, 0.5, n_draws=50, seed=6)
-    first = report.checks[0]
-    assert report.by_name(first.condition) is first
-    with pytest.raises(KeyError):
-        report.by_name("no_such_condition")
-    assert isinstance(report.summary(), str) and first.condition in report.summary()

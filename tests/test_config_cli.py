@@ -167,6 +167,22 @@ def test_load_config_missing_file(tmp_path):
     assert cfg.config_hash() == RunConfig().config_hash()
 
 
+@pytest.mark.parametrize("section,key,short,long", [
+    ("picard", "tol", "1e-6", "1.0e-6"),
+    ("model", "epsilon", "1e-2", "1.0e-2"),
+])
+def test_exponent_without_point_reads_as_a_number(section, key, short, long, tmp_path):
+    """YAML 1.2 reads ``1e-6`` as a float; PyYAML's YAML 1.1 rules alone
+    would leave it a string."""
+    cfgs = []
+    for spelling in (short, long):
+        path = tmp_path / f"{spelling}.yaml"
+        path.write_text(f"{section}: {{{key}: {spelling}}}\n")
+        cfgs.append(load_config(path))
+    assert cfgs[0].raw[section][key] == float(long)
+    assert cfgs[0].config_hash() == cfgs[1].config_hash()
+
+
 # -- command-line driver -------------------------------------------------
 
 

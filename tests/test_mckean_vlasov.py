@@ -187,8 +187,9 @@ def test_problem_validation(small_grid, small_coeffs, small_tgrid):
 def test_auto_lambda_rejects_identical_probes(small_grid, small_coeffs, small_tgrid):
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     flow = constant_flow(small_grid, p.u0.values, 4, small_tgrid.nodes)
+    image = apply_phi(p, flow)
     with pytest.raises(ValidationError):
-        auto_lambda(p, [flow, flow])
+        auto_lambda(p, [flow, flow], [image, image])
 
 
 def per_weight_auto_lambda(problem, probes, images, target_ratio=0.5):
@@ -313,4 +314,3 @@ def test_sweep_deviation_shrinks_with_epsilon(small_grid, small_coeffs, small_tg
     sweep = small_noise_sweep(p, [1e-3, 1e-2], 4,
                               PicardConfig(n_particles=4, lambda_weight=0.0))
     assert sweep.rows[0][1] < sweep.rows[1][1]
-    assert sweep.base_norm_sq == pytest.approx(l2_norm(p.u0) ** 2, rel=1e-12)

@@ -19,7 +19,6 @@ from fracmv.measure import (
     save_measure,
     second_moment,
     wasserstein2,
-    wasserstein2_to_dirac0,
 )
 from fracmv.mckean_vlasov import _LAMBDA_GRID
 
@@ -73,10 +72,8 @@ def test_metric_axioms(rng):
 def test_dirac_distance_is_root_second_moment(rng):
     g = build_grid(half_width=2.0, points=8)
     mu = random_measure(g, rng, 5)
-    assert wasserstein2_to_dirac0(mu) == pytest.approx(math.sqrt(second_moment(mu)), rel=1e-14)
-    # and it agrees with the assignment against an explicit zero ensemble
     zero = EmpiricalMeasure(g, np.zeros((5,) + g.shape))
-    assert wasserstein2(mu, zero) == pytest.approx(wasserstein2_to_dirac0(mu), rel=1e-12)
+    assert wasserstein2(mu, zero) == pytest.approx(math.sqrt(second_moment(mu)), rel=1e-12)
 
 
 def test_unequal_ensembles_rejected(rng):

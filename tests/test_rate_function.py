@@ -22,7 +22,6 @@ from fracmv.rate_function import (
     RateProblem,
     control_cost,
     estimate_rate,
-    level_set_probe,
     weak_convergence_experiment,
 )
 
@@ -170,7 +169,8 @@ def odd_instance():
     t_left = tg.nodes[:-1]
     vbar = Control(np.column_stack([np.sin(7 * t_left), np.cos(5 * t_left), t_left]), tg.dt)
     path = solve_controlled(u0, vbar, base, coeffs, tg)
-    return g, coeffs, u0, tg, base, {"trajectory": path, "terminal": path.terminal()}
+    terminal = GridFunction(g, path.values[-1])
+    return g, coeffs, u0, tg, base, {"trajectory": path, "terminal": terminal}
 
 
 def loop_objective_and_gradient(x, eta, target, u0, coeffs, tg, base):
@@ -183,7 +183,7 @@ def loop_objective_and_gradient(x, eta, target, u0, coeffs, tg, base):
             sq = sq_norms(traj.values - target.values, traj.grid)
             gap = math.sqrt(dt * float(np.sum(sq[:-1])) + float(sq[-1]))
         else:
-            gap = l2_norm(GridFunction(traj.grid, traj.terminal().values - target.values))
+            gap = l2_norm(GridFunction(traj.grid, traj.values[-1] - target.values))
         return 0.5 * dt * float(np.dot(x, x)) + gap**2 / (2.0 * eta)
 
     f0 = fun(x)
@@ -317,16 +317,14 @@ def test_weak_experiment_batch_matches_single_solves(instance, monkeypatch):
 # -- level sets --------------------------------------------------------------
 
 
-def test_level_set_probe_separates_cheap_and_dear(instance, manufactured):
+def test_level_sets_separate_cheap_and_dear(instance, manufactured):
+    """The free path and the manufactured target both lie in the level set
+    ``{I <= 2 I_ref}``; the target lies outside ``{I <= I_ref / 4}``."""
     g, coeffs, u0, tg, base = instance
     vbar, target, est = manufactured
-    settings = RateProblem(None, eta_ladder=(1e-2, 1e-3, 1e-4, 1e-5), max_stage_iters=80)
-    level_hi = 2.0 * est.value
-    report = level_set_probe(level_hi, [base, target], u0, coeffs, tg, settings, base=base)
-    assert report.inside() == [0, 1]
-    level_lo = 0.25 * est.value
-    report_lo = level_set_probe(level_lo, [target], u0, coeffs, tg, settings, base=base)
-    assert report_lo.inside() == []
-    assert report_lo.rows[0][1] > level_lo  # best value found exceeds the level
-    with pytest.raises(ValidationError):
-        level_set_probe(-1.0, [base], u0, coeffs, tg, base=base)
+    settings = dict(eta_ladder=(1e-2, 1e-3, 1e-4, 1e-5), max_stage_iters=80)
+    free = estimate_rate(RateProblem(base, **settings), u0, coeffs, tg, base=base)
+    dear = estimate_rate(RateProblem(target, **settings), u0, coeffs, tg, base=base)
+    assert free.converged and dear.converged
+    assert free.value <= 2.0 * est.value and dear.value <= 2.0 * est.value
+    assert dear.value > 0.25 * est.value
