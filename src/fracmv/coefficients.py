@@ -201,9 +201,11 @@ class DriftF:
 
     def power_values(self, u_values: np.ndarray) -> np.ndarray:
         """The monotone part ``lambda_f |u|^(p-2) u`` (even p, so a polynomial)."""
-        if self.p == 2:
-            return self.lambda_f * u_values
         return self.lambda_f * u_values ** (self.p - 1)
+
+    def power_derivative(self, u_values: np.ndarray) -> np.ndarray:
+        """Its derivative ``lambda_f (p-1) u^(p-2)``: ``lambda_f`` when p = 2."""
+        return self.lambda_f * (self.p - 1) * u_values ** (self.p - 2)
 
     def values(self, t: float, grid: SpatialGrid, u: np.ndarray, hbar_f: float) -> np.ndarray:
         """``f`` at field values ``u`` (any batch of fields on ``grid``),
@@ -246,6 +248,10 @@ class DriftG:
         """``g`` at field values ``u`` (any batch of fields on ``grid``),
         with the law entering through its unit-capped mean norm ``hbar1``."""
         return self.psi.values(t, grid) * (self.c0 + self.c1 * np.tanh(u) + self.c2 * hbar1)
+
+    def derivative(self, psi_values: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``dg/du = psi c1 (1 - tanh(u)^2)``, ``psi`` sampled at the nodes of ``u``."""
+        return psi_values * self.c1 * (1.0 - np.tanh(u) ** 2)
 
 
 # -- noise family ------------------------------------------------------
@@ -323,23 +329,27 @@ class NoiseSigma:
         sig2 = self.sigma2(u, root_m2)
         return self.profile(t) * self.shape_stack() + self.kappa.values[None] * sig2
 
+    def free_fields(self, t: float, root_m2: float) -> np.ndarray:
+        """The fields' state-free part ``profile(t) shape_k + kappa beta_k root_m2``."""
+        free = np.multiply.outer(self.beta * root_m2, self.kappa.values)
+        return self.profile(t) * self.shape_stack() + free
+
     def drive(self, t: float, u: np.ndarray, root_m2: float, theta: np.ndarray) -> np.ndarray:
         """The noise operator applied to mode coefficients, path by path.
 
         ``u`` is a batch ``(N, *grid.shape)`` and ``theta`` has shape
         ``(N, K)``; path ``n`` gets ``sum_k theta[n, k] * field_k(u[n])``.
-        The fields are affine in ``u``: the state-free stack ``profile(t)
-        shape_k + kappa beta_k root_m2`` is contracted with ``theta[n]`` and
+        The fields are affine in ``u``: the state-free stack
+        (:meth:`free_fields`) is contracted with ``theta[n]`` and
         ``kappa u[n]`` is scaled by ``theta[n] . gamma``, one matrix product
         per path each, so a row equals its one-path call bit for bit and no
         ``(N, K, *grid.shape)`` stack is built.
         """
         col = (-1,) + (1,) * self.grid.dim
-        kappa = self.kappa.values
-        free = self.profile(t) * self.shape_stack() + kappa * (self.beta.reshape(col) * root_m2)
-        out = np.matmul(theta[:, None, :], free.reshape(1, self.n_modes, -1)).reshape(u.shape)
+        free = self.free_fields(t, root_m2).reshape(1, self.n_modes, -1)
+        out = np.matmul(theta[:, None, :], free).reshape(u.shape)
         slope = np.matmul(theta[:, None, :], self.gamma[:, None]).reshape(col)
-        return out + kappa * (slope * u)
+        return out + self.kappa.values * (slope * u)
 
 
 def hs_bound_constant(sig: NoiseSigma, horizon: float) -> float:
@@ -397,8 +407,10 @@ class ConditionCheck:
     condition: str
     passed: bool
     worst_slack: float
-    n_draws: int
     detail: str = ""
+
+    def __str__(self) -> str:
+        return self.condition + (f" ({self.detail})" if self.detail else "")
 
 
 @dataclass(frozen=True)
@@ -581,7 +593,6 @@ def verify_conditions(
                 condition=name,
                 passed=bool(passed),
                 worst_slack=float(slack),
-                n_draws=int(n_draws),
                 detail=notes.get(name, ""),
             )
         )

@@ -351,6 +351,19 @@ def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGri
 _CHUNK = 64
 
 
+def _frozen_law(u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid,
+                control=None) -> np.ndarray:
+    """Check a controlled run; return the law triple along ``base``, ``(S, 3)``."""
+    _validate_run_args(u0, coeffs, tgrid, control, None, 0.0)
+    if base.grid != u0.grid:
+        raise GridMismatchError("base trajectory lives on a different grid")
+    if base.n_nodes != tgrid.steps + 1 or not np.array_equal(base.times, tgrid.nodes):
+        raise GridMismatchError("base trajectory is not sampled on the solver's time nodes")
+    if not np.array_equal(base.values[0], u0.values):
+        raise ValidationError("base trajectory does not start at the given initial state")
+    return law_statistics(base.values[:-1, None], u0.grid, coeffs.f.h_cap)
+
+
 def _controlled_solver(
     u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid, control=None
 ):
@@ -360,14 +373,7 @@ def _controlled_solver(
     Rows run ``_CHUNK`` at a time against the law along ``base``, taken
     once here.  Rows are independent: each equals its own solve bit for bit.
     """
-    _validate_run_args(u0, coeffs, tgrid, control, None, 0.0)
-    if base.grid != u0.grid:
-        raise GridMismatchError("base trajectory lives on a different grid")
-    if base.n_nodes != tgrid.steps + 1 or not np.array_equal(base.times, tgrid.nodes):
-        raise GridMismatchError("base trajectory is not sampled on the solver's time nodes")
-    if not np.array_equal(base.values[0], u0.values):
-        raise ValidationError("base trajectory does not start at the given initial state")
-    stats = law_statistics(base.values[:-1, None], u0.grid, coeffs.f.h_cap)
+    stats = _frozen_law(u0, base, coeffs, tgrid, control)
 
     def paths(controls: np.ndarray):
         for lo in range(0, len(controls), _CHUNK):
@@ -381,6 +387,36 @@ def _controlled_solver(
             yield from vals.swapaxes(0, 1)
 
     return paths
+
+
+def _controlled_pullback(u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid):
+    """Check a controlled run; return its exact adjoint: (control, path, an objective's
+    derivative ``j_u`` at each node) -> flat derivative in the control.  The law is frozen
+    and ``R`` self-adjoint: ``lam_S = j_u[S]``, ``lam_s = R lam_{s+1} du~/du_s + j_u[s]``."""
+    stats = _frozen_law(u0, base, coeffs, tgrid)
+    grid, f, g, sig = u0.grid, coeffs.f, coeffs.g, coeffs.sigma
+    S, K, dt = tgrid.steps, sig.n_modes, tgrid.dt
+    t_left = tgrid.nodes[:-1]
+    res_mult = grid.resolvent_multiplier(coeffs.alpha, dt)
+    col = (-1,) + (1,) * grid.dim
+    # everything that does not depend on the control, one entry per left node
+    free = np.stack([sig.free_fields(t, r) for t, r in zip(t_left, stats[:, 2])])
+    phi_h = np.stack([f.phi.values(t, grid) * h for t, h in zip(t_left, stats[:, 0])])
+    psi = np.stack([g.psi.values(t, grid) for t in t_left])
+
+    def pullback(v: np.ndarray, u: np.ndarray, j_u: np.ndarray) -> np.ndarray:
+        u = u[:-1]
+        tamed = f.power_derivative(u) / (1.0 + dt * np.abs(f.power_values(u) + phi_h)) ** 2
+        slope = ((dt * v) @ sig.gamma).reshape(col)
+        jac = 1.0 + dt * (g.derivative(psi, u) - tamed) + sig.kappa.values * slope
+        mu, lam = np.empty_like(u), j_u[S]
+        for s in range(S - 1, -1, -1):
+            mu[s] = grid.apply_multiplier(lam, res_mult)
+            lam = mu[s] * jac[s] + j_u[s]
+        fields = free + (sig.kappa.values * u)[:, None] * sig.gamma.reshape(col)
+        return dt * np.matmul(fields.reshape(S, K, -1), mu.reshape(S, -1, 1)).ravel()
+
+    return pullback
 
 
 def solve_controlled(

@@ -7,12 +7,12 @@ controls attaining the target is estimated by penalized minimisation:
     J_eta(v) = control_cost(v) + dist(u_v, target)^2 / (2 eta)
 
 driven down an eta-ladder with warm starts, so the soft constraint
-tightens gradually.  Gradients are batched forward differences over the
-control coefficients: L-BFGS-B gets the objective and its gradient from
-one call, which solves the base point and all ``S*K`` perturbed controls
-as rows of one batch, each row bit-identical to its own single solve,
-which keeps every run bit-reproducible.  ``n_evaluations`` counts the
-controlled paths solved, ``S*K + 1`` per optimizer evaluation.
+tightens gradually.  L-BFGS-B gets the objective and its gradient from
+one call: one controlled solve gives the value, bit-identical to that
+solve alone, and the discrete adjoint of the scheme, one backward sweep
+along the stored path, gives the exact gradient over the control
+coefficients.  ``n_evaluations`` counts the controlled paths solved, one
+per optimizer evaluation.
 
 A target that the optimizer cannot attain within budget is reported
 with its best finite value and ``converged = False`` plus the residual
@@ -32,6 +32,7 @@ from .dynamics import (
     Control,
     TimeGrid,
     Trajectory,
+    _controlled_pullback,
     _controlled_solver,
     integrated_v_distance,
     solve_controlled,
@@ -97,7 +98,8 @@ class RateEstimate:
     relative attainment gap fell below the problem's tolerance; a large
     gap with ``converged = False`` is the finite stand-in for an
     unreachable target.  ``n_evaluations`` is the number of controlled
-    paths solved inside the optimizer; the per-stage gaps are not counted.
+    paths solved inside the optimizer, one per evaluation of the objective
+    and its adjoint gradient; the per-stage gaps are not counted.
     """
 
     value: float
@@ -148,9 +150,12 @@ def estimate_rate(
         base = solve_deterministic(u0, coeffs, tgrid)
 
     S, K, dt = tgrid.steps, coeffs.sigma.n_modes, tgrid.dt
-    n = S * K
     n_evals = 0
     solve_batch = _controlled_solver(u0, base, coeffs, tgrid)
+    pullback = _controlled_pullback(u0, base, coeffs, tgrid)
+    # half the derivative of gap^2 at each node: the weights of the path norm
+    node_w = np.append(np.full(S, dt if isinstance(target, Trajectory) else 0.0), 1.0)
+    node_w = u0.grid.cell_volume * node_w.reshape((-1,) + (1,) * u0.grid.dim)
 
     def gap_to_target(path: np.ndarray) -> float:
         if isinstance(target, Trajectory):
@@ -161,26 +166,19 @@ def estimate_rate(
         traj = solve_controlled(u0, Control(x.reshape(S, K), dt), base, coeffs, tgrid)
         return gap_to_target(traj.values)
 
-    h0 = math.sqrt(np.finfo(float).eps)
-
     def objective(eta: float):
         def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-            """The penalized objective at ``x`` and its forward-difference
-            gradient: the base point and its S*K perturbations, one batch."""
+            """The penalized objective at ``x`` and its exact gradient: one
+            forward solve, then the adjoint sweep back along its path."""
             nonlocal n_evals
-            steps = h0 * (1.0 + np.abs(x))
-            xs = np.repeat(x[None], n + 1, axis=0)
-            xs[np.arange(1, n + 1), np.arange(n)] += steps
-            n_evals += n + 1
-            f = np.array([
-                0.5 * dt * float(np.dot(row, row)) + gap_to_target(path) ** 2 / (2.0 * eta)
-                for row, path in zip(xs, solve_batch(xs.reshape(-1, S, K)))
-            ])
-            return float(f[0]), (f[1:] - f[0]) / steps
+            n_evals += 1
+            path = next(solve_batch(x.reshape(1, S, K)))
+            f = 0.5 * dt * float(np.dot(x, x)) + gap_to_target(path) ** 2 / (2.0 * eta)
+            return f, pullback(x.reshape(S, K), path, node_w / eta * (path - target.values)) + dt * x
 
         return value_and_grad
 
-    x = np.zeros(n)
+    x = np.zeros(S * K)
     stages = []
     for eta in problem.eta_ladder:
         res = minimize(

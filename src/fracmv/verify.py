@@ -175,7 +175,7 @@ def suite_conditions(cfg: RunConfig) -> list[CheckResult]:
             "conditions_hold_on_draws",
             report.ok,
             f"worst slack {min(finite):.2e} over {len(report.checks)} conditions, 1000 draws"
-            + ("" if report.ok else "; failed: " + ", ".join(c.condition for c in report.failed())),
+            + ("" if report.ok else "; failed: " + ", ".join(map(str, report.failed()))),
             ">= -1e-9",
             time.perf_counter() - t0,
         )
@@ -193,13 +193,13 @@ def suite_conditions(cfg: RunConfig) -> list[CheckResult]:
         rep = verify_conditions(
             replace(c, **{slot: part}), cfg.grid, cfg.tgrid.horizon, n_draws=200, seed=seed
         )
-        failed = [x.condition for x in rep.failed()]
+        failed = rep.failed()
         out.append(
             CheckResult(
                 3,
                 name,
-                any(cond.startswith(slot + "_") for cond in failed),
-                "flagged: " + (", ".join(failed) if failed else "nothing"),
+                any(x.condition.startswith(slot + "_") for x in failed),
+                "flagged: " + (", ".join(map(str, failed)) if failed else "nothing"),
                 f"audit names a {clause} clause",
                 time.perf_counter() - t1,
             )

@@ -281,3 +281,15 @@ def test_audit_flags_oversized_reaction(rng):
     report = verify_conditions(bad, g, 0.5, n_draws=100, seed=5)
     failed = [x.condition for x in report.failed()]
     assert failed and any(name.startswith("g_") for name in failed)
+
+
+def test_failed_condition_reads_as_its_name_and_note():
+    g = build_grid(points=32)
+    c = build_coeffs(g, n_modes=2)
+    bad = dataclasses.replace(
+        c, f=DriftF(p=4, lambda_f=-0.5, h_cap=1.0, phi=c.f.phi, validate=False)
+    )
+    named = [str(c) for c in verify_conditions(bad, g, 0.5, n_draws=20, seed=4).failed()]
+    assert "f_dissipativity (dissipation rate -0.5 is not positive)" in named
+    # a condition failed on the draws alone carries no note
+    assert "f_monotonicity" in named

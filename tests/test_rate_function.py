@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,51 +156,81 @@ def test_target_validation(instance):
         RateProblem(target=base, eta_ladder=(1e-2, float("inf")))
 
 
-# -- batched gradient against the per-coordinate loop ----------------------
+# -- adjoint gradient against finite differences ----------------------------
 
 
-@pytest.fixture(scope="module")
-def odd_instance():
-    """S*K = 21 rows per control, so the stacked rows sit at odd offsets."""
-    g = build_grid(half_width=4.0, points=32)
-    coeffs = build_coeffs(g, n_modes=3)
+def make_instance(dim, points, n_modes, steps, p=4):
+    """A small instance with a control-reachable trajectory and terminal target."""
+    g = build_grid(dim=dim, half_width=4.0, points=points)
+    coeffs = build_coeffs(g, n_modes=n_modes)
+    if p != coeffs.f.p:
+        coeffs = replace(coeffs, f=replace(coeffs.f, p=p))
     u0 = build_u0(g)
-    tg = TimeGrid(horizon=0.1, steps=7)
+    tg = TimeGrid(horizon=0.1, steps=steps)
     base = solve_deterministic(u0, coeffs, tg)
     t_left = tg.nodes[:-1]
-    vbar = Control(np.column_stack([np.sin(7 * t_left), np.cos(5 * t_left), t_left]), tg.dt)
+    waves = [np.sin(7 * t_left), np.cos(5 * t_left), t_left, np.sin(3 * t_left + 1.0)]
+    vbar = Control(np.column_stack(waves[:n_modes]), tg.dt)
     path = solve_controlled(u0, vbar, base, coeffs, tg)
     terminal = GridFunction(g, path.values[-1])
     return g, coeffs, u0, tg, base, {"trajectory": path, "terminal": terminal}
 
 
-def loop_objective_and_gradient(x, eta, target, u0, coeffs, tg, base):
-    """The slow path: one solve_controlled per forward difference."""
+@pytest.fixture(scope="module")
+def odd_instance():
+    """S*K = 21 control coefficients on a 1-d grid."""
+    return make_instance(1, 32, 3, 7)
+
+
+def penalized(x, path, eta, target, dt):
+    """The objective of one control row, from its path."""
+    if isinstance(target, Trajectory):
+        sq = sq_norms(path - target.values, target.grid)
+        gap = math.sqrt(dt * float(np.sum(sq[:-1])) + float(sq[-1]))
+    else:
+        gap = l2_norm(GridFunction(target.grid, path[-1] - target.values))
+    return 0.5 * dt * float(np.dot(x, x)) + gap**2 / (2.0 * eta)
+
+
+def single_solve_objective(x, eta, target, u0, coeffs, tg, base):
     S, K, dt = tg.steps, coeffs.sigma.n_modes, tg.dt
+    traj = solve_controlled(u0, Control(x.reshape(S, K), dt), base, coeffs, tg)
+    return penalized(x, traj.values, eta, target, dt)
 
-    def fun(x):
-        traj = solve_controlled(u0, Control(x.reshape(S, K), dt), base, coeffs, tg)
-        if isinstance(target, Trajectory):
-            sq = sq_norms(traj.values - target.values, traj.grid)
-            gap = math.sqrt(dt * float(np.sum(sq[:-1])) + float(sq[-1]))
-        else:
-            gap = l2_norm(GridFunction(traj.grid, traj.values[-1] - target.values))
-        return 0.5 * dt * float(np.dot(x, x)) + gap**2 / (2.0 * eta)
 
-    f0 = fun(x)
+def forward_difference_gradient(x, eta, target, u0, coeffs, tg, base):
+    """The slow path: the base point and its S*K forward differences, step
+    ``sqrt(eps) (1 + |x|)``, solved as the rows of one batch."""
+    S, K, dt = tg.steps, coeffs.sigma.n_modes, tg.dt
+    n = S * K
     steps = math.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))
-    grad = []
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += steps[i]
-        grad.append((fun(xp) - f0) / steps[i])
-    return f0, np.asarray(grad)
+    xs = np.repeat(x[None], n + 1, axis=0)
+    xs[np.arange(1, n + 1), np.arange(n)] += steps
+    paths = dynamics._controlled_solver(u0, base, coeffs, tg)(xs.reshape(-1, S, K))
+    f = np.array([penalized(row, path, eta, target, dt) for row, path in zip(xs, paths)])
+    return (f[1:] - f[0]) / steps
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 1000])
+def central_difference_gradient(x, eta, target, u0, coeffs, tg, base, h=1e-6):
+    fun = lambda y: single_solve_objective(y, eta, target, u0, coeffs, tg, base)  # noqa: E731
+    return np.array([(fun(x + h * e) - fun(x - h * e)) / (2.0 * h) for e in np.eye(x.size)])
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("case", ["1d-p4", "1d-p2", "2d-p4", "2d-p2"])
 @pytest.mark.parametrize("kind", ["trajectory", "terminal"])
-def test_batched_gradient_matches_single_solve_loop(odd_instance, kind, chunk, monkeypatch):
-    g, coeffs, u0, tg, base, targets = odd_instance
+def test_adjoint_gradient_matches_finite_differences(odd_instance, kind, case, monkeypatch):
+    """The value is the single-solve objective bit for bit; the gradient is
+    the exact derivative of the discrete scheme."""
+    dim, p = int(case[0]), int(case[-1])
+    if (dim, p) == (1, 4):
+        inst = odd_instance
+    else:
+        inst = make_instance(1, 32, 3, 7, p) if dim == 1 else make_instance(2, 8, 4, 6, p)
+    g, coeffs, u0, tg, base, targets = inst
     target, eta = targets[kind], 1e-3
     x = 0.5 * np.random.default_rng(3).standard_normal(tg.steps * coeffs.sigma.n_modes)
     seen = {}
@@ -209,13 +240,13 @@ def test_batched_gradient_matches_single_solve_loop(odd_instance, kind, chunk, m
         seen["f"], seen["g"] = fun(x)
         return SimpleNamespace(x=x0)
 
-    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
     monkeypatch.setattr(rate_function, "minimize", probe)
     est = estimate_rate(RateProblem(target, eta_ladder=(eta,)), u0, coeffs, tg, base=base)
-    f0, grad = loop_objective_and_gradient(x, eta, target, u0, coeffs, tg, base)
-    assert seen["f"] == f0
-    assert np.array_equal(seen["g"], grad)
-    assert est.n_evaluations == x.size + 1
+    args = (x, eta, target, u0, coeffs, tg, base)
+    assert seen["f"] == single_solve_objective(*args)
+    assert rel_err(seen["g"], forward_difference_gradient(*args)) <= 1e-5
+    assert rel_err(seen["g"], central_difference_gradient(*args)) <= 1e-6
+    assert est.n_evaluations == 1
 
 
 @pytest.mark.parametrize("kind", ["trajectory", "terminal"])
