@@ -222,15 +222,12 @@ def rel_err(a, b):
 
 @pytest.mark.parametrize("case", ["1d-p4", "1d-p2", "2d-p4", "2d-p2"])
 @pytest.mark.parametrize("kind", ["trajectory", "terminal"])
-def test_adjoint_gradient_matches_finite_differences(odd_instance, kind, case, monkeypatch):
+def test_adjoint_gradient_matches_finite_differences(kind, case, monkeypatch):
     """The value is the single-solve objective bit for bit; the gradient is
     the exact derivative of the discrete scheme."""
     dim, p = int(case[0]), int(case[-1])
-    if (dim, p) == (1, 4):
-        inst = odd_instance
-    else:
-        inst = make_instance(1, 32, 3, 7, p) if dim == 1 else make_instance(2, 8, 4, 6, p)
-    g, coeffs, u0, tg, base, targets = inst
+    shape = (1, 32, 3, 7) if dim == 1 else (2, 8, 4, 6)
+    g, coeffs, u0, tg, base, targets = make_instance(*shape, p)
     target, eta = targets[kind], 1e-3
     x = 0.5 * np.random.default_rng(3).standard_normal(tg.steps * coeffs.sigma.n_modes)
     seen = {}
