@@ -39,7 +39,7 @@ from .dynamics import (
     solve_deterministic,
     sup_distance,
 )
-from .errors import BlowUpError, FixedPointDivergenceError, ValidationError
+from .errors import BlowUpError, FixedPointDivergenceError, GridMismatchError, ValidationError
 from .grid import load_grid_function, tail_masses
 from .measure import save_measure, second_moment
 from .mckean_vlasov import picard_solve
@@ -229,7 +229,10 @@ def cmd_rate(cfg: RunConfig, out: str | Path, target_spec: str) -> Path:
     base = solve_deterministic(cfg.u0, cfg.coeffs, cfg.tgrid)
     target, vbar = _parse_target(target_spec, cfg, base)
     out = _out_dir(out)
-    est = estimate_rate(cfg.rate_problem(target), cfg.u0, cfg.coeffs, cfg.tgrid, base=base)
+    try:
+        est = estimate_rate(cfg.rate_problem(target), cfg.u0, cfg.coeffs, cfg.tgrid, base=base)
+    except GridMismatchError as exc:  # the base is built here, so only the target can mismatch
+        raise GridMismatchError(f"--target {target_spec}: {exc}") from None
     _write_csv(
         out / "rate_estimate.csv",
         ["value", "gap", "gap_rel", "converged", "n_evaluations"],

@@ -312,6 +312,21 @@ def _validate_run_args(
             )
 
 
+def _check_nodes(what: str, obj, grid: SpatialGrid, nodes: np.ndarray | None = None) -> None:
+    """Refuse ``obj`` (a flow, path or field) unless it lives on ``grid`` and,
+    when ``nodes`` is given, is sampled at exactly those times."""
+    if obj.grid != grid:
+        raise GridMismatchError(f"{what} lives on a different grid")
+    if nodes is not None and not np.array_equal(obj.times, nodes):
+        raise GridMismatchError(f"{what} is not sampled on the solver's time nodes")
+
+
+def _law_on_nodes(states: np.ndarray, grid: SpatialGrid, h_cap: float) -> np.ndarray:
+    """The law triple at each left node of ``states``, shape ``(S+1, N, *grid.shape)``,
+    as ``(S, 3)``; node by node, since one call over a flow would square a copy of it."""
+    return np.array([law_statistics(mu, grid, h_cap) for mu in states[:-1]])
+
+
 def solve_frozen(
     u0: GridFunction,
     mu_flow: MeasureFlow,
@@ -323,17 +338,13 @@ def solve_frozen(
     """Integrate against a prescribed measure flow (left-node freezing)."""
     eps = _check_epsilon(eps)
     _validate_run_args(u0, coeffs, tgrid, None, noise, eps)
-    if mu_flow.grid != u0.grid:
-        raise GridMismatchError("measure flow and initial state live on different grids")
-    if mu_flow.n_times != tgrid.steps + 1 or not np.array_equal(mu_flow.times, tgrid.nodes):
-        raise GridMismatchError("measure flow is not sampled on the solver's time nodes")
-    g, h_cap = u0.grid, coeffs.f.h_cap
-    stats = np.array([law_statistics(mu, g, h_cap) for mu in mu_flow.states[:-1]])
+    _check_nodes("measure flow", mu_flow, u0.grid, tgrid.nodes)
+    stats = _law_on_nodes(mu_flow.states, u0.grid, coeffs.f.h_cap)
     vals = _run_steps(
-        g, coeffs, u0.values[None], tgrid, stats, eps, None,
+        u0.grid, coeffs, u0.values[None], tgrid, stats, eps, None,
         None if noise is None else noise.increments[:, None],
     )
-    return Trajectory(g, tgrid.nodes, vals[:, 0])
+    return Trajectory(u0.grid, tgrid.nodes, vals[:, 0])
 
 
 def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGrid) -> Trajectory:
@@ -347,44 +358,32 @@ def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGri
     return Trajectory(u0.grid, tgrid.nodes, vals[:, 0])
 
 
-# Rows per batched controlled solve; bounds memory to one chunk of paths.
-_CHUNK = 64
-
-
 def _frozen_law(u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid,
                 control=None) -> np.ndarray:
     """Check a controlled run; return the law triple along ``base``, ``(S, 3)``."""
     _validate_run_args(u0, coeffs, tgrid, control, None, 0.0)
-    if base.grid != u0.grid:
-        raise GridMismatchError("base trajectory lives on a different grid")
-    if base.n_nodes != tgrid.steps + 1 or not np.array_equal(base.times, tgrid.nodes):
-        raise GridMismatchError("base trajectory is not sampled on the solver's time nodes")
+    _check_nodes("base trajectory", base, u0.grid, tgrid.nodes)
     if not np.array_equal(base.values[0], u0.values):
         raise ValidationError("base trajectory does not start at the given initial state")
-    return law_statistics(base.values[:-1, None], u0.grid, coeffs.f.h_cap)
+    return _law_on_nodes(base.values[:, None], u0.grid, coeffs.f.h_cap)
 
 
 def _controlled_solver(
     u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid, control=None
 ):
     """Check a controlled run; return a map from a stack of controls
-    ``(m, S, K)`` to an iterator over their paths ``(S+1, *grid.shape)``.
+    ``(m, S, K)`` to their paths ``(m, S+1, *grid.shape)``.
 
-    Rows run ``_CHUNK`` at a time against the law along ``base``, taken
-    once here.  Rows are independent: each equals its own solve bit for bit.
+    The rows run as one batch against the law along ``base``, taken once
+    here.  Rows are independent: each equals its own solve bit for bit,
+    and a blow-up names its row (none for a single path).
     """
     stats = _frozen_law(u0, base, coeffs, tgrid, control)
 
-    def paths(controls: np.ndarray):
-        for lo in range(0, len(controls), _CHUNK):
-            chunk = np.ascontiguousarray(controls[lo : lo + _CHUNK].transpose(1, 0, 2))
-            starts = np.repeat(u0.values[None], chunk.shape[1], axis=0)
-            try:
-                vals = _run_steps(u0.grid, coeffs, starts, tgrid, stats, 0.0, chunk)
-            except BlowUpError as exc:
-                row = None if len(controls) == 1 else lo + (exc.particle or 0)
-                raise BlowUpError(exc.step, exc.time, row) from None
-            yield from vals.swapaxes(0, 1)
+    def paths(controls: np.ndarray) -> np.ndarray:
+        starts = np.repeat(u0.values[None], len(controls), axis=0)
+        by_step = np.ascontiguousarray(controls.transpose(1, 0, 2))
+        return _run_steps(u0.grid, coeffs, starts, tgrid, stats, 0.0, by_step).swapaxes(0, 1)
 
     return paths
 
@@ -433,7 +432,7 @@ def solve_controlled(
     of the controlled path itself.
     """
     paths = _controlled_solver(u0, base, coeffs, tgrid, control)
-    return Trajectory(u0.grid, tgrid.nodes, next(paths(control.values[None])))
+    return Trajectory(u0.grid, tgrid.nodes, paths(control.values[None])[0])
 
 
 # -- energy bookkeeping --------------------------------------------------
@@ -470,11 +469,10 @@ def energy_residual(
     dt = float(traj.times[1] - traj.times[0])
     if control is not None and (control.steps != S or control.n_modes != sig.n_modes):
         raise ValidationError("control shape does not match the trajectory")
-    if base is not None and (base.grid != g or not np.array_equal(base.times, traj.times)):
-        raise GridMismatchError("base trajectory does not match the path's nodes")
+    if base is not None:
+        _check_nodes("base trajectory", base, g, traj.times)
     w = g.cell_volume
-    ref = traj if base is None else base
-    stats = law_statistics(ref.values[:-1, None], g, coeffs.f.h_cap)
+    stats = _law_on_nodes((traj if base is None else base).values[:, None], g, coeffs.f.h_cap)
     energy = sq_norms(traj.values, g)
     semi_sq = sq_seminorms(traj.values[1:], g, coeffs.alpha)
 
@@ -497,22 +495,15 @@ def energy_residual(
 # -- trajectory comparisons ----------------------------------------------
 
 
-def _check_comparable(a: Trajectory, b: Trajectory) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError("trajectories live on different grids")
-    if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
-        raise GridMismatchError("trajectories are sampled on different time nodes")
-
-
 def sup_distance(a: Trajectory, b: Trajectory) -> float:
     """``sup_s || a(t_s) - b(t_s) ||`` in the discrete L2 norm."""
-    _check_comparable(a, b)
+    _check_nodes("second trajectory", b, a.grid, a.times)
     return float(np.sqrt(np.max(sq_norms(a.values - b.values, a.grid))))
 
 
 def integrated_v_distance(a: Trajectory, b: Trajectory, alpha: float, c_v: float = 1.0) -> float:
     """Left-sum approximation of the L2(0, T; V) distance."""
-    _check_comparable(a, b)
+    _check_nodes("second trajectory", b, a.grid, a.times)
     sq = sq_v_norms(a.values[:-1] - b.values[:-1], a.grid, alpha, c_v)
     return math.sqrt(float(a.times[1] - a.times[0]) * float(np.sum(sq)))
 

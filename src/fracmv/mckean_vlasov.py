@@ -24,12 +24,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .coefficients import CoefficientSet, law_statistics
+from .coefficients import CoefficientSet
 from .dynamics import (
     NoisePath,
     TimeGrid,
     Trajectory,
     _check_epsilon,
+    _check_nodes,
+    _law_on_nodes,
     _run_steps,
     solve_deterministic,
 )
@@ -168,15 +170,10 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
     particle=i)``, so its path equals the single-particle
     ``solve_frozen`` run byte for byte.
     """
-    if flow.grid != problem.grid:
-        raise GridMismatchError("flow lives on a different grid than the problem")
-    nodes = problem.tgrid.nodes
-    if flow.n_times != nodes.size or not np.array_equal(flow.times, nodes):
-        raise GridMismatchError("flow is not sampled on the problem's time nodes")
     grid, coeffs, tgrid = problem.grid, problem.coeffs, problem.tgrid
+    _check_nodes("flow", flow, grid, tgrid.nodes)
     eps, n = float(problem.epsilon), flow.n_particles
-    # node by node: one call over the whole flow would square a copy of it
-    stats = np.array([law_statistics(mu, grid, coeffs.f.h_cap) for mu in flow.states[:-1]])
+    stats = _law_on_nodes(flow.states, grid, coeffs.f.h_cap)
     noise = None
     if eps > 0.0:
         K = coeffs.sigma.n_modes
@@ -185,7 +182,7 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
             axis=1,
         )
     paths = _run_steps(grid, coeffs, _initial_states(problem, n), tgrid, stats, eps, None, noise)
-    return MeasureFlow(grid, nodes, paths)
+    return MeasureFlow(grid, tgrid.nodes, paths)
 
 
 def auto_lambda(
@@ -337,8 +334,10 @@ def small_noise_sweep(
 
     Each intensity gets its own fixed-point solve with ``n_replicas``
     particles sharing the master seed, so the estimates use common
-    random numbers across the sweep.  The zero intensity decouples:
-    the law rides the deterministic path exactly, so its row is 0.
+    random numbers across the sweep.  Every particle starts at ``u0``,
+    the state the deviation is measured from, so a sampled
+    ``initial_states`` ensemble is set aside.  The zero intensity
+    decouples: the law rides the deterministic path exactly, so its row is 0.
     """
     base_cfg = cfg or PicardConfig()
     cfg = replace(base_cfg, n_particles=int(n_replicas))
@@ -349,7 +348,7 @@ def small_noise_sweep(
         if e == 0.0:
             rows.append((0.0, 0.0, 0.0))
             continue
-        sub = replace(problem, epsilon=e)
+        sub = replace(problem, epsilon=e, initial_states=None)
         res = picard_solve(sub, cfg)
         sup_sq = np.max(sq_norms(res.flow.states - base.values[:, None], problem.grid), axis=0)
         stderr = (

@@ -32,6 +32,7 @@ from .dynamics import (
     Control,
     TimeGrid,
     Trajectory,
+    _check_nodes,
     _controlled_pullback,
     _controlled_solver,
     integrated_v_distance,
@@ -39,7 +40,7 @@ from .dynamics import (
     solve_deterministic,
     sup_distance,
 )
-from .errors import GridMismatchError, ValidationError
+from .errors import ValidationError
 from .grid import GridFunction, SpatialGrid, l2_norm, sq_norms
 
 __all__ = [
@@ -133,15 +134,9 @@ def estimate_rate(
     """
     target = problem.target
     if isinstance(target, Trajectory):
-        if target.grid != u0.grid:
-            raise GridMismatchError("target trajectory lives on a different grid")
-        if target.n_nodes != tgrid.steps + 1 or not np.array_equal(
-            target.times, tgrid.nodes
-        ):
-            raise GridMismatchError("target trajectory is not sampled on the solver's time nodes")
+        _check_nodes("target trajectory", target, u0.grid, tgrid.nodes)
     elif isinstance(target, GridFunction):
-        if target.grid != u0.grid:
-            raise GridMismatchError("target field lives on a different grid")
+        _check_nodes("target field", target, u0.grid)
     else:
         raise ValidationError(
             f"target must be a Trajectory or a GridFunction, got {type(target).__name__}"
@@ -172,7 +167,7 @@ def estimate_rate(
             forward solve, then the adjoint sweep back along its path."""
             nonlocal n_evals
             n_evals += 1
-            path = next(solve_batch(x.reshape(1, S, K)))
+            path = solve_batch(x.reshape(1, S, K))[0]
             f = 0.5 * dt * float(np.dot(x, x)) + gap_to_target(path) ** 2 / (2.0 * eta)
             return f, pullback(x.reshape(S, K), path, node_w / eta * (path - target.values)) + dt * x
 
@@ -263,10 +258,10 @@ def weak_convergence_experiment(
     for row, i in enumerate(i_list, start=1):
         controls[row, :, mode_index] += amplitude * np.sin(i * t_left)
     paths = _controlled_solver(u0, base, coeffs, tgrid)(controls)
-    u_ref = Trajectory(u0.grid, tgrid.nodes, next(paths))
+    u_ref = Trajectory(u0.grid, tgrid.nodes, paths[0])
 
     rows = []
-    for i, vals, path in zip(i_list, controls[1:], paths):
+    for i, vals, path in zip(i_list, controls[1:], paths[1:]):
         ui = Trajectory(u0.grid, tgrid.nodes, path)
         rows.append((
             int(i),

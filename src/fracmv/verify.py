@@ -1,13 +1,15 @@
 """Runnable property suites tying each module's claims to a measured check.
 
-Every suite returns ``CheckResult`` rows with the measured value, the
-gate it was held to, and wall time.  The gates here are the package's
-acceptance thresholds; the CLI renders them as a pass/fail table and
-the test suite asserts them one by one.  Where a check needs its own
-scale (a wide domain for tail decay, a long horizon for oscillatory
-controls, a coarse grid for brute-force transport), the suite derives
-a dedicated instance from the given config rather than trusting the
-config to be suitable.
+Every suite yields one ``(name, passed, measured, threshold)`` row per
+check: the measured value and the gate it was held to.  ``run_suites``
+turns the rows into ``CheckResult`` records, numbered by the suite's
+place in ``SUITES`` and timed from the end of the previous check.  The
+gates here are the package's acceptance thresholds; the CLI renders
+them as a pass/fail table and the test suite asserts them one by one.
+Where a check needs its own scale (a wide domain for tail decay, a long
+horizon for oscillatory controls, a coarse grid for brute-force
+transport), the suite derives a dedicated instance from the given
+config rather than trusting the config to be suitable.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import hashlib
 import math
 import tempfile
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import permutations
 from pathlib import Path
@@ -82,9 +85,8 @@ def _rng(seed: int) -> np.random.Generator:
 # -- 1: spectral exactness -------------------------------------------------
 
 
-def suite_spectral(cfg: RunConfig) -> list[CheckResult]:
+def suite_spectral(cfg: RunConfig) -> Iterator[tuple]:
     """Single Fourier modes are exact eigenfunctions of the operator."""
-    t0 = time.perf_counter()
     grid = cfg.grid
     rng = _rng(101)
     M, L = grid.points_per_dim, grid.half_width
@@ -103,24 +105,19 @@ def suite_spectral(cfg: RunConfig) -> list[CheckResult]:
             exact = xi_sq**alpha * u.values
             err = float(np.max(np.abs(out.values - exact))) / (xi_sq**alpha * amp)
             worst = max(worst, err)
-    return [
-        CheckResult(
-            1,
-            "spectral_single_modes",
-            worst <= 1e-12,
-            f"max rel err {worst:.3e} (20 modes x 5 exponents)",
-            "<= 1e-12",
-            time.perf_counter() - t0,
-        )
-    ]
+    yield (
+        "spectral_single_modes",
+        worst <= 1e-12,
+        f"max rel err {worst:.3e} (20 modes x 5 exponents)",
+        "<= 1e-12",
+    )
 
 
 # -- 2: transport distance against brute force ------------------------------
 
 
-def suite_wasserstein(cfg: RunConfig) -> list[CheckResult]:
+def suite_wasserstein(cfg: RunConfig) -> Iterator[tuple]:
     """Assignment-based W2 equals the brute-force permutation minimum."""
-    t0 = time.perf_counter()
     grid = SpatialGrid(dim=1, half_width=2.0, points_per_dim=8)
     w = grid.cell_volume
     rng = _rng(202)
@@ -140,25 +137,20 @@ def suite_wasserstein(cfg: RunConfig) -> list[CheckResult]:
             )
         )
         worst = max(worst, abs(fast - brute))
-    return [
-        CheckResult(
-            2,
-            "wasserstein_vs_brute_force",
-            worst <= 1e-10,
-            f"max |fast - brute| {worst:.3e} (200 pairs, 2..6 atoms)",
-            "<= 1e-10",
-            time.perf_counter() - t0,
-        )
-    ]
+    yield (
+        "wasserstein_vs_brute_force",
+        worst <= 1e-10,
+        f"max |fast - brute| {worst:.3e} (200 pairs, 2..6 atoms)",
+        "<= 1e-10",
+    )
 
 
 # -- 3: structural condition audit ------------------------------------------
 
 
-def suite_conditions(cfg: RunConfig) -> list[CheckResult]:
+def suite_conditions(cfg: RunConfig) -> Iterator[tuple]:
     """The coefficient family's claimed inequalities hold on random draws,
     and deliberately broken instances are caught."""
-    t0 = time.perf_counter()
     strong = bool(cfg.raw["verify"]["strong_dissipativity"])
     report = verify_conditions(
         cfg.coeffs,
@@ -169,17 +161,13 @@ def suite_conditions(cfg: RunConfig) -> list[CheckResult]:
         include_strong_dissipativity=strong,
     )
     finite = [c.worst_slack for c in report.checks if np.isfinite(c.worst_slack)]
-    out = [
-        CheckResult(
-            3,
-            "conditions_hold_on_draws",
-            report.ok,
-            f"worst slack {min(finite):.2e} over {len(report.checks)} conditions, 1000 draws"
-            + ("" if report.ok else "; failed: " + ", ".join(map(str, report.failed()))),
-            ">= -1e-9",
-            time.perf_counter() - t0,
-        )
-    ]
+    yield (
+        "conditions_hold_on_draws",
+        report.ok,
+        f"worst slack {min(finite):.2e} over {len(report.checks)} conditions, 1000 draws"
+        + ("" if report.ok else "; failed: " + ", ".join(map(str, report.failed()))),
+        ">= -1e-9",
+    )
 
     c = cfg.coeffs
     broken = (
@@ -189,30 +177,23 @@ def suite_conditions(cfg: RunConfig) -> list[CheckResult]:
          "violation_detected_unbounded_reaction", "reaction"),
     )
     for seed, slot, part, name, clause in broken:
-        t1 = time.perf_counter()
         rep = verify_conditions(
             replace(c, **{slot: part}), cfg.grid, cfg.tgrid.horizon, n_draws=200, seed=seed
         )
         failed = rep.failed()
-        out.append(
-            CheckResult(
-                3,
-                name,
-                any(x.condition.startswith(slot + "_") for x in failed),
-                "flagged: " + (", ".join(map(str, failed)) if failed else "nothing"),
-                f"audit names a {clause} clause",
-                time.perf_counter() - t1,
-            )
+        yield (
+            name,
+            any(x.condition.startswith(slot + "_") for x in failed),
+            "flagged: " + (", ".join(map(str, failed)) if failed else "nothing"),
+            f"audit names a {clause} clause",
         )
-    return out
 
 
 # -- 4: discrete energy identity --------------------------------------------
 
 
-def suite_energy(cfg: RunConfig) -> list[CheckResult]:
+def suite_energy(cfg: RunConfig) -> Iterator[tuple]:
     """The per-step energy balance closes at first order in dt."""
-    t0 = time.perf_counter()
     base = cfg.with_overrides(grid={"points_per_dim": 128})
     metrics = []
     dts = []
@@ -225,24 +206,14 @@ def suite_energy(cfg: RunConfig) -> list[CheckResult]:
         dts.append(run.tgrid.dt)
     slope = float(np.polyfit(np.log(dts), np.log(metrics), 1)[0])
     detail = ", ".join(f"S={s}: {m:.2e}" for s, m in zip((200, 400, 800), metrics))
-    return [
-        CheckResult(
-            4,
-            "energy_residual_order",
-            slope >= 0.9,
-            f"order {slope:.3f} ({detail})",
-            ">= 0.9",
-            time.perf_counter() - t0,
-        )
-    ]
+    yield "energy_residual_order", slope >= 0.9, f"order {slope:.3f} ({detail})", ">= 0.9"
 
 
 # -- 5: fixed-point contraction ----------------------------------------------
 
 
-def suite_picard(cfg: RunConfig) -> list[CheckResult]:
+def suite_picard(cfg: RunConfig) -> Iterator[tuple]:
     """The freezing map contracts and reaches its fixed point quickly."""
-    t0 = time.perf_counter()
     run = cfg.with_overrides(
         noise={"n_modes": 4},
         time={"steps": 200},
@@ -250,89 +221,53 @@ def suite_picard(cfg: RunConfig) -> list[CheckResult]:
     )
     res = picard_solve(run.problem(), run.picard_config())
     rep = res.report
-    elapsed = time.perf_counter() - t0
+    yield (
+        "picard_converges",
+        rep.converged and rep.iterations <= 20,
+        f"converged in {rep.iterations} iterations, last distance {rep.distances[-1]:.2e}",
+        "<= 20 iterations at tol 1e-6",
+    )
     late = rep.ratios[1:]
-    worst_ratio = max(late) if late else 0.0
-    return [
-        CheckResult(
-            5,
-            "picard_converges",
-            rep.converged and rep.iterations <= 20,
-            f"converged in {rep.iterations} iterations, last distance {rep.distances[-1]:.2e}",
-            "<= 20 iterations at tol 1e-6",
-            elapsed,
-        ),
-        CheckResult(
-            5,
-            "picard_contraction_ratios",
-            bool(late) and worst_ratio <= 0.5,
-            f"ratios {', '.join(f'{r:.3f}' for r in rep.ratios)} (weight {rep.lambda_weight:g})",
-            "<= 0.5 from the second ratio on",
-            0.0,
-        ),
-    ]
+    yield (
+        "picard_contraction_ratios",
+        bool(late) and max(late) <= 0.5,
+        f"ratios {', '.join(f'{r:.3f}' for r in rep.ratios)} (weight {rep.lambda_weight:g})",
+        "<= 0.5 from the second ratio on",
+    )
 
 
 # -- 6: small-noise deviation scaling ----------------------------------------
 
 
-def suite_smallnoise(cfg: RunConfig) -> list[CheckResult]:
+def suite_smallnoise(cfg: RunConfig) -> Iterator[tuple]:
     """Mean squared sup deviation from the zero-noise path scales linearly."""
-    t0 = time.perf_counter()
     sweep = small_noise_sweep(
         cfg.problem(),
         [0.0, 1e-2, 3e-3, 1e-3, 3e-4],
         n_replicas=16,
         cfg=PicardConfig(tol=1e-6, max_iters=20),
     )
-    elapsed = time.perf_counter() - t0
-    zero_row = next(v for e, v, _ in sweep.rows if e == 0.0)
     rows = ", ".join(f"{e:.0e}: {v:.2e}" for e, v, _ in sweep.rows if e > 0)
-    return [
-        CheckResult(
-            6,
-            "smallnoise_slope",
-            0.8 <= sweep.slope <= 1.2,
-            f"slope {sweep.slope:.3f} ({rows})",
-            "in [0.8, 1.2]",
-            elapsed,
-        ),
-        CheckResult(
-            6,
-            "smallnoise_zero_limit",
-            zero_row <= 1e-12,
-            f"intensity-0 deviation {zero_row:.1e}",
-            "<= 1e-12",
-            0.0,
-        ),
-    ]
+    slope = sweep.slope
+    yield "smallnoise_slope", 0.8 <= slope <= 1.2, f"slope {slope:.3f} ({rows})", "in [0.8, 1.2]"
+    zero = next(v for e, v, _ in sweep.rows if e == 0.0)
+    yield "smallnoise_zero_limit", zero <= 1e-12, f"intensity-0 deviation {zero:.1e}", "<= 1e-12"
 
 
 # -- 7: controlled-equation consistency ---------------------------------------
 
 
-def suite_controlled(cfg: RunConfig) -> list[CheckResult]:
+def suite_controlled(cfg: RunConfig) -> Iterator[tuple]:
     """Zero control reproduces the base path; the response to joint
     initial-state and control perturbations is Lipschitz with a stable
     constant."""
-    t0 = time.perf_counter()
     grid, tgrid, coeffs, u0 = cfg.grid, cfg.tgrid, cfg.coeffs, cfg.u0
     base = solve_deterministic(u0, coeffs, tgrid)
     K, S = coeffs.sigma.n_modes, tgrid.steps
     v0 = Control.zero(tgrid, K)
     dist0 = sup_distance(solve_controlled(u0, v0, base, coeffs, tgrid), base)
-    out = [
-        CheckResult(
-            7,
-            "zero_control_reproduces_base",
-            dist0 <= 1e-12,
-            f"sup distance {dist0:.2e}",
-            "<= 1e-12",
-            time.perf_counter() - t0,
-        )
-    ]
+    yield "zero_control_reproduces_base", dist0 <= 1e-12, f"sup distance {dist0:.2e}", "<= 1e-12"
 
-    t1 = time.perf_counter()
     rng = _rng(707)
     axes = grid.coordinates()
     v_ref_vals = np.zeros((S, K))
@@ -362,26 +297,20 @@ def suite_controlled(cfg: RunConfig) -> list[CheckResult]:
             denom = float(sq_norms(scale * du, grid)) + Control(scale * dv, tgrid.dt).l2_norm_sq()
             sink.append(d_sq / denom)
     drift = max(abs(h - f) / f for f, h in zip(ratios_full, ratios_half))
-    out.append(
-        CheckResult(
-            7,
-            "lipschitz_constant_stability",
-            drift <= 0.25,
-            f"max constant {max(ratios_full):.3e}, drift under halving {100 * drift:.2f}%",
-            "per-pair drift <= 25%",
-            time.perf_counter() - t1,
-        )
+    yield (
+        "lipschitz_constant_stability",
+        drift <= 0.25,
+        f"max constant {max(ratios_full):.3e}, drift under halving {100 * drift:.2f}%",
+        "per-pair drift <= 25%",
     )
-    return out
 
 
 # -- 8: tail mass on a wide domain --------------------------------------------
 
 
-def suite_tails(cfg: RunConfig) -> list[CheckResult]:
+def suite_tails(cfg: RunConfig) -> Iterator[tuple]:
     """Mass outside a ball of radius m0 < L/2 stays below delta for every
     control in a norm ball, uniformly in time."""
-    t0 = time.perf_counter()
     run = cfg.with_overrides(
         grid={"dim": 1, "half_width": 100.0, "points_per_dim": 800},
         time={"horizon": 0.5, "steps": 200},
@@ -409,27 +338,23 @@ def suite_tails(cfg: RunConfig) -> list[CheckResult]:
             m0, worst = float(m), w
             break
     found = m0 is not None
-    return [
-        CheckResult(
-            8,
-            "tail_mass_uniform_over_controls",
-            found,
-            (
-                f"m0 = {m0:g} (< L/2 = {grid.half_width / 2:g}), worst tail {worst:.2e} "
-                f"over 6 trajectories, all nodes"
-                if found
-                else f"no radius below L/2 = {grid.half_width / 2:g} reaches delta"
-            ),
-            f"tail < {delta:g} at some m0 < L/2",
-            time.perf_counter() - t0,
-        )
-    ]
+    yield (
+        "tail_mass_uniform_over_controls",
+        found,
+        (
+            f"m0 = {m0:g} (< L/2 = {grid.half_width / 2:g}), worst tail {worst:.2e} "
+            f"over 6 trajectories, all nodes"
+            if found
+            else f"no radius below L/2 = {grid.half_width / 2:g} reaches delta"
+        ),
+        f"tail < {delta:g} at some m0 < L/2",
+    )
 
 
 # -- 9: action floor and manufactured upper bound -----------------------------
 
 
-def suite_rate(cfg: RunConfig) -> list[CheckResult]:
+def suite_rate(cfg: RunConfig) -> Iterator[tuple]:
     """The estimator finds the zero floor and never overshoots a known
     attaining control by more than 5%."""
     run = cfg.with_overrides(
@@ -439,21 +364,14 @@ def suite_rate(cfg: RunConfig) -> list[CheckResult]:
     )
     grid, tgrid, coeffs, u0 = run.grid, run.tgrid, run.coeffs, run.u0
     base = solve_deterministic(u0, coeffs, tgrid)
-
-    t0 = time.perf_counter()
     est0 = estimate_rate(run.rate_problem(base), u0, coeffs, tgrid, base=base)
-    out = [
-        CheckResult(
-            9,
-            "rate_floor_at_base_path",
-            est0.value <= 1e-6 and control_cost(est0.v_star) <= 1e-6,
-            f"value {est0.value:.2e}, gap {est0.gap:.2e}",
-            "value and control cost <= 1e-6",
-            time.perf_counter() - t0,
-        )
-    ]
+    yield (
+        "rate_floor_at_base_path",
+        est0.value <= 1e-6 and control_cost(est0.v_star) <= 1e-6,
+        f"value {est0.value:.2e}, gap {est0.gap:.2e}",
+        "value and control cost <= 1e-6",
+    )
 
-    t1 = time.perf_counter()
     t_left = tgrid.nodes[:-1]
     vbar = Control(
         np.stack(
@@ -468,27 +386,21 @@ def suite_rate(cfg: RunConfig) -> list[CheckResult]:
     target = solve_controlled(u0, vbar, base, coeffs, tgrid)
     ref_cost = control_cost(vbar)
     est = estimate_rate(run.rate_problem(target), u0, coeffs, tgrid, base=base)
-    out.append(
-        CheckResult(
-            9,
-            "rate_manufactured_upper_bound",
-            est.value <= 1.05 * ref_cost and est.gap_rel < 1e-3 and est.converged,
-            f"value {est.value:.5f} vs reference {ref_cost:.5f} "
-            f"(ratio {est.value / ref_cost:.3f}), rel gap {est.gap_rel:.1e}",
-            "value <= 1.05 x reference, rel gap < 1e-3",
-            time.perf_counter() - t1,
-        )
+    yield (
+        "rate_manufactured_upper_bound",
+        est.value <= 1.05 * ref_cost and est.gap_rel < 1e-3 and est.converged,
+        f"value {est.value:.5f} vs reference {ref_cost:.5f} "
+        f"(ratio {est.value / ref_cost:.3f}), rel gap {est.gap_rel:.1e}",
+        "value <= 1.05 x reference, rel gap < 1e-3",
     )
-    return out
 
 
 # -- 10: oscillatory-control collapse ------------------------------------------
 
 
-def suite_weak(cfg: RunConfig) -> list[CheckResult]:
+def suite_weak(cfg: RunConfig) -> Iterator[tuple]:
     """Faster-oscillating control perturbations of fixed energy produce
     vanishing solution responses."""
-    t0 = time.perf_counter()
     # whole periods of sin(i t) for every integer i need horizon 2 pi
     tgrid = TimeGrid(horizon=2.0 * math.pi, steps=640)
     coeffs, u0 = cfg.coeffs, cfg.u0
@@ -510,29 +422,21 @@ def suite_weak(cfg: RunConfig) -> list[CheckResult]:
         tgrid,
     )
     sups = [r[1] for r in tab.rows]
-    offsets = [r[4] for r in tab.rows]
     envelope_ok = all(b <= a * 1.0001 for a, b in zip(sups, sups[1:]))
-    final_ok = sups[-1] < sups[0] / 4.0
+    yield (
+        "weak_convergence_envelope",
+        envelope_ok and sups[-1] < sups[0] / 4.0,
+        f"sup distances {', '.join(f'{s:.3e}' for s in sups)}",
+        "decreasing, final < initial/4",
+    )
+    offset = min(r[4] for r in tab.rows)
     offset_floor = 0.5 * amp * math.sqrt(tgrid.horizon / 2.0)
-    elapsed = time.perf_counter() - t0
-    return [
-        CheckResult(
-            10,
-            "weak_convergence_envelope",
-            envelope_ok and final_ok,
-            f"sup distances {', '.join(f'{s:.3e}' for s in sups)}",
-            "decreasing, final < initial/4",
-            elapsed,
-        ),
-        CheckResult(
-            10,
-            "weak_convergence_offsets_stay_large",
-            min(offsets) >= offset_floor,
-            f"min control offset {min(offsets):.3f}",
-            f">= {offset_floor:.3f}",
-            0.0,
-        ),
-    ]
+    yield (
+        "weak_convergence_offsets_stay_large",
+        offset >= offset_floor,
+        f"min control offset {offset:.3f}",
+        f">= {offset_floor:.3f}",
+    )
 
 
 # -- 11: byte-level determinism -------------------------------------------------
@@ -546,12 +450,11 @@ def _hash_tree(root: Path) -> dict[str, str]:
     return out
 
 
-def suite_determinism(cfg: RunConfig) -> list[CheckResult]:
+def suite_determinism(cfg: RunConfig) -> Iterator[tuple]:
     """The simulate command is byte-reproducible, and the batched
     freezing map equals one single-particle solve per particle."""
     from .cli import cmd_simulate
 
-    t0 = time.perf_counter()
     small = cfg.with_overrides(
         grid={"points_per_dim": 64},
         time={"horizon": 0.25, "steps": 100},
@@ -566,10 +469,13 @@ def suite_determinism(cfg: RunConfig) -> list[CheckResult]:
             if not tree:
                 raise ValidationError("simulate wrote no trajectory files")
             hashes.append(tree)
-    same_seed = hashes[0] == hashes[1]
-    rerun_s = time.perf_counter() - t0
+    yield (
+        "simulate_byte_identical_rerun",
+        hashes[0] == hashes[1],
+        f"{len(hashes[0])} files compared",
+        "identical hashes",
+    )
 
-    t1 = time.perf_counter()
     problem, tgrid = small.problem(), small.tgrid
     n = small.picard_config().n_particles
     # freeze a time-varying law: the image of the initial ensemble
@@ -587,24 +493,12 @@ def suite_determinism(cfg: RunConfig) -> list[CheckResult]:
     across_batch = all(
         batched.states[:, i].tobytes() == single[i].tobytes() for i in range(n)
     )
-    return [
-        CheckResult(
-            11,
-            "simulate_byte_identical_rerun",
-            same_seed,
-            f"{len(hashes[0])} files compared",
-            "identical hashes",
-            rerun_s,
-        ),
-        CheckResult(
-            11,
-            "apply_phi_byte_identical_across_batch_size",
-            across_batch,
-            f"{n}-particle batch vs {n} one-particle solve_frozen runs",
-            "identical bytes",
-            time.perf_counter() - t1,
-        ),
-    ]
+    yield (
+        "apply_phi_byte_identical_across_batch_size",
+        across_batch,
+        f"{n}-particle batch vs {n} one-particle solve_frozen runs",
+        "identical bytes",
+    )
 
 
 SUITES = {
@@ -635,7 +529,18 @@ def check_suites(names: list[str] | None) -> list[str]:
 
 
 def run_suites(cfg: RunConfig, names: list[str] | None = None) -> list[CheckResult]:
-    return [result for name in check_suites(names) for result in SUITES[name](cfg)]
+    """Run the named suites (all for ``None``).  Each check takes its
+    suite's place in ``SUITES`` as criterion number, and its seconds run
+    from the end of the previous check."""
+    number = {name: i for i, name in enumerate(SUITES, start=1)}
+    results = []
+    for name in check_suites(names):
+        t0 = time.perf_counter()
+        for check, passed, measured, threshold in SUITES[name](cfg):
+            t1 = time.perf_counter()
+            results.append(CheckResult(number[name], check, passed, measured, threshold, t1 - t0))
+            t0 = t1
+    return results
 
 
 def format_report(results: list[CheckResult]) -> str:

@@ -412,6 +412,50 @@ def test_truncated_trajectory_target_exits_2(tiny_config, tmp_path, capsys):
     assert "error[validation]" in err and "trunc.traj" in err
 
 
+@pytest.mark.parametrize("kind", ["terminal-grid", "trajectory-grid", "trajectory-nodes"])
+def test_refused_rate_target_names_the_file(kind, tiny_config, tmp_path, capsys):
+    from fracmv.dynamics import Trajectory, save_trajectory
+    from fracmv.grid import GridFunction, SpatialGrid, save_grid_function
+
+    cfg = load_config(tiny_config)
+    other = SpatialGrid(1, 4.0, 16)
+    if kind == "terminal-grid":
+        path = save_grid_function(GridFunction(other, np.zeros(16)), tmp_path / "other.csv")
+    else:
+        grid = other if kind == "trajectory-grid" else cfg.grid
+        times = cfg.tgrid.nodes if kind == "trajectory-grid" else cfg.tgrid.nodes + 0.01
+        path = save_trajectory(Trajectory(grid, times, np.zeros((times.size,) + grid.shape)),
+                               tmp_path / "other.traj")
+    spec = f"{kind.split('-')[0]}:{path}"
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
+               "--target", spec])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and f"--target {spec}: " in err
+    assert ("time nodes" if kind == "trajectory-nodes" else "different grid") in err
+
+
+def test_smallnoise_suite_runs_on_a_jittered_config(tiny_config, tmp_path, capsys):
+    """The sweep starts every intensity at ``u0``, so a jittered initial
+    ensemble of another size changes neither its rows nor the verdict."""
+    from fracmv.mckean_vlasov import small_noise_sweep
+
+    plain = load_config(tiny_config)
+    jittered = plain.with_overrides(initial={"jitter": 0.1})
+    assert jittered.problem().initial_states.shape[0] == 4
+    rows = [small_noise_sweep(c.problem(), [0.0, 1e-2, 1e-3], n_replicas=3).rows
+            for c in (plain, jittered)]
+    assert rows[0] == rows[1]
+    jittered_yaml = tmp_path / "jittered.yaml"
+    jittered_yaml.write_text(TINY_YAML + "initial: {jitter: 0.1}\n")
+    lines = []
+    for path in (tiny_config, jittered_yaml):
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / path.stem),
+                     "--suite", "smallnoise"]) == 0
+        lines.append([line.rsplit("(", 1)[0] for line in capsys.readouterr().out.splitlines()])
+    assert lines[0] == lines[1]
+
+
 def test_malformed_control_header_exits_2(tiny_config, tmp_path, capsys):
     vpath = tmp_path / "v.csv"
     vpath.write_text("# dt=abc steps=20 modes=2\n" + "0,0\n" * 20)

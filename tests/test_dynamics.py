@@ -33,6 +33,7 @@ from fracmv.errors import BlowUpError, GridMismatchError, ValidationError
 from fracmv.grid import GridFunction, apply_fractional_laplacian, l2_norm
 from fracmv.measure import EmpiricalMeasure, MeasureFlow
 from fracmv.mckean_vlasov import MeanFieldProblem, apply_phi
+from fracmv.rate_function import RateProblem, estimate_rate
 
 
 def diffusion_only_coeffs(grid, n_modes=2, alpha=0.6):
@@ -200,6 +201,52 @@ def test_frozen_solver_validates_flow_sampling(small_grid, small_coeffs):
         solve_frozen(u0, wrong_grid, small_coeffs, tg)
 
 
+@pytest.mark.parametrize("mismatch", ["grid", "nodes"])
+@pytest.mark.parametrize(
+    "caller",
+    ["solve_frozen", "apply_phi", "solve_controlled", "energy_residual", "estimate_rate",
+     "sup_distance", "integrated_v_distance"],
+)
+def test_every_caller_refuses_a_wrong_grid_and_shifted_nodes(caller, mismatch, small_grid,
+                                                             small_coeffs):
+    """The flow, base, target or compared path each caller checks is
+    refused on another grid and on nodes shifted by half a step."""
+    tg = build_tgrid(steps=10)
+    u0 = build_u0(small_grid)
+    base = solve_deterministic(u0, small_coeffs, tg)
+    grid = build_grid(points=16) if mismatch == "grid" else small_grid
+    times = tg.nodes if mismatch == "grid" else tg.nodes + 0.5 * tg.dt
+    bad = Trajectory(grid, times, np.zeros((times.size,) + grid.shape))
+    bad_flow = constant_flow(GridFunction(grid, bad.values[0]), 2, times)
+    problem = MeanFieldProblem(small_grid, tg, small_coeffs, u0, 0.0, 3)
+    calls = {
+        "solve_frozen": lambda: solve_frozen(u0, bad_flow, small_coeffs, tg),
+        "apply_phi": lambda: apply_phi(problem, bad_flow),
+        "solve_controlled": lambda: solve_controlled(
+            u0, Control.zero(tg, small_coeffs.sigma.n_modes), bad, small_coeffs, tg),
+        "energy_residual": lambda: energy_residual(base, small_coeffs, None, bad),
+        "estimate_rate": lambda: estimate_rate(RateProblem(bad), u0, small_coeffs, tg, base=base),
+        "sup_distance": lambda: sup_distance(base, bad),
+        "integrated_v_distance": lambda: integrated_v_distance(base, bad, small_coeffs.alpha),
+    }
+    needle = "different grid" if mismatch == "grid" else "not sampled on the solver's time nodes"
+    with pytest.raises(GridMismatchError, match=needle):
+        calls[caller]()
+
+
+def test_law_on_nodes_matches_one_call_over_a_path(small_grid, small_coeffs, small_tgrid):
+    """The node-by-node law table equals one ``law_statistics`` call over
+    the left nodes of a path, bit for bit."""
+    from fracmv import dynamics
+
+    path = solve_deterministic(build_u0(small_grid), small_coeffs, small_tgrid)
+    h_cap = small_coeffs.f.h_cap
+    table = dynamics._law_on_nodes(path.values[:, None], small_grid, h_cap)
+    one = law_statistics(path.values[:-1, None], small_grid, h_cap)
+    assert table.shape == one.shape == (small_tgrid.steps, 3)
+    assert table.tobytes() == one.tobytes()
+
+
 # -- blow-up reporting ---------------------------------------------------
 
 
@@ -217,21 +264,18 @@ def test_overflowing_state_raises_blow_up(small_grid, small_coeffs):
     assert "non-finite" in str(err)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 64])
-def test_controlled_batch_blow_up_names_the_row(small_grid, small_coeffs, small_tgrid,
-                                                chunk, monkeypatch):
-    """Row 3 of a stack of controls overflows; the row is named whatever
-    the chunking, and a single controlled path still names none."""
+def test_controlled_batch_blow_up_names_the_row(small_grid, small_coeffs, small_tgrid):
+    """Row 3 of a stack of controls overflows; the row is named, and a
+    single controlled path still names none."""
     from fracmv import dynamics
 
-    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
     u0 = build_u0(small_grid)
     base = solve_deterministic(u0, small_coeffs, small_tgrid)
     controls = np.zeros((5, small_tgrid.steps, small_coeffs.sigma.n_modes))
     controls[3] = 1e300
     solve = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)
     with pytest.raises(BlowUpError) as exc_info:
-        list(solve(controls))
+        solve(controls)
     assert exc_info.value.particle == 3
     with pytest.raises(BlowUpError) as exc_info:
         solve_controlled(u0, Control(controls[3], small_tgrid.dt), base, small_coeffs, small_tgrid)
@@ -261,18 +305,18 @@ def test_run_steps_rows_with_control_and_noise_match_one_row_runs(dim, rng):
         assert out[:, i].tobytes() == one[:, 0].tobytes()
 
 
-def test_controlled_stack_longer_than_a_chunk_matches_single_solves(small_grid, small_coeffs,
-                                                                   rng):
-    """A stack of more than ``_CHUNK`` controls runs in several chunks;
-    every row equals its own ``solve_controlled`` bit for bit."""
+def test_controlled_stack_rows_match_single_solves(small_grid, small_coeffs, rng):
+    """A stack of controls runs as one batch; every row of the
+    ``(m, S+1, *grid)`` result equals its own ``solve_controlled`` bit for bit."""
     from fracmv import dynamics
 
     tg = build_tgrid(steps=8)
     u0 = build_u0(small_grid)
     base = solve_deterministic(u0, small_coeffs, tg)
-    controls = rng.standard_normal((dynamics._CHUNK + 3, tg.steps, small_coeffs.sigma.n_modes))
-    solve = dynamics._controlled_solver(u0, base, small_coeffs, tg)
-    for v, path in zip(controls, solve(controls), strict=True):
+    controls = rng.standard_normal((7, tg.steps, small_coeffs.sigma.n_modes))
+    paths = dynamics._controlled_solver(u0, base, small_coeffs, tg)(controls)
+    assert paths.shape == (7, tg.steps + 1) + small_grid.shape
+    for v, path in zip(controls, paths, strict=True):
         ref = solve_controlled(u0, Control(v, tg.dt), base, small_coeffs, tg)
         assert path.tobytes() == ref.values.tobytes()
 

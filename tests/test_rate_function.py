@@ -269,20 +269,6 @@ def test_fused_objective_walks_the_same_path_as_separate_callables(
     assert (split.value, split.gap) == (fused.value, fused.gap)
 
 
-def test_estimate_is_byte_identical_across_chunk_sizes(odd_instance, monkeypatch):
-    g, coeffs, u0, tg, base, targets = odd_instance
-    problem = RateProblem(targets["trajectory"], eta_ladder=(1e-2, 1e-3), max_stage_iters=8)
-    runs = []
-    for chunk in (1, 3, 1000):
-        monkeypatch.setattr(dynamics, "_CHUNK", chunk)
-        runs.append(estimate_rate(problem, u0, coeffs, tg, base=base))
-    for est in runs[1:]:
-        assert est.v_star.values.tobytes() == runs[0].v_star.values.tobytes()
-        assert est.stages == runs[0].stages
-        assert est.n_evaluations == runs[0].n_evaluations
-        assert (est.value, est.gap) == (runs[0].value, runs[0].gap)
-
-
 # -- weak-convergence experiment --------------------------------------------
 
 
@@ -325,12 +311,11 @@ def test_weak_experiment_validation(instance):
         weak_convergence_experiment(bad_v, 0, 0.5, [1], u0, coeffs, tg)
 
 
-def test_weak_experiment_batch_matches_single_solves(instance, monkeypatch):
+def test_weak_experiment_batch_matches_single_solves(instance):
     g, coeffs, u0, tg, base = instance
     t_left = tg.nodes[:-1]
     v = Control(np.column_stack([0.3 * np.ones_like(t_left), 0.1 * np.sin(t_left)]), tg.dt)
     freqs, A = [1, 2, 4, 8], 0.5
-    monkeypatch.setattr(dynamics, "_CHUNK", 3)
     table = weak_convergence_experiment(v, 0, A, freqs, u0, coeffs, tg, base=base)
     u_ref = solve_controlled(u0, v, base, coeffs, tg)
     for row, i in zip(table.rows, freqs):
