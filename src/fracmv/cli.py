@@ -43,7 +43,7 @@ from .errors import BlowUpError, FixedPointDivergenceError, GridMismatchError, V
 from .grid import load_grid_function, tail_masses
 from .measure import save_measure, second_moment
 from .mckean_vlasov import picard_solve
-from .rate_function import control_cost, estimate_rate
+from .rate_function import check_target, control_cost, estimate_rate
 from .verify import SUITES, check_suites, format_report, run_suites
 
 __all__ = ["cmd_simulate", "cmd_skeleton", "cmd_rate", "cmd_verify", "main"]
@@ -207,17 +207,20 @@ def cmd_skeleton(cfg: RunConfig, out: str | Path, control_path: str | Path | Non
     return out
 
 
-def _parse_target(spec: str, cfg: RunConfig, base):
+def _parse_target(spec: str, cfg: RunConfig):
+    """``(target, manufactured control)``; a file target is checked against the run's
+    grid and nodes here, before any solve; None is a path the caller solves."""
     if spec == "deterministic":
-        return base, None
+        return None, None
     kind, _, path = spec.partition(":")
     if path and kind == "manufactured":
-        vbar = _load_run_control(cfg, path, "manufactured control")
-        return solve_controlled(cfg.u0, vbar, base, cfg.coeffs, cfg.tgrid), vbar
-    if path and kind == "trajectory":
-        return load_trajectory(path), None
-    if path and kind == "terminal":
-        return load_grid_function(path), None
+        return None, _load_run_control(cfg, path, "manufactured control")
+    if path and kind in ("trajectory", "terminal"):
+        target = load_trajectory(path) if kind == "trajectory" else load_grid_function(path)
+        try:
+            return check_target(target, cfg.grid, cfg.tgrid), None
+        except GridMismatchError as exc:
+            raise GridMismatchError(f"--target {spec}: {exc}") from None
     raise ValidationError(
         f"target spec must be 'deterministic', 'manufactured:PATH', "
         f"'trajectory:PATH', or 'terminal:PATH', got {spec!r}"
@@ -226,13 +229,12 @@ def _parse_target(spec: str, cfg: RunConfig, base):
 
 def cmd_rate(cfg: RunConfig, out: str | Path, target_spec: str) -> Path:
     """Estimate the minimal control cost to reach a target."""
+    target, vbar = _parse_target(target_spec, cfg)
     base = solve_deterministic(cfg.u0, cfg.coeffs, cfg.tgrid)
-    target, vbar = _parse_target(target_spec, cfg, base)
+    if target is None:
+        target = base if vbar is None else solve_controlled(cfg.u0, vbar, base, cfg.coeffs, cfg.tgrid)
     out = _out_dir(out)
-    try:
-        est = estimate_rate(cfg.rate_problem(target), cfg.u0, cfg.coeffs, cfg.tgrid, base=base)
-    except GridMismatchError as exc:  # the base is built here, so only the target can mismatch
-        raise GridMismatchError(f"--target {target_spec}: {exc}") from None
+    est = estimate_rate(cfg.rate_problem(target), cfg.u0, cfg.coeffs, cfg.tgrid, base=base)
     _write_csv(
         out / "rate_estimate.csv",
         ["value", "gap", "gap_rel", "converged", "n_evaluations"],

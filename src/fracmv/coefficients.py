@@ -11,15 +11,18 @@ The measure enters through bounded statistics of the particle
 ensemble (:func:`law_statistics`): capped mean norms (drift coupling)
 and the root second moment (noise coupling).  All are 1-Lipschitz
 along Wasserstein-2, which is what makes the audit's Lipschitz
-conditions uniform in the ensemble.  Each formula is written once, as
-a method on field arrays and those scalars; the steppers, the energy
-balance and the audit all call it.
+conditions uniform in the ensemble.  At a time node those scalars fix
+the state-free parts of ``f``, ``g`` and ``sigma``
+(:meth:`CoefficientSet.node_fields`); each formula is written once, as a
+method on field arrays and those parts, and the steppers, the adjoint,
+the energy balance and the audit all call it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = [
     "DriftG",
     "NoiseSigma",
     "CoefficientSet",
+    "NodeFields",
     "law_statistics",
     "hs_bound_constant",
     "sigma_lipschitz_constant",
@@ -199,18 +203,17 @@ class DriftF:
         """Bound field in front of the Wasserstein term, ``|phi|``."""
         return np.abs(self.phi.values(t, grid))
 
-    def power_values(self, u_values: np.ndarray) -> np.ndarray:
-        """The monotone part ``lambda_f |u|^(p-2) u`` (even p, so a polynomial)."""
-        return self.lambda_f * u_values ** (self.p - 1)
+    def values(self, u: np.ndarray, phi_h: np.ndarray) -> np.ndarray:
+        """``f`` at field values ``u`` (any batch of fields): the monotone part
+        ``lambda_f |u|^(p-2) u`` (even p) plus the node's ``phi_h = phi(t) hbar_f``."""
+        out = u ** (self.p - 1)
+        out *= self.lambda_f
+        out += phi_h
+        return out
 
     def power_derivative(self, u_values: np.ndarray) -> np.ndarray:
-        """Its derivative ``lambda_f (p-1) u^(p-2)``: ``lambda_f`` when p = 2."""
+        """The monotone part's derivative ``lambda_f (p-1) u^(p-2)``: ``lambda_f`` when p = 2."""
         return self.lambda_f * (self.p - 1) * u_values ** (self.p - 2)
-
-    def values(self, t: float, grid: SpatialGrid, u: np.ndarray, hbar_f: float) -> np.ndarray:
-        """``f`` at field values ``u`` (any batch of fields on ``grid``),
-        with the law entering through its capped mean norm ``hbar_f``."""
-        return self.power_values(u) + self.phi.values(t, grid) * hbar_f
 
 
 # -- drift g -----------------------------------------------------------
@@ -244,10 +247,15 @@ class DriftG:
         """The claimed envelope field (``psi`` itself)."""
         return np.abs(self.psi.values(t, grid))
 
-    def values(self, t: float, grid: SpatialGrid, u: np.ndarray, hbar1: float) -> np.ndarray:
-        """``g`` at field values ``u`` (any batch of fields on ``grid``),
-        with the law entering through its unit-capped mean norm ``hbar1``."""
-        return self.psi.values(t, grid) * (self.c0 + self.c1 * np.tanh(u) + self.c2 * hbar1)
+    def values(self, u: np.ndarray, psi_values: np.ndarray, c2_h: float) -> np.ndarray:
+        """``g`` at field values ``u`` (any batch of fields), given the node's
+        ``psi(t)`` and ``c2_h = c2 hbar1``, the law's unit-capped mean norm."""
+        out = np.tanh(u)
+        out *= self.c1
+        out += self.c0
+        out += c2_h
+        out *= psi_values
+        return out
 
     def derivative(self, psi_values: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``dg/du = psi c1 (1 - tanh(u)^2)``, ``psi`` sampled at the nodes of ``u``."""
@@ -334,22 +342,33 @@ class NoiseSigma:
         free = np.multiply.outer(self.beta * root_m2, self.kappa.values)
         return self.profile(t) * self.shape_stack() + free
 
-    def drive(self, t: float, u: np.ndarray, root_m2: float, theta: np.ndarray) -> np.ndarray:
+    def drive(self, free: np.ndarray, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """The noise operator applied to mode coefficients, path by path.
 
         ``u`` is a batch ``(N, *grid.shape)`` and ``theta`` has shape
         ``(N, K)``; path ``n`` gets ``sum_k theta[n, k] * field_k(u[n])``.
-        The fields are affine in ``u``: the state-free stack
+        The fields are affine in ``u``: the node's state-free stack ``free``
         (:meth:`free_fields`) is contracted with ``theta[n]`` and
         ``kappa u[n]`` is scaled by ``theta[n] . gamma``, one matrix product
         per path each, so a row equals its one-path call bit for bit and no
         ``(N, K, *grid.shape)`` stack is built.
         """
         col = (-1,) + (1,) * self.grid.dim
-        free = self.free_fields(t, root_m2).reshape(1, self.n_modes, -1)
-        out = np.matmul(theta[:, None, :], free).reshape(u.shape)
+        out = np.matmul(theta[:, None, :], free.reshape(1, self.n_modes, -1)).reshape(u.shape)
         slope = np.matmul(theta[:, None, :], self.gamma[:, None]).reshape(col)
-        return out + self.kappa.values * (slope * u)
+        out += self.kappa.values * (slope * u)
+        return out
+
+    def derivative(self, theta: np.ndarray) -> np.ndarray:
+        """``d drive / du = kappa (theta[n] . gamma)`` for each row of ``theta``, ``(N, K)``."""
+        return self.kappa.values * (theta @ self.gamma).reshape((-1,) + (1,) * self.grid.dim)
+
+    def drive_adjoint(self, free: np.ndarray, u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`drive` in ``theta``: ``sum_x field_k(u[n]) lam[n]`` for
+        every path and mode, ``(N, K)``, with ``free`` each path's stack ``(N, K, *grid.shape)``."""
+        n, col = len(u), (-1,) + (1,) * self.grid.dim
+        fields = free + (self.kappa.values * u)[:, None] * self.gamma.reshape(col)
+        return np.matmul(fields.reshape(n, self.n_modes, -1), lam.reshape(n, -1, 1))[..., 0]
 
 
 def hs_bound_constant(sig: NoiseSigma, horizon: float) -> float:
@@ -397,6 +416,22 @@ class CoefficientSet:
         check_fractional_order(self.alpha)
         if not (float(self.c_v) > 0.0):
             raise ValidationError(f"c_v must be positive, got {self.c_v!r}")
+
+    def node_fields(self, grid: SpatialGrid, t: float, law) -> NodeFields:
+        """The parts of ``f``, ``g`` and ``sigma`` that time ``t`` and the law triple
+        ``(hbar_f, hbar1, root_m2)`` fix; neither the state nor the control enters them."""
+        hbar_f, hbar1, root_m2 = law
+        return NodeFields(self.f.phi.values(t, grid) * hbar_f, self.g.psi.values(t, grid),
+                          self.g.c2 * hbar1, self.sigma.free_fields(t, root_m2))
+
+
+class NodeFields(NamedTuple):
+    """One node's law parts (:meth:`CoefficientSet.node_fields`); stacked over nodes, a table."""
+
+    phi_h: np.ndarray  # phi(t) hbar_f, the law part of f
+    psi: np.ndarray  # psi(t)
+    c2_h: float  # c2 hbar1, the law part of g
+    free: np.ndarray  # sigma's state-free stack (K, *grid.shape)
 
 
 # -- randomized condition audit ----------------------------------------
@@ -521,11 +556,13 @@ def verify_conditions(
         mu2 = _random_measure(rng, grid, 4)
         w2 = wasserstein2(mu1, mu2)
         m2_1 = second_moment(mu1)
-        hb1, hb1_unit, r1 = law_statistics(mu1.states, grid, f.h_cap)
-        hb2, hb2_unit, r2 = law_statistics(mu2.states, grid, f.h_cap)
+        law1 = law_statistics(mu1.states, grid, f.h_cap)
+        law2 = law_statistics(mu2.states, grid, f.h_cap)
+        r1, r2 = law1[2], law2[2]
+        node1, node2 = coeffs.node_fields(grid, t, law1), coeffs.node_fields(grid, t, law2)
 
-        f1 = f.values(t, grid, u1, hb1)
-        f2 = f.values(t, grid, u2, hb2)
+        f1 = f.values(u1, node1.phi_h)
+        f2 = f.values(u2, node2.phi_h)
         psi1 = f.dissipation_bound_values(t, grid)
         psi3 = f.measure_coupling_values(t, grid)
 
@@ -534,7 +571,7 @@ def verify_conditions(
         track("f_lipschitz", np.abs(f1 - f2), lip_rhs + psi3 * w2)
         track("f_growth", np.abs(f1), lam3 * np.abs(u1) ** (p - 1) + psi3 * (1.0 + r1))
         # monotonicity in the state alone: both fields against mu1's law
-        f2_mu = f.values(t, grid, u2, hb1)
+        f2_mu = f.values(u2, node1.phi_h)
         track("f_monotonicity", 0.0, (f1 - f2_mu) * (u1 - u2))
         if include_strong_dissipativity:
             track(
@@ -545,10 +582,11 @@ def verify_conditions(
 
         bound = g.bound_values(t, grid)
         # the Dirac mass at the zero field has capped mean norm 0
-        g0 = g.values(t, grid, zero_u, 0.0)
+        node0 = coeffs.node_fields(grid, t, (0.0, 0.0, 0.0))
+        g0 = g.values(zero_u, node0.psi, node0.c2_h)
         track("g_bound_at_zero", np.abs(g0), bound)
-        g1 = g.values(t, grid, u1, hb1_unit)
-        g2 = g.values(t, grid, u2, hb2_unit)
+        g1 = g.values(u1, node1.psi, node1.c2_h)
+        g2 = g.values(u2, node2.psi, node2.c2_h)
         track("g_lipschitz", np.abs(g1 - g2), bound * (np.abs(u1 - u2) + w2))
         track("g_growth", np.abs(g1), bound * (1.0 + np.abs(u1) + r1))
 

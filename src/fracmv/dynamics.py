@@ -20,6 +20,12 @@ measure comes from: a caller-supplied flow (``solve_frozen``), the Dirac
 mass at the current state (``solve_deterministic``), or the Dirac mass
 along a precomputed deterministic path (``solve_controlled``).  Stacks
 of controls against one such path run as rows of one batch.
+
+A node's triple fixes the step's state-free fields
+(:meth:`CoefficientSet.node_fields`), so the kernel does only the work that
+depends on the state.  Where the law moves with the flow or the state they
+are built node by node while stepping; the controlled solver freezes the law
+along ``base`` and builds them once, for every solve and adjoint sweep.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientSet, law_statistics
+from .coefficients import CoefficientSet, NodeFields, law_statistics
 from .errors import BlowUpError, GridMismatchError, ValidationError
 from .grid import (
     GridFunction,
@@ -213,75 +219,59 @@ def _check_epsilon(eps: float) -> float:
     return e
 
 
-def _step_values(
-    grid: SpatialGrid,
-    coeffs: CoefficientSet,
-    vals: np.ndarray,
-    stats: np.ndarray,
-    t: float,
-    dt: float,
-    res_mult: np.ndarray,
-    eps: float,
-    v_s: np.ndarray | None,
-    dw_s: np.ndarray | None,
-) -> np.ndarray:
-    """One semi-implicit step of a batch ``vals`` of shape ``(N, *grid.shape)``.
-
-    ``stats`` is the law triple ``(hbar_f, hbar1, root_m2)`` shared by
-    the batch; ``v_s`` and ``dw_s`` are per-path mode coefficients of
-    shape ``(N, K)``.  May return non-finite values.
-    """
-    hbar_f, hbar1, root_m2 = stats
-    sig = coeffs.sigma
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_vals = coeffs.f.values(t, grid, vals, hbar_f)
-        tamed = f_vals / (1.0 + dt * np.abs(f_vals))
-        tilde = vals + dt * (coeffs.g.values(t, grid, vals, hbar1) - tamed)
-        parts = [] if v_s is None else [dt * v_s]
-        if dw_s is not None and eps > 0.0:
-            parts.append(math.sqrt(eps) * dw_s)
-        if parts:
-            tilde = tilde + sig.drive(t, vals, root_m2, np.sum(parts, axis=0))
-        return grid.apply_multiplier(tilde, res_mult)
-
-
 def _run_steps(
     grid: SpatialGrid,
     coeffs: CoefficientSet,
     starts: np.ndarray,
     tgrid: TimeGrid,
-    stats: np.ndarray | None,
+    law: np.ndarray | list[NodeFields] | None,
     eps: float = 0.0,
     control: np.ndarray | None = None,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """Advance ``N`` paths from ``starts``, shape ``(N, *grid.shape)``, to
-    shape ``(S+1, N, *grid.shape)``.
+    shape ``(S+1, N, *grid.shape)``, one step of the scheme per node.
 
-    ``stats`` holds the law triple of each left node, shape ``(S, 3)``,
-    or is None to take it from the current state (the Dirac mass of a
-    single path).  ``control`` and ``noise`` hold per-path mode
-    coefficients, shape ``(S, N, K)``.
+    ``law`` holds the law triple of each left node, shape ``(S, 3)``; or
+    their node fields, one per node, already built; or is None to take it
+    from the current state (the Dirac mass of a single path).  ``control``
+    and ``noise`` hold per-path mode coefficients, shape ``(S, N, K)``;
+    sigma is applied once per step, to ``theta = dt v_s + sqrt(eps) dW_s``.
     """
-    S, dt = tgrid.steps, tgrid.dt
-    nodes = tgrid.nodes
+    S, dt, nodes = tgrid.steps, tgrid.dt, tgrid.nodes
     res_mult = grid.resolvent_multiplier(coeffs.alpha, dt)
+    parts = [] if control is None else [dt * control]
+    if noise is not None and eps > 0.0:
+        parts.append(math.sqrt(eps) * noise)
+    theta = np.sum(parts, axis=0) if parts else None
     n = starts.shape[0]
     out = np.empty((S + 1,) + starts.shape)
     out[0] = starts
     vals = starts
-    for s in range(S):
-        row = law_statistics(vals, grid, coeffs.f.h_cap) if stats is None else stats[s]
-        vals = _step_values(
-            grid, coeffs, vals, row, float(nodes[s]), dt, res_mult, eps,
-            None if control is None else control[s],
-            None if noise is None else noise[s],
-        )
-        if not np.all(np.isfinite(vals)):
-            finite = np.isfinite(vals.reshape(n, -1)).all(axis=1)
-            particle = int(np.argmin(finite)) if n > 1 else None
-            raise BlowUpError(s, float(nodes[s + 1]), particle)
-        out[s + 1] = vals
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(S):
+            if isinstance(law, list):
+                node = law[s]
+            else:
+                row = law_statistics(vals, grid, coeffs.f.h_cap) if law is None else law[s]
+                node = coeffs.node_fields(grid, float(nodes[s]), row)
+            f = coeffs.f.values(vals, node.phi_h)
+            tamed = np.abs(f)
+            tamed *= dt
+            tamed += 1.0
+            f /= tamed
+            tilde = coeffs.g.values(vals, node.psi, node.c2_h)
+            tilde -= f
+            tilde *= dt
+            tilde += vals
+            if theta is not None:
+                tilde += coeffs.sigma.drive(node.free, vals, theta[s])
+            vals = grid.apply_multiplier(tilde, res_mult)
+            if not np.isfinite(vals).all():
+                finite = np.isfinite(vals.reshape(n, -1)).all(axis=1)
+                particle = int(np.argmin(finite)) if n > 1 else None
+                raise BlowUpError(s, float(nodes[s + 1]), particle)
+            out[s + 1] = vals
     return out
 
 
@@ -358,62 +348,48 @@ def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGri
     return Trajectory(u0.grid, tgrid.nodes, vals[:, 0])
 
 
-def _frozen_law(u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid,
-                control=None) -> np.ndarray:
-    """Check a controlled run; return the law triple along ``base``, ``(S, 3)``."""
+def _controlled_solver(
+    u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid, control=None
+):
+    """Check a controlled run; return a map from a stack of controls ``(m, S, K)`` to their
+    paths ``(m, S+1, *grid.shape)``, and the table of node fields of the law along ``base``,
+    built once here: the map reads its rows, the adjoint its stacks.  Each row of a stack equals
+    its own solve bit for bit, and a blow-up names its row (none for a single path)."""
     _validate_run_args(u0, coeffs, tgrid, control, None, 0.0)
     _check_nodes("base trajectory", base, u0.grid, tgrid.nodes)
     if not np.array_equal(base.values[0], u0.values):
         raise ValidationError("base trajectory does not start at the given initial state")
-    return _law_on_nodes(base.values[:, None], u0.grid, coeffs.f.h_cap)
-
-
-def _controlled_solver(
-    u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid, control=None
-):
-    """Check a controlled run; return a map from a stack of controls
-    ``(m, S, K)`` to their paths ``(m, S+1, *grid.shape)``.
-
-    The rows run as one batch against the law along ``base``, taken once
-    here.  Rows are independent: each equals its own solve bit for bit,
-    and a blow-up names its row (none for a single path).
-    """
-    stats = _frozen_law(u0, base, coeffs, tgrid, control)
+    stats = _law_on_nodes(base.values[:, None], u0.grid, coeffs.f.h_cap)
+    by_node = [coeffs.node_fields(u0.grid, t, row) for t, row in zip(tgrid.nodes[:-1], stats)]
+    table = NodeFields(*map(np.stack, zip(*by_node)))
+    law = [NodeFields(*row) for row in zip(*table)]
 
     def paths(controls: np.ndarray) -> np.ndarray:
         starts = np.repeat(u0.values[None], len(controls), axis=0)
         by_step = np.ascontiguousarray(controls.transpose(1, 0, 2))
-        return _run_steps(u0.grid, coeffs, starts, tgrid, stats, 0.0, by_step).swapaxes(0, 1)
+        return _run_steps(u0.grid, coeffs, starts, tgrid, law, 0.0, by_step).swapaxes(0, 1)
 
-    return paths
+    return paths, table
 
 
-def _controlled_pullback(u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid):
-    """Check a controlled run; return its exact adjoint: (control, path, an objective's
-    derivative ``j_u`` at each node) -> flat derivative in the control.  The law is frozen
-    and ``R`` self-adjoint: ``lam_S = j_u[S]``, ``lam_s = R lam_{s+1} du~/du_s + j_u[s]``."""
-    stats = _frozen_law(u0, base, coeffs, tgrid)
-    grid, f, g, sig = u0.grid, coeffs.f, coeffs.g, coeffs.sigma
-    S, K, dt = tgrid.steps, sig.n_modes, tgrid.dt
-    t_left = tgrid.nodes[:-1]
+def _controlled_pullback(grid: SpatialGrid, coeffs: CoefficientSet, tgrid: TimeGrid, law: NodeFields):
+    """The exact adjoint of the controlled map: (control, path, an objective's derivative ``j_u``
+    at each node) -> flat derivative in the control.  ``phi(t_s) hbar_f``, ``psi(t_s)`` and sigma's
+    state-free stacks come from ``law``, the node-field stacks the forward solves read.  The
+    law is frozen, ``R`` self-adjoint: ``lam_S = j_u[S]``, ``lam_s = R lam_{s+1} du~/du_s + j_u[s]``."""
+    f, g, sig = coeffs.f, coeffs.g, coeffs.sigma
+    S, dt = tgrid.steps, tgrid.dt
     res_mult = grid.resolvent_multiplier(coeffs.alpha, dt)
-    col = (-1,) + (1,) * grid.dim
-    # everything that does not depend on the control, one entry per left node
-    free = np.stack([sig.free_fields(t, r) for t, r in zip(t_left, stats[:, 2])])
-    phi_h = np.stack([f.phi.values(t, grid) * h for t, h in zip(t_left, stats[:, 0])])
-    psi = np.stack([g.psi.values(t, grid) for t in t_left])
 
     def pullback(v: np.ndarray, u: np.ndarray, j_u: np.ndarray) -> np.ndarray:
         u = u[:-1]
-        tamed = f.power_derivative(u) / (1.0 + dt * np.abs(f.power_values(u) + phi_h)) ** 2
-        slope = ((dt * v) @ sig.gamma).reshape(col)
-        jac = 1.0 + dt * (g.derivative(psi, u) - tamed) + sig.kappa.values * slope
+        tamed = f.power_derivative(u) / (1.0 + dt * np.abs(f.values(u, law.phi_h))) ** 2
+        jac = 1.0 + dt * (g.derivative(law.psi, u) - tamed) + sig.derivative(dt * v)
         mu, lam = np.empty_like(u), j_u[S]
         for s in range(S - 1, -1, -1):
             mu[s] = grid.apply_multiplier(lam, res_mult)
             lam = mu[s] * jac[s] + j_u[s]
-        fields = free + (sig.kappa.values * u)[:, None] * sig.gamma.reshape(col)
-        return dt * np.matmul(fields.reshape(S, K, -1), mu.reshape(S, -1, 1)).ravel()
+        return dt * sig.drive_adjoint(law.free, u, mu).ravel()
 
     return pullback
 
@@ -431,7 +407,7 @@ def solve_controlled(
     zero-noise solution from the same initial state; it is not the law
     of the controlled path itself.
     """
-    paths = _controlled_solver(u0, base, coeffs, tgrid, control)
+    paths, _ = _controlled_solver(u0, base, coeffs, tgrid, control)
     return Trajectory(u0.grid, tgrid.nodes, paths(control.values[None])[0])
 
 
@@ -478,14 +454,13 @@ def energy_residual(
 
     work = np.zeros(S)
     for s in range(S):
-        t = float(traj.times[s])
         u_s = traj.values[s]
-        hbar_f, hbar1, root_m2 = stats[s]
-        f_vals = coeffs.f.values(t, g, u_s, hbar_f)
-        g_vals = coeffs.g.values(t, g, u_s, hbar1)
+        node = coeffs.node_fields(g, float(traj.times[s]), stats[s])
+        f_vals = coeffs.f.values(u_s, node.phi_h)
+        g_vals = coeffs.g.values(u_s, node.psi, node.c2_h)
         work[s] = w * float(np.sum((f_vals - g_vals) * u_s))
         if control is not None:
-            drive = sig.drive(t, u_s[None], root_m2, control.values[s][None])[0]
+            drive = sig.drive(node.free, u_s[None], control.values[s][None])[0]
             work[s] -= w * float(np.sum(drive * u_s))
     res = np.zeros(S + 1)
     res[1:] = energy[1:] - energy[0] + np.cumsum(2.0 * dt * (semi_sq + work))

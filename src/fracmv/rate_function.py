@@ -46,6 +46,7 @@ from .grid import GridFunction, SpatialGrid, l2_norm, sq_norms
 __all__ = [
     "RateProblem",
     "RateEstimate",
+    "check_target",
     "control_cost",
     "estimate_rate",
     "WeakConvergenceTable",
@@ -118,6 +119,20 @@ def _path_norm(values: np.ndarray, grid: SpatialGrid, dt: float) -> float:
     return math.sqrt(dt * float(np.sum(sq[:-1])) + float(sq[-1]))
 
 
+def check_target(target, grid: SpatialGrid, tgrid: TimeGrid):
+    """Refuse a target unless it is a path on ``grid`` sampled at ``tgrid``'s
+    nodes or a field on ``grid``; return it."""
+    if isinstance(target, Trajectory):
+        _check_nodes("target trajectory", target, grid, tgrid.nodes)
+    elif isinstance(target, GridFunction):
+        _check_nodes("target field", target, grid)
+    else:
+        raise ValidationError(
+            f"target must be a Trajectory or a GridFunction, got {type(target).__name__}"
+        )
+    return target
+
+
 def estimate_rate(
     problem: RateProblem,
     u0: GridFunction,
@@ -132,22 +147,14 @@ def estimate_rate(
     along it.  The returned value is the exact cost of the best control
     found, never the penalized objective.
     """
-    target = problem.target
-    if isinstance(target, Trajectory):
-        _check_nodes("target trajectory", target, u0.grid, tgrid.nodes)
-    elif isinstance(target, GridFunction):
-        _check_nodes("target field", target, u0.grid)
-    else:
-        raise ValidationError(
-            f"target must be a Trajectory or a GridFunction, got {type(target).__name__}"
-        )
+    target = check_target(problem.target, u0.grid, tgrid)
     if base is None:
         base = solve_deterministic(u0, coeffs, tgrid)
 
     S, K, dt = tgrid.steps, coeffs.sigma.n_modes, tgrid.dt
     n_evals = 0
-    solve_batch = _controlled_solver(u0, base, coeffs, tgrid)
-    pullback = _controlled_pullback(u0, base, coeffs, tgrid)
+    solve_batch, table = _controlled_solver(u0, base, coeffs, tgrid)
+    pullback = _controlled_pullback(u0.grid, coeffs, tgrid, table)
     # half the derivative of gap^2 at each node: the weights of the path norm
     node_w = np.append(np.full(S, dt if isinstance(target, Trajectory) else 0.0), 1.0)
     node_w = u0.grid.cell_volume * node_w.reshape((-1,) + (1,) * u0.grid.dim)
@@ -257,7 +264,7 @@ def weak_convergence_experiment(
     controls = np.repeat(v.values[None], len(i_list) + 1, axis=0)
     for row, i in enumerate(i_list, start=1):
         controls[row, :, mode_index] += amplitude * np.sin(i * t_left)
-    paths = _controlled_solver(u0, base, coeffs, tgrid)(controls)
+    paths = _controlled_solver(u0, base, coeffs, tgrid)[0](controls)
     u_ref = Trajectory(u0.grid, tgrid.nodes, paths[0])
 
     rows = []

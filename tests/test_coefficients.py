@@ -85,7 +85,7 @@ def test_eval_f_closed_form(rng):
     mu = random_measure(g, rng)
     hbar = law(mu, f.h_cap)[0]
     expected = 0.7 * u.values**3 + f.phi.values(0.3, g) * hbar
-    got = f.values(0.3, g, u.values, hbar)
+    got = f.values(u.values, f.phi.values(0.3, g) * hbar)
     assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
 
@@ -94,7 +94,8 @@ def test_eval_f_quadratic_case(rng):
     f = DriftF(p=2, lambda_f=0.9, h_cap=1.0, phi=PsiField("gaussian", 0.0, 1.0))
     u = random_field(g, rng)
     mu = random_measure(g, rng)
-    assert np.allclose(f.values(0.0, g, u.values, law(mu)[0]), 0.9 * u.values, rtol=1e-14)
+    got = f.values(u.values, f.phi.values(0.0, g) * law(mu)[0])
+    assert np.allclose(got, 0.9 * u.values, rtol=1e-14)
 
 
 def test_eval_g_closed_form_and_bound(rng):
@@ -105,7 +106,7 @@ def test_eval_g_closed_form_and_bound(rng):
     t = 0.7
     hbar1 = law(mu)[1]
     expected = gg.psi.values(t, g) * (0.3 + 0.5 * np.tanh(u.values) + 0.4 * hbar1)
-    got = gg.values(t, g, u.values, hbar1)
+    got = gg.values(u.values, gg.psi.values(t, g), gg.c2 * hbar1)
     assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
     # both nonlinear slots are capped by 1, so psi scaled by the
     # coefficient-sum envelopes the term pointwise
@@ -148,7 +149,7 @@ def test_apply_sigma_matches_mode_sum_and_is_linear(rng):
         manual += theta[k] * field_k
 
     def apply_sigma(th):
-        return sig.drive(t, u.values[None], root_m2, th[None])[0]
+        return sig.drive(sig.free_fields(t, root_m2), u.values[None], th[None])[0]
 
     assert np.allclose(apply_sigma(theta), manual, rtol=1e-13, atol=1e-15)
 
@@ -176,11 +177,12 @@ def test_drive_matches_the_mode_stack_contraction(dim, n_modes, n, rng):
     t, root_m2 = 0.3, 0.8
     stack = sig.fields(t, u, root_m2).reshape(n, n_modes, -1)
     slow = np.einsum("nk,nkj->nj", theta, stack).reshape(u.shape)
-    fast = sig.drive(t, u, root_m2, theta)
+    free = sig.free_fields(t, root_m2)
+    fast = sig.drive(free, u, theta)
     assert fast.shape == u.shape
     np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=1e-15)
     for i in range(n):
-        assert sig.drive(t, u[i : i + 1], root_m2, theta[i : i + 1]).tobytes() == fast[i].tobytes()
+        assert sig.drive(free, u[i : i + 1], theta[i : i + 1]).tobytes() == fast[i].tobytes()
 
 
 def test_hs_norm_and_growth_bound(rng):

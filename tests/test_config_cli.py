@@ -340,12 +340,33 @@ def test_verify_manifest_lists_the_suites_that_ran(tiny_config, tmp_path):
         ("skeleton", ["--control", "no/such/control.csv"]),
         ("rate", ["--target", "bogus"]),
         ("verify", ["--suite", "bogus"]),
+        pytest.param("rate", ["--target", "trajectory:{tmp}/other.traj"], id="rate-trajectory-grid"),
+        pytest.param("rate", ["--target", "terminal:{tmp}/other.csv"], id="rate-terminal-grid"),
     ],
 )
-def test_rejected_input_creates_no_out_directory(command, flags, tiny_config, tmp_path, capsys):
+def test_rejected_input_creates_no_out_directory(command, flags, tiny_config, tmp_path, capsys,
+                                                 monkeypatch):
+    """Input is refused before any solve and before ``--out`` is made; a
+    target file on another grid is refused naming ``--target``."""
+    from fracmv import cli
+    from fracmv.dynamics import Trajectory, save_trajectory
+    from fracmv.grid import GridFunction, SpatialGrid, save_grid_function
+
+    other = SpatialGrid(1, 4.0, 16)
+    save_trajectory(Trajectory(other, [0.0, 0.25], np.zeros((2, 16))), tmp_path / "other.traj")
+    save_grid_function(GridFunction(other, np.zeros(16)), tmp_path / "other.csv")
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+
+    def no_solve(*args):
+        raise AssertionError("solved before the input was checked")
+
+    monkeypatch.setattr(cli, "solve_deterministic", no_solve)
     out = tmp_path / "run"
     assert main([command, "--config", str(tiny_config), "--out", str(out), *flags]) == 2
-    assert "error[validation]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error[validation]" in err
+    if str(tmp_path) in flags[-1]:
+        assert f"--target {flags[-1]}: " in err and "different grid" in err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -275,7 +277,7 @@ def test_controlled_batch_blow_up_names_the_row(small_grid, small_coeffs, small_
     base = solve_deterministic(u0, small_coeffs, small_tgrid)
     controls = np.zeros((bad + 2, small_tgrid.steps, small_coeffs.sigma.n_modes))
     controls[bad] = 1e300
-    solve = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)
+    solve, _ = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)
     with pytest.raises(BlowUpError) as exc_info:
         solve(controls)
     assert exc_info.value.particle == bad
@@ -307,6 +309,107 @@ def test_run_steps_rows_with_control_and_noise_match_one_row_runs(dim, rng):
         assert out[:, i].tobytes() == one[:, 0].tobytes()
 
 
+def _reference_step(grid, coeffs, vals, stats, t, dt, res_mult, eps, v_s, dw_s):
+    """The step as the kernel wrote it before its node fields were shared:
+    f, g and sigma's drive from the law triple at every step, then the
+    resolvent through ``grid.apply_multiplier``."""
+    f, g, sig = coeffs.f, coeffs.g, coeffs.sigma
+    hbar_f, hbar1, root_m2 = stats
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_vals = f.lambda_f * vals ** (f.p - 1) + f.phi.values(t, grid) * hbar_f
+        tamed = f_vals / (1.0 + dt * np.abs(f_vals))
+        g_vals = g.psi.values(t, grid) * (g.c0 + g.c1 * np.tanh(vals) + g.c2 * hbar1)
+        tilde = vals + dt * (g_vals - tamed)
+        parts = [] if v_s is None else [dt * v_s]
+        if dw_s is not None and eps > 0.0:
+            parts.append(np.sqrt(eps) * dw_s)
+        if parts:
+            theta = np.sum(parts, axis=0)
+            col = (-1,) + (1,) * grid.dim
+            free = sig.free_fields(t, root_m2).reshape(1, sig.n_modes, -1)
+            out = np.matmul(theta[:, None, :], free).reshape(vals.shape)
+            slope = np.matmul(theta[:, None, :], sig.gamma[:, None]).reshape(col)
+            tilde = tilde + (out + sig.kappa.values * (slope * vals))
+        return grid.apply_multiplier(tilde, res_mult)
+
+
+def _reference_run(grid, coeffs, starts, tg, stats, eps, control, noise):
+    res_mult = grid.resolvent_multiplier(coeffs.alpha, tg.dt)
+    out = [starts]
+    for s in range(tg.steps):
+        row = law_statistics(out[-1], grid, coeffs.f.h_cap) if stats is None else stats[s]
+        out.append(_reference_step(
+            grid, coeffs, out[-1], row, float(tg.nodes[s]), tg.dt, res_mult, eps,
+            None if control is None else control[s], None if noise is None else noise[s],
+        ))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("law", ["frozen", "dirac", "controlled"])
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_run_steps_matches_the_per_step_kernel_byte_for_byte(dim, n, law, rng):
+    """The kernel that builds each node's fields once equals the step that
+    built them at every step, bit for bit: against a frozen ``(S, 3)`` law
+    with control and noise, against the Dirac law of the batch itself
+    (``law=None``), and through the controlled solver's prebuilt node fields."""
+    from fracmv import dynamics
+
+    grid = build_grid(dim=dim, points=16)
+    coeffs = build_coeffs(grid, n_modes=3)
+    coeffs = dataclasses.replace(
+        coeffs,
+        g=dataclasses.replace(coeffs.g, psi=PsiField("separable", 0.5, 2.0)),
+        sigma=dataclasses.replace(coeffs.sigma, profile=TimeProfile(1.0, 0.5, 3.0, 0.2)),
+    )
+    tg = build_tgrid(steps=10)
+    u0 = build_u0(grid)
+    K = coeffs.sigma.n_modes
+    base = solve_deterministic(u0, coeffs, tg)
+    stats = law_statistics(base.values[:-1, None], grid, coeffs.f.h_cap)
+    control = 2.0 * rng.standard_normal((tg.steps, n, K))
+    if law == "controlled":
+        starts = np.repeat(u0.values[None], n, axis=0)
+        got = dynamics._controlled_solver(u0, base, coeffs, tg)[0](control.transpose(1, 0, 2))
+        ref = _reference_run(grid, coeffs, starts, tg, stats, 0.0, control, None)
+        assert got.tobytes() == ref.swapaxes(0, 1).tobytes()
+        return
+    starts = u0.values[None] * (1.0 + 0.3 * rng.standard_normal((n,) + (1,) * dim))
+    noise = np.sqrt(tg.dt) * rng.standard_normal((tg.steps, n, K))
+    law_arg = stats if law == "frozen" else None
+    for eps, ctl, dw in ((0.05, control, noise), (0.05, None, noise), (0.0, control, None)):
+        got = dynamics._run_steps(grid, coeffs, starts, tg, law_arg, eps, ctl, dw)
+        ref = _reference_run(grid, coeffs, starts, tg, law_arg, eps, ctl, dw)
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_controlled_solver_builds_node_fields_once(small_grid, small_coeffs, small_tgrid,
+                                                   monkeypatch, rng):
+    """The controlled map and its adjoint share one table of node fields:
+    three evaluations (a forward solve and a pullback each) build sigma's
+    state-free stack once per node, not once per node and evaluation."""
+    from fracmv import dynamics
+
+    u0 = build_u0(small_grid)
+    base = solve_deterministic(u0, small_coeffs, small_tgrid)
+    calls = []
+    original = NoiseSigma.free_fields
+
+    def counted(self, t, root_m2):
+        calls.append(t)
+        return original(self, t, root_m2)
+
+    monkeypatch.setattr(NoiseSigma, "free_fields", counted)
+    paths, table = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)
+    pullback = dynamics._controlled_pullback(small_grid, small_coeffs, small_tgrid, table)
+    S, K = small_tgrid.steps, small_coeffs.sigma.n_modes
+    for _ in range(3):
+        v = rng.standard_normal((S, K))
+        path = paths(v[None])[0]
+        assert pullback(v, path, np.ones_like(path)).shape == (S * K,)
+    assert len(calls) == S
+
+
 def test_controlled_stack_rows_match_single_solves(small_grid, small_coeffs, rng):
     """A stack of controls runs as one batch; every row of the
     ``(m, S+1, *grid)`` result equals its own ``solve_controlled`` bit for bit."""
@@ -316,7 +419,7 @@ def test_controlled_stack_rows_match_single_solves(small_grid, small_coeffs, rng
     u0 = build_u0(small_grid)
     base = solve_deterministic(u0, small_coeffs, tg)
     controls = rng.standard_normal((7, tg.steps, small_coeffs.sigma.n_modes))
-    paths = dynamics._controlled_solver(u0, base, small_coeffs, tg)(controls)
+    paths = dynamics._controlled_solver(u0, base, small_coeffs, tg)[0](controls)
     assert paths.shape == (7, tg.steps + 1) + small_grid.shape
     for v, path in zip(controls, paths, strict=True):
         ref = solve_controlled(u0, Control(v, tg.dt), base, small_coeffs, tg)

@@ -206,7 +206,7 @@ def forward_difference_gradient(x, eta, target, u0, coeffs, tg, base):
     steps = math.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))
     xs = np.repeat(x[None], n + 1, axis=0)
     xs[np.arange(1, n + 1), np.arange(n)] += steps
-    paths = dynamics._controlled_solver(u0, base, coeffs, tg)(xs.reshape(-1, S, K))
+    paths = dynamics._controlled_solver(u0, base, coeffs, tg)[0](xs.reshape(-1, S, K))
     f = np.array([penalized(row, path, eta, target, dt) for row, path in zip(xs, paths)])
     return (f[1:] - f[0]) / steps
 
