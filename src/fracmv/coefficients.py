@@ -203,10 +203,10 @@ class DriftF:
         """Bound field in front of the Wasserstein term, ``|phi|``."""
         return np.abs(self.phi.values(t, grid))
 
-    def values(self, u: np.ndarray, phi_h: np.ndarray) -> np.ndarray:
-        """``f`` at field values ``u`` (any batch of fields): the monotone part
-        ``lambda_f |u|^(p-2) u`` (even p) plus the node's ``phi_h = phi(t) hbar_f``."""
-        out = u ** (self.p - 1)
+    def values(self, u: np.ndarray, phi_h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``f`` at field values ``u`` (any batch of fields), into ``out`` if given: the
+        monotone part ``lambda_f |u|^(p-2) u`` (even p) plus the node's ``phi_h = phi(t) hbar_f``."""
+        out = np.power(u, self.p - 1, out=out)
         out *= self.lambda_f
         out += phi_h
         return out
@@ -247,10 +247,11 @@ class DriftG:
         """The claimed envelope field (``psi`` itself)."""
         return np.abs(self.psi.values(t, grid))
 
-    def values(self, u: np.ndarray, psi_values: np.ndarray, c2_h: float) -> np.ndarray:
-        """``g`` at field values ``u`` (any batch of fields), given the node's
-        ``psi(t)`` and ``c2_h = c2 hbar1``, the law's unit-capped mean norm."""
-        out = np.tanh(u)
+    def values(self, u: np.ndarray, psi_values: np.ndarray, c2_h: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """``g`` at field values ``u`` (any batch of fields), into ``out`` if given, for
+        the node's ``psi(t)`` and ``c2_h = c2 hbar1``, the law's unit-capped mean norm."""
+        out = np.tanh(u, out=out)
         out *= self.c1
         out += self.c0
         out += c2_h

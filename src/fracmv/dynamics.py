@@ -247,6 +247,9 @@ def _run_steps(
     n = starts.shape[0]
     out = np.empty((S + 1,) + starts.shape)
     out[0] = starts
+    # one buffer each for f, its taming and g, reused every step: fresh batches each
+    # step can be handed back to the system and faulted in again by the allocator
+    f_buf, tamed_buf, g_buf = np.empty((3,) + starts.shape)
     vals = starts
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(S):
@@ -255,12 +258,12 @@ def _run_steps(
             else:
                 row = law_statistics(vals, grid, coeffs.f.h_cap) if law is None else law[s]
                 node = coeffs.node_fields(grid, float(nodes[s]), row)
-            f = coeffs.f.values(vals, node.phi_h)
-            tamed = np.abs(f)
+            f = coeffs.f.values(vals, node.phi_h, f_buf)
+            tamed = np.abs(f, out=tamed_buf)
             tamed *= dt
             tamed += 1.0
             f /= tamed
-            tilde = coeffs.g.values(vals, node.psi, node.c2_h)
+            tilde = coeffs.g.values(vals, node.psi, node.c2_h, g_buf)
             tilde -= f
             tilde *= dt
             tilde += vals

@@ -334,7 +334,9 @@ def save_grid_function(u: GridFunction, path: str | Path) -> Path:
     cols = coords + [u.values.ravel()]
     header = ",".join([f"x{i + 1}" for i in range(g.dim)] + ["value"])
     data = np.column_stack(cols)
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    # np.savetxt's bytes in one formatting pass, not one per row
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    path.write_text(header + "\n" + (row * data.shape[0]) % tuple(data.ravel().tolist()))
     _meta_path(path).write_text(json.dumps(g.geometry(), sort_keys=True) + "\n")
     return path
 

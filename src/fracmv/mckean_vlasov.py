@@ -241,11 +241,13 @@ def _auto_start(
     Returns the weight, the ``(lam, worst ratio)`` curve, the first two
     iterate distances and the second iterate.  The probe pair (flow0,
     image0) and its image pair (image0, image1) are the first two
-    iterate steps; every other probe flow is released on return.
+    iterate steps.  The constant probes ``flow0`` and ``scaled`` are
+    one-node views, so the three images are the only flows held; every
+    flow but ``image1`` is released on return.
     """
     image0 = apply_phi(problem, flow0)
     image1 = apply_phi(problem, image0)
-    scaled = MeasureFlow(flow0.grid, flow0.times, 1.25 * flow0.states)
+    scaled = MeasureFlow.constant(EmpiricalMeasure(flow0.grid, 1.25 * flow0.states[0]), flow0.times)
     image_s = apply_phi(problem, scaled)
     lam, curve, pairs = auto_lambda(problem, [flow0, image0, scaled], [image0, image1, image_s])
     return lam, curve, [pair.sup(lam) for pair in pairs[0]], image1
@@ -257,8 +259,10 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     Stops when the weighted distance between successive flows drops
     below ``tol * (1 + initial ensemble scale)``.  Raises a divergence
     error (with the report attached) if the budget is exhausted or the
-    measured ratios sit at or above 1 on two consecutive steps.  Only
-    the latest iterate is held.
+    measured ratios sit at or above 1 on two consecutive steps.  The
+    initial flow is a one-node view; the auto-weight start holds three
+    flows (see ``_auto_start``), each later step two: the latest iterate
+    and its image, which ``flow_distance`` compares.
     """
     latest = _initial_flow(problem, cfg.n_particles)
     initial_scale = l2_norm(problem.u0)
@@ -350,7 +354,9 @@ def small_noise_sweep(
             continue
         sub = replace(problem, epsilon=e, initial_states=None)
         res = picard_solve(sub, cfg)
-        sup_sq = np.max(sq_norms(res.flow.states - base.values[:, None], problem.grid), axis=0)
+        # node by node, so no deviation the size of the flow is built
+        dev = [sq_norms(mu - u, problem.grid) for mu, u in zip(res.flow.states, base.values)]
+        sup_sq = np.max(dev, axis=0)
         stderr = (
             float(np.std(sup_sq, ddof=1) / math.sqrt(sup_sq.size))
             if sup_sq.size > 1

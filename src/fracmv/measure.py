@@ -156,7 +156,8 @@ class MeasureFlow:
                 f"flow state array shape {arr.shape} does not match "
                 f"(n_times={t.size}, N, *{self.grid.shape})"
             )
-        if not np.all(np.isfinite(arr)):
+        # node by node: one isfinite over the flow would build a mask an eighth its size
+        if not all(np.isfinite(node).all() for node in arr):
             raise InvalidFieldError("measure flow contains non-finite values")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", arr)
@@ -174,10 +175,10 @@ class MeasureFlow:
 
     @classmethod
     def constant(cls, mu: EmpiricalMeasure, times: np.ndarray) -> "MeasureFlow":
-        """The flow frozen at ``mu`` for every node."""
+        """The flow frozen at ``mu`` for every node: a read-only view, with time
+        stride 0, of one copy of ``mu``'s atoms, so it holds one node's data."""
         t = np.asarray(times, dtype=float)
-        reps = np.broadcast_to(mu.states, (t.size,) + mu.states.shape).copy()
-        return cls(mu.grid, t, reps)
+        return cls(mu.grid, t, np.broadcast_to(mu.states.copy(), (t.size,) + mu.states.shape))
 
 
 # The optimal assignment costs no more than the identity matching, but

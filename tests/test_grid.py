@@ -166,6 +166,19 @@ def test_save_load_roundtrip_is_exact(tmp_path, rng):
     assert np.array_equal(back.values, u.values)
 
 
+@pytest.mark.parametrize("dim,points", [(1, 16), (2, 4)])
+def test_saved_csv_is_savetxt_byte_for_byte(tmp_path, rng, dim, points):
+    g = build_grid(dim=dim, half_width=2.0, points=points)
+    vals = rng.standard_normal(g.n_cells)
+    vals[:6] = [-0.0, 1e-300, -1e-300, 1e300, -1e300, -2.5]
+    path = save_grid_function(GridFunction(g, vals.reshape(g.shape)), tmp_path / "field.csv")
+    data = np.column_stack([c.ravel() for c in g.coordinates()] + [vals])
+    header = ",".join([f"x{i + 1}" for i in range(dim)] + ["value"])
+    np.savetxt(tmp_path / "ref.csv", data, delimiter=",", header=header, comments="", fmt="%.17g")
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert b",-0\n" in path.read_bytes() and b",1.0000000000000001e+300\n" in path.read_bytes()
+
+
 def test_load_rejects_geometry_mismatch(tmp_path, rng):
     g = build_grid(points=16)
     u = random_field(g, rng)

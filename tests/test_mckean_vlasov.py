@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,24 @@ def test_successive_iterates_take_few_node_solves(small_grid, small_coeffs, smal
 # -- stability of the mean-field estimate ---------------------------------
 
 
+def test_auto_weight_solve_holds_at_most_three_flows():
+    """The constant probes are one-node views, so the auto start holds only
+    its three images and each later step two flows."""
+    g = build_grid(points=64)
+    p = make_problem(g, build_coeffs(g), build_tgrid(steps=50))
+    cfg = PicardConfig(n_particles=16, lambda_weight="auto")
+    picard_solve(p, cfg)  # fill the per-grid caches outside the measurement
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        res = picard_solve(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert res.report.auto_curve is not None
+    assert peak < 4 * res.flow.states.nbytes
+
+
 def test_particle_doubling_moves_the_law_estimate_little(small_grid, small_coeffs, small_tgrid):
     cfgs = [(8, None), (16, None)]
     moments = []
@@ -307,6 +326,19 @@ def test_small_noise_sweep_zero_row_and_slope(small_grid, small_coeffs, small_tg
     assert eps0 == 0.0 and est0 == 0.0 and err0 == 0.0
     assert 0.8 <= sweep.slope <= 1.2
     assert all(est > 0.0 for _, est, _ in sweep.rows[1:])
+
+
+def test_small_noise_sweep_rows_are_bitwise_unchanged(small_grid, small_coeffs, small_tgrid):
+    """The per-node deviations give the bits recorded from one whole-flow deviation."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
+    sweep = small_noise_sweep(p, [0.0, 3e-3, 1e-2], 4,
+                              PicardConfig(n_particles=4, lambda_weight=0.0))
+    assert [tuple(v.hex() for v in row) for row in sweep.rows] == [
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.89374bc6a7efap-9", "0x1.29a70f2075cccp-11", "0x1.b2f464ede23e6p-13"),
+        ("0x1.47ae147ae147bp-7", "0x1.f23b2a437c532p-10", "0x1.6ca04d1d615ccp-11"),
+    ]
+    assert sweep.slope.hex() == "0x1.00eaaff465ce3p+0"
 
 
 def test_sweep_deviation_shrinks_with_epsilon(small_grid, small_coeffs, small_tgrid):

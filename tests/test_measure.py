@@ -8,7 +8,7 @@ import pytest
 from helpers import build_grid, full_sweep_sup, random_field
 
 from fracmv import measure
-from fracmv.errors import GridMismatchError, ValidationError
+from fracmv.errors import GridMismatchError, InvalidFieldError, ValidationError
 from fracmv.grid import GridFunction
 from fracmv.measure import (
     EmpiricalMeasure,
@@ -201,6 +201,26 @@ def test_constant_flow_and_particle_access(rng):
     for s in range(5):
         assert np.array_equal(flow.measure(s).states, mu.states)
     assert isinstance(mu.particle(1), GridFunction)
+
+
+def test_constant_flow_is_a_read_only_view_of_its_own_copy(rng):
+    g = build_grid(points=8)
+    mu = random_measure(g, rng, 3)
+    before = mu.states.copy()
+    flow = MeasureFlow.constant(mu, np.linspace(0.0, 1.0, 5))
+    assert flow.states.strides[0] == 0 and not flow.states.flags.writeable
+    with pytest.raises(ValueError):
+        flow.states[0, 0, 0] = 1.0
+    mu.states[...] = 7.0
+    assert all(np.array_equal(node, before) for node in flow.states)
+
+
+def test_flow_rejects_a_non_finite_entry_at_its_last_node(rng):
+    g = build_grid(points=8)
+    states = rng.standard_normal((4, 3) + g.shape)
+    states[-1, 2, -1] = np.inf
+    with pytest.raises(InvalidFieldError, match="^measure flow contains non-finite values$"):
+        MeasureFlow(g, np.linspace(0.0, 1.0, 4), states)
 
 
 def test_from_functions_requires_common_grid(rng):

@@ -116,6 +116,23 @@ def test_stage_ladder_accounting(manufactured):
     assert est.n_evaluations > 0
 
 
+def test_stage_gaps_reuse_the_one_solve_map(instance, monkeypatch):
+    """Each stage's gap comes from the map built at the start, so the run
+    is checked and its node fields built once per ``estimate_rate``."""
+    g, coeffs, u0, tg, base = instance
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    real = dynamics._controlled_solver
+    monkeypatch.setattr(dynamics, "_controlled_solver", counted)
+    monkeypatch.setattr(rate_function, "_controlled_solver", counted)
+    est = estimate_rate(RateProblem(target=base, eta_ladder=(1e-2, 1e-4)), u0, coeffs, tg, base=base)
+    assert len(calls) == 1 and len(est.stages) == 2
+
+
 def test_unreachable_target_reports_non_attainment(instance):
     """Weak noise cannot bridge an O(1) terminal offset: the estimator
     must say so rather than return a pretend-finite certificate."""
