@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,7 +220,7 @@ def _check_epsilon(eps: float) -> float:
     return e
 
 
-def _run_steps(
+def _step_nodes(
     grid: SpatialGrid,
     coeffs: CoefficientSet,
     starts: np.ndarray,
@@ -228,9 +229,14 @@ def _run_steps(
     eps: float = 0.0,
     control: np.ndarray | None = None,
     noise: np.ndarray | None = None,
-) -> np.ndarray:
-    """Advance ``N`` paths from ``starts``, shape ``(N, *grid.shape)``, to
-    shape ``(S+1, N, *grid.shape)``, one step of the scheme per node.
+):
+    """Advance ``N`` paths from ``starts``, shape ``(N, *grid.shape)``, one step of
+    the scheme per node, yielding the nodes ``1 .. S`` as they are made, each
+    checked finite.  A yielded node is the kernel's next state: read it, keep it,
+    but never write into it.  Consume the stream under ``np.errstate(over="ignore",
+    invalid="ignore")``, as :func:`_run_steps` does: a step that overflows is caught
+    by the finite check, not warned about.  The state is not set here, since it
+    would stay set in the consumer while the stream waits.
 
     ``law`` holds the law triple of each left node, shape ``(S, 3)``; or
     their node fields, one per node, already built; or is None to take it
@@ -245,36 +251,44 @@ def _run_steps(
         parts.append(math.sqrt(eps) * noise)
     theta = np.sum(parts, axis=0) if parts else None
     n = starts.shape[0]
-    out = np.empty((S + 1,) + starts.shape)
-    out[0] = starts
     # one buffer each for f, its taming and g, reused every step: fresh batches each
     # step can be handed back to the system and faulted in again by the allocator
     f_buf, tamed_buf, g_buf = np.empty((3,) + starts.shape)
     vals = starts
+    for s in range(S):
+        if isinstance(law, list):
+            node = law[s]
+        else:
+            row = law_statistics(vals, grid, coeffs.f.h_cap) if law is None else law[s]
+            node = coeffs.node_fields(grid, float(nodes[s]), row)
+        f = coeffs.f.values(vals, node.phi_h, f_buf)
+        tamed = np.abs(f, out=tamed_buf)
+        tamed *= dt
+        tamed += 1.0
+        f /= tamed
+        tilde = coeffs.g.values(vals, node.psi, node.c2_h, g_buf)
+        tilde -= f
+        tilde *= dt
+        tilde += vals
+        if theta is not None:
+            tilde += coeffs.sigma.drive(node.free, vals, theta[s])
+        vals = grid.apply_multiplier(tilde, res_mult)
+        if not np.isfinite(vals).all():
+            finite = np.isfinite(vals.reshape(n, -1)).all(axis=1)
+            particle = int(np.argmin(finite)) if n > 1 else None
+            raise BlowUpError(s, float(nodes[s + 1]), particle)
+        yield vals
+
+
+def _run_steps(grid: SpatialGrid, coeffs: CoefficientSet, starts: np.ndarray, tgrid: TimeGrid,
+               *args) -> np.ndarray:
+    """The paths of :func:`_step_nodes` (``args`` are its ``law`` onward) collected,
+    shape ``(S+1, N, *grid.shape)``."""
+    out = np.empty((tgrid.steps + 1,) + starts.shape)
+    out[0] = starts
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(S):
-            if isinstance(law, list):
-                node = law[s]
-            else:
-                row = law_statistics(vals, grid, coeffs.f.h_cap) if law is None else law[s]
-                node = coeffs.node_fields(grid, float(nodes[s]), row)
-            f = coeffs.f.values(vals, node.phi_h, f_buf)
-            tamed = np.abs(f, out=tamed_buf)
-            tamed *= dt
-            tamed += 1.0
-            f /= tamed
-            tilde = coeffs.g.values(vals, node.psi, node.c2_h, g_buf)
-            tilde -= f
-            tilde *= dt
-            tilde += vals
-            if theta is not None:
-                tilde += coeffs.sigma.drive(node.free, vals, theta[s])
-            vals = grid.apply_multiplier(tilde, res_mult)
-            if not np.isfinite(vals).all():
-                finite = np.isfinite(vals.reshape(n, -1)).all(axis=1)
-                particle = int(np.argmin(finite)) if n > 1 else None
-                raise BlowUpError(s, float(nodes[s + 1]), particle)
-            out[s + 1] = vals
+        for s, vals in enumerate(_step_nodes(grid, coeffs, starts, tgrid, *args), 1):
+            out[s] = vals
     return out
 
 
@@ -316,7 +330,10 @@ def _check_nodes(what: str, obj, grid: SpatialGrid, nodes: np.ndarray | None = N
 
 def _law_on_nodes(states: np.ndarray, grid: SpatialGrid, h_cap: float) -> np.ndarray:
     """The law triple at each left node of ``states``, shape ``(S+1, N, *grid.shape)``,
-    as ``(S, 3)``; node by node, since one call over a flow would square a copy of it."""
+    as ``(S, 3)``; node by node, since one call over a flow would square a copy of it.
+    A time stride of 0 repeats one node, whose triple is taken once."""
+    if states.strides[0] == 0:
+        return np.repeat(law_statistics(states[0], grid, h_cap)[None], len(states) - 1, axis=0)
     return np.array([law_statistics(mu, grid, h_cap) for mu in states[:-1]])
 
 
@@ -542,13 +559,21 @@ def load_trajectory(path: str | Path) -> Trajectory:
         try:
             header = json.loads(fh.readline().decode())
             grid = SpatialGrid.from_geometry(header["grid"])
-            n = int(header["n_nodes"])
+            n, dtype = int(header["n_nodes"]), header["dtype"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"{path}: malformed trajectory header ({exc})") from exc
+        if dtype != "<f8":
+            raise ValidationError(f"{path}: header field dtype must be '<f8', got {dtype!r}")
+        if n < 1:
+            raise ValidationError(f"{path}: header field n_nodes must be >= 1, got {n}")
         count = n * grid.n_cells
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * (n + count):
+            raise ValidationError(
+                f"{path}: {size} data bytes, but header fields n_nodes = {n} and grid "
+                f"({grid.n_cells} cells) make {8 * (n + count)}"
+            )
         times, values = fh.read(8 * n), fh.read(8 * count)
-    if n < 1 or len(times) != 8 * n or len(values) != 8 * count:
-        raise ValidationError(f"{path}: truncated trajectory blob (header says {n} nodes)")
     values = np.frombuffer(values, dtype="<f8").reshape((n,) + grid.shape)
     return _trajectory_at(path, grid, np.frombuffer(times, dtype="<f8"), values)
 

@@ -365,4 +365,7 @@ def load_grid_function(path: str | Path) -> GridFunction:
     for i, col in enumerate(stored):
         if not np.allclose(data[:, i], col, rtol=0.0, atol=1e-9):
             raise ValidationError(f"{path}: coordinate column x{i + 1} does not match grid")
-    return GridFunction(grid, data[:, -1].reshape(grid.shape))
+    try:
+        return GridFunction(grid, data[:, -1].reshape(grid.shape))
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -19,12 +19,13 @@ flows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import combinations
+from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import chain, combinations
 
 import numpy as np
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, law_statistics
 from .dynamics import (
     NoisePath,
     TimeGrid,
@@ -33,11 +34,13 @@ from .dynamics import (
     _check_nodes,
     _law_on_nodes,
     _run_steps,
+    _step_nodes,
     solve_deterministic,
 )
 from .errors import FixedPointDivergenceError, GridMismatchError, ValidationError
 from .grid import GridFunction, SpatialGrid, l2_norm, sq_norms
-from .measure import EmpiricalMeasure, FlowPairW2, MeasureFlow, flow_distance
+from .measure import EmpiricalMeasure, FlowPairW2, MeasureFlow, _streamed_sup
+from .measure import flow_distance  # noqa: F401  perfbench/spans.py wraps it here
 
 __all__ = [
     "MeanFieldProblem",
@@ -72,6 +75,8 @@ class MeanFieldProblem:
     epsilon: float
     master_seed: int
     initial_states: np.ndarray | None = None
+    # particle count -> that many particles' noise stack, see ``_noise_stack``
+    _noise: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.u0.grid != self.grid or self.coeffs.sigma.grid != self.grid:
@@ -160,6 +165,23 @@ def _initial_flow(problem: MeanFieldProblem, n_particles: int) -> MeasureFlow:
     return MeasureFlow.constant(mu0, problem.tgrid.nodes)
 
 
+def _noise_stack(problem: MeanFieldProblem, n: int) -> np.ndarray | None:
+    """The increments of particles ``0 .. n-1``, shape ``(S, n, K)``, or None without
+    noise: built once per problem and count, and shared, read-only, by every
+    application of the freezing map."""
+    if problem.epsilon == 0.0:
+        return None
+    if n not in problem._noise:
+        K, tgrid = problem.coeffs.sigma.n_modes, problem.tgrid
+        stack = np.stack(
+            [NoisePath.generate(tgrid, K, problem.master_seed, i).increments for i in range(n)],
+            axis=1,
+        )
+        stack.flags.writeable = False
+        problem._noise[n] = stack
+    return problem._noise[n]
+
+
 def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
     """One application of the freezing map.
 
@@ -170,19 +192,26 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
     particle=i)``, so its path equals the single-particle
     ``solve_frozen`` run byte for byte.
     """
-    grid, coeffs, tgrid = problem.grid, problem.coeffs, problem.tgrid
+    grid, tgrid, n = problem.grid, problem.tgrid, flow.n_particles
     _check_nodes("flow", flow, grid, tgrid.nodes)
-    eps, n = float(problem.epsilon), flow.n_particles
-    stats = _law_on_nodes(flow.states, grid, coeffs.f.h_cap)
-    noise = None
-    if eps > 0.0:
-        K = coeffs.sigma.n_modes
-        noise = np.stack(
-            [NoisePath.generate(tgrid, K, problem.master_seed, i).increments for i in range(n)],
-            axis=1,
-        )
-    paths = _run_steps(grid, coeffs, _initial_states(problem, n), tgrid, stats, eps, None, noise)
-    return MeasureFlow(grid, tgrid.nodes, paths)
+    stats = _law_on_nodes(flow.states, grid, problem.coeffs.f.h_cap)
+    paths = _run_steps(grid, problem.coeffs, _initial_states(problem, n), tgrid, stats,
+                       float(problem.epsilon), None, _noise_stack(problem, n))
+    return MeasureFlow._checked(grid, tgrid.nodes, paths)
+
+
+def _image_nodes(problem: MeanFieldProblem, law: np.ndarray, n: int, law_out=None):
+    """Yield the nodes ``0 .. S`` of the freezing map's image of a flow whose law
+    table is ``law``, as :func:`apply_phi` makes them, writing the image's own law
+    table, the next application's ``law``, into ``law_out`` as they pass."""
+    grid, h_cap = problem.grid, problem.coeffs.f.h_cap
+    starts = _initial_states(problem, n)
+    steps = _step_nodes(grid, problem.coeffs, starts, problem.tgrid, law,
+                        float(problem.epsilon), None, _noise_stack(problem, n))
+    for s, node in enumerate(chain([starts], steps)):
+        if law_out is not None and s < len(law_out):
+            law_out[s] = law_statistics(node, grid, h_cap)
+        yield node
 
 
 def auto_lambda(
@@ -259,12 +288,20 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     Stops when the weighted distance between successive flows drops
     below ``tol * (1 + initial ensemble scale)``.  Raises a divergence
     error (with the report attached) if the budget is exhausted or the
-    measured ratios sit at or above 1 on two consecutive steps.  The
-    initial flow is a one-node view; the auto-weight start holds three
-    flows (see ``_auto_start``), each later step two: the latest iterate
-    and its image, which ``flow_distance`` compares.
+    measured ratios sit at or above 1 on two consecutive steps.
+
+    The initial flow is a one-node view, and the auto-weight start holds
+    three flows (see ``_auto_start``).  After that one flow is held: each
+    iterate is written over the one before it, node by node, as the step
+    kernel makes it, while the distance between the two is bounded node by
+    node and settled by a few exact solves (``measure._streamed_sup``).  The
+    first step writes into a buffer of its own, since the flow it starts
+    from is the read-only initial view or the auto start's; each step
+    records the law table the next one steps against.  The noise stack is
+    built once and shared by every application of the map.
     """
-    latest = _initial_flow(problem, cfg.n_particles)
+    n = cfg.n_particles
+    latest = _initial_flow(problem, n)
     initial_scale = l2_norm(problem.u0)
     threshold = cfg.tol * (1.0 + initial_scale)
     tiny = 10.0 * np.finfo(float).eps * (1.0 + initial_scale)
@@ -292,27 +329,33 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
             auto_curve=auto_curve,
         )
 
-    converged = any(d <= threshold for d in distances)
-    while not converged and iterations < cfg.max_iters:
-        nxt = apply_phi(problem, latest)
-        distances.append(flow_distance(latest, nxt, lam))
-        latest, iterations = nxt, iterations + 1
+    if any(d <= threshold for d in distances):
+        return PicardResult(flow=latest, report=report(True))
+    grid, times = problem.grid, problem.tgrid.nodes
+    states, law = latest.states, _law_on_nodes(latest.states, grid, problem.coeffs.f.h_cap)
+    built_from = None  # the law table ``states`` was made from, once it is the loop's own
+    del latest
+    while iterations < cfg.max_iters:
+        out = np.empty(states.shape) if built_from is None else states
+        regenerate = None if built_from is None else partial(_image_nodes, problem, built_from, n)
+        new_law = np.empty_like(law)
+        nodes = _image_nodes(problem, law, n, new_law)
+        with np.errstate(over="ignore", invalid="ignore"):  # the step kernel's, see _step_nodes
+            distances.append(_streamed_sup(grid, times, lam, states, nodes, out, regenerate))
+        states, built_from, law = out, law, new_law
+        iterations += 1
         if distances[-1] <= threshold:
-            converged = True
-            break
+            return PicardResult(MeasureFlow._checked(grid, times, states), report(True))
         rs = ratios_of(distances)
         if len(rs) >= 2 and rs[-1] >= 1.0 and rs[-2] >= 1.0:
             raise FixedPointDivergenceError(
                 "freezing map is not contracting (two successive ratios >= 1)", report(False)
             )
-
-    if not converged:
-        raise FixedPointDivergenceError(
-            f"no convergence within {cfg.max_iters} iterations "
-            f"(last distance {distances[-1]:.3e} vs threshold {threshold:.3e})",
-            report(False),
-        )
-    return PicardResult(flow=latest, report=report(True))
+    raise FixedPointDivergenceError(
+        f"no convergence within {cfg.max_iters} iterations "
+        f"(last distance {distances[-1]:.3e} vs threshold {threshold:.3e})",
+        report(False),
+    )
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,20 @@ successive Picard iterates keep particle ``i`` closest to particle
 ``i``, the bound is tight and a handful of solves decide the sup.  A
 skipped node provably cannot hold the maximum, so the result is the
 same float as the maximum over every node's solve.
+
+The same bound and pruning rule also run node by node over a flow that
+is still being made (``_streamed_sup``): each new node is bounded
+against the old node it replaces and then written over it, except the
+few with the largest weighted bounds, which are held back until the
+sweep ends and solved there.  Only if an overwritten node could still
+hold the maximum is the old flow made again, node by node, to solve it;
+either way the result is ``flow_distance``'s float, and the fixed-point
+loop holds one flow instead of an iterate and its image.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -156,8 +166,9 @@ class MeasureFlow:
                 f"flow state array shape {arr.shape} does not match "
                 f"(n_times={t.size}, N, *{self.grid.shape})"
             )
-        # node by node: one isfinite over the flow would build a mask an eighth its size
-        if not all(np.isfinite(node).all() for node in arr):
+        # node by node: one isfinite over the flow would build a mask an eighth its
+        # size; a time stride of 0 repeats one node, so that node is checked once
+        if not all(np.isfinite(node).all() for node in (arr[:1] if arr.strides[0] == 0 else arr)):
             raise InvalidFieldError("measure flow contains non-finite values")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", arr)
@@ -172,6 +183,15 @@ class MeasureFlow:
 
     def measure(self, s: int) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.grid, self.states[s])
+
+    @classmethod
+    def _checked(cls, grid: SpatialGrid, times: np.ndarray, states: np.ndarray) -> "MeasureFlow":
+        """The flow of float arrays already checked finite node by node, as the step
+        kernel checks each node it makes: built without scanning them again."""
+        flow = object.__new__(cls)
+        for name, value in (("grid", grid), ("times", times), ("states", states)):
+            object.__setattr__(flow, name, value)
+        return flow
 
     @classmethod
     def constant(cls, mu: EmpiricalMeasure, times: np.ndarray) -> "MeasureFlow":
@@ -190,6 +210,39 @@ class MeasureFlow:
 # monotone, so the weighted bound stays above the weighted exact value
 # and a node whose bound cannot beat the running maximum is safely skipped.
 _BOUND_MARGIN = 1e-9
+
+# New nodes that a streamed sweep holds back from overwriting the old flow:
+# those with the largest weighted bounds, the likeliest to hold the sup.
+_HELD_NODES = 8
+
+
+def _weights(times: np.ndarray, lam: float) -> np.ndarray:
+    if not (0.0 <= float(lam) < np.inf):
+        raise ValidationError(f"lam must be finite and >= 0, got {lam!r}")
+    return np.exp(-float(lam) * times)
+
+
+def _identity_bound(a: np.ndarray, b: np.ndarray, diff: np.ndarray, w: float) -> float:
+    """W2 between the ensembles ``a`` and ``b`` at most: the identity matching's
+    cost, inflated by ``_BOUND_MARGIN``.  ``diff`` is a buffer of their shape."""
+    d = np.subtract(b, a, out=diff).reshape(-1)
+    return np.sqrt(w * np.dot(d, d) / a.shape[0]) * (1.0 + _BOUND_MARGIN)
+
+
+def _pruned_sup(bounds: np.ndarray, weight: np.ndarray, solve) -> float:
+    """``max_s weight[s] * solve(s)``, given ``bounds[s]`` at or above each term:
+    nodes are solved in descending bound order until no bound beats the running
+    maximum, which a node left unsolved then cannot hold."""
+    best = 0.0
+    for s in np.argsort(-bounds, kind="stable"):
+        if bounds[s] <= best:
+            break
+        best = max(best, float(weight[s] * solve(s)))
+    return best
+
+
+def _node_w2(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> float:
+    return wasserstein2(EmpiricalMeasure(grid, a), EmpiricalMeasure(grid, b))
 
 
 class FlowPairW2:
@@ -213,38 +266,28 @@ class FlowPairW2:
                 f"flow particle counts differ ({mu.n_particles} vs {nu.n_particles})"
             )
         self.mu, self.nu = mu, nu
-        w, n = mu.grid.cell_volume, mu.n_particles
-        bound = np.empty(mu.n_times)
+        self._bound = np.empty(mu.n_times)
+        diff = np.empty(mu.states.shape[1:])
         # rep[s]: the first node of the run of bitwise-equal pairs holding s;
         # equal pairs give equal bounds, so only tied bounds are compared
         self._rep = list(range(mu.n_times))
         for s, (a, b) in enumerate(zip(mu.states, nu.states)):
-            d = (b - a).reshape(-1)
-            bound[s] = np.sqrt(w * np.dot(d, d) / n)
-            if (s and bound[s] == bound[s - 1] and np.array_equal(a, mu.states[s - 1])
+            self._bound[s] = _identity_bound(a, b, diff, mu.grid.cell_volume)
+            if (s and self._bound[s] == self._bound[s - 1] and np.array_equal(a, mu.states[s - 1])
                     and np.array_equal(b, nu.states[s - 1])):
                 self._rep[s] = self._rep[s - 1]
-        self._bound = bound * (1.0 + _BOUND_MARGIN)
         self._solved: dict[int, float] = {}
 
     def _node(self, s: int) -> float:
         r = self._rep[s]
         if r not in self._solved:
-            self._solved[r] = wasserstein2(self.mu.measure(r), self.nu.measure(r))
+            self._solved[r] = _node_w2(self.mu.grid, self.mu.states[r], self.nu.states[r])
         return self._solved[r]
 
     def sup(self, lam: float) -> float:
         """Exact weighted sup; ``lam = 0`` gives the plain sup."""
-        if not (0.0 <= float(lam) < np.inf):
-            raise ValidationError(f"lam must be finite and >= 0, got {lam!r}")
-        weight = np.exp(-float(lam) * self.mu.times)
-        bounds = weight * self._bound
-        best = 0.0
-        for s in np.argsort(-bounds, kind="stable"):
-            if bounds[s] <= best:
-                break
-            best = max(best, float(weight[s] * self._node(s)))
-        return best
+        weight = _weights(self.mu.times, lam)
+        return _pruned_sup(weight * self._bound, weight, self._node)
 
 
 def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
@@ -253,6 +296,57 @@ def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
     See :class:`FlowPairW2` for the checks on the flows and on ``lam``.
     """
     return FlowPairW2(mu, nu).sup(lam)
+
+
+def _streamed_sup(
+    grid: SpatialGrid, times: np.ndarray, lam: float, old: np.ndarray, nodes, out: np.ndarray,
+    regenerate=None,
+) -> float:
+    """Store the flow that ``nodes`` yields, node 0 first, in ``out``, shape
+    ``(S+1, N, *grid.shape)``, and return its weighted sup distance from the flow
+    ``old``: the float ``flow_distance`` gives, with one flow held, not two.
+
+    ``out`` may be ``old`` itself.  Each new node overwrites its slot once it is
+    bounded against the old node there, except the ``_HELD_NODES`` with the largest
+    weighted bounds, which are held back and solved after the sweep under the
+    pruning rule of :meth:`FlowPairW2.sup`.  Should an overwritten node still beat
+    the running maximum, ``regenerate()`` yields the old flow's nodes again, node 0
+    first, and every such node is solved against its new one.  Without
+    ``regenerate``, ``out`` must not be ``old``: the old nodes are read from ``old``.
+    """
+    weight, w = _weights(times, lam), grid.cell_volume
+    bounds = np.empty(times.size)
+    diff = np.empty(old.shape[1:])
+    held: dict[int, np.ndarray] = {}
+    smallest: list[tuple[float, int]] = []  # heap of the held nodes' bounds
+    for s, node in enumerate(nodes):
+        bounds[s] = weight[s] * _identity_bound(old[s], node, diff, w)
+        if len(held) < _HELD_NODES:
+            heapq.heappush(smallest, (bounds[s], s))
+        elif held and bounds[s] > smallest[0][0]:
+            evicted = heapq.heapreplace(smallest, (bounds[s], s))[1]
+            out[evicted] = held.pop(evicted)
+        else:
+            out[s] = node
+            continue
+        held[s] = node
+
+    exact: dict[int, float] = {}
+
+    def solve(s: int) -> float:
+        if s in held:
+            exact[s] = _node_w2(grid, old[s], held[s])
+        elif s not in exact:  # overwritten: solve every overwritten node that may still hold the max
+            floor = max((weight[r] * v for r, v in exact.items()), default=0.0)
+            for t, node in enumerate(old if regenerate is None else regenerate()):
+                if t not in held and bounds[t] > floor:
+                    exact[t] = _node_w2(grid, node, out[t])
+        return exact[s]
+
+    dist = _pruned_sup(bounds, weight, solve)
+    for s, node in held.items():
+        out[s] = node
+    return dist
 
 
 # -- persistence -------------------------------------------------------

@@ -639,3 +639,50 @@ def test_trajectory_with_bad_times_names_the_file(fmt, times, tiny_config, tmp_p
     assert rc == 2
     err = capsys.readouterr().err
     assert "error[validation]" in err and "bad_times" in err and "increasing" in err
+
+
+def _edited_blob(tiny_config, tmp_path, edit_header, tail=b""):
+    """The skeleton's blob with its JSON header edited, and ``tail`` appended."""
+    out = tmp_path / "sk"
+    assert main(["skeleton", "--config", str(tiny_config), "--out", str(out)]) == 0
+    magic, header, data = (out / "skeleton.traj").read_bytes().split(b"\n", 2)
+    doc = json.loads(header)
+    edit_header(doc)
+    path = tmp_path / "edited.traj"
+    path.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + data + tail)
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit,tail,field",
+    [
+        (lambda h: h.update(n_nodes=-1), b"", "n_nodes"),
+        (lambda h: h.update(n_nodes=0), b"", "n_nodes"),
+        (lambda h: None, b"\0" * 8, "n_nodes"),
+        (lambda h: h.update(dtype="<f4"), b"", "dtype"),
+        (lambda h: h.update(dtype="object"), b"", "dtype"),
+    ],
+    ids=["n-nodes-negative", "n-nodes-zero", "overlong", "dtype-f4", "dtype-object"],
+)
+def test_trajectory_blob_with_a_bad_header_field_exits_2(edit, tail, field, tiny_config,
+                                                          tmp_path, capsys):
+    path = _edited_blob(tiny_config, tmp_path, edit, tail)
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
+               "--target", f"trajectory:{path}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "edited.traj" in err and field in err
+
+
+def test_terminal_target_with_a_nan_value_names_the_file(tiny_config, tmp_path, capsys):
+    from fracmv.grid import save_grid_function
+
+    field = save_grid_function(load_config(tiny_config).u0, tmp_path / "field.csv")
+    rows = field.read_text().splitlines()
+    rows[5] = rows[5].split(",")[0] + ",nan"
+    field.write_text("\n".join(rows) + "\n")
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
+               "--target", f"terminal:{field}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "field.csv" in err and "non-finite" in err

@@ -249,6 +249,19 @@ def test_law_on_nodes_matches_one_call_over_a_path(small_grid, small_coeffs, sma
     assert table.tobytes() == one.tobytes()
 
 
+def test_law_on_a_constant_view_is_the_node_by_node_table(small_grid, small_coeffs, rng):
+    """A stride-0 view repeats one node, so its triple is taken once; the table
+    equals the one taken node by node over a materialized copy, bit for bit."""
+    from fracmv import dynamics
+
+    node = rng.standard_normal((5,) + small_grid.shape)
+    view = np.broadcast_to(node, (41,) + node.shape)
+    h_cap = small_coeffs.f.h_cap
+    table = dynamics._law_on_nodes(view, small_grid, h_cap)
+    assert table.shape == (40, 3)
+    assert table.tobytes() == dynamics._law_on_nodes(view.copy(), small_grid, h_cap).tobytes()
+
+
 # -- blow-up reporting ---------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import build_coeffs, build_grid, build_tgrid, build_u0, full_sweep_sup
 
-from fracmv import measure
+from fracmv import measure, mckean_vlasov
 from fracmv.dynamics import NoisePath, TimeGrid, solve_frozen, sup_distance
 from fracmv.errors import BlowUpError, FixedPointDivergenceError, ValidationError
 from fracmv.grid import GridFunction, l2_norm
@@ -63,6 +63,24 @@ def test_apply_phi_matches_single_particle_solves(rng):
             ref = solve_frozen(GridFunction(grid, states[i]), flow, coeffs, tgrid,
                                eps=0.05, noise=noise)
             assert out.states[:, i].tobytes() == ref.values.tobytes()
+
+
+def test_flow_from_the_kernel_is_not_scanned_again(small_grid, small_coeffs, small_tgrid,
+                                                  monkeypatch):
+    """The kernel checks each node it makes, so neither apply_phi nor the
+    solve builds its flow through MeasureFlow's node-by-node scan; only the
+    solve's constant initial view, one node, is checked there."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid)
+    flow0 = _initial_flow(p, 4)
+    scanned = []
+    real = MeasureFlow.__post_init__
+    monkeypatch.setattr(MeasureFlow, "__post_init__",
+                        lambda self: scanned.append(self.states.strides[0]) or real(self))
+    image = apply_phi(p, flow0)
+    assert scanned == []
+    result = picard_solve(p, PicardConfig(n_particles=4, lambda_weight=0.0))
+    assert scanned == [0]
+    assert np.isfinite(image.states).all() and np.isfinite(result.flow.states).all()
 
 
 def test_blow_up_names_the_first_failing_particle(small_grid, small_coeffs, small_tgrid):
@@ -271,12 +289,115 @@ def test_successive_iterates_take_few_node_solves(small_grid, small_coeffs, smal
     assert len(solved) <= small_tgrid.nodes.size // 8
 
 
+# -- the in-place loop ----------------------------------------------------
+
+
+def reference_picard(p, cfg, lam, iterations):
+    """The loop as two held flows: ``apply_phi`` and ``flow_distance`` between
+    the latest iterate and its image; ``iterations`` steps from the initial flow."""
+    flows = [_initial_flow(p, cfg.n_particles)]
+    for _ in range(iterations):
+        flows = [flows[-1], apply_phi(p, flows[-1])]
+        yield flow_distance(flows[0], flows[1], lam), flows[1]
+
+
+def in_place_cases():
+    one, two = build_grid(points=32), build_grid(dim=2, points=8)
+    for grid, steps in ((one, 40), (two, 20)):
+        for weight in (0.0, 1.0, "auto"):
+            yield pytest.param(grid, steps, weight, id=f"{grid.dim}d-{weight}")
+
+
+@pytest.mark.parametrize("grid,steps,weight", in_place_cases())
+def test_in_place_loop_equals_the_two_flow_loop(grid, steps, weight):
+    """Distances, ratios and the final flow of the solve equal, bit for bit,
+    those of the loop that holds each iterate and its image whole."""
+    coeffs = build_coeffs(grid)
+    u0 = build_u0(grid)
+    rng = np.random.default_rng(7)
+    states = u0.values[None] * (1.0 + 0.2 * rng.standard_normal((6,) + (1,) * grid.dim))
+    p = make_problem(grid, coeffs, build_tgrid(steps=steps), u0=u0, initial_states=states)
+    cfg = PicardConfig(n_particles=6, tol=1e-9, lambda_weight=weight)
+    result = picard_solve(p, cfg)
+    rep = result.report
+    assert rep.iterations >= 3
+    ref = list(reference_picard(p, cfg, rep.lambda_weight, rep.iterations))
+    assert [d.hex() for d in rep.distances] == [d.hex() for d, _ in ref]
+    tiny = 10.0 * np.finfo(float).eps * (1.0 + rep.initial_scale)
+    ds = [d for d, _ in ref]
+    ratios = [b / a for a, b in zip(ds, ds[1:]) if a > tiny]
+    assert [r.hex() for r in rep.ratios] == [r.hex() for r in ratios]
+    assert result.flow.states.tobytes() == ref[-1][1].states.tobytes()
+
+
+@pytest.mark.parametrize("weight", [0.0, 1.0, "auto"])
+def test_forced_regeneration_gives_the_same_bits(small_grid, small_coeffs, small_tgrid,
+                                                 monkeypatch, weight):
+    """With no node held back, every step's sup lies on an overwritten node,
+    so the old iterate is rebuilt from its law table; the bits do not move."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid)
+    cfg = PicardConfig(n_particles=6, tol=1e-9, lambda_weight=weight)
+    held = picard_solve(p, cfg)
+    rebuilt = []
+    real = mckean_vlasov._image_nodes
+
+    def counted(problem, law, n, law_out=None):
+        if law_out is None:
+            rebuilt.append(1)
+        return real(problem, law, n, law_out)
+
+    monkeypatch.setattr(mckean_vlasov, "_image_nodes", counted)
+    monkeypatch.setattr(measure, "_HELD_NODES", 0)
+    forced = picard_solve(p, cfg)
+    assert [d.hex() for d in forced.report.distances] == [d.hex() for d in held.report.distances]
+    assert forced.flow.states.tobytes() == held.flow.states.tobytes()
+    # every in-place step rebuilds once; the first loop step reads its intact start
+    loop_steps = held.report.iterations - (2 if weight == "auto" else 0)
+    assert loop_steps >= 2
+    assert len(rebuilt) == loop_steps - 1
+
+
+@pytest.mark.parametrize("weight", [1.0, "auto"])
+def test_solve_draws_each_particles_noise_once(small_grid, small_coeffs, small_tgrid,
+                                               monkeypatch, weight):
+    """Every application of the freezing map in one solve, the auto start's
+    three included, shares one noise stack."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid)
+    drawn = []
+    real = NoisePath.generate.__func__
+    monkeypatch.setattr(NoisePath, "generate",
+                        classmethod(lambda cls, *a, **k: drawn.append(1) or real(cls, *a, **k)))
+    rep = picard_solve(p, PicardConfig(n_particles=5, lambda_weight=weight)).report
+    assert rep.iterations >= 3
+    assert len(drawn) == 5
+
+
+def test_fixed_weight_solve_holds_one_flow():
+    """Each iterate is written over the last, node by node, so a fixed-weight
+    solve holds one flow and a few nodes (about 20 here: the held nodes and the
+    step's buffers), where the two-flow loop held two flows."""
+    g = build_grid(points=64)
+    p = make_problem(g, build_coeffs(g), build_tgrid(steps=100))
+    cfg = PicardConfig(n_particles=16, lambda_weight=1.0)
+    picard_solve(p, cfg)  # fill the per-grid caches outside the measurement
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        res = picard_solve(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert res.report.iterations >= 3
+    assert peak < 1.5 * res.flow.states.nbytes
+
+
 # -- stability of the mean-field estimate ---------------------------------
 
 
 def test_auto_weight_solve_holds_at_most_three_flows():
     """The constant probes are one-node views, so the auto start holds only
-    its three images and each later step two flows."""
+    its three images; the first later step holds the last of them and the
+    buffer it writes, and every step after that one flow."""
     g = build_grid(points=64)
     p = make_problem(g, build_coeffs(g), build_tgrid(steps=50))
     cfg = PicardConfig(n_particles=16, lambda_weight="auto")

@@ -179,6 +179,29 @@ def test_flow_distance_equals_the_scalar_weight_loop_bitwise(rng):
             pair.sup(bad)
 
 
+@pytest.mark.parametrize("held", [0, 1, 8])
+def test_streamed_sup_is_flow_distance_in_place_and_aside(rng, monkeypatch, held):
+    """Streaming the new flow over the old one, or into a buffer of its own,
+    gives flow_distance's float and stores the new flow, however few nodes
+    are held back: an overwritten node that may hold the sup is solved
+    against the old flow as ``regenerate`` yields it again."""
+    monkeypatch.setattr(measure, "_HELD_NODES", held)
+    for name, (mu, nu) in _oracle_flow_pairs(rng).items():
+        g, times = mu.grid, mu.times
+        for lam in (0.0, 16.0):
+            oracle = full_sweep_sup(mu, nu, lam)
+            aside = np.empty(nu.states.shape)
+            assert measure._streamed_sup(g, times, lam, mu.states, iter(nu.states), aside) == oracle
+            assert aside.tobytes() == nu.states.tobytes()
+            if name == "constant":  # a read-only view is never written over
+                continue
+            buf = mu.states.copy()
+            got = measure._streamed_sup(g, times, lam, buf, iter(nu.states), buf,
+                                        lambda: iter(mu.states))
+            assert got == oracle, (name, lam)
+            assert buf.tobytes() == nu.states.tobytes()
+
+
 def test_discount_weight_reduces_late_discrepancies(rng):
     """A late-time-only difference fades as lam grows."""
     g = build_grid(half_width=2.0, points=8)
@@ -213,6 +236,20 @@ def test_constant_flow_is_a_read_only_view_of_its_own_copy(rng):
         flow.states[0, 0, 0] = 1.0
     mu.states[...] = 7.0
     assert all(np.array_equal(node, before) for node in flow.states)
+
+
+def test_constant_flow_checks_its_one_node_once(rng, monkeypatch):
+    g = build_grid(points=8)
+    node = rng.standard_normal((3,) + g.shape)
+    times = np.linspace(0.0, 1.0, 201)
+    checked = []
+    real = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a.shape) or real(a))
+    MeasureFlow(g, times, np.broadcast_to(node, (201,) + node.shape))
+    assert checked == [node.shape]
+    node[1, 2] = np.nan
+    with pytest.raises(InvalidFieldError, match="non-finite"):
+        MeasureFlow(g, times, np.broadcast_to(node, (201,) + node.shape))
 
 
 def test_flow_rejects_a_non_finite_entry_at_its_last_node(rng):
