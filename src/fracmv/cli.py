@@ -152,11 +152,7 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
 def _load_run_control(cfg: RunConfig, path: str | Path, what: str) -> Control:
     """Read a control file and check it against the run's time grid and modes."""
     v = load_control(path)
-    if v.steps != cfg.tgrid.steps or v.n_modes != cfg.coeffs.sigma.n_modes:
-        raise ValidationError(
-            f"{what} has shape {v.values.shape}, expected "
-            f"({cfg.tgrid.steps}, {cfg.coeffs.sigma.n_modes})"
-        )
+    v.check_shape(f"{what} {path}", cfg.tgrid.steps, cfg.coeffs.sigma.n_modes)
     if abs(v.dt - cfg.tgrid.dt) > 1e-12 * cfg.tgrid.dt:
         raise ValidationError(
             f"{what} {path} has dt={v.dt!r}, but the time grid has "

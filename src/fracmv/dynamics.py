@@ -105,61 +105,21 @@ def stable_seed_key(master_seed: int, role: str, index: int = 0) -> int:
 
 
 @dataclass(frozen=True)
-class NoisePath:
-    """Brownian increments ``dW`` with shape ``(steps, modes)``.
-
-    Entry ``(s, k)`` is draw number ``s * K + k`` of a counter-based
-    stream keyed by ``(master seed, particle index)``, hence a pure
-    function of ``(seed, particle, step, mode)`` regardless of how many
-    paths are generated or in what order.
-    """
-
-    increments: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.increments, dtype=float)
-        if arr.ndim != 2:
-            raise ValidationError(f"noise increments must be 2-d, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("noise increments contain non-finite values")
-        if not (float(self.dt) > 0.0):
-            raise ValidationError(f"noise dt must be positive, got {self.dt!r}")
-        object.__setattr__(self, "increments", arr)
-
-    @classmethod
-    def generate(
-        cls, tgrid: TimeGrid, n_modes: int, master_seed: int, particle: int = 0
-    ) -> "NoisePath":
-        key = stable_seed_key(master_seed, "noise", particle)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        draws = gen.standard_normal((tgrid.steps, int(n_modes)))
-        return cls(draws * math.sqrt(tgrid.dt), tgrid.dt)
-
-    @property
-    def steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return self.increments.shape[1]
-
-
-@dataclass(frozen=True)
 class Control:
     """Piecewise-constant control, one row of mode coefficients per step."""
 
     values: np.ndarray
     dt: float
+    _what = "control"  # the path's name in its refusals
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 2:
-            raise ValidationError(f"control values must be 2-d, got shape {arr.shape}")
+            raise ValidationError(f"{self._what} values must be 2-d, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValidationError("control contains non-finite values")
+            raise ValidationError(f"{self._what} contains non-finite values")
         if not (float(self.dt) > 0.0):
-            raise ValidationError(f"control dt must be positive, got {self.dt!r}")
+            raise ValidationError(f"{self._what} dt must be positive, got {self.dt!r}")
         object.__setattr__(self, "values", arr)
 
     @classmethod
@@ -174,12 +134,46 @@ class Control:
     def n_modes(self) -> int:
         return self.values.shape[1]
 
+    def check_shape(self, what: str, steps: int, n_modes: int) -> None:
+        """Refuse the path unless it has one row per step and one column per mode."""
+        if self.values.shape != (steps, n_modes):
+            raise ValidationError(
+                f"{what} has shape {self.values.shape}, "
+                f"expected (steps, modes) = ({steps}, {n_modes})"
+            )
+
     def l2_norm_sq(self) -> float:
         """Squared norm in L2(0, T; l2): ``sum_s dt * |v_s|^2``."""
         return float(self.dt * np.sum(self.values**2))
 
     def scaled(self, c: float) -> "Control":
         return Control(float(c) * self.values, self.dt)
+
+
+class NoisePath(Control):
+    """Brownian increments ``dW``: a :class:`Control` whose rows are the steps'
+    increments, with its checks, and ``increments`` a read-only name for them.
+
+    Entry ``(s, k)`` is draw number ``s * K + k`` of a counter-based
+    stream keyed by ``(master seed, particle index)``, hence a pure
+    function of ``(seed, particle, step, mode)`` regardless of how many
+    paths are generated or in what order.
+    """
+
+    _what = "noise"
+
+    @classmethod
+    def generate(
+        cls, tgrid: TimeGrid, n_modes: int, master_seed: int, particle: int = 0
+    ) -> "NoisePath":
+        key = stable_seed_key(master_seed, "noise", particle)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        draws = gen.standard_normal((tgrid.steps, int(n_modes)))
+        return cls(draws * math.sqrt(tgrid.dt), tgrid.dt)
+
+    @property
+    def increments(self) -> np.ndarray:
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -302,21 +296,12 @@ def _validate_run_args(
 ) -> None:
     if u0.grid != coeffs.sigma.grid:
         raise GridMismatchError("initial state and coefficients must share one grid")
-    K = coeffs.sigma.n_modes
     if control is not None:
-        if control.steps != tgrid.steps or control.n_modes != K:
-            raise ValidationError(
-                f"control shape ({control.steps}, {control.n_modes}) does not match "
-                f"(steps, modes) = ({tgrid.steps}, {K})"
-            )
+        control.check_shape("control", tgrid.steps, coeffs.sigma.n_modes)
     if eps > 0.0:
         if noise is None:
             raise ValidationError("epsilon > 0 requires a noise path")
-        if noise.steps != tgrid.steps or noise.n_modes != K:
-            raise ValidationError(
-                f"noise shape ({noise.steps}, {noise.n_modes}) does not match "
-                f"(steps, modes) = ({tgrid.steps}, {K})"
-            )
+        noise.check_shape("noise", tgrid.steps, coeffs.sigma.n_modes)
 
 
 def _check_nodes(what: str, obj, grid: SpatialGrid, nodes: np.ndarray | None = None) -> None:
@@ -371,47 +356,43 @@ def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGri
 def _controlled_solver(
     u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid, control=None
 ):
-    """Check a controlled run; return a map from a stack of controls ``(m, S, K)`` to their
-    paths ``(m, S+1, *grid.shape)``, and the table of node fields of the law along ``base``,
-    built once here: the map reads its rows, the adjoint its stacks.  Each row of a stack equals
-    its own solve bit for bit, and a blow-up names its row (none for a single path)."""
+    """Check a controlled run; return the controlled map and its exact adjoint, which
+    share one table of node fields of the law along ``base``, built once here.
+
+    ``paths`` maps a stack of controls ``(m, S, K)`` to their paths ``(m, S+1, *grid.shape)``.
+    Each row of a stack equals its own solve bit for bit, and a blow-up names its row (none
+    for a single path).  ``pullback`` maps (control, path, an objective's derivative ``j_u``
+    at each node) to the flat derivative in the control.  The law is frozen, ``R``
+    self-adjoint: ``lam_S = j_u[S]``, ``lam_s = R lam_{s+1} du~/du_s + j_u[s]``."""
     _validate_run_args(u0, coeffs, tgrid, control, None, 0.0)
-    _check_nodes("base trajectory", base, u0.grid, tgrid.nodes)
+    grid = u0.grid
+    _check_nodes("base trajectory", base, grid, tgrid.nodes)
     if not np.array_equal(base.values[0], u0.values):
         raise ValidationError("base trajectory does not start at the given initial state")
-    stats = _law_on_nodes(base.values[:, None], u0.grid, coeffs.f.h_cap)
-    by_node = [coeffs.node_fields(u0.grid, t, row) for t, row in zip(tgrid.nodes[:-1], stats)]
+    stats = _law_on_nodes(base.values[:, None], grid, coeffs.f.h_cap)
+    by_node = [coeffs.node_fields(grid, t, row) for t, row in zip(tgrid.nodes[:-1], stats)]
     table = NodeFields(*map(np.stack, zip(*by_node)))
     law = [NodeFields(*row) for row in zip(*table)]
-
-    def paths(controls: np.ndarray) -> np.ndarray:
-        starts = np.repeat(u0.values[None], len(controls), axis=0)
-        by_step = np.ascontiguousarray(controls.transpose(1, 0, 2))
-        return _run_steps(u0.grid, coeffs, starts, tgrid, law, 0.0, by_step).swapaxes(0, 1)
-
-    return paths, table
-
-
-def _controlled_pullback(grid: SpatialGrid, coeffs: CoefficientSet, tgrid: TimeGrid, law: NodeFields):
-    """The exact adjoint of the controlled map: (control, path, an objective's derivative ``j_u``
-    at each node) -> flat derivative in the control.  ``phi(t_s) hbar_f``, ``psi(t_s)`` and sigma's
-    state-free stacks come from ``law``, the node-field stacks the forward solves read.  The
-    law is frozen, ``R`` self-adjoint: ``lam_S = j_u[S]``, ``lam_s = R lam_{s+1} du~/du_s + j_u[s]``."""
     f, g, sig = coeffs.f, coeffs.g, coeffs.sigma
     S, dt = tgrid.steps, tgrid.dt
     res_mult = grid.resolvent_multiplier(coeffs.alpha, dt)
 
+    def paths(controls: np.ndarray) -> np.ndarray:
+        starts = np.repeat(u0.values[None], len(controls), axis=0)
+        by_step = np.ascontiguousarray(controls.transpose(1, 0, 2))
+        return _run_steps(grid, coeffs, starts, tgrid, law, 0.0, by_step).swapaxes(0, 1)
+
     def pullback(v: np.ndarray, u: np.ndarray, j_u: np.ndarray) -> np.ndarray:
         u = u[:-1]
-        tamed = f.power_derivative(u) / (1.0 + dt * np.abs(f.values(u, law.phi_h))) ** 2
-        jac = 1.0 + dt * (g.derivative(law.psi, u) - tamed) + sig.derivative(dt * v)
+        tamed = f.power_derivative(u) / (1.0 + dt * np.abs(f.values(u, table.phi_h))) ** 2
+        jac = 1.0 + dt * (g.derivative(table.psi, u) - tamed) + sig.derivative(dt * v)
         mu, lam = np.empty_like(u), j_u[S]
         for s in range(S - 1, -1, -1):
             mu[s] = grid.apply_multiplier(lam, res_mult)
             lam = mu[s] * jac[s] + j_u[s]
-        return dt * sig.drive_adjoint(law.free, u, mu).ravel()
+        return dt * sig.drive_adjoint(table.free, u, mu).ravel()
 
-    return pullback
+    return paths, pullback
 
 
 def solve_controlled(
@@ -463,8 +444,8 @@ def energy_residual(
     if S < 1:
         raise ValidationError("trajectory must contain at least one step")
     dt = float(traj.times[1] - traj.times[0])
-    if control is not None and (control.steps != S or control.n_modes != sig.n_modes):
-        raise ValidationError("control shape does not match the trajectory")
+    if control is not None:
+        control.check_shape("control", S, sig.n_modes)
     if base is not None:
         _check_nodes("base trajectory", base, g, traj.times)
     w = g.cell_volume

@@ -25,7 +25,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .coefficients import CoefficientSet, law_statistics
+from .coefficients import CoefficientSet
 from .dynamics import (
     NoisePath,
     TimeGrid,
@@ -107,14 +107,16 @@ class PicardConfig:
             )
         if not (0.0 < float(self.tol) < math.inf):
             raise ValidationError(f"tol must be finite and positive, got {self.tol!r}")
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
-            raise ValidationError(
-                f"max_iters must be an integer >= 1, got {self.max_iters!r}"
-            )
         lw = self.lambda_weight
         if lw != "auto" and (isinstance(lw, str) or not 0.0 <= float(lw) < math.inf):
             raise ValidationError(
                 f"lambda_weight must be 'auto' or a finite number >= 0, got {lw!r}"
+            )
+        least = 2 if lw == "auto" else 1  # the auto weight's start takes two iterates
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= least):
+            raise ValidationError(
+                f"max_iters must be an integer >= {least} with lambda_weight {lw!r}, "
+                f"got {self.max_iters!r}"
             )
 
 
@@ -200,18 +202,12 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
     return MeasureFlow._checked(grid, tgrid.nodes, paths)
 
 
-def _image_nodes(problem: MeanFieldProblem, law: np.ndarray, n: int, law_out=None):
-    """Yield the nodes ``0 .. S`` of the freezing map's image of a flow whose law
-    table is ``law``, as :func:`apply_phi` makes them, writing the image's own law
-    table, the next application's ``law``, into ``law_out`` as they pass."""
-    grid, h_cap = problem.grid, problem.coeffs.f.h_cap
+def _image_nodes(problem: MeanFieldProblem, law: np.ndarray, n: int):
+    """The nodes ``0 .. S`` of the freezing map's image of a flow whose law table is
+    ``law``, as :func:`apply_phi` makes them, yielded one by one by the step kernel."""
     starts = _initial_states(problem, n)
-    steps = _step_nodes(grid, problem.coeffs, starts, problem.tgrid, law,
-                        float(problem.epsilon), None, _noise_stack(problem, n))
-    for s, node in enumerate(chain([starts], steps)):
-        if law_out is not None and s < len(law_out):
-            law_out[s] = law_statistics(node, grid, h_cap)
-        yield node
+    return chain([starts], _step_nodes(problem.grid, problem.coeffs, starts, problem.tgrid, law,
+                                       float(problem.epsilon), None, _noise_stack(problem, n)))
 
 
 def auto_lambda(
@@ -296,9 +292,11 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     kernel makes it, while the distance between the two is bounded node by
     node and settled by a few exact solves (``measure._streamed_sup``).  The
     first step writes into a buffer of its own, since the flow it starts
-    from is the read-only initial view or the auto start's; each step
-    records the law table the next one steps against.  The noise stack is
-    built once and shared by every application of the map.
+    from is the read-only initial view or the auto start's, and reads that
+    flow's nodes again from it; a later step rebuilds them, if it must, from
+    the law table they were made from.  Each step begins by reading the law
+    table of the flow it starts from, so the last step builds none.  The
+    noise stack is built once and shared by every application of the map.
     """
     n = cfg.n_particles
     latest = _initial_flow(problem, n)
@@ -332,17 +330,19 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     if any(d <= threshold for d in distances):
         return PicardResult(flow=latest, report=report(True))
     grid, times = problem.grid, problem.tgrid.nodes
-    states, law = latest.states, _law_on_nodes(latest.states, grid, problem.coeffs.f.h_cap)
+    states = latest.states
     built_from = None  # the law table ``states`` was made from, once it is the loop's own
     del latest
     while iterations < cfg.max_iters:
-        out = np.empty(states.shape) if built_from is None else states
-        regenerate = None if built_from is None else partial(_image_nodes, problem, built_from, n)
-        new_law = np.empty_like(law)
-        nodes = _image_nodes(problem, law, n, new_law)
+        law = _law_on_nodes(states, grid, problem.coeffs.f.h_cap)
+        if built_from is None:
+            out, old_nodes = np.empty(states.shape), partial(iter, states)
+        else:
+            out, old_nodes = states, partial(_image_nodes, problem, built_from, n)
+        nodes = _image_nodes(problem, law, n)
         with np.errstate(over="ignore", invalid="ignore"):  # the step kernel's, see _step_nodes
-            distances.append(_streamed_sup(grid, times, lam, states, nodes, out, regenerate))
-        states, built_from, law = out, law, new_law
+            distances.append(_streamed_sup(grid, times, lam, states, nodes, out, old_nodes))
+        states, built_from = out, law
         iterations += 1
         if distances[-1] <= threshold:
             return PicardResult(MeasureFlow._checked(grid, times, states), report(True))

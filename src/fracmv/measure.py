@@ -300,7 +300,7 @@ def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
 
 def _streamed_sup(
     grid: SpatialGrid, times: np.ndarray, lam: float, old: np.ndarray, nodes, out: np.ndarray,
-    regenerate=None,
+    old_nodes,
 ) -> float:
     """Store the flow that ``nodes`` yields, node 0 first, in ``out``, shape
     ``(S+1, N, *grid.shape)``, and return its weighted sup distance from the flow
@@ -310,9 +310,9 @@ def _streamed_sup(
     bounded against the old node there, except the ``_HELD_NODES`` with the largest
     weighted bounds, which are held back and solved after the sweep under the
     pruning rule of :meth:`FlowPairW2.sup`.  Should an overwritten node still beat
-    the running maximum, ``regenerate()`` yields the old flow's nodes again, node 0
-    first, and every such node is solved against its new one.  Without
-    ``regenerate``, ``out`` must not be ``old``: the old nodes are read from ``old``.
+    the running maximum, ``old_nodes()`` yields the old flow's nodes, node 0 first:
+    ``old``'s own if ``out`` is a buffer apart, or else rebuilt; every such node
+    is then solved against its new one.
     """
     weight, w = _weights(times, lam), grid.cell_volume
     bounds = np.empty(times.size)
@@ -321,15 +321,11 @@ def _streamed_sup(
     smallest: list[tuple[float, int]] = []  # heap of the held nodes' bounds
     for s, node in enumerate(nodes):
         bounds[s] = weight[s] * _identity_bound(old[s], node, diff, w)
-        if len(held) < _HELD_NODES:
-            heapq.heappush(smallest, (bounds[s], s))
-        elif held and bounds[s] > smallest[0][0]:
-            evicted = heapq.heapreplace(smallest, (bounds[s], s))[1]
-            out[evicted] = held.pop(evicted)
-        else:
-            out[s] = node
-            continue
         held[s] = node
+        heapq.heappush(smallest, (bounds[s], s))
+        if len(held) > _HELD_NODES:
+            evicted = heapq.heappop(smallest)[1]
+            out[evicted] = held.pop(evicted)
 
     exact: dict[int, float] = {}
 
@@ -338,7 +334,7 @@ def _streamed_sup(
             exact[s] = _node_w2(grid, old[s], held[s])
         elif s not in exact:  # overwritten: solve every overwritten node that may still hold the max
             floor = max((weight[r] * v for r, v in exact.items()), default=0.0)
-            for t, node in enumerate(old if regenerate is None else regenerate()):
+            for t, node in enumerate(old_nodes()):
                 if t not in held and bounds[t] > floor:
                     exact[t] = _node_w2(grid, node, out[t])
         return exact[s]

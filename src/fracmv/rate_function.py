@@ -33,7 +33,6 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     _check_nodes,
-    _controlled_pullback,
     _controlled_solver,
     integrated_v_distance,
     solve_controlled,  # unused here, but perfbench/spans.py traces this name
@@ -153,8 +152,7 @@ def estimate_rate(
 
     S, K, dt = tgrid.steps, coeffs.sigma.n_modes, tgrid.dt
     n_evals = 0
-    solve_batch, table = _controlled_solver(u0, base, coeffs, tgrid)
-    pullback = _controlled_pullback(u0.grid, coeffs, tgrid, table)
+    solve_batch, pullback = _controlled_solver(u0, base, coeffs, tgrid)
     # half the derivative of gap^2 at each node: the weights of the path norm
     node_w = np.append(np.full(S, dt if isinstance(target, Trajectory) else 0.0), 1.0)
     node_w = u0.grid.cell_volume * node_w.reshape((-1,) + (1,) * u0.grid.dim)
@@ -247,10 +245,7 @@ def weak_convergence_experiment(
         raise ValidationError(
             f"mode_index must lie in [0, {K}), got {mode_index!r}"
         )
-    if v.n_modes != K or v.steps != tgrid.steps:
-        raise ValidationError(
-            f"control must have shape ({tgrid.steps}, {K}), got {v.values.shape}"
-        )
+    v.check_shape("control", tgrid.steps, K)
     if base is None:
         base = solve_deterministic(u0, coeffs, tgrid)
     t_left = tgrid.nodes[:-1]

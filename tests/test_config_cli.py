@@ -79,6 +79,7 @@ def test_defaults_build_canonical_instance(canonical_cfg):
         ({"rate": {"eta_ladder": [1.0e-2, -1.0e-3]}}, "rate.eta_ladder"),
         ({"rate": {"max_stage_iters": 0}}, "rate.max_stage_iters"),
         ({"rate": {"gap_tol": 0.0}}, "rate.gap_tol"),
+        ({"picard": {"max_iters": 1}}, "picard.max_iters"),
     ],
 )
 def test_validation_errors_name_the_field(patch, needle):
@@ -418,6 +419,32 @@ def test_control_with_foreign_dt_exits_2(tiny_config, tmp_path, capsys):
                "--target", f"manufactured:{vpath}"])
     assert rc == 2
     assert "dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["--control", "manufactured"])
+def test_control_of_the_wrong_shape_exits_2_naming_the_file(where, tiny_config, tmp_path, capsys):
+    """A control one step short is refused before any solve, and the
+    refusal names the file as well as the shape it should have."""
+    from fracmv.dynamics import Control, save_control
+
+    cfg = load_config(tiny_config)
+    S, K = cfg.tgrid.steps, cfg.coeffs.sigma.n_modes
+    vpath = save_control(Control(np.zeros((S - 1, K)), cfg.tgrid.dt), tmp_path / "short.csv")
+    argv = (["skeleton", "--control", str(vpath)] if where == "--control"
+            else ["rate", "--target", f"manufactured:{vpath}"])
+    assert main(argv + ["--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and str(vpath) in err
+    assert f"has shape ({S - 1}, {K}), expected (steps, modes) = ({S}, {K})" in err
+
+
+def test_auto_weight_with_one_iteration_exits_2(tmp_path, capsys):
+    """The auto weight's start takes two iterates, so a budget of one is
+    refused by name instead of overrun."""
+    config = _tiny_with(tmp_path, picard={"max_iters": 1, "lambda_weight": "auto"})
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "picard.max_iters" in err
 
 
 def test_truncated_trajectory_target_exits_2(tiny_config, tmp_path, capsys):

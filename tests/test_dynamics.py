@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,54 @@ def test_every_caller_refuses_a_wrong_grid_and_shifted_nodes(caller, mismatch, s
         calls[caller]()
 
 
+@pytest.mark.parametrize("axis", ["steps", "modes"])
+@pytest.mark.parametrize(
+    "caller", ["solve_frozen", "solve_controlled", "energy_residual", "weak_convergence_experiment"]
+)
+def test_every_caller_refuses_a_wrong_mode_path_shape(caller, axis, small_grid, small_coeffs):
+    """A noise path or control one row or one mode off is refused, naming the
+    shape it has and the ``(steps, modes)`` it should have."""
+    from fracmv.rate_function import weak_convergence_experiment
+
+    tg = build_tgrid(steps=10)
+    K = small_coeffs.sigma.n_modes
+    u0 = build_u0(small_grid)
+    base = solve_deterministic(u0, small_coeffs, tg)
+    shape = (tg.steps + 1, K) if axis == "steps" else (tg.steps, K + 1)
+    noise, v = NoisePath(np.zeros(shape), tg.dt), Control(np.zeros(shape), tg.dt)
+    calls = {
+        "solve_frozen": lambda: solve_frozen(u0, constant_flow(u0, 2, tg.nodes), small_coeffs, tg,
+                                             eps=0.01, noise=noise),
+        "solve_controlled": lambda: solve_controlled(u0, v, base, small_coeffs, tg),
+        "energy_residual": lambda: energy_residual(base, small_coeffs, control=v),
+        "weak_convergence_experiment": lambda: weak_convergence_experiment(
+            v, 0, 0.5, [1], u0, small_coeffs, tg, base=base),
+    }
+    what = "noise" if caller == "solve_frozen" else "control"
+    needle = f"{what} has shape {shape}, expected (steps, modes) = ({tg.steps}, {K})"
+    with pytest.raises(ValidationError, match=f"^{re.escape(needle)}$"):
+        calls[caller]()
+
+
+@pytest.mark.parametrize("cls,what", [(Control, "control"), (NoisePath, "noise")])
+def test_mode_paths_refuse_flat_non_finite_and_step_free_arrays(cls, what):
+    """A control and a noise path each refuse a 1-d array, a NaN entry and
+    a step size that is not positive, by name."""
+    with pytest.raises(ValidationError, match=f"^{what} values must be 2-d, got shape \\(4,\\)$"):
+        cls(np.zeros(4), 0.1)
+    bad = np.zeros((4, 2))
+    bad[2, 1] = np.nan
+    with pytest.raises(ValidationError, match=f"^{what} contains non-finite values$"):
+        cls(bad, 0.1)
+    for dt in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValidationError, match=f"^{what} dt must be positive"):
+            cls(np.zeros((4, 2)), dt)
+    path = cls(np.ones((4, 2)), 0.1)
+    assert path.values.shape == (4, 2) and path.steps == 4 and path.n_modes == 2
+    if cls is NoisePath:
+        assert path.increments is path.values
+
+
 def test_law_on_nodes_matches_one_call_over_a_path(small_grid, small_coeffs, small_tgrid):
     """The node-by-node law table equals one ``law_statistics`` call over
     the left nodes of a path, bit for bit."""
@@ -413,8 +462,7 @@ def test_controlled_solver_builds_node_fields_once(small_grid, small_coeffs, sma
         return original(self, t, root_m2)
 
     monkeypatch.setattr(NoiseSigma, "free_fields", counted)
-    paths, table = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)
-    pullback = dynamics._controlled_pullback(small_grid, small_coeffs, small_tgrid, table)
+    paths, pullback = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)
     S, K = small_tgrid.steps, small_coeffs.sigma.n_modes
     for _ in range(3):
         v = rng.standard_normal((S, K))

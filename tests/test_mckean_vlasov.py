@@ -6,7 +6,7 @@ import pytest
 
 from helpers import build_coeffs, build_grid, build_tgrid, build_u0, full_sweep_sup
 
-from fracmv import measure, mckean_vlasov
+from fracmv import dynamics, measure, mckean_vlasov
 from fracmv.dynamics import NoisePath, TimeGrid, solve_frozen, sup_distance
 from fracmv.errors import BlowUpError, FixedPointDivergenceError, ValidationError
 from fracmv.grid import GridFunction, l2_norm
@@ -203,6 +203,18 @@ def test_problem_validation(small_grid, small_coeffs, small_tgrid):
         PicardConfig(lambda_weight=float("inf"))
 
 
+def test_auto_weight_needs_two_iterations():
+    """The auto start takes the first two iterates, so it needs a budget of two;
+    a fixed weight can stop after one."""
+    needle = "^max_iters must be an integer >= 2 with lambda_weight 'auto', got 1$"
+    with pytest.raises(ValidationError, match=needle):
+        PicardConfig(max_iters=1)
+    assert PicardConfig(max_iters=2).max_iters == 2
+    assert PicardConfig(max_iters=1, lambda_weight=0.0).max_iters == 1
+    with pytest.raises(ValidationError, match="max_iters"):
+        PicardConfig(max_iters=0, lambda_weight=0.0)
+
+
 def test_auto_lambda_rejects_identical_probes(small_grid, small_coeffs, small_tgrid):
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     flow = constant_flow(small_grid, p.u0.values, 4, small_tgrid.nodes)
@@ -338,15 +350,24 @@ def test_forced_regeneration_gives_the_same_bits(small_grid, small_coeffs, small
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     cfg = PicardConfig(n_particles=6, tol=1e-9, lambda_weight=weight)
     held = picard_solve(p, cfg)
-    rebuilt = []
-    real = mckean_vlasov._image_nodes
+    rebuilt, sweeping = [], []  # per loop step, the old iterate's rebuilds inside its sweep
+    real_nodes, real_sweep = mckean_vlasov._image_nodes, mckean_vlasov._streamed_sup
 
-    def counted(problem, law, n, law_out=None):
-        if law_out is None:
-            rebuilt.append(1)
-        return real(problem, law, n, law_out)
+    def nodes(*args):
+        if sweeping:
+            rebuilt[-1] += 1
+        return real_nodes(*args)
 
-    monkeypatch.setattr(mckean_vlasov, "_image_nodes", counted)
+    def sweep(*args):
+        rebuilt.append(0)
+        sweeping.append(1)
+        try:
+            return real_sweep(*args)
+        finally:
+            sweeping.pop()
+
+    monkeypatch.setattr(mckean_vlasov, "_image_nodes", nodes)
+    monkeypatch.setattr(mckean_vlasov, "_streamed_sup", sweep)
     monkeypatch.setattr(measure, "_HELD_NODES", 0)
     forced = picard_solve(p, cfg)
     assert [d.hex() for d in forced.report.distances] == [d.hex() for d in held.report.distances]
@@ -354,7 +375,22 @@ def test_forced_regeneration_gives_the_same_bits(small_grid, small_coeffs, small
     # every in-place step rebuilds once; the first loop step reads its intact start
     loop_steps = held.report.iterations - (2 if weight == "auto" else 0)
     assert loop_steps >= 2
-    assert len(rebuilt) == loop_steps - 1
+    assert rebuilt == [0] + [1] * (loop_steps - 1)
+
+
+def test_last_sweep_reads_no_law_table(small_grid, small_coeffs, small_tgrid, monkeypatch):
+    """Each loop step reads the law table of the flow it starts from: once for
+    the one-node initial view, then one node at a time; the last iterate, which
+    no step follows, is never read."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid)
+    calls = []
+    real = dynamics.law_statistics
+    counted = lambda *a: calls.append(1) or real(*a)  # noqa: E731
+    for module in (dynamics, mckean_vlasov):  # the solver module must hold no copy of its own
+        monkeypatch.setattr(module, "law_statistics", counted, raising=False)
+    k = picard_solve(p, PicardConfig(n_particles=5, tol=1e-9, lambda_weight=1.0)).report.iterations
+    assert k >= 3
+    assert len(calls) == 1 + (k - 1) * small_tgrid.steps
 
 
 @pytest.mark.parametrize("weight", [1.0, "auto"])

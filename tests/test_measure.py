@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -184,20 +185,22 @@ def test_streamed_sup_is_flow_distance_in_place_and_aside(rng, monkeypatch, held
     """Streaming the new flow over the old one, or into a buffer of its own,
     gives flow_distance's float and stores the new flow, however few nodes
     are held back: an overwritten node that may hold the sup is solved
-    against the old flow as ``regenerate`` yields it again."""
+    against the old flow as ``old_nodes`` yields it again."""
     monkeypatch.setattr(measure, "_HELD_NODES", held)
     for name, (mu, nu) in _oracle_flow_pairs(rng).items():
         g, times = mu.grid, mu.times
         for lam in (0.0, 16.0):
             oracle = full_sweep_sup(mu, nu, lam)
             aside = np.empty(nu.states.shape)
-            assert measure._streamed_sup(g, times, lam, mu.states, iter(nu.states), aside) == oracle
+            got = measure._streamed_sup(g, times, lam, mu.states, iter(nu.states), aside,
+                                        partial(iter, mu.states))
+            assert got == oracle, (name, lam)
             assert aside.tobytes() == nu.states.tobytes()
             if name == "constant":  # a read-only view is never written over
                 continue
             buf = mu.states.copy()
             got = measure._streamed_sup(g, times, lam, buf, iter(nu.states), buf,
-                                        lambda: iter(mu.states))
+                                        partial(iter, mu.states))
             assert got == oracle, (name, lam)
             assert buf.tobytes() == nu.states.tobytes()
 
