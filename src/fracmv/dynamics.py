@@ -44,6 +44,9 @@ from .errors import BlowUpError, GridMismatchError, ValidationError
 from .grid import (
     GridFunction,
     SpatialGrid,
+    _check_nodes,
+    _field_array,
+    _time_nodes,
     load_grid_function,
     save_grid_function,
     sq_norms,
@@ -134,13 +137,17 @@ class Control:
     def n_modes(self) -> int:
         return self.values.shape[1]
 
-    def check_shape(self, what: str, steps: int, n_modes: int) -> None:
-        """Refuse the path unless it has one row per step and one column per mode."""
+    def check_shape(self, what: str, steps: int, n_modes: int, dt: float) -> None:
+        """Refuse the path unless it has one row per step, one column per mode and
+        the run's step size ``dt`` (to a relative 1e-12): a path drawn or costed
+        with another step would be integrated with ``dt`` all the same."""
         if self.values.shape != (steps, n_modes):
             raise ValidationError(
                 f"{what} has shape {self.values.shape}, "
                 f"expected (steps, modes) = ({steps}, {n_modes})"
             )
+        if abs(self.dt - dt) > 1e-12 * dt:
+            raise ValidationError(f"{what} has dt={self.dt!r}, but the time grid has dt={dt!r}")
 
     def l2_norm_sq(self) -> float:
         """Squared norm in L2(0, T; l2): ``sum_s dt * |v_s|^2``."""
@@ -178,24 +185,16 @@ class NoisePath(Control):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A path of fields over the time nodes, shape ``(S+1, *grid.shape)``."""
+    """A path of fields over the time nodes, shape ``(S+1, *grid.shape)``; the times
+    pass :func:`~fracmv.grid._time_nodes`, the values :func:`~fracmv.grid._field_array`."""
 
     grid: SpatialGrid
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        arr = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or arr.shape != (t.size,) + self.grid.shape:
-            raise ValidationError(
-                f"trajectory arrays inconsistent: times {t.shape}, values {arr.shape}, "
-                f"grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0.0):
-            raise ValidationError("trajectory times must be finite and strictly increasing")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("trajectory contains non-finite values")
+        t = _time_nodes("trajectory", self.times)
+        arr = _field_array("trajectory", self.values, self.grid, (t.size,))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", arr)
 
@@ -287,30 +286,14 @@ def _run_steps(grid: SpatialGrid, coeffs: CoefficientSet, starts: np.ndarray, tg
 
 
 def _validate_run_args(
-    u0: GridFunction,
-    coeffs: CoefficientSet,
-    tgrid: TimeGrid,
-    control: Control | None,
-    noise: NoisePath | None,
-    eps: float,
+    u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGrid, noise: NoisePath | None, eps: float
 ) -> None:
     if u0.grid != coeffs.sigma.grid:
         raise GridMismatchError("initial state and coefficients must share one grid")
-    if control is not None:
-        control.check_shape("control", tgrid.steps, coeffs.sigma.n_modes)
     if eps > 0.0:
         if noise is None:
             raise ValidationError("epsilon > 0 requires a noise path")
-        noise.check_shape("noise", tgrid.steps, coeffs.sigma.n_modes)
-
-
-def _check_nodes(what: str, obj, grid: SpatialGrid, nodes: np.ndarray | None = None) -> None:
-    """Refuse ``obj`` (a flow, path or field) unless it lives on ``grid`` and,
-    when ``nodes`` is given, is sampled at exactly those times."""
-    if obj.grid != grid:
-        raise GridMismatchError(f"{what} lives on a different grid")
-    if nodes is not None and not np.array_equal(obj.times, nodes):
-        raise GridMismatchError(f"{what} is not sampled on the solver's time nodes")
+        noise.check_shape("noise", tgrid.steps, coeffs.sigma.n_modes, tgrid.dt)
 
 
 def _law_on_nodes(states: np.ndarray, grid: SpatialGrid, h_cap: float) -> np.ndarray:
@@ -332,7 +315,7 @@ def solve_frozen(
 ) -> Trajectory:
     """Integrate against a prescribed measure flow (left-node freezing)."""
     eps = _check_epsilon(eps)
-    _validate_run_args(u0, coeffs, tgrid, None, noise, eps)
+    _validate_run_args(u0, coeffs, tgrid, noise, eps)
     _check_nodes("measure flow", mu_flow, u0.grid, tgrid.nodes)
     stats = _law_on_nodes(mu_flow.states, u0.grid, coeffs.f.h_cap)
     vals = _run_steps(
@@ -348,23 +331,21 @@ def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGri
     Self-consistent because the law of a deterministic path is the
     point mass travelling along it.
     """
-    _validate_run_args(u0, coeffs, tgrid, None, None, 0.0)
+    _validate_run_args(u0, coeffs, tgrid, None, 0.0)
     vals = _run_steps(u0.grid, coeffs, u0.values[None], tgrid, None)
     return Trajectory(u0.grid, tgrid.nodes, vals[:, 0])
 
 
-def _controlled_solver(
-    u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid, control=None
-):
-    """Check a controlled run; return the controlled map and its exact adjoint, which
-    share one table of node fields of the law along ``base``, built once here.
+def _controlled_solver(u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid):
+    """Check a controlled run's start and base; return the controlled map and its exact
+    adjoint, which share one table of node fields of the law along ``base``, built once here.
 
     ``paths`` maps a stack of controls ``(m, S, K)`` to their paths ``(m, S+1, *grid.shape)``.
     Each row of a stack equals its own solve bit for bit, and a blow-up names its row (none
     for a single path).  ``pullback`` maps (control, path, an objective's derivative ``j_u``
     at each node) to the flat derivative in the control.  The law is frozen, ``R``
     self-adjoint: ``lam_S = j_u[S]``, ``lam_s = R lam_{s+1} du~/du_s + j_u[s]``."""
-    _validate_run_args(u0, coeffs, tgrid, control, None, 0.0)
+    _validate_run_args(u0, coeffs, tgrid, None, 0.0)
     grid = u0.grid
     _check_nodes("base trajectory", base, grid, tgrid.nodes)
     if not np.array_equal(base.values[0], u0.values):
@@ -408,7 +389,8 @@ def solve_controlled(
     zero-noise solution from the same initial state; it is not the law
     of the controlled path itself.
     """
-    paths, _ = _controlled_solver(u0, base, coeffs, tgrid, control)
+    control.check_shape("control", tgrid.steps, coeffs.sigma.n_modes, tgrid.dt)
+    paths, _ = _controlled_solver(u0, base, coeffs, tgrid)
     return Trajectory(u0.grid, tgrid.nodes, paths(control.values[None])[0])
 
 
@@ -445,7 +427,7 @@ def energy_residual(
         raise ValidationError("trajectory must contain at least one step")
     dt = float(traj.times[1] - traj.times[0])
     if control is not None:
-        control.check_shape("control", S, sig.n_modes)
+        control.check_shape("control", S, sig.n_modes, dt)
     if base is not None:
         _check_nodes("base trajectory", base, g, traj.times)
     w = g.cell_volume

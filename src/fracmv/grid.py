@@ -18,13 +18,14 @@ then the value) with a small JSON sidecar recording the grid geometry.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.fft
 
-from .errors import InvalidFieldError, ValidationError
+from .errors import GridMismatchError, InvalidFieldError, ValidationError
 
 __all__ = [
     "SpatialGrid",
@@ -193,25 +194,63 @@ class SpatialGrid:
         return scipy.fft.irfft2(spec, s=self.shape)
 
 
+def _field_array(what: str, values, grid: SpatialGrid, lead=(), by_node=False) -> np.ndarray:
+    """``values`` as a float array of shape ``(*lead, *grid.shape)``, every entry
+    finite: the one check of every container of fields, which it names ``what``.
+
+    An int in ``lead`` fixes that axis's length; a name (a str) lets it take
+    any.  ``by_node`` scans the first axis entry by entry, since one scan over a
+    flow would build a mask an eighth its size; a stride of 0 repeats one entry,
+    which is then scanned once.
+    """
+    arr = np.asarray(values, dtype=float)
+    # a named axis takes the length it has; a missing axis leaves the shapes unequal
+    sized = tuple(m if isinstance(n, str) else n for n, m in zip(lead, arr.shape))
+    if arr.shape != sized + grid.shape:
+        want = ", ".join(map(str, tuple(lead) + grid.shape))
+        raise ValidationError(f"{what} has shape {arr.shape}, expected ({want})")
+    nodes = (arr[:1] if arr.strides[0] == 0 else arr) if by_node else (arr,)
+    if not all(np.isfinite(node).all() for node in nodes):
+        raise InvalidFieldError(f"{what} contains non-finite values")
+    return arr
+
+
+def _time_nodes(what: str, times) -> np.ndarray:
+    """``times`` as a float array, refused naming ``what`` unless it is 1-d,
+    non-empty, finite and strictly increasing."""
+    t = np.asarray(times, dtype=float)
+    # a NaN fails every comparison, so an increasing array is finite once its ends are
+    if t.ndim != 1 or t.size < 1 or not (
+        math.isfinite(t[0]) and math.isfinite(t[-1]) and np.all(np.diff(t) > 0.0)
+    ):
+        raise ValidationError(
+            f"{what} times must be 1-d, non-empty, finite and strictly increasing"
+        )
+    return t
+
+
+def _check_nodes(what: str, obj, grid: SpatialGrid, nodes: np.ndarray | None = None) -> None:
+    """Refuse ``obj`` (a flow, path or field) unless it lives on ``grid`` and,
+    when ``nodes`` is given, is sampled at exactly those times."""
+    if obj.grid != grid:
+        raise GridMismatchError(f"{what} lives on a different grid")
+    if nodes is not None and not np.array_equal(obj.times, nodes):
+        raise GridMismatchError(f"{what} is not sampled on the solver's time nodes")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """A real scalar field sampled on a :class:`SpatialGrid`.
 
-    ``values`` has shape ``grid.shape`` and must be entirely finite.
+    ``values`` has shape ``grid.shape`` and must be entirely finite
+    (checked by :func:`_field_array`).
     """
 
     grid: SpatialGrid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise ValidationError(
-                f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise InvalidFieldError("grid function contains non-finite values")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _field_array("grid function", self.values, self.grid))
 
 
 def apply_fractional_laplacian(u: GridFunction, alpha: float) -> GridFunction:

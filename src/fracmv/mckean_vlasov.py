@@ -31,14 +31,13 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     _check_epsilon,
-    _check_nodes,
     _law_on_nodes,
     _run_steps,
     _step_nodes,
     solve_deterministic,
 )
 from .errors import FixedPointDivergenceError, GridMismatchError, ValidationError
-from .grid import GridFunction, SpatialGrid, l2_norm, sq_norms
+from .grid import GridFunction, SpatialGrid, _check_nodes, _field_array, l2_norm, sq_norms
 from .measure import EmpiricalMeasure, FlowPairW2, MeasureFlow, _streamed_sup
 from .measure import flow_distance  # noqa: F401  perfbench/spans.py wraps it here
 
@@ -65,7 +64,8 @@ class MeanFieldProblem:
     ``u0`` is the deterministic initial state; an optional
     ``initial_states`` array of shape ``(N, *grid.shape)`` replaces the
     all-atoms-at-``u0`` initial ensemble with a sampled one (``u0``
-    then still serves as the reference state for deviation reports).
+    then still serves as the reference state for deviation reports), checked
+    by :func:`~fracmv.grid._field_array`.
     """
 
     grid: SpatialGrid
@@ -83,13 +83,7 @@ class MeanFieldProblem:
             raise GridMismatchError("problem components live on different grids")
         _check_epsilon(self.epsilon)
         if self.initial_states is not None:
-            arr = np.asarray(self.initial_states, dtype=float)
-            if arr.ndim != 1 + self.grid.dim or arr.shape[1:] != self.grid.shape:
-                raise ValidationError(
-                    f"initial_states must have shape (N, {self.grid.shape}), got {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError("initial_states contains non-finite entries")
+            arr = _field_array("initial_states", self.initial_states, self.grid, ("N",))
             object.__setattr__(self, "initial_states", arr)
 
 

@@ -40,8 +40,9 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import GridMismatchError, InvalidFieldError, ValidationError
-from .grid import GridFunction, SpatialGrid, load_grid_function, save_grid_function
+from .errors import GridMismatchError, ValidationError
+from .grid import GridFunction, SpatialGrid, _check_nodes, _field_array, _time_nodes
+from .grid import load_grid_function, save_grid_function
 
 __all__ = [
     "EmpiricalMeasure",
@@ -59,22 +60,17 @@ __all__ = [
 class EmpiricalMeasure:
     """Equal-weight particle ensemble representing a law on field space.
 
-    ``states`` has shape ``(N, *grid.shape)`` with ``N >= 1``.
+    ``states`` has shape ``(N, *grid.shape)`` with ``N >= 1``, checked by
+    :func:`~fracmv.grid._field_array`.
     """
 
     grid: SpatialGrid
     states: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.states, dtype=float)
-        if arr.ndim != self.grid.dim + 1 or arr.shape[1:] != self.grid.shape:
-            raise ValidationError(
-                f"particle array shape {arr.shape} does not match (N, *{self.grid.shape})"
-            )
+        arr = _field_array("empirical measure", self.states, self.grid, ("N",))
         if arr.shape[0] < 1:
             raise ValidationError("empirical measure needs at least one particle")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidFieldError("empirical measure contains non-finite particle values")
         object.__setattr__(self, "states", arr)
 
     @classmethod
@@ -146,7 +142,8 @@ class MeasureFlow:
     """A time-indexed family of empirical measures on a common grid.
 
     ``states`` has shape ``(n_times, N, *grid.shape)``; the particle
-    count is constant along the flow.
+    count is constant along the flow.  The times pass :func:`~fracmv.grid._time_nodes`,
+    the states :func:`~fracmv.grid._field_array` node by node.
     """
 
     grid: SpatialGrid
@@ -154,22 +151,8 @@ class MeasureFlow:
     states: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        arr = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or t.size < 1:
-            raise ValidationError("flow needs a one-dimensional, non-empty time array")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValidationError("flow times must be strictly increasing")
-        expected_nd = self.grid.dim + 2
-        if arr.ndim != expected_nd or arr.shape[0] != t.size or arr.shape[2:] != self.grid.shape:
-            raise ValidationError(
-                f"flow state array shape {arr.shape} does not match "
-                f"(n_times={t.size}, N, *{self.grid.shape})"
-            )
-        # node by node: one isfinite over the flow would build a mask an eighth its
-        # size; a time stride of 0 repeats one node, so that node is checked once
-        if not all(np.isfinite(node).all() for node in (arr[:1] if arr.strides[0] == 0 else arr)):
-            raise InvalidFieldError("measure flow contains non-finite values")
+        t = _time_nodes("measure flow", self.times)
+        arr = _field_array("measure flow", self.states, self.grid, (t.size, "N"), by_node=True)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", arr)
 
@@ -257,10 +240,7 @@ class FlowPairW2:
     """
 
     def __init__(self, mu: MeasureFlow, nu: MeasureFlow):
-        if mu.grid != nu.grid:
-            raise GridMismatchError("flows live on different grids")
-        if mu.times.shape != nu.times.shape or not np.array_equal(mu.times, nu.times):
-            raise GridMismatchError("flows are sampled on different time nodes")
+        _check_nodes("second flow", nu, mu.grid, mu.times)
         if mu.n_particles != nu.n_particles:
             raise ValidationError(
                 f"flow particle counts differ ({mu.n_particles} vs {nu.n_particles})"

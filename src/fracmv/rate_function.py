@@ -32,7 +32,6 @@ from .dynamics import (
     Control,
     TimeGrid,
     Trajectory,
-    _check_nodes,
     _controlled_solver,
     integrated_v_distance,
     solve_controlled,  # unused here, but perfbench/spans.py traces this name
@@ -40,7 +39,7 @@ from .dynamics import (
     sup_distance,
 )
 from .errors import ValidationError
-from .grid import GridFunction, SpatialGrid, l2_norm, sq_norms
+from .grid import GridFunction, SpatialGrid, _check_nodes, sq_norms
 
 __all__ = [
     "RateProblem",
@@ -113,7 +112,8 @@ class RateEstimate:
 
 
 def _path_norm(values: np.ndarray, grid: SpatialGrid, dt: float) -> float:
-    """Left-sum integrated plus terminal L2 norm of a path of fields."""
+    """Left-sum integrated plus terminal L2 norm of a path of fields; ``dt = 0``
+    weighs the terminal node alone."""
     sq = sq_norms(values, grid)
     return math.sqrt(dt * float(np.sum(sq[:-1])) + float(sq[-1]))
 
@@ -153,14 +153,13 @@ def estimate_rate(
     S, K, dt = tgrid.steps, coeffs.sigma.n_modes, tgrid.dt
     n_evals = 0
     solve_batch, pullback = _controlled_solver(u0, base, coeffs, tgrid)
+    # a field target is a path of one node, matched at the final time only: the
+    # path norm with interior weight 0
+    goal = target.values.reshape((-1,) + u0.grid.shape)
+    interior = dt if isinstance(target, Trajectory) else 0.0
     # half the derivative of gap^2 at each node: the weights of the path norm
-    node_w = np.append(np.full(S, dt if isinstance(target, Trajectory) else 0.0), 1.0)
+    node_w = np.append(np.full(S, interior), 1.0)
     node_w = u0.grid.cell_volume * node_w.reshape((-1,) + (1,) * u0.grid.dim)
-
-    def gap_to_target(path: np.ndarray) -> float:
-        if isinstance(target, Trajectory):
-            return _path_norm(path - target.values, u0.grid, dt)
-        return math.sqrt(float(sq_norms(path[-1] - target.values, u0.grid)))
 
     def objective(eta: float):
         def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -169,8 +168,10 @@ def estimate_rate(
             nonlocal n_evals
             n_evals += 1
             path = solve_batch(x.reshape(1, S, K))[0]
-            f = 0.5 * dt * float(np.dot(x, x)) + gap_to_target(path) ** 2 / (2.0 * eta)
-            return f, pullback(x.reshape(S, K), path, node_w / eta * (path - target.values)) + dt * x
+            diff = path - goal
+            gap_sq = _path_norm(diff, u0.grid, interior) ** 2
+            f = 0.5 * dt * float(np.dot(x, x)) + gap_sq / (2.0 * eta)
+            return f, pullback(x.reshape(S, K), path, node_w / eta * diff) + dt * x
 
         return value_and_grad
 
@@ -185,16 +186,11 @@ def estimate_rate(
             options={"maxiter": problem.max_stage_iters},
         )
         x = res.x
-        gap = gap_to_target(solve_batch(x.reshape(1, S, K))[0])
+        gap = _path_norm(solve_batch(x.reshape(1, S, K))[0] - goal, u0.grid, interior)
         stages.append((eta, 0.5 * dt * float(np.dot(x, x)), gap))
 
     v_star = Control(x.reshape(S, K), dt)
-    scale = (
-        _path_norm(target.values, target.grid, dt)
-        if isinstance(target, Trajectory)
-        else l2_norm(target)
-    )
-    gap_rel = gap / (1.0 + scale)
+    gap_rel = gap / (1.0 + _path_norm(goal, u0.grid, interior))
     return RateEstimate(
         value=control_cost(v_star),
         v_star=v_star,
@@ -245,7 +241,7 @@ def weak_convergence_experiment(
         raise ValidationError(
             f"mode_index must lie in [0, {K}), got {mode_index!r}"
         )
-    v.check_shape("control", tgrid.steps, K)
+    v.check_shape("control", tgrid.steps, K, tgrid.dt)
     if base is None:
         base = solve_deterministic(u0, coeffs, tgrid)
     t_left = tgrid.nodes[:-1]

@@ -237,21 +237,23 @@ def test_every_caller_refuses_a_wrong_grid_and_shifted_nodes(caller, mismatch, s
         calls[caller]()
 
 
-@pytest.mark.parametrize("axis", ["steps", "modes"])
+@pytest.mark.parametrize("axis", ["steps", "modes", "dt"])
 @pytest.mark.parametrize(
     "caller", ["solve_frozen", "solve_controlled", "energy_residual", "weak_convergence_experiment"]
 )
 def test_every_caller_refuses_a_wrong_mode_path_shape(caller, axis, small_grid, small_coeffs):
     """A noise path or control one row or one mode off is refused, naming the
-    shape it has and the ``(steps, modes)`` it should have."""
+    shape it has and the ``(steps, modes)`` it should have; one drawn or costed
+    with twice the step is refused, naming both step sizes."""
     from fracmv.rate_function import weak_convergence_experiment
 
     tg = build_tgrid(steps=10)
     K = small_coeffs.sigma.n_modes
     u0 = build_u0(small_grid)
     base = solve_deterministic(u0, small_coeffs, tg)
-    shape = (tg.steps + 1, K) if axis == "steps" else (tg.steps, K + 1)
-    noise, v = NoisePath(np.zeros(shape), tg.dt), Control(np.zeros(shape), tg.dt)
+    shape = {"steps": (tg.steps + 1, K), "modes": (tg.steps, K + 1), "dt": (tg.steps, K)}[axis]
+    dt = 2.0 * tg.dt if axis == "dt" else tg.dt
+    noise, v = NoisePath(np.zeros(shape), dt), Control(np.zeros(shape), dt)
     calls = {
         "solve_frozen": lambda: solve_frozen(u0, constant_flow(u0, 2, tg.nodes), small_coeffs, tg,
                                              eps=0.01, noise=noise),
@@ -262,6 +264,8 @@ def test_every_caller_refuses_a_wrong_mode_path_shape(caller, axis, small_grid, 
     }
     what = "noise" if caller == "solve_frozen" else "control"
     needle = f"{what} has shape {shape}, expected (steps, modes) = ({tg.steps}, {K})"
+    if axis == "dt":
+        needle = f"{what} has dt={dt!r}, but the time grid has dt={tg.dt!r}"
     with pytest.raises(ValidationError, match=f"^{re.escape(needle)}$"):
         calls[caller]()
 

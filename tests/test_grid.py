@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from helpers import build_grid, build_u0, random_field
+from helpers import build_coeffs, build_grid, build_tgrid, build_u0, random_field
 
 from fracmv.coefficients import PsiField
 from fracmv.errors import InvalidFieldError, ValidationError
@@ -197,6 +198,44 @@ def test_field_validation():
         GridFunction(g, bad)
     with pytest.raises(ValidationError):
         GridFunction(g, np.zeros(5))
+
+
+def _containers():
+    """Each container of fields, built from an array of its lead shape plus the
+    trailing shape given, on the 2-d grid ``g``."""
+    from fracmv.dynamics import Trajectory
+    from fracmv.measure import EmpiricalMeasure, MeasureFlow
+    from fracmv.mckean_vlasov import MeanFieldProblem
+
+    g = build_grid(dim=2, points=8)
+    coeffs, tg = build_coeffs(g), build_tgrid(steps=3)
+    return g, {
+        "grid function": ((), lambda a: GridFunction(g, a).values),
+        "empirical measure": ((3,), lambda a: EmpiricalMeasure(g, a).states),
+        "measure flow": ((4, 3), lambda a: MeasureFlow(g, tg.nodes, a).states),
+        "trajectory": ((4,), lambda a: Trajectory(g, tg.nodes, a).values),
+        "initial_states": ((3,), lambda a: MeanFieldProblem(
+            g, tg, coeffs, build_u0(g), 0.0, 1, initial_states=a).initial_states),
+    }
+
+
+@pytest.mark.parametrize(
+    "what", ["grid function", "empirical measure", "measure flow", "trajectory", "initial_states"]
+)
+def test_every_field_container_refuses_a_wrong_shape_and_a_nan_by_name(what, rng):
+    """Each container of fields takes an integer array of its shape as floats,
+    and refuses, by its own name, a trailing shape one cell short on the last
+    axis and a NaN in its last entry."""
+    g, containers = _containers()
+    lead, build = containers[what]
+    stored = build(rng.integers(-3, 3, size=lead + g.shape))
+    assert stored.dtype == np.float64 and stored.shape == lead + g.shape
+    with pytest.raises(ValidationError, match=f"^{what} has shape {re.escape(str(lead + (8, 7)))}"):
+        build(np.zeros(lead + (8, 7)))
+    bad = rng.standard_normal(lead + g.shape)
+    bad.reshape(-1)[-1] = np.nan
+    with pytest.raises(InvalidFieldError, match=f"^{what} contains non-finite values$"):
+        build(bad)
 
 
 def test_grid_and_order_validation():

@@ -263,6 +263,15 @@ def test_flow_rejects_a_non_finite_entry_at_its_last_node(rng):
         MeasureFlow(g, np.linspace(0.0, 1.0, 4), states)
 
 
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.inf],
+                                   [-np.inf, 0.5, 1.0], [np.nan]])
+def test_flow_refuses_nan_and_inf_times(times, rng):
+    g = build_grid(points=8)
+    states = rng.standard_normal((len(times), 3) + g.shape)
+    with pytest.raises(ValidationError, match="^measure flow times must be .*finite"):
+        MeasureFlow(g, times, states)
+
+
 def test_from_functions_requires_common_grid(rng):
     g = build_grid(points=8)
     other = build_grid(points=16)
