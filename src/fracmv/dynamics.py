@@ -337,14 +337,22 @@ def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGri
 
 
 def _controlled_solver(u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid):
-    """Check a controlled run's start and base; return the controlled map and its exact
-    adjoint, which share one table of node fields of the law along ``base``, built once here.
+    """Check a controlled run's start and base; return the controlled map, its exact adjoint
+    and its Gauss-Newton matrix, which share one table of node fields of the law along
+    ``base``, built once here.
 
     ``paths`` maps a stack of controls ``(m, S, K)`` to their paths ``(m, S+1, *grid.shape)``.
     Each row of a stack equals its own solve bit for bit, and a blow-up names its row (none
     for a single path).  ``pullback`` maps (control, path, an objective's derivative ``j_u``
     at each node) to the flat derivative in the control.  The law is frozen, ``R``
-    self-adjoint: ``lam_S = j_u[S]``, ``lam_s = R lam_{s+1} du~/du_s + j_u[s]``."""
+    self-adjoint: ``lam_S = j_u[S]``, ``lam_s = R lam_{s+1} du~/du_s + j_u[s]``.
+
+    ``normal`` maps (control, path, one weight per node ``w``, shape ``(S+1, ...)``) to
+    ``sum_s w_s J_s^T J_s``, shape ``(S K, S K)``, where ``J_s`` is the path's node ``s``
+    differentiated in the flat control.  A tangent sweep carries the unit directions:
+    ``du_{s+1} = R (du~/du_s du_s + dt sigma_s(u_s) dv_s)``.  Causality bounds it, since
+    before step ``s`` only the directions of steps ``< s`` have moved the path; each node's
+    ``J_s`` is folded into the sum and dropped, so no ``J`` is stored."""
     _validate_run_args(u0, coeffs, tgrid, None, 0.0)
     grid = u0.grid
     _check_nodes("base trajectory", base, grid, tgrid.nodes)
@@ -355,7 +363,7 @@ def _controlled_solver(u0: GridFunction, base: Trajectory, coeffs: CoefficientSe
     table = NodeFields(*map(np.stack, zip(*by_node)))
     law = [NodeFields(*row) for row in zip(*table)]
     f, g, sig = coeffs.f, coeffs.g, coeffs.sigma
-    S, dt = tgrid.steps, tgrid.dt
+    S, K, dt = tgrid.steps, sig.n_modes, tgrid.dt
     res_mult = grid.resolvent_multiplier(coeffs.alpha, dt)
 
     def paths(controls: np.ndarray) -> np.ndarray:
@@ -363,17 +371,37 @@ def _controlled_solver(u0: GridFunction, base: Trajectory, coeffs: CoefficientSe
         by_step = np.ascontiguousarray(controls.transpose(1, 0, 2))
         return _run_steps(grid, coeffs, starts, tgrid, law, 0.0, by_step).swapaxes(0, 1)
 
+    def step_jacobian(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``du~_s/du_s`` at the left nodes ``u`` (diagonal): taming, g and sigma."""
+        tamed = f.power_derivative(u) / (1.0 + dt * np.abs(f.values(u, table.phi_h))) ** 2
+        return 1.0 + dt * (g.derivative(table.psi, u) - tamed) + sig.derivative(dt * v)
+
     def pullback(v: np.ndarray, u: np.ndarray, j_u: np.ndarray) -> np.ndarray:
         u = u[:-1]
-        tamed = f.power_derivative(u) / (1.0 + dt * np.abs(f.values(u, table.phi_h))) ** 2
-        jac = 1.0 + dt * (g.derivative(table.psi, u) - tamed) + sig.derivative(dt * v)
+        jac = step_jacobian(v, u)
         mu, lam = np.empty_like(u), j_u[S]
         for s in range(S - 1, -1, -1):
             mu[s] = grid.apply_multiplier(lam, res_mult)
             lam = mu[s] * jac[s] + j_u[s]
         return dt * sig.drive_adjoint(table.free, u, mu).ravel()
 
-    return paths, pullback
+    def normal(v: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        u, root_w = u[:-1], np.sqrt(w.reshape(-1))
+        jac = step_jacobian(v, u)
+        units, k_shape = dt * np.eye(K), (K,) + grid.shape
+        out = np.zeros((S * K, S * K))
+        tangents = np.empty((S * K,) + grid.shape)  # row s K + k: direction (s, k)
+        for s in range(S):
+            m = (s + 1) * K
+            tangents[: m - K] *= jac[s]
+            tangents[m - K : m] = sig.drive(table.free[s], np.broadcast_to(u[s], k_shape), units)
+            tangents[:m] = grid.apply_multiplier(tangents[:m], res_mult)
+            if root_w[s + 1]:
+                rows = root_w[s + 1] * tangents[:m].reshape(m, -1)
+                out[:m, :m] += rows @ rows.T
+        return out
+
+    return paths, pullback, normal
 
 
 def solve_controlled(
@@ -390,7 +418,7 @@ def solve_controlled(
     of the controlled path itself.
     """
     control.check_shape("control", tgrid.steps, coeffs.sigma.n_modes, tgrid.dt)
-    paths, _ = _controlled_solver(u0, base, coeffs, tgrid)
+    paths = _controlled_solver(u0, base, coeffs, tgrid)[0]
     return Trajectory(u0.grid, tgrid.nodes, paths(control.values[None])[0])
 
 

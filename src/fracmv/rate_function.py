@@ -7,12 +7,17 @@ controls attaining the target is estimated by penalized minimisation:
     J_eta(v) = control_cost(v) + dist(u_v, target)^2 / (2 eta)
 
 driven down an eta-ladder with warm starts, so the soft constraint
-tightens gradually.  L-BFGS-B gets the objective and its gradient from
-one call: one controlled solve gives the value, bit-identical to that
+tightens gradually.  Each evaluation gives the objective and its gradient
+together: one controlled solve gives the value, bit-identical to that
 solve alone, and the discrete adjoint of the scheme, one backward sweep
 along the stored path, gives the exact gradient over the control
-coefficients.  ``n_evaluations`` counts the controlled paths solved, one
-per optimizer evaluation.
+coefficients.  L-BFGS-B runs every rung but the last.  The last, whose
+minimizer is the estimate, runs damped Gauss-Newton to a gradient test:
+the penalty is a least-squares term, and the tangent sweep of the scheme
+gives its exact Gauss-Newton matrix, so the estimate is the rung's
+minimum to rounding, not where an iteration budget ran out.
+``n_evaluations`` counts the controlled paths solved, one per optimizer
+evaluation.
 
 A target that the optimizer cannot attain within budget is reported
 with its best finite value and ``converged = False`` plus the residual
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -44,12 +50,18 @@ from .grid import GridFunction, SpatialGrid, _check_nodes, sq_norms
 __all__ = [
     "RateProblem",
     "RateEstimate",
+    "RateStage",
     "check_target",
     "control_cost",
     "estimate_rate",
     "WeakConvergenceTable",
     "weak_convergence_experiment",
 ]
+
+
+_GN_GTOL = 1e-9  # the last rung's gradient test: max |grad J_eta| at its minimizer
+_ARMIJO = 1e-4  # the fraction of the promised decrease a Gauss-Newton step must deliver
+_EPS = float(np.finfo(float).eps)
 
 
 def control_cost(v: Control) -> float:
@@ -90,6 +102,22 @@ class RateProblem:
             raise ValidationError(f"gap_tol must be finite and positive, got {self.gap_tol!r}")
 
 
+class RateStage(NamedTuple):
+    """One penalty rung: its ``eta``, the cost and the gap of its minimizer, and how
+    its solver ran.  ``method`` is ``L-BFGS-B`` or ``Gauss-Newton``; ``stop`` is
+    scipy's message, or ``gradient``, ``no decrease`` or ``iteration limit``;
+    ``grad_max`` is ``max |grad J_eta|`` at the minimizer."""
+
+    eta: float
+    value: float
+    gap: float
+    method: str
+    iterations: int
+    evaluations: int
+    stop: str
+    grad_max: float
+
+
 @dataclass(frozen=True)
 class RateEstimate:
     """Best value found, its control, and how close the target came.
@@ -98,7 +126,7 @@ class RateEstimate:
     relative attainment gap fell below the problem's tolerance; a large
     gap with ``converged = False`` is the finite stand-in for an
     unreachable target.  ``n_evaluations`` is the number of controlled
-    paths solved inside the optimizer, one per evaluation of the objective
+    paths solved inside the optimizers, one per evaluation of the objective
     and its adjoint gradient; the per-stage gaps are not counted.
     """
 
@@ -108,7 +136,7 @@ class RateEstimate:
     gap_rel: float
     converged: bool
     n_evaluations: int
-    stages: tuple[tuple[float, float, float], ...]
+    stages: tuple[RateStage, ...]
 
 
 def _path_norm(values: np.ndarray, grid: SpatialGrid, dt: float) -> float:
@@ -132,6 +160,78 @@ def check_target(target, grid: SpatialGrid, tgrid: TimeGrid):
     return target
 
 
+class _Penalized:
+    """``J_eta(x) = dt |x|^2 / 2 + gap(x)^2 / (2 eta)`` for the flat control ``x`` steering
+    ``u0`` towards ``target``, and the parts of it that the rung solvers read.
+
+    A field target is a path of one node, matched at the final time only: the path norm
+    with interior weight 0."""
+
+    def __init__(self, u0: GridFunction, target, coeffs: CoefficientSet, tgrid: TimeGrid,
+                 base: Trajectory):
+        self.grid, self.dt, self.shape = u0.grid, tgrid.dt, (tgrid.steps, coeffs.sigma.n_modes)
+        self.solve, self.pullback, self.gram = _controlled_solver(u0, base, coeffs, tgrid)
+        self.goal = target.values.reshape((-1,) + u0.grid.shape)
+        self.interior = tgrid.dt if isinstance(target, Trajectory) else 0.0
+        # half the derivative of gap^2 at each node: the weights of the path norm
+        node_w = np.append(np.full(tgrid.steps, self.interior), 1.0)
+        self.node_w = u0.grid.cell_volume * node_w.reshape((-1,) + (1,) * u0.grid.dim)
+
+    def __call__(self, x: np.ndarray, eta: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """``J_eta(x)``, its exact gradient and the path of ``x``: one forward solve, then
+        the adjoint sweep back along its path."""
+        v = x.reshape(self.shape)
+        path = self.solve(v[None])[0]
+        diff = path - self.goal
+        f = 0.5 * self.dt * float(np.dot(x, x)) + self.gap(diff) ** 2 / (2.0 * eta)
+        return f, self.pullback(v, path, self.node_w / eta * diff) + self.dt * x, path
+
+    def gap(self, diff: np.ndarray) -> float:
+        """The path norm of ``diff``, a path less the goal, or of the goal itself."""
+        return _path_norm(diff, self.grid, self.interior)
+
+    def normal(self, x: np.ndarray, path: np.ndarray) -> np.ndarray:
+        """``J^T W J`` at ``x``, whose path is ``path``: the Gauss-Newton matrix of ``gap^2 / 2``."""
+        return self.gram(x.reshape(self.shape), path, self.node_w)
+
+
+def _gauss_newton(evaluate, normal, x: np.ndarray, dt: float, eta: float, max_iters: int):
+    """Minimize ``J_eta`` from ``x`` by damped Gauss-Newton: solve
+    ``(dt I + J^T W J / eta) d = -grad J_eta``, then halve the step until ``J_eta`` falls
+    by an Armijo fraction of the decrease its slope promises.
+
+    ``evaluate(x)`` gives ``J_eta``, its gradient and the path of ``x``; ``normal(x, path)``
+    gives ``J^T W J``.  The first test that holds stops it: ``gradient``, when
+    ``max |grad J_eta| <= _GN_GTOL`` (a start that passes builds no matrix); ``no
+    decrease``, when the decrease the step promises is below ``J_eta``'s rounding; and
+    ``iteration limit`` after ``max_iters`` steps.  A trial point that passes the gradient
+    test is taken even if rounding hides its decrease: near the minimum the adjoint
+    gradient resolves far smaller changes than ``J_eta``'s value.  Returns ``(x,
+    gradient, path, iterations, evaluations, stop)``."""
+    f, grad, path = evaluate(x)
+    evals, iters = 1, 0
+    while True:
+        if np.max(np.abs(grad)) <= _GN_GTOL:
+            return x, grad, path, iters, evals, "gradient"
+        if iters == max_iters:
+            return x, grad, path, iters, evals, "iteration limit"
+        lhs = normal(x, path) / eta
+        lhs[np.diag_indices_from(lhs)] += dt
+        step = np.linalg.solve(lhs, -grad)
+        slope, t = float(np.dot(grad, step)), 1.0
+        while -t * slope > _EPS * abs(f):
+            trial = x + t * step
+            f_t, g_t, p_t = evaluate(trial)
+            evals += 1
+            if f_t <= f + _ARMIJO * t * slope or np.max(np.abs(g_t)) <= _GN_GTOL:
+                break
+            t *= 0.5
+        else:
+            return x, grad, path, iters, evals, "no decrease"
+        x, f, grad, path = trial, f_t, g_t, p_t
+        iters += 1
+
+
 def estimate_rate(
     problem: RateProblem,
     u0: GridFunction,
@@ -149,55 +249,42 @@ def estimate_rate(
     target = check_target(problem.target, u0.grid, tgrid)
     if base is None:
         base = solve_deterministic(u0, coeffs, tgrid)
-
-    S, K, dt = tgrid.steps, coeffs.sigma.n_modes, tgrid.dt
-    n_evals = 0
-    solve_batch, pullback = _controlled_solver(u0, base, coeffs, tgrid)
-    # a field target is a path of one node, matched at the final time only: the
-    # path norm with interior weight 0
-    goal = target.values.reshape((-1,) + u0.grid.shape)
-    interior = dt if isinstance(target, Trajectory) else 0.0
-    # half the derivative of gap^2 at each node: the weights of the path norm
-    node_w = np.append(np.full(S, interior), 1.0)
-    node_w = u0.grid.cell_volume * node_w.reshape((-1,) + (1,) * u0.grid.dim)
-
-    def objective(eta: float):
-        def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-            """The penalized objective at ``x`` and its exact gradient: one
-            forward solve, then the adjoint sweep back along its path."""
-            nonlocal n_evals
-            n_evals += 1
-            path = solve_batch(x.reshape(1, S, K))[0]
-            diff = path - goal
-            gap_sq = _path_norm(diff, u0.grid, interior) ** 2
-            f = 0.5 * dt * float(np.dot(x, x)) + gap_sq / (2.0 * eta)
-            return f, pullback(x.reshape(S, K), path, node_w / eta * diff) + dt * x
-
-        return value_and_grad
-
-    x = np.zeros(S * K)
+    obj = _Penalized(u0, target, coeffs, tgrid, base)
     stages = []
-    for eta in problem.eta_ladder:
+
+    def finish(eta, x, grad, path, method, iterations, evaluations, stop):
+        cost, gap = 0.5 * tgrid.dt * float(np.dot(x, x)), obj.gap(path - obj.goal)
+        stages.append(RateStage(eta, cost, gap, method, int(iterations), int(evaluations),
+                                str(stop), float(np.max(np.abs(grad)))))
+
+    x = np.zeros(tgrid.steps * coeffs.sigma.n_modes)
+    *rungs, last = problem.eta_ladder
+    for eta in rungs:
         res = minimize(
-            objective(eta),
+            lambda y, eta=eta: obj(y, eta)[:2],
             x,
             method="L-BFGS-B",
             jac=True,
             options={"maxiter": problem.max_stage_iters},
         )
         x = res.x
-        gap = _path_norm(solve_batch(x.reshape(1, S, K))[0] - goal, u0.grid, interior)
-        stages.append((eta, 0.5 * dt * float(np.dot(x, x)), gap))
+        path = obj.solve(x.reshape((1,) + obj.shape))[0]
+        finish(eta, x, res.jac, path, "L-BFGS-B", res.nit, res.nfev, res.message)
+    x, grad, path, *run = _gauss_newton(
+        lambda y: obj(y, last), obj.normal, x, tgrid.dt, last, problem.max_stage_iters
+    )
+    finish(last, x, grad, path, "Gauss-Newton", *run)
 
-    v_star = Control(x.reshape(S, K), dt)
-    gap_rel = gap / (1.0 + _path_norm(goal, u0.grid, interior))
+    v_star = Control(x.reshape(obj.shape), tgrid.dt)
+    gap = stages[-1].gap
+    gap_rel = gap / (1.0 + obj.gap(obj.goal))
     return RateEstimate(
         value=control_cost(v_star),
         v_star=v_star,
         gap=gap,
         gap_rel=gap_rel,
         converged=bool(gap_rel <= problem.gap_tol),
-        n_evaluations=n_evals,
+        n_evaluations=sum(st.evaluations for st in stages),
         stages=tuple(stages),
     )
 

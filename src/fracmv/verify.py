@@ -47,7 +47,7 @@ from .grid import (
 )
 from .measure import EmpiricalMeasure, MeasureFlow, wasserstein2
 from .mckean_vlasov import PicardConfig, apply_phi, picard_solve, small_noise_sweep
-from .rate_function import control_cost, estimate_rate, weak_convergence_experiment
+from .rate_function import _GN_GTOL, control_cost, estimate_rate, weak_convergence_experiment
 
 __all__ = ["CheckResult", "SUITES", "SUITE_BUDGETS", "check_suites", "run_suites", "format_report"]
 
@@ -351,12 +351,12 @@ def suite_tails(cfg: RunConfig) -> Iterator[tuple]:
     )
 
 
-# -- 9: action floor and manufactured upper bound -----------------------------
+# -- 9: action floor, manufactured upper bound, stationary last rung ---------
 
 
 def suite_rate(cfg: RunConfig) -> Iterator[tuple]:
-    """The estimator finds the zero floor and never overshoots a known
-    attaining control by more than 5%."""
+    """The estimator finds the zero floor, never overshoots a known attaining
+    control by more than 5%, and returns a stationary point of its last rung."""
     run = cfg.with_overrides(
         grid={"points_per_dim": 64},
         noise={"n_modes": 2},
@@ -392,6 +392,14 @@ def suite_rate(cfg: RunConfig) -> Iterator[tuple]:
         f"value {est.value:.5f} vs reference {ref_cost:.5f} "
         f"(ratio {est.value / ref_cost:.3f}), rel gap {est.gap_rel:.1e}",
         "value <= 1.05 x reference, rel gap < 1e-3",
+    )
+    last = est.stages[-1]
+    yield (
+        "rate_last_rung_stationary",
+        last.grad_max <= _GN_GTOL,
+        f"{last.method} stopped on {last.stop!r} after {last.iterations} steps, "
+        f"max |grad| {last.grad_max:.1e}",
+        f"max |grad J_eta| <= {_GN_GTOL:g} at the returned control",
     )
 
 

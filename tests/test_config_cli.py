@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import textwrap
@@ -381,7 +382,15 @@ def test_rate_deterministic_target_floor(tiny_config, tmp_path):
     record = dict(zip(header, data))
     assert float(record["value"]) <= 1e-6
     assert (out / "optimal_control.csv").exists()
-    assert (out / "rate_stages.csv").exists()
+    with open(out / "rate_stages.csv", newline="") as fh:
+        stages = list(csv.DictReader(fh))
+    assert list(stages[0]) == ["eta", "value", "gap", "method", "iterations", "evaluations",
+                               "stop", "grad_max"]
+    assert [row["method"] for row in stages] == ["L-BFGS-B"] * 4 + ["Gauss-Newton"]
+    # the free path's zero control is stationary: the last rung takes no step
+    assert (stages[-1]["iterations"], stages[-1]["evaluations"], stages[-1]["stop"]) == (
+        "0", "1", "gradient")
+    assert sum(int(row["evaluations"]) for row in stages) == int(record["n_evaluations"])
 
 
 def test_skeleton_with_control_reports_consistency(tiny_config, tmp_path):

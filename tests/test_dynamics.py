@@ -343,7 +343,7 @@ def test_controlled_batch_blow_up_names_the_row(small_grid, small_coeffs, small_
     base = solve_deterministic(u0, small_coeffs, small_tgrid)
     controls = np.zeros((bad + 2, small_tgrid.steps, small_coeffs.sigma.n_modes))
     controls[bad] = 1e300
-    solve, _ = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)
+    solve = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)[0]
     with pytest.raises(BlowUpError) as exc_info:
         solve(controls)
     assert exc_info.value.particle == bad
@@ -451,9 +451,10 @@ def test_run_steps_matches_the_per_step_kernel_byte_for_byte(dim, n, law, rng):
 
 def test_controlled_solver_builds_node_fields_once(small_grid, small_coeffs, small_tgrid,
                                                    monkeypatch, rng):
-    """The controlled map and its adjoint share one table of node fields:
-    three evaluations (a forward solve and a pullback each) build sigma's
-    state-free stack once per node, not once per node and evaluation."""
+    """The controlled map, its adjoint and its Gauss-Newton matrix share one
+    table of node fields: three evaluations (a forward solve, a pullback and a
+    normal matrix each) build sigma's state-free stack once per node, not once
+    per node and evaluation."""
     from fracmv import dynamics
 
     u0 = build_u0(small_grid)
@@ -466,12 +467,13 @@ def test_controlled_solver_builds_node_fields_once(small_grid, small_coeffs, sma
         return original(self, t, root_m2)
 
     monkeypatch.setattr(NoiseSigma, "free_fields", counted)
-    paths, pullback = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)
+    paths, pullback, normal = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)
     S, K = small_tgrid.steps, small_coeffs.sigma.n_modes
     for _ in range(3):
         v = rng.standard_normal((S, K))
         path = paths(v[None])[0]
         assert pullback(v, path, np.ones_like(path)).shape == (S * K,)
+        assert normal(v, path, np.ones(S + 1)).shape == (S * K, S * K)
     assert len(calls) == S
 
 
