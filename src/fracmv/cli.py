@@ -43,7 +43,7 @@ from .errors import BlowUpError, FixedPointDivergenceError, GridMismatchError, V
 from .grid import load_grid_function, tail_masses
 from .measure import save_measure, second_moment
 from .mckean_vlasov import picard_solve
-from .rate_function import RateStage, check_target, control_cost, estimate_rate
+from .rate_function import check_target, control_cost, estimate_rate
 from .verify import SUITES, check_suites, format_report, run_suites
 
 __all__ = ["cmd_simulate", "cmd_skeleton", "cmd_rate", "cmd_verify", "main"]
@@ -228,23 +228,18 @@ def cmd_rate(cfg: RunConfig, out: str | Path, target_spec: str) -> Path:
     est = estimate_rate(cfg.rate_problem(target), cfg.u0, cfg.coeffs, cfg.tgrid, base=base)
     _write_csv(
         out / "rate_estimate.csv",
-        ["value", "gap", "gap_rel", "converged", "n_evaluations"],
+        ["value", "gap", "gap_rel", "converged", "n_evaluations", "iterations", "stop",
+         "grad_max"],
         [(
             f"{est.value:.17g}",
             f"{est.gap:.17g}",
             f"{est.gap_rel:.17g}",
             est.converged,
             est.n_evaluations,
+            est.iterations,
+            est.stop,
+            f"{est.grad_max:.17g}",
         )],
-    )
-    _write_csv(
-        out / "rate_stages.csv",
-        list(RateStage._fields),
-        [
-            (f"{st.eta:.17g}", f"{st.value:.17g}", f"{st.gap:.17g}", st.method, st.iterations,
-             st.evaluations, st.stop, f"{st.grad_max:.17g}")
-            for st in est.stages
-        ],
     )
     save_control(est.v_star, out / "optimal_control.csv")
     extra = {

@@ -74,8 +74,8 @@ def canonical_dict() -> dict:
             "lambda_weight": "auto",
         },
         "rate": {
-            "eta_ladder": [1.0e-2, 1.0e-3, 1.0e-4, 1.0e-5, 1.0e-6],
-            "max_stage_iters": 100,
+            "eta": 1.0e-6,
+            "max_iters": 100,
             "gap_tol": 1.0e-3,
         },
         "output": {"trajectory_format": "blob"},
@@ -309,8 +309,8 @@ class RunConfig:
             # a settings template; rate_problem() supplies the target
             self._rate = RateProblem(
                 None,
-                eta_ladder=tuple(_numbers(cfg, "rate.eta_ladder")),
-                max_stage_iters=_int(cfg, "rate.max_stage_iters"),
+                eta=_num(cfg, "rate.eta"),
+                max_iters=_int(cfg, "rate.max_iters"),
                 gap_tol=_num(cfg, "rate.gap_tol"),
             )
         _choice(cfg, "output.trajectory_format", ("blob", "csv"))

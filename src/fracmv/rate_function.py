@@ -6,17 +6,15 @@ controls attaining the target is estimated by penalized minimisation:
 
     J_eta(v) = control_cost(v) + dist(u_v, target)^2 / (2 eta)
 
-driven down an eta-ladder with warm starts, so the soft constraint
-tightens gradually.  Each evaluation gives the objective and its gradient
-together: one controlled solve gives the value, bit-identical to that
-solve alone, and the discrete adjoint of the scheme, one backward sweep
-along the stored path, gives the exact gradient over the control
-coefficients.  L-BFGS-B runs every rung but the last.  The last, whose
-minimizer is the estimate, runs damped Gauss-Newton to a gradient test:
-the penalty is a least-squares term, and the tangent sweep of the scheme
-gives its exact Gauss-Newton matrix, so the estimate is the rung's
-minimum to rounding, not where an iteration budget ran out.
-``n_evaluations`` counts the controlled paths solved, one per optimizer
+at one small penalty ``eta``.  The penalty is a least-squares term, so
+damped Gauss-Newton minimizes J_eta from the zero control to a gradient
+test.  Each evaluation gives the objective and its gradient together: one
+controlled solve gives the value, bit-identical to that solve alone, and
+the discrete adjoint of the scheme, one backward sweep along the stored
+path, gives the exact gradient over the control coefficients.  The
+tangent sweep of the scheme gives the exact Gauss-Newton matrix, so the
+estimate is J_eta's minimum to rounding, not where an iteration budget
+ran out.  ``n_evaluations`` counts the controlled paths solved, one per
 evaluation.
 
 A target that the optimizer cannot attain within budget is reported
@@ -28,10 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # unused here, but perfbench/spans.py traces this name
 
 from .coefficients import CoefficientSet
 from .dynamics import (
@@ -50,7 +47,6 @@ from .grid import GridFunction, SpatialGrid, _check_nodes, sq_norms
 __all__ = [
     "RateProblem",
     "RateEstimate",
-    "RateStage",
     "check_target",
     "control_cost",
     "estimate_rate",
@@ -59,7 +55,7 @@ __all__ = [
 ]
 
 
-_GN_GTOL = 1e-9  # the last rung's gradient test: max |grad J_eta| at its minimizer
+_GN_GTOL = 1e-9  # the gradient test: max |grad J_eta| at the returned control
 _ARMIJO = 1e-4  # the fraction of the promised decrease a Gauss-Newton step must deliver
 _EPS = float(np.finfo(float).eps)
 
@@ -76,46 +72,24 @@ class RateProblem:
 
     ``target`` is either a full trajectory (matched in integrated plus
     terminal distance) or a single field (matched at the final time
-    only).  The penalty ladder runs from loose to tight; each rung is
-    warm-started from the previous minimizer.  ``target = None`` holds
-    validated settings only, for ``dataclasses.replace`` to complete.
+    only).  ``eta`` is the penalty of ``J_eta`` and ``max_iters`` caps the
+    Gauss-Newton steps.  ``target = None`` holds validated settings only,
+    for ``dataclasses.replace`` to complete.
     """
 
     target: Trajectory | GridFunction | None
-    eta_ladder: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    max_stage_iters: int = 100
+    eta: float = 1e-6
+    max_iters: int = 100
     gap_tol: float = 1e-3
 
     def __post_init__(self):
-        ladder = tuple(float(e) for e in self.eta_ladder)
-        if len(ladder) < 1 or not all(0.0 < e < math.inf for e in ladder):
-            raise ValidationError(
-                "eta_ladder must be a non-empty sequence of finite positive numbers, "
-                f"got {self.eta_ladder!r}"
-            )
-        object.__setattr__(self, "eta_ladder", ladder)
-        if not (isinstance(self.max_stage_iters, (int, np.integer)) and self.max_stage_iters >= 1):
-            raise ValidationError(
-                f"max_stage_iters must be an integer >= 1, got {self.max_stage_iters!r}"
-            )
-        if not (0.0 < float(self.gap_tol) < math.inf):
-            raise ValidationError(f"gap_tol must be finite and positive, got {self.gap_tol!r}")
-
-
-class RateStage(NamedTuple):
-    """One penalty rung: its ``eta``, the cost and the gap of its minimizer, and how
-    its solver ran.  ``method`` is ``L-BFGS-B`` or ``Gauss-Newton``; ``stop`` is
-    scipy's message, or ``gradient``, ``no decrease`` or ``iteration limit``;
-    ``grad_max`` is ``max |grad J_eta|`` at the minimizer."""
-
-    eta: float
-    value: float
-    gap: float
-    method: str
-    iterations: int
-    evaluations: int
-    stop: str
-    grad_max: float
+        for name in ("eta", "gap_tol"):
+            if not (0.0 < float(getattr(self, name)) < math.inf):
+                raise ValidationError(
+                    f"{name} must be finite and positive, got {getattr(self, name)!r}"
+                )
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValidationError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -125,9 +99,11 @@ class RateEstimate:
     ``value == control_cost(v_star)`` exactly.  ``converged`` means the
     relative attainment gap fell below the problem's tolerance; a large
     gap with ``converged = False`` is the finite stand-in for an
-    unreachable target.  ``n_evaluations`` is the number of controlled
-    paths solved inside the optimizers, one per evaluation of the objective
-    and its adjoint gradient; the per-stage gaps are not counted.
+    unreachable target.  ``iterations`` counts the Gauss-Newton steps and
+    ``n_evaluations`` the controlled paths solved, one per evaluation of the
+    objective and its adjoint gradient.  ``stop`` names the test that ended
+    the run, ``gradient``, ``no decrease`` or ``iteration limit``, and
+    ``grad_max`` is ``max |grad J_eta|`` at ``v_star``.
     """
 
     value: float
@@ -136,7 +112,9 @@ class RateEstimate:
     gap_rel: float
     converged: bool
     n_evaluations: int
-    stages: tuple[RateStage, ...]
+    iterations: int
+    stop: str
+    grad_max: float
 
 
 def _path_norm(values: np.ndarray, grid: SpatialGrid, dt: float) -> float:
@@ -162,7 +140,7 @@ def check_target(target, grid: SpatialGrid, tgrid: TimeGrid):
 
 class _Penalized:
     """``J_eta(x) = dt |x|^2 / 2 + gap(x)^2 / (2 eta)`` for the flat control ``x`` steering
-    ``u0`` towards ``target``, and the parts of it that the rung solvers read.
+    ``u0`` towards ``target``, and the parts of it that Gauss-Newton reads.
 
     A field target is a path of one node, matched at the final time only: the path norm
     with interior weight 0."""
@@ -239,7 +217,8 @@ def estimate_rate(
     tgrid: TimeGrid,
     base: Trajectory | None = None,
 ) -> RateEstimate:
-    """Minimize the penalized steering objective over controls.
+    """Minimize the penalized steering objective over controls by
+    Gauss-Newton from the zero control.
 
     ``base`` is the zero-noise solution from ``u0`` (computed when not
     supplied); the controlled dynamics freeze their measure argument
@@ -250,33 +229,12 @@ def estimate_rate(
     if base is None:
         base = solve_deterministic(u0, coeffs, tgrid)
     obj = _Penalized(u0, target, coeffs, tgrid, base)
-    stages = []
-
-    def finish(eta, x, grad, path, method, iterations, evaluations, stop):
-        cost, gap = 0.5 * tgrid.dt * float(np.dot(x, x)), obj.gap(path - obj.goal)
-        stages.append(RateStage(eta, cost, gap, method, int(iterations), int(evaluations),
-                                str(stop), float(np.max(np.abs(grad)))))
-
-    x = np.zeros(tgrid.steps * coeffs.sigma.n_modes)
-    *rungs, last = problem.eta_ladder
-    for eta in rungs:
-        res = minimize(
-            lambda y, eta=eta: obj(y, eta)[:2],
-            x,
-            method="L-BFGS-B",
-            jac=True,
-            options={"maxiter": problem.max_stage_iters},
-        )
-        x = res.x
-        path = obj.solve(x.reshape((1,) + obj.shape))[0]
-        finish(eta, x, res.jac, path, "L-BFGS-B", res.nit, res.nfev, res.message)
-    x, grad, path, *run = _gauss_newton(
-        lambda y: obj(y, last), obj.normal, x, tgrid.dt, last, problem.max_stage_iters
+    x, grad, path, iterations, evaluations, stop = _gauss_newton(
+        lambda y: obj(y, problem.eta), obj.normal, np.zeros(tgrid.steps * coeffs.sigma.n_modes),
+        tgrid.dt, problem.eta, problem.max_iters,
     )
-    finish(last, x, grad, path, "Gauss-Newton", *run)
-
     v_star = Control(x.reshape(obj.shape), tgrid.dt)
-    gap = stages[-1].gap
+    gap = obj.gap(path - obj.goal)
     gap_rel = gap / (1.0 + obj.gap(obj.goal))
     return RateEstimate(
         value=control_cost(v_star),
@@ -284,8 +242,10 @@ def estimate_rate(
         gap=gap,
         gap_rel=gap_rel,
         converged=bool(gap_rel <= problem.gap_tol),
-        n_evaluations=sum(st.evaluations for st in stages),
-        stages=tuple(stages),
+        n_evaluations=evaluations,
+        iterations=iterations,
+        stop=stop,
+        grad_max=float(np.max(np.abs(grad))),
     )
 
 

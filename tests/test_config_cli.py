@@ -49,7 +49,8 @@ def test_defaults_build_canonical_instance(canonical_cfg):
     assert canonical_cfg.coeffs.sigma.n_modes == 4
     assert canonical_cfg.epsilon == pytest.approx(0.01)
     assert canonical_cfg.picard_config().n_particles == 64
-    assert canonical_cfg.rate_problem(None).eta_ladder == (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    assert canonical_cfg.rate_problem(None).eta == 1e-6
+    assert canonical_cfg.rate_problem(None).max_iters == 100
 
 
 @pytest.mark.parametrize(
@@ -77,10 +78,14 @@ def test_defaults_build_canonical_instance(canonical_cfg):
         ({"picard": {"n_particles": 0}}, "picard.n_particles"),
         ({"picard": {"tol": 0.0}}, "picard.tol"),
         ({"picard": {"max_iters": 0}}, "picard.max_iters"),
-        ({"rate": {"eta_ladder": [1.0e-2, -1.0e-3]}}, "rate.eta_ladder"),
-        ({"rate": {"max_stage_iters": 0}}, "rate.max_stage_iters"),
+        # the retired penalty-ladder keys are refused by name, values and all
+        ({"rate": {"eta_ladder": [1.0e-2, 1.0e-3, 1.0e-4, 1.0e-5, 1.0e-6]}}, "rate.eta_ladder"),
+        ({"rate": {"max_stage_iters": 100}}, "rate.max_stage_iters"),
         ({"rate": {"gap_tol": 0.0}}, "rate.gap_tol"),
         ({"picard": {"max_iters": 1}}, "picard.max_iters"),
+        ({"rate": {"eta": 0}}, "rate.eta"),
+        ({"rate": {"eta": math.inf}}, "rate.eta"),
+        ({"rate": {"max_iters": 0}}, "rate.max_iters"),
     ],
 )
 def test_validation_errors_name_the_field(patch, needle):
@@ -382,15 +387,11 @@ def test_rate_deterministic_target_floor(tiny_config, tmp_path):
     record = dict(zip(header, data))
     assert float(record["value"]) <= 1e-6
     assert (out / "optimal_control.csv").exists()
-    with open(out / "rate_stages.csv", newline="") as fh:
-        stages = list(csv.DictReader(fh))
-    assert list(stages[0]) == ["eta", "value", "gap", "method", "iterations", "evaluations",
-                               "stop", "grad_max"]
-    assert [row["method"] for row in stages] == ["L-BFGS-B"] * 4 + ["Gauss-Newton"]
-    # the free path's zero control is stationary: the last rung takes no step
-    assert (stages[-1]["iterations"], stages[-1]["evaluations"], stages[-1]["stop"]) == (
-        "0", "1", "gradient")
-    assert sum(int(row["evaluations"]) for row in stages) == int(record["n_evaluations"])
+    assert list(record)[4:] == ["n_evaluations", "iterations", "stop", "grad_max"]
+    # the free path's zero control is stationary: Gauss-Newton takes no step
+    assert (record["n_evaluations"], record["iterations"], record["stop"]) == ("1", "0", "gradient")
+    assert float(record["grad_max"]) == 0.0
+    assert not (out / "rate_stages.csv").exists()
 
 
 def test_skeleton_with_control_reports_consistency(tiny_config, tmp_path):
@@ -578,10 +579,10 @@ def _tiny_with(tmp_path, **sections):
     "command,sections,needle",
     [
         ("simulate", {"picard": {"lambda_weight": math.inf}}, "picard.lambda_weight"),
-        ("skeleton", {"rate": {"eta_ladder": [math.inf]}}, "rate.eta_ladder"),
-        ("rate", {"rate": {"eta_ladder": [math.inf]}}, "rate.eta_ladder"),
+        ("skeleton", {"rate": {"eta": math.inf}}, "rate.eta"),
+        ("rate", {"rate": {"eta": math.inf}}, "rate.eta"),
     ],
-    ids=["simulate-lambda_weight", "skeleton-eta_ladder", "rate-eta_ladder"],
+    ids=["simulate-lambda_weight", "skeleton-eta", "rate-eta"],
 )
 def test_non_finite_weight_exits_2(command, sections, needle, tmp_path, capsys):
     config = _tiny_with(tmp_path, **sections)
