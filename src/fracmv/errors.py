@@ -47,9 +47,9 @@ class BlowUpError(FracmvError, ArithmeticError):
 
 
 class FixedPointDivergenceError(FracmvError, RuntimeError):
-    """Measure-freezing iteration failed to contract within its budget.
+    """The freezing map failed to contract, or a solved flow its certificate.
 
-    The partial iteration report is attached for post-mortem use.
+    The solve's report, if any, is attached for post-mortem use.
     """
 
     def __init__(self, message: str, report=None):

@@ -1,19 +1,18 @@
 """Measure-freezing fixed-point solver for the mean-field dynamics.
 
 The mean-field equation couples each path to the law of the solution.
-Numerically the law is an ``N``-particle empirical flow and the
-coupling is resolved by iterating the freezing map: given a candidate
-flow, solve ``N`` frozen-measure paths driven by per-particle noise
-(all ``N`` advanced together by the batched step kernel), and return
-the empirical flow of the solved ensemble.  Under the
+Numerically the law is an ``N``-particle empirical flow, and the freezing
+map takes a candidate flow to the empirical flow of ``N`` frozen-measure
+paths driven by per-particle noise, advanced together by the batched step
+kernel.  Its fixed point is the particle system stepped against its own
+empirical law, which ``picard_solve`` makes in one causal sweep.  Under the
 weighted sup metric ``d(., .; lam)`` the map contracts once ``lam`` is
 large enough; ``auto_lambda`` measures the contraction ratio on probe
 flows and picks the weight empirically.
 
 Noise is keyed by ``(master seed, particle)`` only, never by the
 iteration count, so successive applications of the freezing map see
-common random numbers and the iteration is a deterministic map between
-flows.
+common random numbers and the map is a deterministic map between flows.
 """
 
 from __future__ import annotations
@@ -116,11 +115,10 @@ class PicardConfig:
 
 @dataclass(frozen=True)
 class PicardReport:
-    """Iteration log of one fixed-point run.
-
-    ``distances[m]`` is the weighted flow distance between iterates
-    ``m+1`` and ``m``; ``ratios`` are successive quotients where the
-    previous distance is resolvable above round-off.
+    """Certificate of one fixed-point solve: ``distances`` holds the weighted
+    distance of the solved flow from its image under the freezing map (0 when
+    they are equal bit for bit), within ``threshold`` if ``converged``;
+    ``iterations`` is 1, the one application of the map, and ``ratios`` empty.
     """
 
     iterations: int
@@ -191,14 +189,18 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
     grid, tgrid, n = problem.grid, problem.tgrid, flow.n_particles
     _check_nodes("flow", flow, grid, tgrid.nodes)
     stats = _law_on_nodes(flow.states, grid, problem.coeffs.f.h_cap)
-    paths = _run_steps(grid, problem.coeffs, _initial_states(problem, n), tgrid, stats,
-                       float(problem.epsilon), None, _noise_stack(problem, n))
-    return MeasureFlow._checked(grid, tgrid.nodes, paths)
+    return MeasureFlow._checked(grid, tgrid.nodes, _image(problem, stats, n))
 
 
-def _image_nodes(problem: MeanFieldProblem, law: np.ndarray, n: int):
-    """The nodes ``0 .. S`` of the freezing map's image of a flow whose law table is
-    ``law``, as :func:`apply_phi` makes them, yielded one by one by the step kernel."""
+def _image(problem: MeanFieldProblem, law: np.ndarray | None, n: int) -> np.ndarray:
+    """The states, shape ``(S+1, n, *grid.shape)``, of ``n`` particles stepped against
+    the law table ``law``, or, with ``law`` None, against their own ensemble's law."""
+    return _run_steps(problem.grid, problem.coeffs, _initial_states(problem, n), problem.tgrid,
+                      law, float(problem.epsilon), None, _noise_stack(problem, n))
+
+
+def _image_nodes(problem: MeanFieldProblem, law: np.ndarray | None, n: int):
+    """The nodes ``0 .. S`` of :func:`_image`, yielded one by one by the step kernel."""
     starts = _initial_states(problem, n)
     return chain([starts], _step_nodes(problem.grid, problem.coeffs, starts, problem.tgrid, law,
                                        float(problem.epsilon), None, _noise_stack(problem, n)))
@@ -252,104 +254,65 @@ def auto_lambda(
     return 2.0 * chosen, tuple(curve), pairs
 
 
-def _auto_start(
-    problem: MeanFieldProblem, flow0: MeasureFlow
-) -> tuple[float, tuple[tuple[float, float], ...], list[float], MeasureFlow]:
-    """Calibrate the weight on the first two iterates and a scaled start.
-
-    Returns the weight, the ``(lam, worst ratio)`` curve, the first two
-    iterate distances and the second iterate.  The probe pair (flow0,
-    image0) and its image pair (image0, image1) are the first two
-    iterate steps.  The constant probes ``flow0`` and ``scaled`` are
-    one-node views, so the three images are the only flows held; every
-    flow but ``image1`` is released on return.
-    """
+def _auto_start(problem: MeanFieldProblem, n: int) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """The weight and the ``(lam, worst ratio)`` curve, calibrated on the first two
+    Picard iterates from the initial flow and on a scaled start.  The constant
+    probes are one-node views, so the three images are the only flows held, and
+    all are released on return."""
+    flow0 = _initial_flow(problem, n)
     image0 = apply_phi(problem, flow0)
     image1 = apply_phi(problem, image0)
     scaled = MeasureFlow.constant(EmpiricalMeasure(flow0.grid, 1.25 * flow0.states[0]), flow0.times)
     image_s = apply_phi(problem, scaled)
-    lam, curve, pairs = auto_lambda(problem, [flow0, image0, scaled], [image0, image1, image_s])
-    return lam, curve, [pair.sup(lam) for pair in pairs[0]], image1
+    lam, curve, _ = auto_lambda(problem, [flow0, image0, scaled], [image0, image1, image_s])
+    return lam, curve
 
 
 def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) -> PicardResult:
-    """Iterate the freezing map to its fixed point.
+    """The fixed point of the freezing map: one causal sweep, certified.
 
-    Stops when the weighted distance between successive flows drops
-    below ``tol * (1 + initial ensemble scale)``.  Raises a divergence
-    error (with the report attached) if the budget is exhausted or the
-    measured ratios sit at or above 1 on two consecutive steps.
-
-    The initial flow is a one-node view, and the auto-weight start holds
-    three flows (see ``_auto_start``).  After that one flow is held: each
-    iterate is written over the one before it, node by node, as the step
-    kernel makes it, while the distance between the two is bounded node by
-    node and settled by a few exact solves (``measure._streamed_sup``).  The
-    first step writes into a buffer of its own, since the flow it starts
-    from is the read-only initial view or the auto start's, and reads that
-    flow's nodes again from it; a later step rebuilds them, if it must, from
-    the law table they were made from.  Each step begins by reading the law
-    table of the flow it starts from, so the last step builds none.  The
-    noise stack is built once and shared by every application of the map.
+    The scheme freezes the law at the left node, so the fixed point is the
+    particle system stepped against its own empirical law, which one sweep of
+    the step kernel makes, reading the law from the batch at each step.  The
+    certificate applies the map once, writing the image over the flow node by
+    node (one flow is held) while ``measure._streamed_sup`` measures their
+    weighted distance; a node it must solve once overwritten is rebuilt by
+    sweeping again.  The distance reads 0, the image equalling the flow bit for
+    bit; above ``tol * (1 + initial ensemble scale)`` a divergence error is
+    raised with the report attached.  An ``auto`` weight is calibrated first.
     """
     n = cfg.n_particles
-    latest = _initial_flow(problem, n)
     initial_scale = l2_norm(problem.u0)
     threshold = cfg.tol * (1.0 + initial_scale)
-    tiny = 10.0 * np.finfo(float).eps * (1.0 + initial_scale)
-
     auto_curve = None
-    distances: list[float] = []
     if cfg.lambda_weight == "auto":
-        lam, auto_curve, distances, latest = _auto_start(problem, latest)
+        lam, auto_curve = _auto_start(problem, n)
     else:
         lam = float(cfg.lambda_weight)
-    iterations = len(distances)
 
-    def ratios_of(ds: list[float]) -> list[float]:
-        return [b / a for a, b in zip(ds, ds[1:]) if a > tiny]
-
-    def report(converged: bool) -> PicardReport:
-        return PicardReport(
-            iterations=iterations,
-            distances=tuple(distances),
-            ratios=tuple(ratios_of(distances)),
-            converged=converged,
-            lambda_weight=lam,
-            threshold=threshold,
-            initial_scale=initial_scale,
-            auto_curve=auto_curve,
-        )
-
-    if any(d <= threshold for d in distances):
-        return PicardResult(flow=latest, report=report(True))
     grid, times = problem.grid, problem.tgrid.nodes
-    states = latest.states
-    built_from = None  # the law table ``states`` was made from, once it is the loop's own
-    del latest
-    while iterations < cfg.max_iters:
-        law = _law_on_nodes(states, grid, problem.coeffs.f.h_cap)
-        if built_from is None:
-            out, old_nodes = np.empty(states.shape), partial(iter, states)
-        else:
-            out, old_nodes = states, partial(_image_nodes, problem, built_from, n)
-        nodes = _image_nodes(problem, law, n)
-        with np.errstate(over="ignore", invalid="ignore"):  # the step kernel's, see _step_nodes
-            distances.append(_streamed_sup(grid, times, lam, states, nodes, out, old_nodes))
-        states, built_from = out, law
-        iterations += 1
-        if distances[-1] <= threshold:
-            return PicardResult(MeasureFlow._checked(grid, times, states), report(True))
-        rs = ratios_of(distances)
-        if len(rs) >= 2 and rs[-1] >= 1.0 and rs[-2] >= 1.0:
-            raise FixedPointDivergenceError(
-                "freezing map is not contracting (two successive ratios >= 1)", report(False)
-            )
-    raise FixedPointDivergenceError(
-        f"no convergence within {cfg.max_iters} iterations "
-        f"(last distance {distances[-1]:.3e} vs threshold {threshold:.3e})",
-        report(False),
+    states = _image(problem, None, n)
+    law = _law_on_nodes(states, grid, problem.coeffs.f.h_cap)
+    with np.errstate(over="ignore", invalid="ignore"):  # the step kernel's, see _step_nodes
+        d = _streamed_sup(grid, times, lam, states, _image_nodes(problem, law, n), states,
+                          partial(_image_nodes, problem, None, n))
+    report = PicardReport(
+        iterations=1,
+        distances=(d,),
+        ratios=(),
+        converged=d <= threshold,
+        lambda_weight=lam,
+        threshold=threshold,
+        initial_scale=initial_scale,
+        auto_curve=auto_curve,
     )
+    if not report.converged:
+        raise FixedPointDivergenceError(
+            f"the causal sweep is not a fixed point of the freezing map "
+            f"(certificate distance {d:.3e} vs threshold {threshold:.3e})",
+            report,
+        )
+    return PicardResult(MeasureFlow._checked(grid, times, states), report)
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,8 @@ from .grid import (
     sq_norms,
     tail_masses,
 )
-from .measure import EmpiricalMeasure, MeasureFlow, wasserstein2
-from .mckean_vlasov import PicardConfig, apply_phi, picard_solve, small_noise_sweep
+from .measure import EmpiricalMeasure, MeasureFlow, flow_distance, wasserstein2
+from .mckean_vlasov import PicardConfig, _initial_flow, apply_phi, picard_solve, small_noise_sweep
 from .rate_function import _GN_GTOL, control_cost, estimate_rate, weak_convergence_experiment
 
 __all__ = ["CheckResult", "SUITES", "SUITE_BUDGETS", "check_suites", "run_suites", "format_report"]
@@ -213,26 +213,46 @@ def suite_energy(cfg: RunConfig) -> Iterator[tuple]:
 
 
 def suite_picard(cfg: RunConfig) -> Iterator[tuple]:
-    """The freezing map contracts and reaches its fixed point quickly."""
+    """The freezing map contracts, and its iterates reach ``picard_solve``'s flow."""
     run = cfg.with_overrides(
         noise={"n_modes": 4},
         time={"steps": 200},
         picard={"n_particles": 64, "tol": 1e-6, "max_iters": 20, "lambda_weight": "auto"},
     )
-    res = picard_solve(run.problem(), run.picard_config())
+    problem, pcfg = run.problem(), run.picard_config()
+    res = picard_solve(problem, pcfg)
     rep = res.report
+    tiny = 10.0 * np.finfo(float).eps * (1.0 + rep.initial_scale)
+    flow, distances = _initial_flow(problem, pcfg.n_particles), []
+    for _ in range(pcfg.max_iters):
+        image = apply_phi(problem, flow)
+        distances.append(flow_distance(flow, image, rep.lambda_weight))
+        flow = image
+        if distances[-1] <= rep.threshold:
+            break
+    ratios = [b / a for a, b in zip(distances, distances[1:]) if a > tiny]
+    converged = distances[-1] <= rep.threshold
     yield (
         "picard_converges",
-        rep.converged and rep.iterations <= 20,
-        f"converged in {rep.iterations} iterations, last distance {rep.distances[-1]:.2e}",
+        converged and len(distances) <= 20,
+        f"{'converged' if converged else 'stopped'} in {len(distances)} iterations, "
+        f"last distance {distances[-1]:.2e}",
         "<= 20 iterations at tol 1e-6",
     )
-    late = rep.ratios[1:]
+    late = ratios[1:]
     yield (
         "picard_contraction_ratios",
         bool(late) and max(late) <= 0.5,
-        f"ratios {', '.join(f'{r:.3f}' for r in rep.ratios)} (weight {rep.lambda_weight:g})",
+        f"ratios {', '.join(f'{r:.3f}' for r in ratios)} (weight {rep.lambda_weight:g})",
         "<= 0.5 from the second ratio on",
+    )
+    gap = flow_distance(flow, res.flow, 0.0)
+    yield (
+        "picard_iterates_reach_the_solved_fixed_point",
+        gap <= rep.threshold and rep.distances == (0.0,),
+        f"last iterate {gap:.2e} from the solved flow (plain sup), "
+        f"certificate {rep.distances[0]:.1e}",
+        f"<= threshold {rep.threshold:.2e}; certificate 0",
     )
 
 

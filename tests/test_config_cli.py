@@ -224,6 +224,20 @@ def test_simulate_command_writes_artifacts(tiny_config, tmp_path):
     assert len(summary) == 1 + 20 + 1
 
 
+def test_canonical_simulate_meets_its_recorded_second_moment(tmp_path):
+    """The canonical run's last ``mean_second_moment`` against a recorded value:
+    a figure a wrong trajectory misses, where the fixed-point certificate reads
+    0 on any flow the step kernel makes.  Both the Picard iterate that stopped
+    within tolerance (0.64579237366) and the causal sweep (0.64579237559) meet
+    it."""
+    out = tmp_path / "sim"
+    assert main(["simulate", "--out", str(out)]) == 0
+    with open(out / "flow_summary.csv", newline="") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert (last["node"], last["time"]) == ("200", "0.5")
+    assert abs(float(last["mean_second_moment"]) - 0.645792376) <= 1e-8
+
+
 @pytest.mark.filterwarnings("ignore:mass .* outside")
 @pytest.mark.parametrize("dim,points", [(1, 32), (2, 16)])
 def test_simulate_worst_tail_is_the_max_over_every_field(dim, points, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from helpers import build_coeffs, build_grid, build_tgrid, build_u0, full_sweep_sup
 
 from fracmv import dynamics, measure, mckean_vlasov
+from fracmv.cli import main
 from fracmv.dynamics import NoisePath, TimeGrid, solve_frozen, sup_distance
 from fracmv.errors import BlowUpError, FixedPointDivergenceError, ValidationError
 from fracmv.grid import GridFunction, l2_norm
@@ -68,8 +69,8 @@ def test_apply_phi_matches_single_particle_solves(rng):
 def test_flow_from_the_kernel_is_not_scanned_again(small_grid, small_coeffs, small_tgrid,
                                                   monkeypatch):
     """The kernel checks each node it makes, so neither apply_phi nor the
-    solve builds its flow through MeasureFlow's node-by-node scan; only the
-    solve's constant initial view, one node, is checked there."""
+    solve builds its flow through MeasureFlow's node-by-node scan; a
+    fixed-weight solve builds no constant initial view either."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     flow0 = _initial_flow(p, 4)
     scanned = []
@@ -79,7 +80,7 @@ def test_flow_from_the_kernel_is_not_scanned_again(small_grid, small_coeffs, sma
     image = apply_phi(p, flow0)
     assert scanned == []
     result = picard_solve(p, PicardConfig(n_particles=4, lambda_weight=0.0))
-    assert scanned == [0]
+    assert scanned == []
     assert np.isfinite(image.states).all() and np.isfinite(result.flow.states).all()
 
 
@@ -165,15 +166,27 @@ def test_picard_fixed_weight_matches_auto_outcome(small_grid, small_coeffs, smal
     assert flow_distance(r_auto.flow, r_zero.flow, 0.0) <= 10 * r_auto.report.threshold
 
 
-def test_exhausted_iterations_raise_with_report(small_grid, small_coeffs, small_tgrid):
+def test_uncertified_sweep_raises_with_report(small_grid, small_coeffs, small_tgrid,
+                                             monkeypatch, tmp_path, capsys):
+    """A certificate read from a law table 5 % off finds an image away from the
+    sweep: the solve raises with its report attached, and ``simulate`` exits 3."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
+    real = mckean_vlasov._law_on_nodes
+    monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real(*a))
     with pytest.raises(FixedPointDivergenceError) as exc_info:
-        picard_solve(p, PicardConfig(n_particles=4, tol=1e-30, max_iters=1,
-                                     lambda_weight=0.0))
+        picard_solve(p, PicardConfig(n_particles=4, lambda_weight=0.0))
     rep = exc_info.value.report
     assert rep is not None
     assert rep.iterations == 1
     assert not rep.converged
+    assert rep.distances[0] > rep.threshold
+
+    config = tmp_path / "tiny.yaml"
+    config.write_text("grid: {half_width: 4.0, points_per_dim: 32}\n"
+                      "time: {horizon: 0.25, steps: 20}\n"
+                      "picard: {n_particles: 4, lambda_weight: 0.0}\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 3
+    assert "error[numerical] FixedPointDivergenceError" in capsys.readouterr().err
 
 
 def test_custom_initial_ensemble(small_grid, small_coeffs, small_tgrid, rng):
@@ -270,19 +283,13 @@ def test_auto_lambda_matches_the_per_weight_distance_loop(small_grid, small_coef
 
 def test_picard_distances_match_recomputed_flow_distances(small_grid, small_coeffs,
                                                           small_tgrid):
-    """The distances reused from calibration, and those the loop computes,
-    equal flow_distance between the successive iterates."""
+    """The streamed certificate equals flow_distance between the solved flow
+    and its image."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     result = picard_solve(p, PicardConfig(n_particles=6, tol=1e-8, lambda_weight="auto"))
     rep = result.report
-    flows = [_initial_flow(p, 6)]
-    for _ in range(rep.iterations):
-        flows.append(apply_phi(p, flows[-1]))
-    assert np.array_equal(flows[-1].states, result.flow.states)
-    recomputed = tuple(
-        flow_distance(prev, cur, rep.lambda_weight) for prev, cur in zip(flows, flows[1:])
-    )
-    assert [d.hex() for d in rep.distances] == [d.hex() for d in recomputed]
+    recomputed = flow_distance(result.flow, apply_phi(p, result.flow), rep.lambda_weight)
+    assert [d.hex() for d in rep.distances] == [recomputed.hex()]
 
 
 def test_successive_iterates_take_few_node_solves(small_grid, small_coeffs, small_tgrid,
@@ -301,16 +308,20 @@ def test_successive_iterates_take_few_node_solves(small_grid, small_coeffs, smal
     assert len(solved) <= small_tgrid.nodes.size // 8
 
 
-# -- the in-place loop ----------------------------------------------------
+# -- the causal sweep and its certificate -----------------------------------
 
 
-def reference_picard(p, cfg, lam, iterations):
-    """The loop as two held flows: ``apply_phi`` and ``flow_distance`` between
-    the latest iterate and its image; ``iterations`` steps from the initial flow."""
-    flows = [_initial_flow(p, cfg.n_particles)]
-    for _ in range(iterations):
-        flows = [flows[-1], apply_phi(p, flows[-1])]
-        yield flow_distance(flows[0], flows[1], lam), flows[1]
+def reference_picard(p, cfg, lam, threshold):
+    """The retired loop, holding each iterate and its image whole: ``apply_phi``
+    from the constant initial flow until ``flow_distance`` between successive
+    iterates is within ``threshold``.  Returns the distances and the last iterate."""
+    flow, distances = _initial_flow(p, cfg.n_particles), []
+    while not distances or distances[-1] > threshold:
+        assert len(distances) < cfg.max_iters
+        image = apply_phi(p, flow)
+        distances.append(flow_distance(flow, image, lam))
+        flow = image
+    return distances, flow
 
 
 def in_place_cases():
@@ -322,35 +333,43 @@ def in_place_cases():
 
 @pytest.mark.parametrize("grid,steps,weight", in_place_cases())
 def test_in_place_loop_equals_the_two_flow_loop(grid, steps, weight):
-    """Distances, ratios and the final flow of the solve equal, bit for bit,
-    those of the loop that holds each iterate and its image whole."""
+    """With and without noise, from a sampled ensemble: the freezing map gives
+    back the solved flow bit for bit, its certificate reads 0, and the loop that
+    iterates the map holding each iterate and its image whole ends within the
+    threshold of it in the plain sup."""
     coeffs = build_coeffs(grid)
     u0 = build_u0(grid)
     rng = np.random.default_rng(7)
     states = u0.values[None] * (1.0 + 0.2 * rng.standard_normal((6,) + (1,) * grid.dim))
-    p = make_problem(grid, coeffs, build_tgrid(steps=steps), u0=u0, initial_states=states)
-    cfg = PicardConfig(n_particles=6, tol=1e-9, lambda_weight=weight)
-    result = picard_solve(p, cfg)
-    rep = result.report
-    assert rep.iterations >= 3
-    ref = list(reference_picard(p, cfg, rep.lambda_weight, rep.iterations))
-    assert [d.hex() for d in rep.distances] == [d.hex() for d, _ in ref]
-    tiny = 10.0 * np.finfo(float).eps * (1.0 + rep.initial_scale)
-    ds = [d for d, _ in ref]
-    ratios = [b / a for a, b in zip(ds, ds[1:]) if a > tiny]
-    assert [r.hex() for r in rep.ratios] == [r.hex() for r in ratios]
-    assert result.flow.states.tobytes() == ref[-1][1].states.tobytes()
+    for eps in (0.0, 0.01):
+        p = make_problem(grid, coeffs, build_tgrid(steps=steps), u0=u0, eps=eps,
+                         initial_states=states)
+        cfg = PicardConfig(n_particles=6, tol=1e-9, lambda_weight=weight)
+        result = picard_solve(p, cfg)
+        rep = result.report
+        assert apply_phi(p, result.flow).states.tobytes() == result.flow.states.tobytes()
+        assert rep.distances == (0.0,) and rep.iterations == 1 and rep.converged
+        distances, ref = reference_picard(p, cfg, rep.lambda_weight, rep.threshold)
+        assert len(distances) >= 3
+        assert flow_distance(ref, result.flow, 0.0) <= rep.threshold
 
 
 @pytest.mark.parametrize("weight", [0.0, 1.0, "auto"])
 def test_forced_regeneration_gives_the_same_bits(small_grid, small_coeffs, small_tgrid,
                                                  monkeypatch, weight):
-    """With no node held back, every step's sup lies on an overwritten node,
-    so the old iterate is rebuilt from its law table; the bits do not move."""
+    """With no node held back, a certificate's sup lies on an overwritten node,
+    so the solved flow is rebuilt by a second causal sweep; the bits do not
+    move.  An exact certificate solves no node and rebuilds nothing; one read
+    from a law table 5 % off (with a threshold it meets) rebuilds once."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     cfg = PicardConfig(n_particles=6, tol=1e-9, lambda_weight=weight)
+    loose = PicardConfig(n_particles=6, tol=1.0, lambda_weight=weight)
     held = picard_solve(p, cfg)
-    rebuilt, sweeping = [], []  # per loop step, the old iterate's rebuilds inside its sweep
+    real_law = mckean_vlasov._law_on_nodes
+    with monkeypatch.context() as m:
+        m.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real_law(*a))
+        held_off = picard_solve(p, loose)
+    rebuilt, sweeping = [], []  # per certificate, the flow's rebuilds inside its sweep
     real_nodes, real_sweep = mckean_vlasov._image_nodes, mckean_vlasov._streamed_sup
 
     def nodes(*args):
@@ -370,27 +389,31 @@ def test_forced_regeneration_gives_the_same_bits(small_grid, small_coeffs, small
     monkeypatch.setattr(mckean_vlasov, "_streamed_sup", sweep)
     monkeypatch.setattr(measure, "_HELD_NODES", 0)
     forced = picard_solve(p, cfg)
-    assert [d.hex() for d in forced.report.distances] == [d.hex() for d in held.report.distances]
+    assert forced.report.distances == (0.0,)
     assert forced.flow.states.tobytes() == held.flow.states.tobytes()
-    # every in-place step rebuilds once; the first loop step reads its intact start
-    loop_steps = held.report.iterations - (2 if weight == "auto" else 0)
-    assert loop_steps >= 2
-    assert rebuilt == [0] + [1] * (loop_steps - 1)
+    monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real_law(*a))
+    forced_off = picard_solve(p, loose)
+    assert held_off.report.distances[0] > 0.0
+    assert [d.hex() for d in forced_off.report.distances] == [
+        d.hex() for d in held_off.report.distances
+    ]
+    assert forced_off.flow.states.tobytes() == held_off.flow.states.tobytes()
+    assert rebuilt == [0, 1]
 
 
 def test_last_sweep_reads_no_law_table(small_grid, small_coeffs, small_tgrid, monkeypatch):
-    """Each loop step reads the law table of the flow it starts from: once for
-    the one-node initial view, then one node at a time; the last iterate, which
-    no step follows, is never read."""
+    """The causal sweep reads its ensemble's law once per step, and the
+    certificate reads the same law table once per left node of the solved
+    flow; the certificate's own sweep steps against that table and reads none."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     calls = []
     real = dynamics.law_statistics
     counted = lambda *a: calls.append(1) or real(*a)  # noqa: E731
     for module in (dynamics, mckean_vlasov):  # the solver module must hold no copy of its own
         monkeypatch.setattr(module, "law_statistics", counted, raising=False)
-    k = picard_solve(p, PicardConfig(n_particles=5, tol=1e-9, lambda_weight=1.0)).report.iterations
-    assert k >= 3
-    assert len(calls) == 1 + (k - 1) * small_tgrid.steps
+    rep = picard_solve(p, PicardConfig(n_particles=5, tol=1e-9, lambda_weight=1.0)).report
+    assert rep.distances == (0.0,)
+    assert len(calls) == 2 * small_tgrid.steps
 
 
 @pytest.mark.parametrize("weight", [1.0, "auto"])
@@ -403,15 +426,14 @@ def test_solve_draws_each_particles_noise_once(small_grid, small_coeffs, small_t
     real = NoisePath.generate.__func__
     monkeypatch.setattr(NoisePath, "generate",
                         classmethod(lambda cls, *a, **k: drawn.append(1) or real(cls, *a, **k)))
-    rep = picard_solve(p, PicardConfig(n_particles=5, lambda_weight=weight)).report
-    assert rep.iterations >= 3
+    picard_solve(p, PicardConfig(n_particles=5, lambda_weight=weight))
     assert len(drawn) == 5
 
 
 def test_fixed_weight_solve_holds_one_flow():
-    """Each iterate is written over the last, node by node, so a fixed-weight
-    solve holds one flow and a few nodes (about 20 here: the held nodes and the
-    step's buffers), where the two-flow loop held two flows."""
+    """The certificate's image is written over the solved flow, node by node,
+    so a fixed-weight solve holds one flow and a few nodes (about 20 here: the
+    held nodes and the step's buffers), where a two-flow loop holds two flows."""
     g = build_grid(points=64)
     p = make_problem(g, build_coeffs(g), build_tgrid(steps=100))
     cfg = PicardConfig(n_particles=16, lambda_weight=1.0)
@@ -423,7 +445,6 @@ def test_fixed_weight_solve_holds_one_flow():
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
-    assert res.report.iterations >= 3
     assert peak < 1.5 * res.flow.states.nbytes
 
 
@@ -432,8 +453,7 @@ def test_fixed_weight_solve_holds_one_flow():
 
 def test_auto_weight_solve_holds_at_most_three_flows():
     """The constant probes are one-node views, so the auto start holds only
-    its three images; the first later step holds the last of them and the
-    buffer it writes, and every step after that one flow."""
+    its three images, and releases them before the sweep, which holds one flow."""
     g = build_grid(points=64)
     p = make_problem(g, build_coeffs(g), build_tgrid(steps=50))
     cfg = PicardConfig(n_particles=16, lambda_weight="auto")
@@ -486,16 +506,17 @@ def test_small_noise_sweep_zero_row_and_slope(small_grid, small_coeffs, small_tg
 
 
 def test_small_noise_sweep_rows_are_bitwise_unchanged(small_grid, small_coeffs, small_tgrid):
-    """The per-node deviations give the bits recorded from one whole-flow deviation."""
+    """The per-node deviations of the causal sweep give the bits recorded from
+    one whole-flow deviation of the same flow."""
     p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
     sweep = small_noise_sweep(p, [0.0, 3e-3, 1e-2], 4,
                               PicardConfig(n_particles=4, lambda_weight=0.0))
     assert [tuple(v.hex() for v in row) for row in sweep.rows] == [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-        ("0x1.89374bc6a7efap-9", "0x1.29a70f2075cccp-11", "0x1.b2f464ede23e6p-13"),
-        ("0x1.47ae147ae147bp-7", "0x1.f23b2a437c532p-10", "0x1.6ca04d1d615ccp-11"),
+        ("0x1.89374bc6a7efap-9", "0x1.29a70f22510f4p-11", "0x1.b2f464f33f4bap-13"),
+        ("0x1.47ae147ae147bp-7", "0x1.f23b2a43d28f7p-10", "0x1.6ca04d1ddba2bp-11"),
     ]
-    assert sweep.slope.hex() == "0x1.00eaaff465ce3p+0"
+    assert sweep.slope.hex() == "0x1.00eaaff3371b1p+0"
 
 
 def test_sweep_deviation_shrinks_with_epsilon(small_grid, small_coeffs, small_tgrid):
