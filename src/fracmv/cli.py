@@ -102,14 +102,10 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
         )
     save_measure(flow.measure(flow.n_times - 1), out / "final_measure")
 
-    ratios = list(rep.ratios)
     _write_csv(
         out / "picard_report.csv",
         ["iteration", "distance", "ratio"],
-        [
-            (m + 1, f"{d:.17g}", f"{ratios[m - 1]:.17g}" if 1 <= m <= len(ratios) else "")
-            for m, d in enumerate(rep.distances)
-        ],
+        [(rep.iterations, f"{rep.distances[0]:.17g}", "")],
     )
 
     _write_csv(

@@ -5,10 +5,13 @@ Numerically the law is an ``N``-particle empirical flow, and the freezing
 map takes a candidate flow to the empirical flow of ``N`` frozen-measure
 paths driven by per-particle noise, advanced together by the batched step
 kernel.  Its fixed point is the particle system stepped against its own
-empirical law, which ``picard_solve`` makes in one causal sweep.  Under the
-weighted sup metric ``d(., .; lam)`` the map contracts once ``lam`` is
-large enough; ``auto_lambda`` measures the contraction ratio on probe
-flows and picks the weight empirically.
+empirical law, which ``picard_solve`` makes in one causal sweep and
+certifies with one application of the map.  Under the weighted sup metric
+``d(., .; lam)`` the map contracts once ``lam`` is large enough;
+``auto_lambda`` measures the contraction ratio on probe flows and picks the
+weight empirically, for the verify suite that iterates the map.  The solve
+itself needs no contraction, so its ``auto`` certificate is taken in the
+plain sup, the strictest weight.
 
 Noise is keyed by ``(master seed, particle)`` only, never by the
 iteration count, so successive applications of the freezing map see
@@ -105,7 +108,7 @@ class PicardConfig:
             raise ValidationError(
                 f"lambda_weight must be 'auto' or a finite number >= 0, got {lw!r}"
             )
-        least = 2 if lw == "auto" else 1  # the auto weight's start takes two iterates
+        least = 2 if lw == "auto" else 1  # the picard suite's auto start takes two iterates
         if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= least):
             raise ValidationError(
                 f"max_iters must be an integer >= {least} with lambda_weight {lw!r}, "
@@ -115,20 +118,19 @@ class PicardConfig:
 
 @dataclass(frozen=True)
 class PicardReport:
-    """Certificate of one fixed-point solve: ``distances`` holds the weighted
-    distance of the solved flow from its image under the freezing map (0 when
-    they are equal bit for bit), within ``threshold`` if ``converged``;
-    ``iterations`` is 1, the one application of the map, and ``ratios`` empty.
+    """Certificate of one fixed-point solve: ``distances`` holds the distance,
+    at weight ``lambda_weight`` (0 under ``auto``), of the solved flow from its
+    image under the freezing map (0 when they are equal bit for bit), within
+    ``threshold`` if ``converged``; ``iterations`` is 1, the one application of
+    the map.
     """
 
     iterations: int
     distances: tuple[float, ...]
-    ratios: tuple[float, ...]
     converged: bool
     lambda_weight: float
     threshold: float
     initial_scale: float
-    auto_curve: tuple[tuple[float, float], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -210,16 +212,15 @@ def auto_lambda(
     problem: MeanFieldProblem,
     probe_flows: list[MeasureFlow],
     images: list[MeasureFlow],
-) -> tuple[float, tuple[tuple[float, float], ...], list[tuple[FlowPairW2, FlowPairW2]]]:
+) -> tuple[float, tuple[tuple[float, float], ...]]:
     """Pick the metric weight empirically from probe contraction ratios.
 
     ``images[i]`` is ``phi(probe_flows[i])``.  For each candidate weight
     in ``_LAMBDA_GRID`` the worst ratio ``d(phi(a), phi(b); lam) /
-    d(a, b; lam)`` over probe pairs is measured; the smallest weight
-    pushing it to ``_TARGET_RATIO`` or below is returned doubled, as a
-    safety margin, together with the full ``(lam, worst ratio)`` curve
-    and the ``(probe pair, image pair)`` :class:`FlowPairW2` objects,
-    whose node solves serve every candidate weight and any later ``sup``.
+    d(a, b; lam)`` over probe pairs is measured, each pair's node solves
+    serving every candidate weight; the smallest weight pushing it to
+    ``_TARGET_RATIO`` or below is returned doubled, as a safety margin,
+    together with the full ``(lam, worst ratio)`` curve.
     """
     if len(probe_flows) < 2:
         raise ValidationError("auto_lambda needs at least two probe flows")
@@ -251,21 +252,21 @@ def auto_lambda(
             "no metric weight on the grid reaches the target contraction ratio; "
             "measured curve: " + ", ".join(f"(lam={l:g}, r={r:.3g})" for l, r in curve)
         )
-    return 2.0 * chosen, tuple(curve), pairs
+    return 2.0 * chosen, tuple(curve)
 
 
 def _auto_start(problem: MeanFieldProblem, n: int) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """The weight and the ``(lam, worst ratio)`` curve, calibrated on the first two
-    Picard iterates from the initial flow and on a scaled start.  The constant
-    probes are one-node views, so the three images are the only flows held, and
-    all are released on return."""
+    """The weight and the ``(lam, worst ratio)`` curve at which the freezing map
+    contracts, calibrated on the first two Picard iterates from the initial flow
+    and on a scaled start; the verify suite that iterates the map runs at it.
+    The constant probes are one-node views, so the three images are the only
+    flows held, and all are released on return."""
     flow0 = _initial_flow(problem, n)
     image0 = apply_phi(problem, flow0)
     image1 = apply_phi(problem, image0)
     scaled = MeasureFlow.constant(EmpiricalMeasure(flow0.grid, 1.25 * flow0.states[0]), flow0.times)
     image_s = apply_phi(problem, scaled)
-    lam, curve, _ = auto_lambda(problem, [flow0, image0, scaled], [image0, image1, image_s])
-    return lam, curve
+    return auto_lambda(problem, [flow0, image0, scaled], [image0, image1, image_s])
 
 
 def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) -> PicardResult:
@@ -279,16 +280,14 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     weighted distance; a node it must solve once overwritten is rebuilt by
     sweeping again.  The distance reads 0, the image equalling the flow bit for
     bit; above ``tol * (1 + initial ensemble scale)`` a divergence error is
-    raised with the report attached.  An ``auto`` weight is calibrated first.
+    raised with the report attached.  An ``auto`` weight certifies in the plain
+    sup: the weight ``exp(-lam t)`` is at most 1, so no ``lam >= 0`` gives a
+    larger distance, and the fixed point exists by causality, contraction or not.
     """
     n = cfg.n_particles
     initial_scale = l2_norm(problem.u0)
     threshold = cfg.tol * (1.0 + initial_scale)
-    auto_curve = None
-    if cfg.lambda_weight == "auto":
-        lam, auto_curve = _auto_start(problem, n)
-    else:
-        lam = float(cfg.lambda_weight)
+    lam = 0.0 if cfg.lambda_weight == "auto" else float(cfg.lambda_weight)
 
     grid, times = problem.grid, problem.tgrid.nodes
     states = _image(problem, None, n)
@@ -299,12 +298,10 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     report = PicardReport(
         iterations=1,
         distances=(d,),
-        ratios=(),
         converged=d <= threshold,
         lambda_weight=lam,
         threshold=threshold,
         initial_scale=initial_scale,
-        auto_curve=auto_curve,
     )
     if not report.converged:
         raise FixedPointDivergenceError(

@@ -16,6 +16,7 @@ from fracmv.mckean_vlasov import (
     _LAMBDA_GRID,
     MeanFieldProblem,
     PicardConfig,
+    _auto_start,
     _initial_flow,
     apply_phi,
     auto_lambda,
@@ -148,9 +149,7 @@ def test_picard_converges_and_iterates_contract(small_grid, small_coeffs, small_
     assert rep.converged
     assert rep.iterations <= 20
     assert rep.distances[-1] <= rep.threshold
-    assert all(r <= 0.5 for r in rep.ratios[1:])
-    assert rep.lambda_weight >= 0.0
-    assert rep.auto_curve  # calibration curve recorded when auto
+    assert rep.lambda_weight == 0.0  # auto certifies in the plain sup
 
     # the returned flow is a fixed point up to the loop's own tolerance
     residual = flow_distance(apply_phi(p, result.flow), result.flow, rep.lambda_weight)
@@ -158,12 +157,33 @@ def test_picard_converges_and_iterates_contract(small_grid, small_coeffs, small_
 
 
 def test_picard_fixed_weight_matches_auto_outcome(small_grid, small_coeffs, small_tgrid):
-    """On a dissipative instance the plain sup metric already contracts,
-    so a fixed zero weight converges to the same flow."""
+    """An ``auto`` solve is the zero-weight solve bit for bit: flow, certificate
+    and threshold.  On this dissipative instance the plain sup metric already
+    contracts, so the calibration an ``auto`` solve once ran picks 0 as well."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     r_auto = picard_solve(p, PicardConfig(n_particles=6, lambda_weight="auto"))
     r_zero = picard_solve(p, PicardConfig(n_particles=6, lambda_weight=0.0))
-    assert flow_distance(r_auto.flow, r_zero.flow, 0.0) <= 10 * r_auto.report.threshold
+    assert r_auto.flow.states.tobytes() == r_zero.flow.states.tobytes()
+    assert r_auto.report == r_zero.report
+    assert _auto_start(p, 6)[0] == 0.0
+
+
+def test_auto_certificate_is_the_strictest(small_grid, small_coeffs, small_tgrid,
+                                          monkeypatch):
+    """Read from a law table 5 % off, the certificate is no longer 0; under
+    ``auto`` it is the plain sup distance of the causal sweep from its image, at
+    least the distance at a positive weight."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid)
+    flow = picard_solve(p, PicardConfig(n_particles=6, lambda_weight=0.0)).flow
+    real = mckean_vlasov._law_on_nodes
+    monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real(*a))
+    image = apply_phi(p, flow)
+    d_auto, d_one = (
+        picard_solve(p, PicardConfig(n_particles=6, tol=1.0, lambda_weight=w)).report.distances[0]
+        for w in ("auto", 1.0)
+    )
+    assert d_auto >= d_one > 0.0
+    assert d_auto == flow_distance(flow, image, 0.0)
 
 
 def test_uncertified_sweep_raises_with_report(small_grid, small_coeffs, small_tgrid,
@@ -273,7 +293,7 @@ def test_auto_lambda_matches_the_per_weight_distance_loop(small_grid, small_coef
     assert flow_distance(mu, late, _LAMBDA_GRID[0]) > tiny
     assert flow_distance(mu, late, _LAMBDA_GRID[-1]) <= tiny
     images = [apply_phi(p, f) for f in probes]
-    lam, curve, _ = auto_lambda(p, probes, images=images)
+    lam, curve = auto_lambda(p, probes, images=images)
     oracle_lam, oracle_curve = per_weight_auto_lambda(p, probes, images)
     assert float(lam).hex() == float(oracle_lam).hex()
     assert [tuple(x.hex() for x in row) for row in curve] == [
@@ -419,8 +439,8 @@ def test_last_sweep_reads_no_law_table(small_grid, small_coeffs, small_tgrid, mo
 @pytest.mark.parametrize("weight", [1.0, "auto"])
 def test_solve_draws_each_particles_noise_once(small_grid, small_coeffs, small_tgrid,
                                                monkeypatch, weight):
-    """Every application of the freezing map in one solve, the auto start's
-    three included, shares one noise stack."""
+    """Every application of the freezing map in one solve shares one noise stack,
+    and so do the auto start's three on the same problem."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     drawn = []
     real = NoisePath.generate.__func__
@@ -428,24 +448,28 @@ def test_solve_draws_each_particles_noise_once(small_grid, small_coeffs, small_t
                         classmethod(lambda cls, *a, **k: drawn.append(1) or real(cls, *a, **k)))
     picard_solve(p, PicardConfig(n_particles=5, lambda_weight=weight))
     assert len(drawn) == 5
+    _auto_start(p, 5)
+    assert len(drawn) == 5
 
 
 def test_fixed_weight_solve_holds_one_flow():
     """The certificate's image is written over the solved flow, node by node,
-    so a fixed-weight solve holds one flow and a few nodes (about 20 here: the
-    held nodes and the step's buffers), where a two-flow loop holds two flows."""
+    so a solve, fixed-weight or ``auto``, holds one flow and a few nodes (about
+    20 here: the held nodes and the step's buffers), where a two-flow loop holds
+    two flows."""
     g = build_grid(points=64)
     p = make_problem(g, build_coeffs(g), build_tgrid(steps=100))
-    cfg = PicardConfig(n_particles=16, lambda_weight=1.0)
-    picard_solve(p, cfg)  # fill the per-grid caches outside the measurement
-    tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        res = picard_solve(p, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - baseline
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * res.flow.states.nbytes
+    for weight in (1.0, "auto"):
+        cfg = PicardConfig(n_particles=16, lambda_weight=weight)
+        picard_solve(p, cfg)  # fill the per-grid caches outside the measurement
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            res = picard_solve(p, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * res.flow.states.nbytes, weight
 
 
 # -- stability of the mean-field estimate ---------------------------------
@@ -453,20 +477,19 @@ def test_fixed_weight_solve_holds_one_flow():
 
 def test_auto_weight_solve_holds_at_most_three_flows():
     """The constant probes are one-node views, so the auto start holds only
-    its three images, and releases them before the sweep, which holds one flow."""
+    its three images."""
     g = build_grid(points=64)
     p = make_problem(g, build_coeffs(g), build_tgrid(steps=50))
-    cfg = PicardConfig(n_particles=16, lambda_weight="auto")
-    picard_solve(p, cfg)  # fill the per-grid caches outside the measurement
+    _auto_start(p, 16)  # fill the per-grid caches outside the measurement
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        res = picard_solve(p, cfg)
+        lam, curve = _auto_start(p, 16)
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
-    assert res.report.auto_curve is not None
-    assert peak < 4 * res.flow.states.nbytes
+    assert lam >= 0.0 and len(curve) == len(_LAMBDA_GRID)
+    assert peak < 4 * _initial_flow(p, 16).states.nbytes  # a whole flow's bytes, as a view
 
 
 def test_particle_doubling_moves_the_law_estimate_little(small_grid, small_coeffs, small_tgrid):
