@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import chain, combinations
 
 import numpy as np
@@ -275,14 +274,14 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     The scheme freezes the law at the left node, so the fixed point is the
     particle system stepped against its own empirical law, which one sweep of
     the step kernel makes, reading the law from the batch at each step.  The
-    certificate applies the map once, writing the image over the flow node by
-    node (one flow is held) while ``measure._streamed_sup`` measures their
-    weighted distance; a node it must solve once overwritten is rebuilt by
-    sweeping again.  The distance reads 0, the image equalling the flow bit for
-    bit; above ``tol * (1 + initial ensemble scale)`` a divergence error is
-    raised with the report attached.  An ``auto`` weight certifies in the plain
-    sup: the weight ``exp(-lam t)`` is at most 1, so no ``lam >= 0`` gives a
-    larger distance, and the fixed point exists by causality, contraction or not.
+    certificate applies the map once, node by node, while
+    ``measure._streamed_sup`` measures the image's weighted distance from the
+    sweep, which it only reads (one flow is held, and the sweep is returned).
+    The distance reads 0, the image equalling the flow bit for bit; above
+    ``tol * (1 + initial ensemble scale)`` a divergence error is raised with the
+    report attached.  An ``auto`` weight certifies in the plain sup: the weight
+    ``exp(-lam t)`` is at most 1, so no ``lam >= 0`` gives a larger distance,
+    and the fixed point exists by causality, contraction or not.
     """
     n = cfg.n_particles
     initial_scale = l2_norm(problem.u0)
@@ -293,8 +292,7 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     states = _image(problem, None, n)
     law = _law_on_nodes(states, grid, problem.coeffs.f.h_cap)
     with np.errstate(over="ignore", invalid="ignore"):  # the step kernel's, see _step_nodes
-        d = _streamed_sup(grid, times, lam, states, _image_nodes(problem, law, n), states,
-                          partial(_image_nodes, problem, None, n))
+        d = _streamed_sup(grid, times, lam, states, _image_nodes(problem, law, n))
     report = PicardReport(
         iterations=1,
         distances=(d,),

@@ -22,17 +22,14 @@ same float as the maximum over every node's solve.
 
 The same bound and pruning rule also run node by node over a flow that
 is still being made (``_streamed_sup``): each new node is bounded
-against the old node it replaces and then written over it, except the
-few with the largest weighted bounds, which are held back until the
-sweep ends and solved there.  Only if an overwritten node could still
-hold the maximum is the old flow made again, node by node, to solve it;
-either way the result is ``flow_distance``'s float, and the fixed-point
-loop holds one flow instead of an iterate and its image.
+against the node of the given flow at its time and solved only if that
+bound beats the running maximum, then let go.  The given flow is only
+read, so the fixed-point solve holds one flow and one new node, not a
+flow and its image, and the result is ``flow_distance``'s float.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -194,10 +191,6 @@ class MeasureFlow:
 # and a node whose bound cannot beat the running maximum is safely skipped.
 _BOUND_MARGIN = 1e-9
 
-# New nodes that a streamed sweep holds back from overwriting the old flow:
-# those with the largest weighted bounds, the likeliest to hold the sup.
-_HELD_NODES = 8
-
 
 def _weights(times: np.ndarray, lam: float) -> np.ndarray:
     if not (0.0 <= float(lam) < np.inf):
@@ -210,18 +203,6 @@ def _identity_bound(a: np.ndarray, b: np.ndarray, diff: np.ndarray, w: float) ->
     cost, inflated by ``_BOUND_MARGIN``.  ``diff`` is a buffer of their shape."""
     d = np.subtract(b, a, out=diff).reshape(-1)
     return np.sqrt(w * np.dot(d, d) / a.shape[0]) * (1.0 + _BOUND_MARGIN)
-
-
-def _pruned_sup(bounds: np.ndarray, weight: np.ndarray, solve) -> float:
-    """``max_s weight[s] * solve(s)``, given ``bounds[s]`` at or above each term:
-    nodes are solved in descending bound order until no bound beats the running
-    maximum, which a node left unsolved then cannot hold."""
-    best = 0.0
-    for s in np.argsort(-bounds, kind="stable"):
-        if bounds[s] <= best:
-            break
-        best = max(best, float(weight[s] * solve(s)))
-    return best
 
 
 def _node_w2(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> float:
@@ -265,9 +246,17 @@ class FlowPairW2:
         return self._solved[r]
 
     def sup(self, lam: float) -> float:
-        """Exact weighted sup; ``lam = 0`` gives the plain sup."""
+        """Exact weighted sup; ``lam = 0`` gives the plain sup.  Nodes are solved in
+        descending bound order until no bound beats the running maximum, which a node
+        left unsolved then cannot hold."""
         weight = _weights(self.mu.times, lam)
-        return _pruned_sup(weight * self._bound, weight, self._node)
+        bounds = weight * self._bound
+        best = 0.0
+        for s in np.argsort(-bounds, kind="stable"):
+            if bounds[s] <= best:
+                break
+            best = max(best, float(weight[s] * self._node(s)))
+        return best
 
 
 def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
@@ -278,51 +267,21 @@ def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
     return FlowPairW2(mu, nu).sup(lam)
 
 
-def _streamed_sup(
-    grid: SpatialGrid, times: np.ndarray, lam: float, old: np.ndarray, nodes, out: np.ndarray,
-    old_nodes,
-) -> float:
-    """Store the flow that ``nodes`` yields, node 0 first, in ``out``, shape
-    ``(S+1, N, *grid.shape)``, and return its weighted sup distance from the flow
-    ``old``: the float ``flow_distance`` gives, with one flow held, not two.
+def _streamed_sup(grid: SpatialGrid, times: np.ndarray, lam: float, flow: np.ndarray, nodes) -> float:
+    """The weighted sup distance of the flow ``nodes`` yields, node 0 first, from
+    ``flow``, shape ``(S+1, N, *grid.shape)``: the float ``flow_distance`` gives,
+    with one new node held at a time and ``flow`` only read.
 
-    ``out`` may be ``old`` itself.  Each new node overwrites its slot once it is
-    bounded against the old node there, except the ``_HELD_NODES`` with the largest
-    weighted bounds, which are held back and solved after the sweep under the
-    pruning rule of :meth:`FlowPairW2.sup`.  Should an overwritten node still beat
-    the running maximum, ``old_nodes()`` yields the old flow's nodes, node 0 first:
-    ``old``'s own if ``out`` is a buffer apart, or else rebuilt; every such node
-    is then solved against its new one.
+    A node is solved only if its weighted identity bound beats the running maximum;
+    a node skipped then cannot hold the maximum.
     """
     weight, w = _weights(times, lam), grid.cell_volume
-    bounds = np.empty(times.size)
-    diff = np.empty(old.shape[1:])
-    held: dict[int, np.ndarray] = {}
-    smallest: list[tuple[float, int]] = []  # heap of the held nodes' bounds
+    diff = np.empty(flow.shape[1:])
+    best = 0.0
     for s, node in enumerate(nodes):
-        bounds[s] = weight[s] * _identity_bound(old[s], node, diff, w)
-        held[s] = node
-        heapq.heappush(smallest, (bounds[s], s))
-        if len(held) > _HELD_NODES:
-            evicted = heapq.heappop(smallest)[1]
-            out[evicted] = held.pop(evicted)
-
-    exact: dict[int, float] = {}
-
-    def solve(s: int) -> float:
-        if s in held:
-            exact[s] = _node_w2(grid, old[s], held[s])
-        elif s not in exact:  # overwritten: solve every overwritten node that may still hold the max
-            floor = max((weight[r] * v for r, v in exact.items()), default=0.0)
-            for t, node in enumerate(old_nodes()):
-                if t not in held and bounds[t] > floor:
-                    exact[t] = _node_w2(grid, node, out[t])
-        return exact[s]
-
-    dist = _pruned_sup(bounds, weight, solve)
-    for s, node in held.items():
-        out[s] = node
-    return dist
+        if weight[s] * _identity_bound(flow[s], node, diff, w) > best:
+            best = max(best, float(weight[s] * _node_w2(grid, flow[s], node)))
+    return best
 
 
 # -- persistence -------------------------------------------------------

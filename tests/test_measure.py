@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -180,29 +179,22 @@ def test_flow_distance_equals_the_scalar_weight_loop_bitwise(rng):
             pair.sup(bad)
 
 
-@pytest.mark.parametrize("held", [0, 1, 8])
-def test_streamed_sup_is_flow_distance_in_place_and_aside(rng, monkeypatch, held):
-    """Streaming the new flow over the old one, or into a buffer of its own,
-    gives flow_distance's float and stores the new flow, however few nodes
-    are held back: an overwritten node that may hold the sup is solved
-    against the old flow as ``old_nodes`` yields it again."""
-    monkeypatch.setattr(measure, "_HELD_NODES", held)
+def test_streamed_sup_is_the_full_node_sweep_and_reads_only(rng, monkeypatch):
+    """Streaming the second flow against the first gives the oracle's float at
+    every weight, leaves the first flow's bytes as they were (a read-only
+    constant view included), and solves no node of two equal flows."""
+    solved = []
+    real = measure.wasserstein2
+    monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real(a, b))
     for name, (mu, nu) in _oracle_flow_pairs(rng).items():
-        g, times = mu.grid, mu.times
-        for lam in (0.0, 16.0):
-            oracle = full_sweep_sup(mu, nu, lam)
-            aside = np.empty(nu.states.shape)
-            got = measure._streamed_sup(g, times, lam, mu.states, iter(nu.states), aside,
-                                        partial(iter, mu.states))
-            assert got == oracle, (name, lam)
-            assert aside.tobytes() == nu.states.tobytes()
-            if name == "constant":  # a read-only view is never written over
-                continue
-            buf = mu.states.copy()
-            got = measure._streamed_sup(g, times, lam, buf, iter(nu.states), buf,
-                                        partial(iter, mu.states))
-            assert got == oracle, (name, lam)
-            assert buf.tobytes() == nu.states.tobytes()
+        before = mu.states.tobytes()
+        solved.clear()
+        for lam in (0.0, 0.25, 16.0, 128.0, 256.0):
+            got = measure._streamed_sup(mu.grid, mu.times, lam, mu.states, iter(nu.states))
+            assert got == full_sweep_sup(mu, nu, lam), (name, lam)
+        assert mu.states.tobytes() == before, name
+        if name == "zero":
+            assert solved == []
 
 
 def test_discount_weight_reduces_late_discrepancies(rng):
