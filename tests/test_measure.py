@@ -197,6 +197,29 @@ def test_streamed_sup_is_the_full_node_sweep_and_reads_only(rng, monkeypatch):
             assert solved == []
 
 
+@pytest.mark.parametrize("held", [0, 1, 8])
+def test_streamed_sup_is_flow_distance_in_place_and_aside(rng, monkeypatch, held):
+    """A stream whose first ``held`` nodes are the read flow's own nodes, in
+    place, and whose later nodes come from a buffer aside gives flow_distance's
+    float against the spliced flow, solves no W2 at an aliased node, and leaves
+    the read flow's bytes as they were."""
+    solved = []
+    real = measure.wasserstein2
+    monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real(a, b))
+    for name, (mu, nu) in _oracle_flow_pairs(rng).items():
+        g, times = mu.grid, mu.times
+        before = mu.states.tobytes()
+        spliced = MeasureFlow(g, times, np.concatenate([mu.states[:held], nu.states[held:]]))
+        for lam in (0.0, 16.0):
+            oracle = full_sweep_sup(mu, spliced, lam)
+            solved.clear()
+            stream = itertools.chain(mu.states[:held], iter(nu.states[held:]))
+            got = measure._streamed_sup(g, times, lam, mu.states, stream)
+            assert got == oracle, (name, lam)
+            assert len(solved) <= mu.n_times - held, (name, lam)
+        assert mu.states.tobytes() == before, name
+
+
 def test_discount_weight_reduces_late_discrepancies(rng):
     """A late-time-only difference fades as lam grows."""
     g = build_grid(half_width=2.0, points=8)
