@@ -105,7 +105,7 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     _write_csv(
         out / "picard_report.csv",
         ["iteration", "distance", "ratio"],
-        [(rep.iterations, f"{rep.distances[0]:.17g}", "")],
+        [(rep.iterations, f"{rep.distance:.17g}", "")],
     )
 
     _write_csv(
@@ -137,7 +137,6 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
                 "epsilon": cfg.epsilon,
                 "converged": rep.converged,
                 "iterations": rep.iterations,
-                "lambda_weight": rep.lambda_weight,
                 "domain_margin": {"radius": margin, "worst_tail": worst, "delta": delta},
             },
         ),

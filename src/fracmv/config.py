@@ -296,14 +296,14 @@ class RunConfig:
         self.u0 = GridFunction(self.grid, _initial_values(self.grid, kind, i_amp, i_width))
 
         _int(cfg, "seed", lo=0, hi=2**64 - 1)
-        _int(cfg, "workers", lo=1)  # retired; kept so old configs and hashes stay valid
-        lam = cfg["picard"]["lambda_weight"]
+        # retired keys, read by nothing; kept so old configs and hashes stay valid
+        _int(cfg, "workers", lo=1)
+        _int(cfg, "picard.max_iters", lo=1)
+        if cfg["picard"]["lambda_weight"] != "auto":
+            _num(cfg, "picard.lambda_weight", lo=0.0)
         with _at("picard"):
             self._picard = PicardConfig(
-                n_particles=_int(cfg, "picard.n_particles"),
-                tol=_num(cfg, "picard.tol"),
-                max_iters=_int(cfg, "picard.max_iters"),
-                lambda_weight=lam if isinstance(lam, str) else _num(cfg, "picard.lambda_weight"),
+                n_particles=_int(cfg, "picard.n_particles"), tol=_num(cfg, "picard.tol")
             )
         with _at("rate"):
             # a settings template; rate_problem() supplies the target

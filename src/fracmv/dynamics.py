@@ -82,8 +82,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (float(self.horizon) > 0.0):
-            raise ValidationError(f"horizon must be positive, got {self.horizon!r}")
+        if not (0.0 < float(self.horizon) < math.inf):
+            raise ValidationError(f"horizon must be finite and positive, got {self.horizon!r}")
         if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
             raise ValidationError(f"steps must be an integer >= 1, got {self.steps!r}")
 
@@ -239,10 +239,10 @@ def _step_nodes(
     """
     S, dt, nodes = tgrid.steps, tgrid.dt, tgrid.nodes
     res_mult = grid.resolvent_multiplier(coeffs.alpha, dt)
-    parts = [] if control is None else [dt * control]
+    theta = None if control is None else dt * control
     if noise is not None and eps > 0.0:
-        parts.append(math.sqrt(eps) * noise)
-    theta = np.sum(parts, axis=0) if parts else None
+        kicks = math.sqrt(eps) * noise
+        theta = kicks if theta is None else theta + kicks
     n = starts.shape[0]
     # one buffer each for f, its taming and g, reused every step: fresh batches each
     # step can be handed back to the system and faulted in again by the allocator

@@ -67,7 +67,7 @@ class SpatialGrid:
     dim : int
         Spatial dimension, 1 or 2.
     half_width : float
-        Box half width ``L > 0``.
+        Box half width ``0 < L < inf``.
     points_per_dim : int
         Number of cells per axis ``M``; must be even so the wavenumber
         set ``{-M/2, ..., M/2 - 1}`` is symmetric apart from the
@@ -80,13 +80,13 @@ class SpatialGrid:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValidationError(f"dim must be 1 or 2, got {self.dim!r}")
-        if not (float(self.half_width) > 0.0):
+        d, m = self.dim, self.points_per_dim
+        if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d in (1, 2)):
+            raise ValidationError(f"dim must be the integer 1 or 2, got {d!r}")
+        if not (0.0 < float(self.half_width) < math.inf):
             raise ValidationError(
-                f"half_width must be positive, got {self.half_width!r}"
+                f"half_width must be finite and positive, got {self.half_width!r}"
             )
-        m = self.points_per_dim
         if not (isinstance(m, (int, np.integer)) and m >= 4):
             raise ValidationError(f"points_per_dim must be an integer >= 4, got {m!r}")
         if m % 2 != 0:
@@ -100,8 +100,9 @@ class SpatialGrid:
 
     @classmethod
     def from_geometry(cls, meta: dict) -> "SpatialGrid":
-        """Inverse of :meth:`geometry`, for a mapping read back from JSON."""
-        return cls(int(meta["dim"]), float(meta["half_width"]), int(meta["points_per_dim"]))
+        """Inverse of :meth:`geometry`, for a mapping read back from JSON; a ``dim`` or
+        ``points_per_dim`` that is not an integer is refused, not truncated."""
+        return cls(meta["dim"], float(meta["half_width"]), meta["points_per_dim"])
 
     @property
     def shape(self) -> tuple[int, ...]:

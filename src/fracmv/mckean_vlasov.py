@@ -6,12 +6,12 @@ map takes a candidate flow to the empirical flow of ``N`` frozen-measure
 paths driven by per-particle noise, advanced together by the batched step
 kernel.  Its fixed point is the particle system stepped against its own
 empirical law, which ``picard_solve`` makes in one causal sweep and
-certifies with one application of the map.  Under the weighted sup metric
-``d(., .; lam)`` the map contracts once ``lam`` is large enough;
-``auto_lambda`` measures the contraction ratio on probe flows and picks the
-weight empirically, for the verify suite that iterates the map.  The solve
-itself needs no contraction, so its ``auto`` certificate is taken in the
-plain sup, the strictest weight.
+certifies with one application of the map, measured in the plain sup.
+Under the weighted sup metric ``d(., .; lam)`` the map contracts once
+``lam`` is large enough; ``auto_lambda`` measures the contraction ratio on
+probe flows and picks the weight empirically, for the verify suite that
+iterates the map.  The solve itself needs no contraction: the fixed point
+exists by causality.
 
 Noise is keyed by ``(master seed, particle)`` only, never by the
 iteration count, so successive applications of the freezing map see
@@ -21,7 +21,7 @@ common random numbers and the map is a deterministic map between flows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -76,8 +76,6 @@ class MeanFieldProblem:
     epsilon: float
     master_seed: int
     initial_states: np.ndarray | None = None
-    # particle count -> that many particles' noise stack, see ``_noise_stack``
-    _noise: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.u0.grid != self.grid or self.coeffs.sigma.grid != self.grid:
@@ -92,8 +90,6 @@ class MeanFieldProblem:
 class PicardConfig:
     n_particles: int = 64
     tol: float = 1e-6
-    max_iters: int = 20
-    lambda_weight: float | str = "auto"
 
     def __post_init__(self):
         if not (isinstance(self.n_particles, (int, np.integer)) and self.n_particles >= 1):
@@ -102,34 +98,20 @@ class PicardConfig:
             )
         if not (0.0 < float(self.tol) < math.inf):
             raise ValidationError(f"tol must be finite and positive, got {self.tol!r}")
-        lw = self.lambda_weight
-        if lw != "auto" and (isinstance(lw, str) or not 0.0 <= float(lw) < math.inf):
-            raise ValidationError(
-                f"lambda_weight must be 'auto' or a finite number >= 0, got {lw!r}"
-            )
-        least = 2 if lw == "auto" else 1  # the picard suite's auto start takes two iterates
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= least):
-            raise ValidationError(
-                f"max_iters must be an integer >= {least} with lambda_weight {lw!r}, "
-                f"got {self.max_iters!r}"
-            )
 
 
 @dataclass(frozen=True)
 class PicardReport:
-    """Certificate of one fixed-point solve: ``distances`` holds the distance,
-    at weight ``lambda_weight`` (0 under ``auto``), of the solved flow from its
-    image under the freezing map (0 when they are equal bit for bit), within
-    ``threshold`` if ``converged``; ``iterations`` is 1, the one application of
-    the map.
+    """Certificate of one fixed-point solve: ``distance`` is the plain sup
+    distance of the solved flow from its image under the freezing map (0 when
+    they are equal bit for bit), within ``threshold`` if ``converged``;
+    ``iterations`` is 1, the one application of the map.
     """
 
     iterations: int
-    distances: tuple[float, ...]
+    distance: float
     converged: bool
-    lambda_weight: float
     threshold: float
-    initial_scale: float
 
 
 @dataclass(frozen=True)
@@ -162,19 +144,14 @@ def _initial_flow(problem: MeanFieldProblem, n_particles: int) -> MeasureFlow:
 
 def _noise_stack(problem: MeanFieldProblem, n: int) -> np.ndarray | None:
     """The increments of particles ``0 .. n-1``, shape ``(S, n, K)``, or None without
-    noise: built once per problem and count, and shared, read-only, by every
-    application of the freezing map."""
+    noise."""
     if problem.epsilon == 0.0:
         return None
-    if n not in problem._noise:
-        K, tgrid = problem.coeffs.sigma.n_modes, problem.tgrid
-        stack = np.stack(
-            [NoisePath.generate(tgrid, K, problem.master_seed, i).increments for i in range(n)],
-            axis=1,
-        )
-        stack.flags.writeable = False
-        problem._noise[n] = stack
-    return problem._noise[n]
+    K, tgrid = problem.coeffs.sigma.n_modes, problem.tgrid
+    return np.stack(
+        [NoisePath.generate(tgrid, K, problem.master_seed, i).increments for i in range(n)],
+        axis=1,
+    )
 
 
 def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
@@ -190,21 +167,23 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
     grid, tgrid, n = problem.grid, problem.tgrid, flow.n_particles
     _check_nodes("flow", flow, grid, tgrid.nodes)
     stats = _law_on_nodes(flow.states, grid, problem.coeffs.f.h_cap)
-    return MeasureFlow._checked(grid, tgrid.nodes, _image(problem, stats, n))
+    states = _image(problem, stats, n, _noise_stack(problem, n))
+    return MeasureFlow._checked(grid, tgrid.nodes, states)
 
 
-def _image(problem: MeanFieldProblem, law: np.ndarray | None, n: int) -> np.ndarray:
-    """The states, shape ``(S+1, n, *grid.shape)``, of ``n`` particles stepped against
-    the law table ``law``, or, with ``law`` None, against their own ensemble's law."""
+def _image(problem: MeanFieldProblem, law: np.ndarray | None, n: int, noise) -> np.ndarray:
+    """The states, shape ``(S+1, n, *grid.shape)``, of ``n`` particles driven by the
+    ``noise`` stack and stepped against the law table ``law``, or, with ``law`` None,
+    against their own ensemble's law."""
     return _run_steps(problem.grid, problem.coeffs, _initial_states(problem, n), problem.tgrid,
-                      law, float(problem.epsilon), None, _noise_stack(problem, n))
+                      law, float(problem.epsilon), None, noise)
 
 
-def _image_nodes(problem: MeanFieldProblem, law: np.ndarray | None, n: int):
+def _image_nodes(problem: MeanFieldProblem, law: np.ndarray | None, n: int, noise):
     """The nodes ``0 .. S`` of :func:`_image`, yielded one by one by the step kernel."""
     starts = _initial_states(problem, n)
     return chain([starts], _step_nodes(problem.grid, problem.coeffs, starts, problem.tgrid, law,
-                                       float(problem.epsilon), None, _noise_stack(problem, n)))
+                                       float(problem.epsilon), None, noise))
 
 
 def auto_lambda(
@@ -254,53 +233,29 @@ def auto_lambda(
     return 2.0 * chosen, tuple(curve)
 
 
-def _auto_start(problem: MeanFieldProblem, n: int) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """The weight and the ``(lam, worst ratio)`` curve at which the freezing map
-    contracts, calibrated on the first two Picard iterates from the initial flow
-    and on a scaled start; the verify suite that iterates the map runs at it.
-    The constant probes are one-node views, so the three images are the only
-    flows held, and all are released on return."""
-    flow0 = _initial_flow(problem, n)
-    image0 = apply_phi(problem, flow0)
-    image1 = apply_phi(problem, image0)
-    scaled = MeasureFlow.constant(EmpiricalMeasure(flow0.grid, 1.25 * flow0.states[0]), flow0.times)
-    image_s = apply_phi(problem, scaled)
-    return auto_lambda(problem, [flow0, image0, scaled], [image0, image1, image_s])
-
-
 def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) -> PicardResult:
     """The fixed point of the freezing map: one causal sweep, certified.
 
     The scheme freezes the law at the left node, so the fixed point is the
     particle system stepped against its own empirical law, which one sweep of
     the step kernel makes, reading the law from the batch at each step.  The
-    certificate applies the map once, node by node, while
-    ``measure._streamed_sup`` measures the image's weighted distance from the
-    sweep, which it only reads (one flow is held, and the sweep is returned).
-    The distance reads 0, the image equalling the flow bit for bit; above
-    ``tol * (1 + initial ensemble scale)`` a divergence error is raised with the
-    report attached.  An ``auto`` weight certifies in the plain sup: the weight
-    ``exp(-lam t)`` is at most 1, so no ``lam >= 0`` gives a larger distance,
-    and the fixed point exists by causality, contraction or not.
+    certificate applies the map once, node by node, driven by the sweep's own
+    noise stack, while ``measure._streamed_sup`` measures the image's plain sup
+    distance from the sweep, which it only reads (one flow is held, and the
+    sweep is returned).  The distance reads 0, the image equalling the flow bit
+    for bit; above ``tol * (1 + ||u0||)`` a divergence error is raised with the
+    report attached.  The plain sup is the strictest weight: ``exp(-lam t)`` is
+    at most 1, so no ``lam >= 0`` gives a larger distance.
     """
     n = cfg.n_particles
-    initial_scale = l2_norm(problem.u0)
-    threshold = cfg.tol * (1.0 + initial_scale)
-    lam = 0.0 if cfg.lambda_weight == "auto" else float(cfg.lambda_weight)
-
+    threshold = cfg.tol * (1.0 + l2_norm(problem.u0))
     grid, times = problem.grid, problem.tgrid.nodes
-    states = _image(problem, None, n)
+    noise = _noise_stack(problem, n)
+    states = _image(problem, None, n, noise)
     law = _law_on_nodes(states, grid, problem.coeffs.f.h_cap)
     with np.errstate(over="ignore", invalid="ignore"):  # the step kernel's, see _step_nodes
-        d = _streamed_sup(grid, times, lam, states, _image_nodes(problem, law, n))
-    report = PicardReport(
-        iterations=1,
-        distances=(d,),
-        converged=d <= threshold,
-        lambda_weight=lam,
-        threshold=threshold,
-        initial_scale=initial_scale,
-    )
+        d = _streamed_sup(grid, states, _image_nodes(problem, law, n, noise))
+    report = PicardReport(iterations=1, distance=d, converged=d <= threshold, threshold=threshold)
     if not report.converged:
         raise FixedPointDivergenceError(
             f"the causal sweep is not a fixed point of the freezing map "

@@ -21,11 +21,12 @@ skipped node provably cannot hold the maximum, so the result is the
 same float as the maximum over every node's solve.
 
 The same bound and pruning rule also run node by node over a flow that
-is still being made (``_streamed_sup``): each new node is bounded
-against the node of the given flow at its time and solved only if that
-bound beats the running maximum, then let go.  The given flow is only
-read, so the fixed-point solve holds one flow and one new node, not a
-flow and its image, and the result is ``flow_distance``'s float.
+is still being made (``_streamed_sup``, the plain sup only): each new
+node is bounded against the node of the given flow at its time and
+solved only if that bound beats the running maximum, then let go.  The
+given flow is only read, so the fixed-point solve holds one flow and one
+new node, not a flow and its image, and the result is
+``flow_distance``'s float at ``lam = 0``.
 """
 
 from __future__ import annotations
@@ -192,12 +193,6 @@ class MeasureFlow:
 _BOUND_MARGIN = 1e-9
 
 
-def _weights(times: np.ndarray, lam: float) -> np.ndarray:
-    if not (0.0 <= float(lam) < np.inf):
-        raise ValidationError(f"lam must be finite and >= 0, got {lam!r}")
-    return np.exp(-float(lam) * times)
-
-
 def _identity_bound(a: np.ndarray, b: np.ndarray, diff: np.ndarray, w: float) -> float:
     """W2 between the ensembles ``a`` and ``b`` at most: the identity matching's
     cost, inflated by ``_BOUND_MARGIN``.  ``diff`` is a buffer of their shape."""
@@ -249,7 +244,9 @@ class FlowPairW2:
         """Exact weighted sup; ``lam = 0`` gives the plain sup.  Nodes are solved in
         descending bound order until no bound beats the running maximum, which a node
         left unsolved then cannot hold."""
-        weight = _weights(self.mu.times, lam)
+        if not (0.0 <= float(lam) < np.inf):
+            raise ValidationError(f"lam must be finite and >= 0, got {lam!r}")
+        weight = np.exp(-float(lam) * self.mu.times)
         bounds = weight * self._bound
         best = 0.0
         for s in np.argsort(-bounds, kind="stable"):
@@ -267,20 +264,19 @@ def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
     return FlowPairW2(mu, nu).sup(lam)
 
 
-def _streamed_sup(grid: SpatialGrid, times: np.ndarray, lam: float, flow: np.ndarray, nodes) -> float:
-    """The weighted sup distance of the flow ``nodes`` yields, node 0 first, from
-    ``flow``, shape ``(S+1, N, *grid.shape)``: the float ``flow_distance`` gives,
-    with one new node held at a time and ``flow`` only read.
+def _streamed_sup(grid: SpatialGrid, flow: np.ndarray, nodes) -> float:
+    """The plain sup distance of the flow ``nodes`` yields, node 0 first, from
+    ``flow``, shape ``(S+1, N, *grid.shape)``: the float ``flow_distance`` gives at
+    ``lam = 0``, with one new node held at a time and ``flow`` only read.
 
-    A node is solved only if its weighted identity bound beats the running maximum;
-    a node skipped then cannot hold the maximum.
+    A node is solved only if its identity bound beats the running maximum; a node
+    skipped then cannot hold the maximum.
     """
-    weight, w = _weights(times, lam), grid.cell_volume
     diff = np.empty(flow.shape[1:])
     best = 0.0
-    for s, node in enumerate(nodes):
-        if weight[s] * _identity_bound(flow[s], node, diff, w) > best:
-            best = max(best, float(weight[s] * _node_w2(grid, flow[s], node)))
+    for a, node in zip(flow, nodes, strict=True):
+        if _identity_bound(a, node, diff, grid.cell_volume) > best:
+            best = max(best, _node_w2(grid, a, node))
     return best
 
 

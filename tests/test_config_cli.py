@@ -82,7 +82,7 @@ def test_defaults_build_canonical_instance(canonical_cfg):
         ({"rate": {"eta_ladder": [1.0e-2, 1.0e-3, 1.0e-4, 1.0e-5, 1.0e-6]}}, "rate.eta_ladder"),
         ({"rate": {"max_stage_iters": 100}}, "rate.max_stage_iters"),
         ({"rate": {"gap_tol": 0.0}}, "rate.gap_tol"),
-        ({"picard": {"max_iters": 1}}, "picard.max_iters"),
+        ({"picard": {"max_iters": 1.5}}, "picard.max_iters"),
         ({"rate": {"eta": 0}}, "rate.eta"),
         ({"rate": {"eta": math.inf}}, "rate.eta"),
         ({"rate": {"max_iters": 0}}, "rate.max_iters"),
@@ -462,13 +462,25 @@ def test_control_of_the_wrong_shape_exits_2_naming_the_file(where, tiny_config, 
     assert f"has shape ({S - 1}, {K}), expected (steps, modes) = ({S}, {K})" in err
 
 
-def test_auto_weight_with_one_iteration_exits_2(tmp_path, capsys):
-    """The auto weight's start takes two iterates, so a budget of one is
-    refused by name instead of overrun."""
-    config = _tiny_with(tmp_path, picard={"max_iters": 1, "lambda_weight": "auto"})
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "error[validation]" in err and "picard.max_iters" in err
+def test_retired_picard_keys_change_no_output_byte(tiny_config, tmp_path):
+    """``picard.lambda_weight`` and ``picard.max_iters`` are retired: a run that
+    sets them writes the default run's bytes, file for file, apart from the
+    manifest's ``config_hash``."""
+    retired = _tiny_with(tmp_path, picard={"lambda_weight": 1.0, "max_iters": 1})
+    runs = {"default": tiny_config, "retired": retired}
+    for name, config in runs.items():
+        # the tiny domain legitimately trips the boundary-mass advisory
+        with pytest.warns(UserWarning, match="domain may be too small"):
+            assert main(["simulate", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    files = {name: sorted(p.relative_to(tmp_path / name) for p in (tmp_path / name).rglob("*")
+                          if p.is_file()) for name in runs}
+    assert files["default"] == files["retired"]
+    for rel in files["default"]:
+        default, other = ((tmp_path / name / rel).read_bytes() for name in runs)
+        if rel.name == "manifest.json":
+            default, other = json.loads(default), json.loads(other)
+            assert default.pop("config_hash") != other.pop("config_hash")
+        assert default == other, rel
 
 
 def test_truncated_trajectory_target_exits_2(tiny_config, tmp_path, capsys):
@@ -570,6 +582,31 @@ def test_terminal_target_with_malformed_sidecar_exits_2(sidecar, tiny_config, tm
     assert rc == 2
     err = capsys.readouterr().err
     assert "error[validation]" in err and "field.csv.meta.json" in err
+
+
+@pytest.mark.parametrize("key,value", [("points_per_dim", 32.7), ("dim", 1.5),
+                                       ("half_width", math.inf)])
+@pytest.mark.parametrize("kind", ["terminal", "trajectory"])
+def test_target_with_malformed_grid_geometry_exits_2(kind, key, value, tiny_config, tmp_path,
+                                                     capsys):
+    """A target whose grid has a fractional size, or an infinite half width, is
+    refused by the field's name before ``--out`` is made; a ``points_per_dim`` of
+    32.7 is not truncated to the run's 32 cells."""
+    from fracmv.grid import save_grid_function
+
+    if kind == "terminal":
+        path = save_grid_function(load_config(tiny_config).u0, tmp_path / "field.csv")
+        meta = tmp_path / "field.csv.meta.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), key: value}))
+    else:
+        path = _edited_blob(tiny_config, tmp_path, lambda h: h["grid"].update({key: value}))
+    out = tmp_path / "r"
+    rc = main(["rate", "--config", str(tiny_config), "--out", str(out),
+               "--target", f"{kind}:{path}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and path.name in err and key in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["SEED"])

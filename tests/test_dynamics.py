@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -601,8 +602,9 @@ def test_trajectory_validation(small_grid):
 
 
 def test_time_grid_validation():
-    with pytest.raises(ValidationError):
-        TimeGrid(horizon=0.0, steps=10)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="horizon"):
+            TimeGrid(horizon=bad, steps=10)
     with pytest.raises(ValidationError):
         TimeGrid(horizon=1.0, steps=0)
     tg = TimeGrid(horizon=1.0, steps=4)

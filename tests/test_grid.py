@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -245,6 +246,15 @@ def test_grid_and_order_validation():
         SpatialGrid(dim=4, half_width=4.0, points_per_dim=8)
     with pytest.raises(ValidationError):
         SpatialGrid(dim=1, half_width=-1.0, points_per_dim=8)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="half_width"):
+            SpatialGrid(dim=1, half_width=bad, points_per_dim=8)
+    for key in ("dim", "points_per_dim"):  # refused, not truncated
+        geometry = {"dim": 1, "half_width": 4.0, "points_per_dim": 8, key: 1.5}
+        with pytest.raises(ValidationError, match=key):
+            SpatialGrid.from_geometry(geometry)
+    with pytest.raises(ValidationError, match="dim"):
+        SpatialGrid(dim=True, half_width=4.0, points_per_dim=8)
     with pytest.raises(ValidationError):
         check_fractional_order(0.0)
     with pytest.raises(ValidationError):

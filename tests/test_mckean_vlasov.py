@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -8,6 +9,7 @@ from helpers import build_coeffs, build_grid, build_tgrid, build_u0, full_sweep_
 
 from fracmv import dynamics, measure, mckean_vlasov
 from fracmv.cli import main
+from fracmv.config import RunConfig
 from fracmv.dynamics import NoisePath, TimeGrid, solve_frozen, sup_distance
 from fracmv.errors import BlowUpError, FixedPointDivergenceError, ValidationError
 from fracmv.grid import GridFunction, l2_norm
@@ -16,7 +18,6 @@ from fracmv.mckean_vlasov import (
     _LAMBDA_GRID,
     MeanFieldProblem,
     PicardConfig,
-    _auto_start,
     _initial_flow,
     apply_phi,
     auto_lambda,
@@ -40,6 +41,12 @@ def make_problem(grid, coeffs, tgrid, u0=None, eps=0.01, seed=99, **kw):
 def constant_flow(grid, values, n, nodes):
     mu = EmpiricalMeasure(grid, np.broadcast_to(values, (n,) + grid.shape).copy())
     return MeasureFlow.constant(mu, nodes)
+
+
+def retired_config(**picard):
+    """The solver settings a config document with these ``picard`` keys builds;
+    the retired keys ``lambda_weight`` and ``max_iters`` are checked, then dropped."""
+    return RunConfig({"picard": picard}).picard_config()
 
 
 # -- the frozen-measure map ----------------------------------------------
@@ -70,8 +77,8 @@ def test_apply_phi_matches_single_particle_solves(rng):
 def test_flow_from_the_kernel_is_not_scanned_again(small_grid, small_coeffs, small_tgrid,
                                                   monkeypatch):
     """The kernel checks each node it makes, so neither apply_phi nor the
-    solve builds its flow through MeasureFlow's node-by-node scan; a
-    fixed-weight solve builds no constant initial view either."""
+    solve builds its flow through MeasureFlow's node-by-node scan; the solve
+    builds no constant initial view either."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     flow0 = _initial_flow(p, 4)
     scanned = []
@@ -80,7 +87,7 @@ def test_flow_from_the_kernel_is_not_scanned_again(small_grid, small_coeffs, sma
                         lambda self: scanned.append(self.states.strides[0]) or real(self))
     image = apply_phi(p, flow0)
     assert scanned == []
-    result = picard_solve(p, PicardConfig(n_particles=4, lambda_weight=0.0))
+    result = picard_solve(p, PicardConfig(n_particles=4))
     assert scanned == []
     assert np.isfinite(image.states).all() and np.isfinite(result.flow.states).all()
 
@@ -129,7 +136,7 @@ def test_measure_independent_coefficients_decouple(small_grid, small_tgrid):
     out_b = apply_phi(p, flow_b)
     assert np.array_equal(out_a.states, out_b.states)
 
-    result = picard_solve(p, PicardConfig(n_particles=4, lambda_weight=0.0))
+    result = picard_solve(p, PicardConfig(n_particles=4))
     assert result.report.converged
     assert result.report.iterations <= 2
     # each particle solves the frozen equation with its own noise
@@ -143,47 +150,42 @@ def test_measure_independent_coefficients_decouple(small_grid, small_tgrid):
 
 def test_picard_converges_and_iterates_contract(small_grid, small_coeffs, small_tgrid):
     p = make_problem(small_grid, small_coeffs, small_tgrid)
-    result = picard_solve(p, PicardConfig(n_particles=8, tol=1e-6, max_iters=20,
-                                          lambda_weight="auto"))
+    result = picard_solve(p, PicardConfig(n_particles=8, tol=1e-6))
     rep = result.report
     assert rep.converged
-    assert rep.iterations <= 20
-    assert rep.distances[-1] <= rep.threshold
-    assert rep.lambda_weight == 0.0  # auto certifies in the plain sup
+    assert rep.iterations == 1
+    assert rep.distance <= rep.threshold
 
-    # the returned flow is a fixed point up to the loop's own tolerance
-    residual = flow_distance(apply_phi(p, result.flow), result.flow, rep.lambda_weight)
+    # the returned flow is a fixed point up to the solve's own tolerance
+    residual = flow_distance(apply_phi(p, result.flow), result.flow, 0.0)
     assert residual <= 2.0 * rep.threshold
 
 
 def test_picard_fixed_weight_matches_auto_outcome(small_grid, small_coeffs, small_tgrid):
-    """An ``auto`` solve is the zero-weight solve bit for bit: flow, certificate
-    and threshold.  On this dissipative instance the plain sup metric already
-    contracts, so the calibration an ``auto`` solve once ran picks 0 as well."""
+    """Configs whose retired ``lambda_weight`` reads ``auto`` or a fixed weight, and
+    whose retired ``max_iters`` reads any budget, build one set of solver settings;
+    the problem holds no state between solves, so two solves agree bit for bit."""
+    cfgs = [retired_config(n_particles=6, lambda_weight=w, max_iters=m)
+            for w, m in (("auto", 20), (0.0, 1), (1.0, 5))]
+    assert cfgs == [PicardConfig(n_particles=6)] * 3
     p = make_problem(small_grid, small_coeffs, small_tgrid)
-    r_auto = picard_solve(p, PicardConfig(n_particles=6, lambda_weight="auto"))
-    r_zero = picard_solve(p, PicardConfig(n_particles=6, lambda_weight=0.0))
-    assert r_auto.flow.states.tobytes() == r_zero.flow.states.tobytes()
-    assert r_auto.report == r_zero.report
-    assert _auto_start(p, 6)[0] == 0.0
+    first, second = (picard_solve(p, cfg) for cfg in cfgs[:2])
+    assert first.flow.states.tobytes() == second.flow.states.tobytes()
+    assert first.report == second.report
 
 
-def test_auto_certificate_is_the_strictest(small_grid, small_coeffs, small_tgrid,
-                                          monkeypatch):
-    """Read from a law table 5 % off, the certificate is no longer 0; under
-    ``auto`` it is the plain sup distance of the causal sweep from its image, at
-    least the distance at a positive weight."""
+def test_certificate_is_the_plain_sup(small_grid, small_coeffs, small_tgrid, monkeypatch):
+    """Read from a law table 5 % off, the certificate is no longer 0; it is the
+    plain sup distance of the causal sweep from its image, at least the distance
+    at a positive weight."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
-    flow = picard_solve(p, PicardConfig(n_particles=6, lambda_weight=0.0)).flow
+    flow = picard_solve(p, PicardConfig(n_particles=6)).flow
     real = mckean_vlasov._law_on_nodes
     monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real(*a))
     image = apply_phi(p, flow)
-    d_auto, d_one = (
-        picard_solve(p, PicardConfig(n_particles=6, tol=1.0, lambda_weight=w)).report.distances[0]
-        for w in ("auto", 1.0)
-    )
-    assert d_auto >= d_one > 0.0
-    assert d_auto == flow_distance(flow, image, 0.0)
+    d = picard_solve(p, PicardConfig(n_particles=6, tol=1.0)).report.distance
+    assert d == flow_distance(flow, image, 0.0)
+    assert d >= flow_distance(flow, image, 1.0) > 0.0
 
 
 def test_uncertified_sweep_raises_with_report(small_grid, small_coeffs, small_tgrid,
@@ -194,17 +196,17 @@ def test_uncertified_sweep_raises_with_report(small_grid, small_coeffs, small_tg
     real = mckean_vlasov._law_on_nodes
     monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real(*a))
     with pytest.raises(FixedPointDivergenceError) as exc_info:
-        picard_solve(p, PicardConfig(n_particles=4, lambda_weight=0.0))
+        picard_solve(p, PicardConfig(n_particles=4))
     rep = exc_info.value.report
     assert rep is not None
     assert rep.iterations == 1
     assert not rep.converged
-    assert rep.distances[0] > rep.threshold
+    assert rep.distance > rep.threshold
 
     config = tmp_path / "tiny.yaml"
     config.write_text("grid: {half_width: 4.0, points_per_dim: 32}\n"
                       "time: {horizon: 0.25, steps: 20}\n"
-                      "picard: {n_particles: 4, lambda_weight: 0.0}\n")
+                      "picard: {n_particles: 4}\n")
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 3
     assert "error[numerical] FixedPointDivergenceError" in capsys.readouterr().err
 
@@ -213,10 +215,10 @@ def test_custom_initial_ensemble(small_grid, small_coeffs, small_tgrid, rng):
     u0 = build_u0(small_grid)
     states = u0.values[None] * (1.0 + 0.1 * rng.standard_normal((4, 1)))
     p = make_problem(small_grid, small_coeffs, small_tgrid, initial_states=states)
-    result = picard_solve(p, PicardConfig(n_particles=4, lambda_weight=0.0))
+    result = picard_solve(p, PicardConfig(n_particles=4))
     assert np.array_equal(result.flow.states[0], states)
     with pytest.raises(ValidationError):
-        picard_solve(p, PicardConfig(n_particles=8, lambda_weight=0.0))
+        picard_solve(p, PicardConfig(n_particles=8))
 
 
 def test_problem_validation(small_grid, small_coeffs, small_tgrid):
@@ -228,24 +230,12 @@ def test_problem_validation(small_grid, small_coeffs, small_tgrid):
     other = build_grid(points=16)
     with pytest.raises(Exception):
         make_problem(other, small_coeffs, small_tgrid)
-    with pytest.raises(ValidationError):
-        PicardConfig(lambda_weight="fast")
-    with pytest.raises(ValidationError):
-        PicardConfig(lambda_weight=-1.0)
-    with pytest.raises(ValidationError, match="lambda_weight"):
-        PicardConfig(lambda_weight=float("inf"))
-
-
-def test_auto_weight_needs_two_iterations():
-    """The auto start takes the first two iterates, so it needs a budget of two;
-    a fixed weight can stop after one."""
-    needle = "^max_iters must be an integer >= 2 with lambda_weight 'auto', got 1$"
-    with pytest.raises(ValidationError, match=needle):
-        PicardConfig(max_iters=1)
-    assert PicardConfig(max_iters=2).max_iters == 2
-    assert PicardConfig(max_iters=1, lambda_weight=0.0).max_iters == 1
-    with pytest.raises(ValidationError, match="max_iters"):
-        PicardConfig(max_iters=0, lambda_weight=0.0)
+    # the solve reads two settings
+    assert [f.name for f in dataclasses.fields(PicardConfig)] == ["n_particles", "tol"]
+    with pytest.raises(ValidationError, match="n_particles"):
+        PicardConfig(n_particles=0)
+    with pytest.raises(ValidationError, match="tol"):
+        PicardConfig(tol=float("inf"))
 
 
 def test_auto_lambda_rejects_identical_probes(small_grid, small_coeffs, small_tgrid):
@@ -306,10 +296,9 @@ def test_picard_distances_match_recomputed_flow_distances(small_grid, small_coef
     """The streamed certificate equals flow_distance between the solved flow
     and its image."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
-    result = picard_solve(p, PicardConfig(n_particles=6, tol=1e-8, lambda_weight="auto"))
-    rep = result.report
-    recomputed = flow_distance(result.flow, apply_phi(p, result.flow), rep.lambda_weight)
-    assert [d.hex() for d in rep.distances] == [recomputed.hex()]
+    result = picard_solve(p, PicardConfig(n_particles=6, tol=1e-8))
+    recomputed = flow_distance(result.flow, apply_phi(p, result.flow), 0.0)
+    assert result.report.distance.hex() == recomputed.hex()
 
 
 def test_successive_iterates_take_few_node_solves(small_grid, small_coeffs, small_tgrid,
@@ -331,13 +320,21 @@ def test_successive_iterates_take_few_node_solves(small_grid, small_coeffs, smal
 # -- the causal sweep and its certificate -----------------------------------
 
 
-def reference_picard(p, cfg, lam, threshold):
+def reference_picard(p, n, weight, threshold):
     """The retired loop, holding each iterate and its image whole: ``apply_phi``
-    from the constant initial flow until ``flow_distance`` between successive
-    iterates is within ``threshold``.  Returns the distances and the last iterate."""
-    flow, distances = _initial_flow(p, cfg.n_particles), []
+    from the constant initial flow until ``flow_distance`` at ``weight`` between
+    successive iterates is within ``threshold``.  An ``auto`` weight is the one
+    ``auto_lambda`` calibrates on the first two iterates and a 1.25x scaled start,
+    as the picard verify suite does.  Returns the distances and the last iterate."""
+    flow = _initial_flow(p, n)
+    lam = weight
+    if weight == "auto":
+        scaled = MeasureFlow.constant(EmpiricalMeasure(p.grid, 1.25 * flow.states[0]), flow.times)
+        probes = [flow, apply_phi(p, flow), scaled]
+        lam, _ = auto_lambda(p, probes, [apply_phi(p, f) for f in probes])
+    distances = []
     while not distances or distances[-1] > threshold:
-        assert len(distances) < cfg.max_iters
+        assert len(distances) < 20
         image = apply_phi(p, flow)
         distances.append(flow_distance(flow, image, lam))
         flow = image
@@ -355,8 +352,8 @@ def in_place_cases():
 def test_in_place_loop_equals_the_two_flow_loop(grid, steps, weight):
     """With and without noise, from a sampled ensemble: the freezing map gives
     back the solved flow bit for bit, its certificate reads 0, and the loop that
-    iterates the map holding each iterate and its image whole ends within the
-    threshold of it in the plain sup."""
+    iterates the map holding each iterate and its image whole, stopped by the
+    distance at ``weight``, ends within the threshold of it in the plain sup."""
     coeffs = build_coeffs(grid)
     u0 = build_u0(grid)
     rng = np.random.default_rng(7)
@@ -364,12 +361,11 @@ def test_in_place_loop_equals_the_two_flow_loop(grid, steps, weight):
     for eps in (0.0, 0.01):
         p = make_problem(grid, coeffs, build_tgrid(steps=steps), u0=u0, eps=eps,
                          initial_states=states)
-        cfg = PicardConfig(n_particles=6, tol=1e-9, lambda_weight=weight)
-        result = picard_solve(p, cfg)
+        result = picard_solve(p, PicardConfig(n_particles=6, tol=1e-9))
         rep = result.report
         assert apply_phi(p, result.flow).states.tobytes() == result.flow.states.tobytes()
-        assert rep.distances == (0.0,) and rep.iterations == 1 and rep.converged
-        distances, ref = reference_picard(p, cfg, rep.lambda_weight, rep.threshold)
+        assert rep.distance == 0.0 and rep.iterations == 1 and rep.converged
+        distances, ref = reference_picard(p, 6, weight, rep.threshold)
         assert len(distances) >= 3
         assert flow_distance(ref, result.flow, 0.0) <= rep.threshold
 
@@ -377,10 +373,10 @@ def test_in_place_loop_equals_the_two_flow_loop(grid, steps, weight):
 @pytest.mark.parametrize("weight", [0.0, 1.0, "auto"])
 def test_tolerated_certificate_returns_the_sweep_it_certified(small_grid, small_coeffs,
                                                               small_tgrid, monkeypatch, weight):
-    """An exact certificate streams the image once and solves no node.  One read
-    from a law table 5 % off is positive but within a loose threshold: the solve
-    returns the causal sweep, not the image, and reports the sweep's distance from
-    that image."""
+    """Whatever the retired ``lambda_weight`` key reads: an exact certificate
+    streams the image once and solves no node.  One read from a law table 5 % off
+    is positive but within a loose threshold: the solve returns the causal sweep,
+    not the image, and reports the sweep's plain sup distance from that image."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     n = 6
     solved, streams = [], []
@@ -388,17 +384,18 @@ def test_tolerated_certificate_returns_the_sweep_it_certified(small_grid, small_
     monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real_w2(a, b))
     monkeypatch.setattr(mckean_vlasov, "_image_nodes",
                         lambda *a: streams.append(1) or real_nodes(*a))
-    exact = picard_solve(p, PicardConfig(n_particles=n, tol=1e-9, lambda_weight=weight))
-    assert exact.report.distances == (0.0,)
+    exact = picard_solve(p, retired_config(n_particles=n, tol=1e-9, lambda_weight=weight))
+    assert exact.report.distance == 0.0
     assert solved == [] and streams == [1]
     real_law = mckean_vlasov._law_on_nodes
     monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real_law(*a))
-    result = picard_solve(p, PicardConfig(n_particles=n, tol=1.0, lambda_weight=weight))
+    result = picard_solve(p, retired_config(n_particles=n, tol=1.0, lambda_weight=weight))
     rep = result.report
-    assert rep.converged and rep.distances[0] > 0.0
-    assert result.flow.states.tobytes() == mckean_vlasov._image(p, None, n).tobytes()
+    assert rep.converged and rep.distance > 0.0
+    sweep = mckean_vlasov._image(p, None, n, mckean_vlasov._noise_stack(p, n))
+    assert result.flow.states.tobytes() == sweep.tobytes()
     image = apply_phi(p, result.flow)
-    assert rep.distances[0].hex() == flow_distance(result.flow, image, rep.lambda_weight).hex()
+    assert rep.distance.hex() == flow_distance(result.flow, image, 0.0).hex()
     assert streams == [1, 1]
 
 
@@ -412,65 +409,48 @@ def test_last_sweep_reads_no_law_table(small_grid, small_coeffs, small_tgrid, mo
     counted = lambda *a: calls.append(1) or real(*a)  # noqa: E731
     for module in (dynamics, mckean_vlasov):  # the solver module must hold no copy of its own
         monkeypatch.setattr(module, "law_statistics", counted, raising=False)
-    rep = picard_solve(p, PicardConfig(n_particles=5, tol=1e-9, lambda_weight=1.0)).report
-    assert rep.distances == (0.0,)
+    rep = picard_solve(p, PicardConfig(n_particles=5, tol=1e-9)).report
+    assert rep.distance == 0.0
     assert len(calls) == 2 * small_tgrid.steps
 
 
 @pytest.mark.parametrize("weight", [1.0, "auto"])
 def test_solve_draws_each_particles_noise_once(small_grid, small_coeffs, small_tgrid,
                                                monkeypatch, weight):
-    """Every application of the freezing map in one solve shares one noise stack,
-    and so do the auto start's three on the same problem."""
+    """Whatever the retired ``lambda_weight`` key reads, a solve draws each
+    particle's noise once and drives its sweep and its certificate with it; the
+    problem holds no noise, so ``apply_phi`` draws its own."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     drawn = []
     real = NoisePath.generate.__func__
     monkeypatch.setattr(NoisePath, "generate",
                         classmethod(lambda cls, *a, **k: drawn.append(1) or real(cls, *a, **k)))
-    picard_solve(p, PicardConfig(n_particles=5, lambda_weight=weight))
+    picard_solve(p, retired_config(n_particles=5, lambda_weight=weight))
     assert len(drawn) == 5
-    _auto_start(p, 5)
-    assert len(drawn) == 5
+    apply_phi(p, _initial_flow(p, 5))
+    assert len(drawn) == 10
 
 
 def test_fixed_weight_solve_holds_one_flow():
     """The certificate streams the image node by node against the solved flow,
-    which it only reads, so a solve, fixed-weight or ``auto``, holds one flow and
-    a few nodes (under 20 here: the step's buffers and the node in hand), where a
-    two-flow loop holds two flows."""
+    which it only reads, so a solve holds one flow and a few nodes (under 20 here:
+    the step's buffers, the node in hand and the noise stack), where a two-flow
+    loop holds two flows."""
     g = build_grid(points=64)
     p = make_problem(g, build_coeffs(g), build_tgrid(steps=100))
-    for weight in (1.0, "auto"):
-        cfg = PicardConfig(n_particles=16, lambda_weight=weight)
-        picard_solve(p, cfg)  # fill the per-grid caches outside the measurement
-        tracemalloc.start()
-        try:
-            baseline = tracemalloc.get_traced_memory()[0]
-            res = picard_solve(p, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - baseline
-        finally:
-            tracemalloc.stop()
-        assert peak < res.flow.states.nbytes + 20 * res.flow.states[0].nbytes, weight
-
-
-# -- stability of the mean-field estimate ---------------------------------
-
-
-def test_auto_weight_solve_holds_at_most_three_flows():
-    """The constant probes are one-node views, so the auto start holds only
-    its three images."""
-    g = build_grid(points=64)
-    p = make_problem(g, build_coeffs(g), build_tgrid(steps=50))
-    _auto_start(p, 16)  # fill the per-grid caches outside the measurement
+    cfg = PicardConfig(n_particles=16)
+    picard_solve(p, cfg)  # fill the per-grid caches outside the measurement
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        lam, curve = _auto_start(p, 16)
+        res = picard_solve(p, cfg)
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
-    assert lam >= 0.0 and len(curve) == len(_LAMBDA_GRID)
-    assert peak < 4 * _initial_flow(p, 16).states.nbytes  # a whole flow's bytes, as a view
+    assert peak < res.flow.states.nbytes + 20 * res.flow.states[0].nbytes
+
+
+# -- stability of the mean-field estimate ---------------------------------
 
 
 def test_particle_doubling_moves_the_law_estimate_little(small_grid, small_coeffs, small_tgrid):
@@ -478,7 +458,7 @@ def test_particle_doubling_moves_the_law_estimate_little(small_grid, small_coeff
     moments = []
     for n, _ in cfgs:
         p = make_problem(small_grid, small_coeffs, small_tgrid)
-        r = picard_solve(p, PicardConfig(n_particles=n, lambda_weight=0.0))
+        r = picard_solve(p, PicardConfig(n_particles=n))
         moments.append(second_moment(r.flow.measure(small_tgrid.steps)))
     assert abs(moments[0] - moments[1]) / moments[1] < 0.05
 
@@ -489,7 +469,7 @@ def test_second_moment_stays_bounded_by_initial_scale(small_grid, small_coeffs, 
     for amp in (0.5, 1.0, 2.0):
         u0 = build_u0(small_grid, amp=amp)
         p = make_problem(small_grid, small_coeffs, small_tgrid, u0=u0)
-        r = picard_solve(p, PicardConfig(n_particles=8, lambda_weight=0.0))
+        r = picard_solve(p, PicardConfig(n_particles=8))
         w = small_grid.cell_volume
         norms_sq = w * np.sum(r.flow.states**2, axis=tuple(range(2, 2 + small_grid.dim)))
         est = float(np.mean(np.max(norms_sq, axis=0)))
@@ -502,7 +482,7 @@ def test_second_moment_stays_bounded_by_initial_scale(small_grid, small_coeffs, 
 def test_small_noise_sweep_zero_row_and_slope(small_grid, small_coeffs, small_tgrid):
     p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
     sweep = small_noise_sweep(p, [0.0, 3e-3, 1e-2], 4,
-                              PicardConfig(n_particles=4, lambda_weight=0.0))
+                              PicardConfig(n_particles=4))
     eps0, est0, err0 = sweep.rows[0]
     assert eps0 == 0.0 and est0 == 0.0 and err0 == 0.0
     assert 0.8 <= sweep.slope <= 1.2
@@ -514,7 +494,7 @@ def test_small_noise_sweep_rows_are_bitwise_unchanged(small_grid, small_coeffs, 
     one whole-flow deviation of the same flow."""
     p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
     sweep = small_noise_sweep(p, [0.0, 3e-3, 1e-2], 4,
-                              PicardConfig(n_particles=4, lambda_weight=0.0))
+                              PicardConfig(n_particles=4))
     assert [tuple(v.hex() for v in row) for row in sweep.rows] == [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
         ("0x1.89374bc6a7efap-9", "0x1.29a70f22510f4p-11", "0x1.b2f464f33f4bap-13"),
@@ -526,5 +506,5 @@ def test_small_noise_sweep_rows_are_bitwise_unchanged(small_grid, small_coeffs, 
 def test_sweep_deviation_shrinks_with_epsilon(small_grid, small_coeffs, small_tgrid):
     p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
     sweep = small_noise_sweep(p, [1e-3, 1e-2], 4,
-                              PicardConfig(n_particles=4, lambda_weight=0.0))
+                              PicardConfig(n_particles=4))
     assert sweep.rows[0][1] < sweep.rows[1][1]
