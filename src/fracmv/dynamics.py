@@ -121,8 +121,8 @@ class Control:
             raise ValidationError(f"{self._what} values must be 2-d, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{self._what} contains non-finite values")
-        if not (float(self.dt) > 0.0):
-            raise ValidationError(f"{self._what} dt must be positive, got {self.dt!r}")
+        if not (0.0 < float(self.dt) < math.inf):
+            raise ValidationError(f"{self._what} dt must be finite and positive, got {self.dt!r}")
         object.__setattr__(self, "values", arr)
 
     @classmethod
@@ -224,12 +224,12 @@ def _step_nodes(
     noise: np.ndarray | None = None,
 ):
     """Advance ``N`` paths from ``starts``, shape ``(N, *grid.shape)``, one step of
-    the scheme per node, yielding the nodes ``1 .. S`` as they are made, each
-    checked finite.  A yielded node is the kernel's next state: read it, keep it,
-    but never write into it.  Consume the stream under ``np.errstate(over="ignore",
-    invalid="ignore")``, as :func:`_run_steps` does: a step that overflows is caught
-    by the finite check, not warned about.  The state is not set here, since it
-    would stay set in the consumer while the stream waits.
+    the scheme per node, yielding the nodes ``0 .. S`` as they are made: ``starts``
+    itself, then each step's state, checked finite.  A yielded node is the kernel's
+    state: read it, keep it, but never write into it.  Each whole step, the law read
+    included, runs under ``np.errstate(over="ignore", invalid="ignore")`` and leaves
+    it before the check and the ``yield``: a step that overflows is caught by the
+    finite check, not warned about, and no consumer sees the state.
 
     ``law`` holds the law triple of each left node, shape ``(S, 3)``; or
     their node fields, one per node, already built; or is None to take it
@@ -248,24 +248,26 @@ def _step_nodes(
     # step can be handed back to the system and faulted in again by the allocator
     f_buf, tamed_buf, g_buf = np.empty((3,) + starts.shape)
     vals = starts
+    yield vals
     for s in range(S):
-        if isinstance(law, list):
-            node = law[s]
-        else:
-            row = law_statistics(vals, grid, coeffs.f.h_cap) if law is None else law[s]
-            node = coeffs.node_fields(grid, float(nodes[s]), row)
-        f = coeffs.f.values(vals, node.phi_h, f_buf)
-        tamed = np.abs(f, out=tamed_buf)
-        tamed *= dt
-        tamed += 1.0
-        f /= tamed
-        tilde = coeffs.g.values(vals, node.psi, node.c2_h, g_buf)
-        tilde -= f
-        tilde *= dt
-        tilde += vals
-        if theta is not None:
-            tilde += coeffs.sigma.drive(node.free, vals, theta[s])
-        vals = grid.apply_multiplier(tilde, res_mult)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(law, list):
+                node = law[s]
+            else:
+                row = law_statistics(vals, grid, coeffs.f.h_cap) if law is None else law[s]
+                node = coeffs.node_fields(grid, float(nodes[s]), row)
+            f = coeffs.f.values(vals, node.phi_h, f_buf)
+            tamed = np.abs(f, out=tamed_buf)
+            tamed *= dt
+            tamed += 1.0
+            f /= tamed
+            tilde = coeffs.g.values(vals, node.psi, node.c2_h, g_buf)
+            tilde -= f
+            tilde *= dt
+            tilde += vals
+            if theta is not None:
+                tilde += coeffs.sigma.drive(node.free, vals, theta[s])
+            vals = grid.apply_multiplier(tilde, res_mult)
         if not np.isfinite(vals).all():
             finite = np.isfinite(vals.reshape(n, -1)).all(axis=1)
             particle = int(np.argmin(finite)) if n > 1 else None
@@ -278,10 +280,8 @@ def _run_steps(grid: SpatialGrid, coeffs: CoefficientSet, starts: np.ndarray, tg
     """The paths of :func:`_step_nodes` (``args`` are its ``law`` onward) collected,
     shape ``(S+1, N, *grid.shape)``."""
     out = np.empty((tgrid.steps + 1,) + starts.shape)
-    out[0] = starts
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, vals in enumerate(_step_nodes(grid, coeffs, starts, tgrid, *args), 1):
-            out[s] = vals
+    for s, vals in enumerate(_step_nodes(grid, coeffs, starts, tgrid, *args)):
+        out[s] = vals
     return out
 
 
@@ -550,13 +550,15 @@ def load_trajectory(path: str | Path) -> Trajectory:
         try:
             header = json.loads(fh.readline().decode())
             grid = SpatialGrid.from_geometry(header["grid"])
-            n, dtype = int(header["n_nodes"]), header["dtype"]
+            n, dtype = header["n_nodes"], header["dtype"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"{path}: malformed trajectory header ({exc})") from exc
         if dtype != "<f8":
             raise ValidationError(f"{path}: header field dtype must be '<f8', got {dtype!r}")
-        if n < 1:
-            raise ValidationError(f"{path}: header field n_nodes must be >= 1, got {n}")
+        if type(n) is not int or n < 1:  # JSON's true is an int to isinstance
+            raise ValidationError(
+                f"{path}: header field n_nodes must be an integer >= 1, got {n!r}"
+            )
         count = n * grid.n_cells
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != 8 * (n + count):
@@ -586,7 +588,8 @@ def save_control(v: Control, path: str | Path) -> Path:
 
 
 def load_control(path: str | Path) -> Control:
-    """Read a control written by :func:`save_control`."""
+    """Read a control written by :func:`save_control`, refused unless its header's ``dt``
+    is finite and positive and its ``steps`` and ``modes`` are the values' shape."""
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -594,11 +597,24 @@ def load_control(path: str | Path) -> Control:
         raise ValidationError(f"{path}: control file not found or not text") from None
     if not lines or not lines[0].startswith("# dt="):
         raise ValidationError(f"{path}: missing control header")
+    head = dict(word.partition("=")[::2] for word in lines[0][1:].split())
     try:
-        dt = float(lines[0].split("dt=")[1].split()[0])
-    except (IndexError, ValueError):
-        raise ValidationError(f"{path}: control header dt is not a number: {lines[0]!r}") from None
+        dt = float(head["dt"])
+        shape = (int(head["steps"]), int(head["modes"]))
+    except (KeyError, ValueError):
+        raise ValidationError(
+            f"{path}: control header must read 'dt=<number> steps=<int> modes=<int>', "
+            f"got {lines[0]!r}"
+        ) from None
+    if not (0.0 < dt < math.inf):
+        raise ValidationError(f"{path}: control header dt must be finite and positive, got {dt!r}")
     try:
-        return Control(np.loadtxt(lines, delimiter=",", ndmin=2), dt)
+        control = Control(np.loadtxt(lines, delimiter=",", ndmin=2), dt)
     except ValueError as exc:  # a ValidationError from Control is one too
         raise ValidationError(f"{path}: malformed control values ({exc})") from None
+    if control.values.shape != shape:
+        raise ValidationError(
+            f"{path}: control header has steps={shape[0]} modes={shape[1]}, "
+            f"but the values have shape {control.values.shape}"
+        )
+    return control

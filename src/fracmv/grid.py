@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from .errors import GridMismatchError, InvalidFieldError, ValidationError
 
@@ -149,7 +148,7 @@ class SpatialGrid:
     # -- spectral data -------------------------------------------------
 
     def symbol_sq(self) -> np.ndarray:
-        """``|xi|^2`` laid out for ``rfftn`` (half spectrum on the last axis)."""
+        """``|xi|^2`` laid out like :meth:`spectrum` (half spectrum on the last axis)."""
         key = "symbol_sq"
         if key not in self._cache:
             m, dx = self.points_per_dim, self.spacing
@@ -176,23 +175,31 @@ class SpatialGrid:
             self._cache[key] = 1.0 / (1.0 + float(tau) * self.fractional_symbol(alpha))
         return self._cache[key]
 
+    def spectrum(self, values: np.ndarray) -> np.ndarray:
+        """The half spectrum of each field in ``values``, laid out like :meth:`symbol_sq`:
+        numpy's ``rfft`` on the last axis, then in 2-d its ``fft`` over axis -2 in place,
+        which are ``rfftn``'s passes and bits without its n-d argument handling."""
+        spec = np.fft.rfft(values)
+        if self.dim == 2:
+            np.fft.fft(spec, axis=-2, out=spec)
+        return spec
+
     def apply_multiplier(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """Apply a real Fourier multiplier to a real field array.
 
         The transform runs over the last ``dim`` axes, so ``values`` may
         be one field or a batch of fields stacked on leading axes.  The
-        direct real transforms skip ``np.fft.rfftn``'s n-d argument
-        handling; both are pocketfft, like ``rfftn``, and give its bits.
-        numpy's 1-d call is the faster on one short field, scipy's 2-d
-        call on a batch.
+        inverse mirrors :meth:`spectrum` unscaled, then scales once by
+        ``1 / n_cells``, as ``scipy.fft.irfftn`` does: scaling each pass by its
+        own axis length would round twice wherever ``M`` is not a power of two.
         """
-        if self.dim == 1:
-            spec = np.fft.rfft(values)
-            spec *= mult
-            return np.fft.irfft(spec, n=self.points_per_dim)
-        spec = scipy.fft.rfft2(values)
+        spec = self.spectrum(values)
         spec *= mult
-        return scipy.fft.irfft2(spec, s=self.shape)
+        if self.dim == 2:
+            np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
+        out = np.fft.irfft(spec, n=self.points_per_dim, norm="forward")
+        out *= 1.0 / self.n_cells
+        return out
 
 
 def _field_array(what: str, values, grid: SpatialGrid, lead=(), by_node=False) -> np.ndarray:
@@ -297,26 +304,14 @@ def sq_seminorms(values: np.ndarray, grid: SpatialGrid, alpha: float) -> np.ndar
     """
     a = check_fractional_order(alpha, allow_one=True)
     rows, lead = _rows(values, grid)
-    spec = np.fft.rfftn(rows.reshape((-1,) + grid.shape), axes=tuple(range(1, grid.dim + 1)))
-    power = _rfft_parseval_weights(grid) * ((np.abs(spec) ** 2) * grid.fractional_symbol(a))
+    spec = grid.spectrum(rows.reshape((-1,) + grid.shape))
+    # a half-spectrum column counts twice in the full spectrum, bar the self-conjugate
+    # zero and Nyquist columns (M is even)
+    weights = np.full(grid.points_per_dim // 2 + 1, 2.0)
+    weights[0] = weights[-1] = 1.0
+    power = weights * ((np.abs(spec) ** 2) * grid.fractional_symbol(a))
     total = np.sum(power.reshape(len(rows), -1), axis=1) * grid.cell_volume / grid.n_cells
     return total.reshape(lead)
-
-
-def _rfft_parseval_weights(g: SpatialGrid) -> np.ndarray:
-    """Multiplicities of the half-spectrum entries in the full spectrum."""
-    key = "parseval_w"
-    if key not in g._cache:
-        m = g.points_per_dim
-        w_last = np.full(m // 2 + 1, 2.0)
-        w_last[0] = 1.0
-        w_last[-1] = 1.0  # Nyquist column is self-conjugate for even M
-        if g.dim == 1:
-            w = w_last
-        else:
-            w = np.broadcast_to(w_last[None, :], (m, m // 2 + 1)).copy()
-        g._cache[key] = w
-    return g._cache[key]
 
 
 def sq_v_norms(values: np.ndarray, grid: SpatialGrid, alpha: float, c_v: float = 1.0) -> np.ndarray:

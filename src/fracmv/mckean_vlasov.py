@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -181,9 +181,8 @@ def _image(problem: MeanFieldProblem, law: np.ndarray | None, n: int, noise) -> 
 
 def _image_nodes(problem: MeanFieldProblem, law: np.ndarray | None, n: int, noise):
     """The nodes ``0 .. S`` of :func:`_image`, yielded one by one by the step kernel."""
-    starts = _initial_states(problem, n)
-    return chain([starts], _step_nodes(problem.grid, problem.coeffs, starts, problem.tgrid, law,
-                                       float(problem.epsilon), None, noise))
+    return _step_nodes(problem.grid, problem.coeffs, _initial_states(problem, n), problem.tgrid,
+                       law, float(problem.epsilon), None, noise)
 
 
 def auto_lambda(
@@ -253,8 +252,7 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     noise = _noise_stack(problem, n)
     states = _image(problem, None, n, noise)
     law = _law_on_nodes(states, grid, problem.coeffs.f.h_cap)
-    with np.errstate(over="ignore", invalid="ignore"):  # the step kernel's, see _step_nodes
-        d = _streamed_sup(grid, states, _image_nodes(problem, law, n, noise))
+    d = _streamed_sup(grid, states, _image_nodes(problem, law, n, noise))
     report = PicardReport(iterations=1, distance=d, converged=d <= threshold, threshold=threshold)
     if not report.converged:
         raise FixedPointDivergenceError(

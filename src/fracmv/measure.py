@@ -306,11 +306,19 @@ def load_measure(directory: str | Path) -> EmpiricalMeasure:
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "measure_manifest.json").read_text())
-        names, count = manifest["particle_files"], int(manifest["n_particles"])
+        names, count = manifest["particle_files"], manifest["n_particles"]
     except (OSError, UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(
             f"{directory}: missing or malformed measure_manifest.json: {type(exc).__name__} {exc}"
         ) from None
+    if type(count) is not int:  # JSON's true is an int to isinstance
+        raise ValidationError(
+            f"{directory}: manifest field n_particles must be an integer, got {count!r}"
+        )
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ValidationError(
+            f"{directory}: manifest field particle_files must be a list of file names"
+        )
     mu = EmpiricalMeasure.from_functions([load_grid_function(directory / n) for n in names])
     if mu.n_particles != count:
         raise ValidationError(f"{directory}: manifest particle count mismatch")

@@ -729,6 +729,9 @@ def test_trajectory_with_bad_times_names_the_file(fmt, times, tiny_config, tmp_p
     assert "error[validation]" in err and "bad_times" in err and "increasing" in err
 
 
+_NOT_AN_INTEGER = "header field n_nodes must be an integer"
+
+
 def _edited_blob(tiny_config, tmp_path, edit_header, tail=b""):
     """The skeleton's blob with its JSON header edited, and ``tail`` appended."""
     out = tmp_path / "sk"
@@ -749,8 +752,14 @@ def _edited_blob(tiny_config, tmp_path, edit_header, tail=b""):
         (lambda h: None, b"\0" * 8, "n_nodes"),
         (lambda h: h.update(dtype="<f4"), b"", "dtype"),
         (lambda h: h.update(dtype="object"), b"", "dtype"),
+        # not truncated to 201 nodes, nor reported as a byte count (true is 1)
+        (lambda h: h.update(n_nodes=h["n_nodes"] + 0.5), b"", _NOT_AN_INTEGER),
+        (lambda h: h.update(n_nodes=float(h["n_nodes"])), b"", _NOT_AN_INTEGER),
+        (lambda h: h.update(n_nodes=str(h["n_nodes"])), b"", _NOT_AN_INTEGER),
+        (lambda h: h.update(n_nodes=True), b"", _NOT_AN_INTEGER),
     ],
-    ids=["n-nodes-negative", "n-nodes-zero", "overlong", "dtype-f4", "dtype-object"],
+    ids=["n-nodes-negative", "n-nodes-zero", "overlong", "dtype-f4", "dtype-object",
+         "n-nodes-fractional", "n-nodes-float", "n-nodes-string", "n-nodes-true"],
 )
 def test_trajectory_blob_with_a_bad_header_field_exits_2(edit, tail, field, tiny_config,
                                                           tmp_path, capsys):
@@ -760,6 +769,33 @@ def test_trajectory_blob_with_a_bad_header_field_exits_2(edit, tail, field, tiny
     assert rc == 2
     err = capsys.readouterr().err
     assert "error[validation]" in err and "edited.traj" in err and field in err
+
+
+@pytest.mark.parametrize(
+    "header,needle",
+    [
+        ("dt=0.0125 steps=9 modes=7", "steps=9 modes=7"),
+        ("dt=0.0125 steps=19 modes=2", "steps=19 modes=2"),
+        ("dt=nan steps=20 modes=2", "header dt must be finite and positive, got nan"),
+        ("dt=inf steps=20 modes=2", "header dt must be finite and positive, got inf"),
+        ("dt=0.0125 steps=2.5 modes=2", "steps=<int>"),
+        ("dt=0.0125", "steps=<int>"),
+    ],
+    ids=["foreign-shape", "one-step-off", "nan-dt", "inf-dt", "fractional-steps", "no-shape"],
+)
+def test_control_header_must_match_its_values(header, needle, tiny_config, tmp_path, capsys):
+    """A control file's header is checked, not skipped: its ``dt`` must be finite
+    and positive and its ``steps`` and ``modes`` the values' shape, and the
+    refusal names the header."""
+    path = tmp_path / "v.csv"
+    path.write_text(f"# {header}\n" + "0,0\n" * 20)
+    rc = main(["skeleton", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
+               "--control", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err and "v.csv" in err and "control header" in err
+    assert needle in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_terminal_target_with_a_nan_value_names_the_file(tiny_config, tmp_path, capsys):

@@ -274,15 +274,15 @@ def test_every_caller_refuses_a_wrong_mode_path_shape(caller, axis, small_grid, 
 @pytest.mark.parametrize("cls,what", [(Control, "control"), (NoisePath, "noise")])
 def test_mode_paths_refuse_flat_non_finite_and_step_free_arrays(cls, what):
     """A control and a noise path each refuse a 1-d array, a NaN entry and
-    a step size that is not positive, by name."""
+    a step size that is not finite and positive, by name."""
     with pytest.raises(ValidationError, match=f"^{what} values must be 2-d, got shape \\(4,\\)$"):
         cls(np.zeros(4), 0.1)
     bad = np.zeros((4, 2))
     bad[2, 1] = np.nan
     with pytest.raises(ValidationError, match=f"^{what} contains non-finite values$"):
         cls(bad, 0.1)
-    for dt in (0.0, -0.1, float("nan")):
-        with pytest.raises(ValidationError, match=f"^{what} dt must be positive"):
+    for dt in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=f"^{what} dt must be finite and positive"):
             cls(np.zeros((4, 2)), dt)
     path = cls(np.ones((4, 2)), 0.1)
     assert path.values.shape == (4, 2) and path.steps == 4 and path.n_modes == 2
@@ -331,6 +331,32 @@ def test_overflowing_state_raises_blow_up(small_grid, small_coeffs):
     assert err.time == pytest.approx(tg.dt)
     assert err.particle is None
     assert "non-finite" in str(err)
+
+
+@pytest.mark.parametrize(
+    "amp,law",
+    [(1e120, "frozen"), (1e120, "dirac"), (1e160, "dirac")],
+    ids=["power-overflow-frozen", "power-overflow-dirac", "square-overflow-in-the-law-read"],
+)
+def test_node_stream_owns_its_floating_point_state(amp, law, small_grid, small_coeffs):
+    """The step kernel's stream, consumed directly and with no ``np.errstate``
+    around it, starts with ``starts`` itself and ends an overflowing step in a
+    blow-up, not a ``RuntimeWarning`` (which the test run turns into an error):
+    at 1e120 the drift's power overflows, at 1e160 already the square in the
+    law read from the batch (``law=None``), before any arithmetic of the step."""
+    from fracmv import dynamics
+
+    tg = build_tgrid(steps=16)
+    starts = build_u0(small_grid, amp=amp).values[None] * np.array([[1.0], [0.5]])
+    stats = None
+    if law == "frozen":
+        base = solve_deterministic(build_u0(small_grid), small_coeffs, tg)
+        stats = law_statistics(base.values[:-1, None], small_grid, small_coeffs.f.h_cap)
+    stream = dynamics._step_nodes(small_grid, small_coeffs, starts, tg, stats)
+    assert next(stream) is starts
+    with pytest.raises(BlowUpError) as exc_info:
+        next(stream)
+    assert (exc_info.value.step, exc_info.value.particle) == (0, 0)
 
 
 @pytest.mark.parametrize("bad", [1, 2, 64])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 
@@ -301,6 +302,27 @@ def test_measure_roundtrip_is_exact(tmp_path, rng):
     back = load_measure(tmp_path / "m")
     assert back.n_particles == 4
     assert np.array_equal(back.states, mu.states)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("n_particles", 4.0), ("n_particles", 3.5), ("n_particles", "4"), ("n_particles", True),
+     ("particle_files", "particle_0000.csv"), ("particle_files", [0, 1, 2, 3])],
+    ids=["count-float", "count-fractional", "count-string", "count-true", "files-string",
+         "files-not-names"],
+)
+def test_load_measure_refuses_a_mistyped_manifest_field_by_name(tmp_path, rng, field, value):
+    """A manifest count that is not a JSON integer is refused, not truncated, and
+    a ``particle_files`` that is not a list of names is refused, not iterated
+    character by character into a missing sidecar."""
+    g = build_grid(half_width=2.0, points=8)
+    directory = save_measure(random_measure(g, rng, 4), tmp_path / "m")
+    path = directory / "measure_manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match=f"manifest field {field} must be"):
+        load_measure(directory)
 
 
 @pytest.mark.parametrize(
