@@ -190,7 +190,7 @@ class SpatialGrid:
         The transform runs over the last ``dim`` axes, so ``values`` may
         be one field or a batch of fields stacked on leading axes.  The
         inverse mirrors :meth:`spectrum` unscaled, then scales once by
-        ``1 / n_cells``, as ``scipy.fft.irfftn`` does: scaling each pass by its
+        ``1 / n_cells``, as scipy's ``irfftn`` does: scaling each pass by its
         own axis length would round twice wherever ``M`` is not a power of two.
         """
         spec = self.spectrum(values)
