@@ -47,11 +47,4 @@ class BlowUpError(FracmvError, ArithmeticError):
 
 
 class FixedPointDivergenceError(FracmvError, RuntimeError):
-    """The freezing map failed to contract, or a solved flow its certificate.
-
-    The solve's report, if any, is attached for post-mortem use.
-    """
-
-    def __init__(self, message: str, report=None):
-        self.report = report
-        super().__init__(message)
+    """The freezing map failed to contract at every metric weight tried."""

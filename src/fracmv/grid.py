@@ -82,10 +82,11 @@ class SpatialGrid:
         d, m = self.dim, self.points_per_dim
         if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d in (1, 2)):
             raise ValidationError(f"dim must be the integer 1 or 2, got {d!r}")
-        if not (0.0 < float(self.half_width) < math.inf):
-            raise ValidationError(
-                f"half_width must be finite and positive, got {self.half_width!r}"
-            )
+        h = self.half_width
+        if (isinstance(h, bool) or not isinstance(h, (int, float, np.integer, np.floating))
+                or not 0.0 < h < math.inf):
+            raise ValidationError(f"half_width must be a finite positive number, got {h!r}")
+        object.__setattr__(self, "half_width", float(h))
         if not (isinstance(m, (int, np.integer)) and m >= 4):
             raise ValidationError(f"points_per_dim must be an integer >= 4, got {m!r}")
         if m % 2 != 0:
@@ -100,8 +101,9 @@ class SpatialGrid:
     @classmethod
     def from_geometry(cls, meta: dict) -> "SpatialGrid":
         """Inverse of :meth:`geometry`, for a mapping read back from JSON; a ``dim`` or
-        ``points_per_dim`` that is not an integer is refused, not truncated."""
-        return cls(meta["dim"], float(meta["half_width"]), meta["points_per_dim"])
+        ``points_per_dim`` that is not an integer, or a ``half_width`` that is not a
+        number, is refused, not converted."""
+        return cls(meta["dim"], meta["half_width"], meta["points_per_dim"])
 
     @property
     def shape(self) -> tuple[int, ...]:

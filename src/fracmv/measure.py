@@ -19,14 +19,6 @@ successive Picard iterates keep particle ``i`` closest to particle
 ``i``, the bound is tight and a handful of solves decide the sup.  A
 skipped node provably cannot hold the maximum, so the result is the
 same float as the maximum over every node's solve.
-
-The same bound and pruning rule also run node by node over a flow that
-is still being made (``_streamed_sup``, the plain sup only): each new
-node is bounded against the node of the given flow at its time and
-solved only if that bound beats the running maximum, then let go.  The
-given flow is only read, so the fixed-point solve holds one flow and one
-new node, not a flow and its image, and the result is
-``flow_distance``'s float at ``lam = 0``.
 """
 
 from __future__ import annotations
@@ -193,17 +185,6 @@ class MeasureFlow:
 _BOUND_MARGIN = 1e-9
 
 
-def _identity_bound(a: np.ndarray, b: np.ndarray, diff: np.ndarray, w: float) -> float:
-    """W2 between the ensembles ``a`` and ``b`` at most: the identity matching's
-    cost, inflated by ``_BOUND_MARGIN``.  ``diff`` is a buffer of their shape."""
-    d = np.subtract(b, a, out=diff).reshape(-1)
-    return np.sqrt(w * np.dot(d, d) / a.shape[0]) * (1.0 + _BOUND_MARGIN)
-
-
-def _node_w2(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> float:
-    return wasserstein2(EmpiricalMeasure(grid, a), EmpiricalMeasure(grid, b))
-
-
 class FlowPairW2:
     """The weighted sup metric between two flows, solved node by node on demand.
 
@@ -222,13 +203,16 @@ class FlowPairW2:
                 f"flow particle counts differ ({mu.n_particles} vs {nu.n_particles})"
             )
         self.mu, self.nu = mu, nu
+        # _bound[s]: the identity matching's cost at node s, inflated by _BOUND_MARGIN
         self._bound = np.empty(mu.n_times)
         diff = np.empty(mu.states.shape[1:])
+        w, n = mu.grid.cell_volume, mu.n_particles
         # rep[s]: the first node of the run of bitwise-equal pairs holding s;
         # equal pairs give equal bounds, so only tied bounds are compared
         self._rep = list(range(mu.n_times))
         for s, (a, b) in enumerate(zip(mu.states, nu.states)):
-            self._bound[s] = _identity_bound(a, b, diff, mu.grid.cell_volume)
+            d = np.subtract(b, a, out=diff).reshape(-1)
+            self._bound[s] = np.sqrt(w * np.dot(d, d) / n) * (1.0 + _BOUND_MARGIN)
             if (s and self._bound[s] == self._bound[s - 1] and np.array_equal(a, mu.states[s - 1])
                     and np.array_equal(b, nu.states[s - 1])):
                 self._rep[s] = self._rep[s - 1]
@@ -237,7 +221,9 @@ class FlowPairW2:
     def _node(self, s: int) -> float:
         r = self._rep[s]
         if r not in self._solved:
-            self._solved[r] = _node_w2(self.mu.grid, self.mu.states[r], self.nu.states[r])
+            g = self.mu.grid
+            self._solved[r] = wasserstein2(EmpiricalMeasure(g, self.mu.states[r]),
+                                           EmpiricalMeasure(g, self.nu.states[r]))
         return self._solved[r]
 
     def sup(self, lam: float) -> float:
@@ -262,22 +248,6 @@ def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
     See :class:`FlowPairW2` for the checks on the flows and on ``lam``.
     """
     return FlowPairW2(mu, nu).sup(lam)
-
-
-def _streamed_sup(grid: SpatialGrid, flow: np.ndarray, nodes) -> float:
-    """The plain sup distance of the flow ``nodes`` yields, node 0 first, from
-    ``flow``, shape ``(S+1, N, *grid.shape)``: the float ``flow_distance`` gives at
-    ``lam = 0``, with one new node held at a time and ``flow`` only read.
-
-    A node is solved only if its identity bound beats the running maximum; a node
-    skipped then cannot hold the maximum.
-    """
-    diff = np.empty(flow.shape[1:])
-    best = 0.0
-    for a, node in zip(flow, nodes, strict=True):
-        if _identity_bound(a, node, diff, grid.cell_volume) > best:
-            best = max(best, _node_w2(grid, a, node))
-    return best
 
 
 # -- persistence -------------------------------------------------------
@@ -319,7 +289,18 @@ def load_measure(directory: str | Path) -> EmpiricalMeasure:
         raise ValidationError(
             f"{directory}: manifest field particle_files must be a list of file names"
         )
+    try:
+        grid = SpatialGrid.from_geometry(manifest["grid"])
+    except (ValueError, KeyError, TypeError) as exc:  # ValidationError too
+        raise ValidationError(
+            f"{directory}: manifest field grid is malformed: {type(exc).__name__} {exc}"
+        ) from None
     mu = EmpiricalMeasure.from_functions([load_grid_function(directory / n) for n in names])
     if mu.n_particles != count:
         raise ValidationError(f"{directory}: manifest particle count mismatch")
+    if mu.grid != grid:
+        raise ValidationError(
+            f"{directory}: manifest field grid {grid.geometry()} is not the particle files' "
+            f"grid {mu.grid.geometry()}"
+        )
     return mu

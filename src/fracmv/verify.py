@@ -217,7 +217,7 @@ def suite_energy(cfg: RunConfig) -> Iterator[tuple]:
 def suite_picard(cfg: RunConfig) -> Iterator[tuple]:
     """The freezing map contracts at the weight ``auto_lambda`` calibrates on its
     first two iterates and a scaled start, and its iterates reach ``picard_solve``'s
-    flow."""
+    flow, which the map gives back bit for bit."""
     run = cfg.with_overrides(
         noise={"n_modes": 4}, time={"steps": 200}, picard={"n_particles": 64, "tol": 1e-6}
     )
@@ -255,12 +255,15 @@ def suite_picard(cfg: RunConfig) -> Iterator[tuple]:
         "<= 0.5 from the second ratio on",
     )
     gap = flow_distance(flow, res.flow, 0.0)
+    del flow
+    # the map gives the causal sweep back bit for bit, which every solve relies on
+    identity = flow_distance(res.flow, apply_phi(problem, res.flow), 0.0)
     yield (
         "picard_iterates_reach_the_solved_fixed_point",
-        gap <= rep.threshold and rep.distance == 0.0,
+        gap <= rep.threshold and identity == 0.0,
         f"last iterate {gap:.2e} from the solved flow (plain sup), "
-        f"certificate {rep.distance:.1e}",
-        f"<= threshold {rep.threshold:.2e}; certificate 0",
+        f"which the map gives back at {identity:.1e}",
+        f"<= threshold {rep.threshold:.2e}; map's image at 0",
     )
 
 

@@ -585,13 +585,15 @@ def test_terminal_target_with_malformed_sidecar_exits_2(sidecar, tiny_config, tm
 
 
 @pytest.mark.parametrize("key,value", [("points_per_dim", 32.7), ("dim", 1.5),
-                                       ("half_width", math.inf)])
+                                       ("half_width", math.inf), ("half_width", "4.0"),
+                                       ("half_width", True)])
 @pytest.mark.parametrize("kind", ["terminal", "trajectory"])
 def test_target_with_malformed_grid_geometry_exits_2(kind, key, value, tiny_config, tmp_path,
                                                      capsys):
-    """A target whose grid has a fractional size, or an infinite half width, is
-    refused by the field's name before ``--out`` is made; a ``points_per_dim`` of
-    32.7 is not truncated to the run's 32 cells."""
+    """A target whose grid has a fractional size, or a half width that is infinite
+    or not a number, is refused by the field's name before ``--out`` is made; a
+    ``points_per_dim`` of 32.7 is not truncated to the run's 32 cells, nor a
+    ``half_width`` of ``"4.0"`` or ``true`` read as 4.0 or 1.0."""
     from fracmv.grid import save_grid_function
 
     if kind == "terminal":

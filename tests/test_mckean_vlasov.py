@@ -11,8 +11,8 @@ from fracmv import dynamics, measure, mckean_vlasov
 from fracmv.cli import main
 from fracmv.config import RunConfig
 from fracmv.dynamics import NoisePath, TimeGrid, solve_frozen, sup_distance
-from fracmv.errors import BlowUpError, FixedPointDivergenceError, ValidationError
-from fracmv.grid import GridFunction, l2_norm
+from fracmv.errors import BlowUpError, ValidationError
+from fracmv.grid import GridFunction, SpatialGrid, l2_norm
 from fracmv.measure import EmpiricalMeasure, MeasureFlow, flow_distance, second_moment
 from fracmv.mckean_vlasov import (
     _LAMBDA_GRID,
@@ -174,40 +174,29 @@ def test_picard_fixed_weight_matches_auto_outcome(small_grid, small_coeffs, smal
     assert first.report == second.report
 
 
-def test_certificate_is_the_plain_sup(small_grid, small_coeffs, small_tgrid, monkeypatch):
-    """Read from a law table 5 % off, the certificate is no longer 0; it is the
-    plain sup distance of the causal sweep from its image, at least the distance
-    at a positive weight."""
+@pytest.mark.filterwarnings("ignore:mass .* outside")
+def test_only_a_failed_calibration_exits_3(small_grid, small_coeffs, small_tgrid, monkeypatch,
+                                         tmp_path, capsys):
+    """A solve reads no law table, so one 5 % off leaves its flow and report as they
+    were and ``simulate`` exits 0.  Exit 3 stays reachable through ``verify``: the
+    picard suite's calibration raises the divergence error when no metric weight
+    reaches the target contraction ratio."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
-    flow = picard_solve(p, PicardConfig(n_particles=6)).flow
+    exact = picard_solve(p, PicardConfig(n_particles=4))
     real = mckean_vlasov._law_on_nodes
     monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real(*a))
-    image = apply_phi(p, flow)
-    d = picard_solve(p, PicardConfig(n_particles=6, tol=1.0)).report.distance
-    assert d == flow_distance(flow, image, 0.0)
-    assert d >= flow_distance(flow, image, 1.0) > 0.0
-
-
-def test_uncertified_sweep_raises_with_report(small_grid, small_coeffs, small_tgrid,
-                                             monkeypatch, tmp_path, capsys):
-    """A certificate read from a law table 5 % off finds an image away from the
-    sweep: the solve raises with its report attached, and ``simulate`` exits 3."""
-    p = make_problem(small_grid, small_coeffs, small_tgrid)
-    real = mckean_vlasov._law_on_nodes
-    monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real(*a))
-    with pytest.raises(FixedPointDivergenceError) as exc_info:
-        picard_solve(p, PicardConfig(n_particles=4))
-    rep = exc_info.value.report
-    assert rep is not None
-    assert rep.iterations == 1
-    assert not rep.converged
-    assert rep.distance > rep.threshold
+    off = picard_solve(p, PicardConfig(n_particles=4))
+    assert off.flow.states.tobytes() == exact.flow.states.tobytes()
+    assert off.report == exact.report
 
     config = tmp_path / "tiny.yaml"
     config.write_text("grid: {half_width: 4.0, points_per_dim: 32}\n"
                       "time: {horizon: 0.25, steps: 20}\n"
                       "picard: {n_particles: 4}\n")
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 3
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+    monkeypatch.setattr(mckean_vlasov, "_TARGET_RATIO", -1.0)
+    assert main(["verify", "--config", str(config), "--suite", "picard",
+                 "--out", str(tmp_path / "v")]) == 3
     assert "error[numerical] FixedPointDivergenceError" in capsys.readouterr().err
 
 
@@ -293,8 +282,8 @@ def test_auto_lambda_matches_the_per_weight_distance_loop(small_grid, small_coef
 
 def test_picard_distances_match_recomputed_flow_distances(small_grid, small_coeffs,
                                                           small_tgrid):
-    """The streamed certificate equals flow_distance between the solved flow
-    and its image."""
+    """The report's distance, 0 by construction, is flow_distance between the
+    solved flow and its image, recomputed."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     result = picard_solve(p, PicardConfig(n_particles=6, tol=1e-8))
     recomputed = flow_distance(result.flow, apply_phi(p, result.flow), 0.0)
@@ -317,7 +306,7 @@ def test_successive_iterates_take_few_node_solves(small_grid, small_coeffs, smal
     assert len(solved) <= small_tgrid.nodes.size // 8
 
 
-# -- the causal sweep and its certificate -----------------------------------
+# -- the causal sweep -------------------------------------------------------
 
 
 def reference_picard(p, n, weight, threshold):
@@ -350,76 +339,57 @@ def in_place_cases():
 
 @pytest.mark.parametrize("grid,steps,weight", in_place_cases())
 def test_in_place_loop_equals_the_two_flow_loop(grid, steps, weight):
-    """With and without noise, from a sampled ensemble: the freezing map gives
-    back the solved flow bit for bit, its certificate reads 0, and the loop that
+    """With and without noise, from sampled ensembles of 6, 1, 8 and 64 particles:
+    the freezing map gives back the solved flow bit for bit; and the loop that
     iterates the map holding each iterate and its image whole, stopped by the
-    distance at ``weight``, ends within the threshold of it in the plain sup."""
+    distance at ``weight``, ends within the threshold of the 6-particle solve in
+    the plain sup."""
     coeffs = build_coeffs(grid)
     u0 = build_u0(grid)
     rng = np.random.default_rng(7)
-    states = u0.values[None] * (1.0 + 0.2 * rng.standard_normal((6,) + (1,) * grid.dim))
+    ensembles = {n: u0.values[None] * (1.0 + 0.2 * rng.standard_normal((n,) + (1,) * grid.dim))
+                 for n in (6, 1, 8, 64)}
     for eps in (0.0, 0.01):
-        p = make_problem(grid, coeffs, build_tgrid(steps=steps), u0=u0, eps=eps,
-                         initial_states=states)
-        result = picard_solve(p, PicardConfig(n_particles=6, tol=1e-9))
+        for n in (1, 8, 64, 6):  # 6 last: the reference loop below starts from it
+            p = make_problem(grid, coeffs, build_tgrid(steps=steps), u0=u0, eps=eps,
+                             initial_states=ensembles[n])
+            result = picard_solve(p, PicardConfig(n_particles=n, tol=1e-9))
+            assert apply_phi(p, result.flow).states.tobytes() == result.flow.states.tobytes(), n
         rep = result.report
-        assert apply_phi(p, result.flow).states.tobytes() == result.flow.states.tobytes()
         assert rep.distance == 0.0 and rep.iterations == 1 and rep.converged
         distances, ref = reference_picard(p, 6, weight, rep.threshold)
         assert len(distances) >= 3
         assert flow_distance(ref, result.flow, 0.0) <= rep.threshold
 
 
-@pytest.mark.parametrize("weight", [0.0, 1.0, "auto"])
-def test_tolerated_certificate_returns_the_sweep_it_certified(small_grid, small_coeffs,
-                                                              small_tgrid, monkeypatch, weight):
-    """Whatever the retired ``lambda_weight`` key reads: an exact certificate
-    streams the image once and solves no node.  One read from a law table 5 % off
-    is positive but within a loose threshold: the solve returns the causal sweep,
-    not the image, and reports the sweep's plain sup distance from that image."""
-    p = make_problem(small_grid, small_coeffs, small_tgrid)
-    n = 6
-    solved, streams = [], []
-    real_w2, real_nodes = measure.wasserstein2, mckean_vlasov._image_nodes
-    monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real_w2(a, b))
-    monkeypatch.setattr(mckean_vlasov, "_image_nodes",
-                        lambda *a: streams.append(1) or real_nodes(*a))
-    exact = picard_solve(p, retired_config(n_particles=n, tol=1e-9, lambda_weight=weight))
-    assert exact.report.distance == 0.0
-    assert solved == [] and streams == [1]
-    real_law = mckean_vlasov._law_on_nodes
-    monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real_law(*a))
-    result = picard_solve(p, retired_config(n_particles=n, tol=1.0, lambda_weight=weight))
-    rep = result.report
-    assert rep.converged and rep.distance > 0.0
-    sweep = mckean_vlasov._image(p, None, n, mckean_vlasov._noise_stack(p, n))
-    assert result.flow.states.tobytes() == sweep.tobytes()
-    image = apply_phi(p, result.flow)
-    assert rep.distance.hex() == flow_distance(result.flow, image, 0.0).hex()
-    assert streams == [1, 1]
-
-
 def test_last_sweep_reads_no_law_table(small_grid, small_coeffs, small_tgrid, monkeypatch):
-    """The causal sweep reads its ensemble's law once per step, and the
-    certificate reads the same law table once per left node of the solved
-    flow; the certificate's own sweep steps against that table and reads none."""
+    """A solve is one run of the step kernel: it reads its ensemble's law and
+    applies the spectral resolvent once per step, solves no W2, and returns the
+    sweep of the particles against their own law, driven by their noise stack."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
-    calls = []
+    n, calls, resolvents, solved = 5, [], [], []
     real = dynamics.law_statistics
     counted = lambda *a: calls.append(1) or real(*a)  # noqa: E731
     for module in (dynamics, mckean_vlasov):  # the solver module must hold no copy of its own
         monkeypatch.setattr(module, "law_statistics", counted, raising=False)
-    rep = picard_solve(p, PicardConfig(n_particles=5, tol=1e-9)).report
-    assert rep.distance == 0.0
-    assert len(calls) == 2 * small_tgrid.steps
+    real_mult, real_w2 = SpatialGrid.apply_multiplier, measure.wasserstein2
+    monkeypatch.setattr(SpatialGrid, "apply_multiplier",
+                        lambda *a: resolvents.append(1) or real_mult(*a))
+    monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real_w2(a, b))
+    result = picard_solve(p, PicardConfig(n_particles=n, tol=1e-9))
+    assert len(calls) == small_tgrid.steps
+    assert len(resolvents) == small_tgrid.steps
+    assert solved == []
+    sweep = mckean_vlasov._image(p, None, n, mckean_vlasov._noise_stack(p, n))
+    assert result.flow.states.tobytes() == sweep.tobytes()
 
 
 @pytest.mark.parametrize("weight", [1.0, "auto"])
 def test_solve_draws_each_particles_noise_once(small_grid, small_coeffs, small_tgrid,
                                                monkeypatch, weight):
     """Whatever the retired ``lambda_weight`` key reads, a solve draws each
-    particle's noise once and drives its sweep and its certificate with it; the
-    problem holds no noise, so ``apply_phi`` draws its own."""
+    particle's noise once; the problem holds no noise, so ``apply_phi`` draws its
+    own."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     drawn = []
     real = NoisePath.generate.__func__
@@ -432,10 +402,9 @@ def test_solve_draws_each_particles_noise_once(small_grid, small_coeffs, small_t
 
 
 def test_fixed_weight_solve_holds_one_flow():
-    """The certificate streams the image node by node against the solved flow,
-    which it only reads, so a solve holds one flow and a few nodes (under 20 here:
-    the step's buffers, the node in hand and the noise stack), where a two-flow
-    loop holds two flows."""
+    """A solve is one causal sweep, so it holds one flow and a few nodes (under 20
+    here: the step's buffers, the node in hand and the noise stack), where a
+    two-flow loop holds two flows."""
     g = build_grid(points=64)
     p = make_problem(g, build_coeffs(g), build_tgrid(steps=100))
     cfg = PicardConfig(n_particles=16)

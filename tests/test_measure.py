@@ -180,45 +180,6 @@ def test_flow_distance_equals_the_scalar_weight_loop_bitwise(rng):
             pair.sup(bad)
 
 
-def test_streamed_sup_is_the_full_node_sweep_and_reads_only(rng, monkeypatch):
-    """Streaming the second flow against the first gives the oracle's plain sup
-    float, leaves the first flow's bytes as they were (a read-only constant view
-    included), and solves no node of two equal flows."""
-    solved = []
-    real = measure.wasserstein2
-    monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real(a, b))
-    for name, (mu, nu) in _oracle_flow_pairs(rng).items():
-        before = mu.states.tobytes()
-        solved.clear()
-        got = measure._streamed_sup(mu.grid, mu.states, iter(nu.states))
-        assert got == full_sweep_sup(mu, nu, 0.0), name
-        assert mu.states.tobytes() == before, name
-        if name == "zero":
-            assert solved == []
-
-
-@pytest.mark.parametrize("held", [0, 1, 8])
-def test_streamed_sup_is_flow_distance_in_place_and_aside(rng, monkeypatch, held):
-    """A stream whose first ``held`` nodes are the read flow's own nodes, in
-    place, and whose later nodes come from a buffer aside gives flow_distance's
-    plain sup float against the spliced flow, solves no W2 at an aliased node,
-    and leaves the read flow's bytes as they were."""
-    solved = []
-    real = measure.wasserstein2
-    monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real(a, b))
-    for name, (mu, nu) in _oracle_flow_pairs(rng).items():
-        before = mu.states.tobytes()
-        spliced = MeasureFlow(mu.grid, mu.times,
-                              np.concatenate([mu.states[:held], nu.states[held:]]))
-        oracle = full_sweep_sup(mu, spliced, 0.0)
-        solved.clear()
-        stream = itertools.chain(mu.states[:held], iter(nu.states[held:]))
-        got = measure._streamed_sup(mu.grid, mu.states, stream)
-        assert got == oracle, name
-        assert len(solved) <= mu.n_times - held, name
-        assert mu.states.tobytes() == before, name
-
-
 def test_discount_weight_reduces_late_discrepancies(rng):
     """A late-time-only difference fades as lam grows."""
     g = build_grid(half_width=2.0, points=8)
@@ -322,6 +283,26 @@ def test_load_measure_refuses_a_mistyped_manifest_field_by_name(tmp_path, rng, f
     manifest[field] = value
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValidationError, match=f"manifest field {field} must be"):
+        load_measure(directory)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [{"dim": 2, "half_width": 2.0, "points_per_dim": 64},
+     {"dim": 1, "half_width": 3.0, "points_per_dim": 8}, {"dim": 1, "points_per_dim": 8},
+     {"dim": 1, "half_width": "2.0", "points_per_dim": 8}, "1-d, 8 cells", None],
+    ids=["other-dim", "other-width", "no-width", "width-string", "string", "null"],
+)
+def test_load_measure_refuses_a_manifest_grid_unlike_its_particles(tmp_path, rng, grid):
+    """The manifest's grid must be the particle files' grid: one that disagrees with
+    them, or is malformed, is refused by the field's name, not passed over."""
+    g = build_grid(half_width=2.0, points=8)
+    directory = save_measure(random_measure(g, rng, 4), tmp_path / "m")
+    path = directory / "measure_manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["grid"] = grid
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match="manifest field grid"):
         load_measure(directory)
 
 
