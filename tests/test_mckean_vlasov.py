@@ -362,6 +362,32 @@ def test_in_place_loop_equals_the_two_flow_loop(grid, steps, weight):
         assert flow_distance(ref, result.flow, 0.0) <= rep.threshold
 
 
+@pytest.mark.parametrize("weight", [0.0, 1.0, "auto"])
+def test_tolerated_certificate_returns_the_sweep_it_certified(small_grid, small_coeffs,
+                                                              small_tgrid, monkeypatch, weight):
+    """Whatever the retired ``lambda_weight`` key reads, the solve solves no W2 and
+    returns the causal sweep, whose image is itself byte for byte, so its report
+    certifies distance 0.  A law table 5 % off, which an earlier streamed
+    certificate read and tolerated, no longer changes the flow or the report."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid)
+    n = 6
+    solved = []
+    real_w2 = measure.wasserstein2
+    monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real_w2(a, b))
+    exact = picard_solve(p, retired_config(n_particles=n, tol=1e-9, lambda_weight=weight))
+    rep = exact.report
+    assert rep.distance == 0.0 and rep.iterations == 1 and rep.converged
+    assert solved == []
+    sweep = mckean_vlasov._image(p, None, n, mckean_vlasov._noise_stack(p, n))
+    assert exact.flow.states.tobytes() == sweep.tobytes()
+    assert apply_phi(p, exact.flow).states.tobytes() == sweep.tobytes()
+    real_law = mckean_vlasov._law_on_nodes
+    monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real_law(*a))
+    loose = picard_solve(p, retired_config(n_particles=n, tol=1.0, lambda_weight=weight))
+    assert loose.flow.states.tobytes() == sweep.tobytes()
+    assert loose.report.distance == 0.0 and loose.report.converged
+
+
 def test_last_sweep_reads_no_law_table(small_grid, small_coeffs, small_tgrid, monkeypatch):
     """A solve is one run of the step kernel: it reads its ensemble's law and
     applies the spectral resolvent once per step, solves no W2, and returns the
