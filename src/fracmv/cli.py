@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import locale  # noqa: F401  argparse's gettext imports it when main builds the parser; load it here
 import os
 import sys
 import warnings

@@ -404,11 +404,17 @@ def load_config(path: str | Path | None) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"config: file not found: {p}")
-    with open(p) as fh:
-        try:
+    try:
+        with open(p, encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=_Loader)
-        except yaml.YAMLError as exc:
-            raise ValidationError(f"config: {p} is not valid YAML: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"config: cannot read {p}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"config: {p} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"config: {p} is not valid YAML: {exc}") from exc
     if doc is None:
         doc = {}
     return RunConfig(doc)

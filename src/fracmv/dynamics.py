@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; load it here, not in the first noise draw
 
 from .coefficients import CoefficientSet, NodeFields, law_statistics
 from .errors import BlowUpError, GridMismatchError, ValidationError

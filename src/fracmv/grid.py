@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads it lazily; load it here, not in the first transform
 
 from .errors import GridMismatchError, InvalidFieldError, ValidationError
 

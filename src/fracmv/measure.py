@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import GridMismatchError, ValidationError
 from .grid import GridFunction, SpatialGrid, _check_nodes, _field_array, _time_nodes
@@ -106,6 +105,17 @@ def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
         d = b - a[i]
         cost[i] = w * np.einsum("jk,jk->j", d, d)
     return cost
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's exact assignment solve of ``cost``, its rows and columns.
+
+    scipy is imported on the first call, so a run that solves no W2
+    (``simulate``, ``skeleton``, ``rate``) never loads it.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def wasserstein2(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize  # unused here, but perfbench/spans.py traces this name
 
 from .coefficients import CoefficientSet
 from .dynamics import (
@@ -58,6 +57,18 @@ __all__ = [
 _GN_GTOL = 1e-9  # the gradient test: max |grad J_eta| at the returned control
 _ARMIJO = 1e-4  # the fraction of the promised decrease a Gauss-Newton step must deliver
 _EPS = float(np.finfo(float).eps)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    Nothing here calls it: the estimator is the Gauss-Newton loop below.
+    The name stays only because ``perfbench/spans.py`` wraps it, and as a
+    function it keeps scipy unloaded until someone does call it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def control_cost(v: Control) -> float:

@@ -6,6 +6,12 @@ so that unit tests stay cheap; acceptance checks run at canonical scale
 through the verify suites instead.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from fracmv.coefficients import (
@@ -83,3 +89,25 @@ def full_sweep_sup(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
     """Oracle for the flow metric: solve every node, then take the weighted max."""
     curve = np.array([wasserstein2(mu.measure(s), nu.measure(s)) for s in range(mu.n_times)])
     return float(np.max(np.exp(-float(lam) * mu.times) * curve, initial=0.0))
+
+
+_PRELUDE = (
+    "import sys\n"
+    "def scipy_modules():\n"
+    "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+)
+
+
+def run_fresh(script: str, *args) -> dict:
+    """Run ``script`` in a new interpreter that imports ``fracmv`` from this
+    checkout, and return the JSON object it prints on its last line.
+
+    ``script`` may call ``scipy_modules()``: the scipy modules loaded so far.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", _PRELUDE + script,
+                           *map(str, args)], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])

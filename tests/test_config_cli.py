@@ -331,6 +331,29 @@ def test_out_naming_a_file_exits_2(command, tiny_config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_exits_2_naming_the_file(kind, source, tmp_path, monkeypatch, capsys):
+    """A config path that is a directory, or a file that is not UTF-8, is
+    refused by name from ``--config`` and from ``FRACMV_CONFIG`` alike."""
+    if kind == "directory":
+        path = tmp_path / "configs"
+        path.mkdir()
+    else:
+        path = tmp_path / "utf16.yaml"
+        path.write_bytes(b"\xff\xfe")
+    out = tmp_path / "run"
+    argv = ["skeleton", "--out", str(out)]
+    if source == "flag":
+        argv += ["--config", str(path)]
+    else:
+        monkeypatch.setenv("FRACMV_CONFIG", str(path))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error[validation] ValidationError: config: " in err and str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
 def test_empty_suite_list_exits_2(source, tiny_config, tmp_path, monkeypatch, capsys):
     out = tmp_path / "v"
     argv = ["verify", "--config", str(tiny_config), "--out", str(out)]

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import build_grid, full_sweep_sup, random_field
+from helpers import build_grid, full_sweep_sup, random_field, run_fresh
 
 from fracmv import measure
 from fracmv.errors import GridMismatchError, InvalidFieldError, ValidationError
@@ -321,3 +321,46 @@ def test_load_measure_names_the_directory(tmp_path, rng, manifest):
         path.write_text(manifest)
     with pytest.raises(ValidationError, match=re.escape(str(directory))):
         load_measure(directory)
+
+
+SOLVER_PATHS = """
+import json
+from pathlib import Path
+
+import numpy as np
+
+import fracmv.cli
+from fracmv.grid import SpatialGrid
+from fracmv.measure import EmpiricalMeasure, _cost_matrix, wasserstein2
+
+seen = {"import": scipy_modules()}
+tmp = Path(sys.argv[1])
+cfg = tmp / "tiny.yaml"
+cfg.write_text("time: {horizon: 0.25, steps: 20}\\nnoise: {n_modes: 2}\\npicard: {n_particles: 4}\\n")
+for command, flags in (("simulate", []), ("rate", ["--target", "deterministic"])):
+    assert fracmv.cli.main([command, "--config", str(cfg), "--out", str(tmp / command), *flags]) == 0
+    seen[command] = scipy_modules()
+
+grid = SpatialGrid(1, 4.0, 32)
+rng = np.random.default_rng(7)
+mu, nu = (EmpiricalMeasure(grid, rng.standard_normal((6, 32))) for _ in range(2))
+seen["w2"] = wasserstein2(mu, nu)
+seen["solve"] = scipy_modules()
+
+from scipy.optimize import linear_sum_assignment
+
+cost = _cost_matrix(mu, nu)
+rows, cols = linear_sum_assignment(cost)
+seen["oracle"] = float(np.sqrt(cost[rows, cols].sum() / 6))
+print(json.dumps(seen))
+"""
+
+
+def test_only_a_w2_solve_loads_scipy(tmp_path):
+    """``simulate`` and ``rate`` solve no W2 and load no scipy module; the
+    first ``wasserstein2`` call imports scipy's assignment solve, and gives
+    the float that solve gives on the same cost matrix."""
+    seen = run_fresh(SOLVER_PATHS, tmp_path)
+    assert seen["import"] == seen["simulate"] == seen["rate"] == []
+    assert "scipy.optimize" in seen["solve"]
+    assert seen["w2"] == seen["oracle"] > 0.0
