@@ -31,6 +31,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .dynamics import (
     Control,
+    _TrajectoryWriter,
     energy_residual,
     load_control,
     load_trajectory,
@@ -42,8 +43,9 @@ from .dynamics import (
 )
 from .errors import BlowUpError, FixedPointDivergenceError, GridMismatchError, ValidationError
 from .grid import load_grid_function, tail_masses
-from .measure import save_measure, second_moment
-from .mckean_vlasov import picard_solve
+from .measure import EmpiricalMeasure, save_measure, second_moment
+from .mckean_vlasov import PicardReport, _sweep_nodes
+from .mckean_vlasov import picard_solve  # noqa: F401  perfbench/spans.py wraps it here
 from .rate_function import check_target, control_cost, estimate_rate
 from .verify import SUITES, check_suites, format_report, run_suites
 
@@ -85,24 +87,58 @@ def _out_dir(out: str | Path) -> Path:
     return out
 
 
+# the nodes a run gathers before appending them to each particle's trajectory: a few
+# MB, so what a run holds does not grow with its steps (a node larger than this is
+# written alone)
+_BLOCK_BYTES = 4 << 20
+
+
 def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
-    """Solve the mean-field fixed point and persist the ensemble."""
+    """Solve the mean-field fixed point and persist the ensemble, node by node.
+
+    The causal sweep's nodes are read as they are made: each gives its
+    ``flow_summary.csv`` row and its tail mass and joins a block of at most
+    ``_BLOCK_BYTES``, whose particle slices are appended to the trajectories
+    when it fills; the last node is ``final_measure``.  So no flow is held.
+    A blow-up removes the trajectories written so far.
+    """
     out = _out_dir(out)
-    result = picard_solve(cfg.problem(), cfg.picard_config())
-    rep = result.report
+    problem, pcfg = cfg.problem(), cfg.picard_config()
+    grid, times, n = problem.grid, problem.tgrid.nodes, pcfg.n_particles
+    nodes = _sweep_nodes(problem, n)
+    margin = grid.half_width / 2.0
+    delta = float(cfg.raw["verify"]["domain_margin_delta"])
 
     traj_dir = out / "trajectories"
+    made_dir = not traj_dir.is_dir()
     traj_dir.mkdir(exist_ok=True)
-    flow = result.flow
     ext = ".traj" if cfg.output_format == "blob" else ""
-    for i in range(flow.n_particles):
-        save_trajectory(
-            result.particle_trajectory(i),
-            traj_dir / f"particle_{i:03d}{ext}",
-            fmt=cfg.output_format,
-        )
-    save_measure(flow.measure(flow.n_times - 1), out / "final_measure")
+    writers = [
+        _TrajectoryWriter(traj_dir / f"particle_{i:03d}{ext}", grid, times, cfg.output_format)
+        for i in range(n)
+    ]
+    per_block = min(times.size, max(1, _BLOCK_BYTES // (8 * n * grid.n_cells)))
+    block = np.empty((n, per_block) + grid.shape)  # particle-major: each slice is contiguous
+    moments, worst, held = [], 0.0, 0
+    try:
+        for vals in nodes:
+            block[:, held] = vals
+            held += 1
+            moments.append(second_moment(EmpiricalMeasure(grid, vals)))
+            worst = max(worst, float(np.max(tail_masses(vals, grid, margin))))
+            if held == per_block or len(moments) == times.size:
+                for writer, path in zip(writers, block):
+                    writer.append(path[:held])
+                held = 0
+    except BlowUpError:
+        for writer in writers:
+            writer.discard()
+        if made_dir:
+            traj_dir.rmdir()
+        raise
+    save_measure(EmpiricalMeasure(grid, vals), out / "final_measure")
 
+    rep = PicardReport.of_sweep(problem, pcfg)
     _write_csv(
         out / "picard_report.csv",
         ["iteration", "distance", "ratio"],
@@ -112,16 +148,9 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     _write_csv(
         out / "flow_summary.csv",
         ["node", "time", "mean_second_moment"],
-        [
-            (s, f"{flow.times[s]:.17g}", f"{second_moment(flow.measure(s)):.17g}")
-            for s in range(flow.n_times)
-        ],
+        [(s, f"{t:.17g}", f"{m:.17g}") for s, (t, m) in enumerate(zip(times, moments))],
     )
 
-    margin = cfg.grid.half_width / 2.0
-    delta = float(cfg.raw["verify"]["domain_margin_delta"])
-    # one snapshot at a time: a gather over a whole 2-d flow takes ~85 MB
-    worst = max(float(np.max(tail_masses(snap, cfg.grid, margin))) for snap in flow.states)
     if worst >= delta:
         warnings.warn(
             f"mass {worst:.3e} outside |x| >= {margin:g} exceeds {delta:g}; "
@@ -134,7 +163,7 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
             cfg,
             "simulate",
             {
-                "n_particles": flow.n_particles,
+                "n_particles": n,
                 "epsilon": cfg.epsilon,
                 "converged": rep.converged,
                 "iterations": rep.iterations,

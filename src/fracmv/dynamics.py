@@ -34,6 +34,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -276,14 +277,21 @@ def _step_nodes(
         yield vals
 
 
+def _collect(nodes, shape: tuple) -> np.ndarray:
+    """The nodes a :func:`_step_nodes` stream yields, collected into one array of
+    ``shape``, ``(S+1, N, *grid.shape)``."""
+    out = np.empty(shape)
+    for s, vals in enumerate(nodes):
+        out[s] = vals
+    return out
+
+
 def _run_steps(grid: SpatialGrid, coeffs: CoefficientSet, starts: np.ndarray, tgrid: TimeGrid,
                *args) -> np.ndarray:
     """The paths of :func:`_step_nodes` (``args`` are its ``law`` onward) collected,
     shape ``(S+1, N, *grid.shape)``."""
-    out = np.empty((tgrid.steps + 1,) + starts.shape)
-    for s, vals in enumerate(_step_nodes(grid, coeffs, starts, tgrid, *args)):
-        out[s] = vals
-    return out
+    nodes = _step_nodes(grid, coeffs, starts, tgrid, *args)
+    return _collect(nodes, (tgrid.steps + 1,) + starts.shape)
 
 
 def _validate_run_args(
@@ -500,31 +508,63 @@ def integrated_v_distance(a: Trajectory, b: Trajectory, alpha: float, c_v: float
 _TRAJ_MAGIC = b"FRACMVTRAJ1\n"
 
 
-def save_trajectory(traj: Trajectory, path: str | Path, fmt: str = "blob") -> Path:
-    """Persist a trajectory.
+def _le_f8(values) -> memoryview:
+    """``values`` as little-endian float64, without a copy where they already are."""
+    return memoryview(np.ascontiguousarray(values, dtype="<f8"))
 
-    ``blob`` writes a single self-describing binary file: a magic line,
-    a JSON header, then the time and value arrays as little-endian
-    float64.  The bytes are a pure function of the payload, so equal
-    trajectories give identical files.  ``csv`` writes one grid-function
-    CSV per node into a directory, plus the node times.
+
+class _TrajectoryWriter:
+    """The one writer of both trajectory formats, fed one path's nodes in order,
+    a block of them at a time.
+
+    ``blob`` is a single self-describing binary file: a magic line, a JSON
+    header, then the time and value arrays as little-endian float64.  The
+    bytes are a pure function of the payload, so equal trajectories give
+    identical files.  ``csv`` is a directory of the node times and one
+    grid-function CSV per node.  The head (header and times) is written here;
+    each :meth:`append` opens, writes and closes, so writers hold no file
+    open between blocks and a run holds one file open however many it writes.
     """
-    path = Path(path)
-    if fmt == "blob":
-        header = {"grid": traj.grid.geometry(), "n_nodes": traj.n_nodes, "dtype": "<f8"}
-        with open(path, "wb") as fh:
-            fh.write(_TRAJ_MAGIC)
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            fh.write(np.ascontiguousarray(traj.times, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(traj.values, dtype="<f8").tobytes())
-        return path
-    if fmt == "csv":
-        path.mkdir(parents=True, exist_ok=True)
-        np.savetxt(path / "times.csv", traj.times, delimiter=",", header="t", comments="", fmt="%.17g")
-        for s in range(traj.n_nodes):
-            save_grid_function(traj.state(s), path / f"node_{s:05d}.csv")
-        return path
-    raise ValidationError(f"unknown trajectory format {fmt!r} (expected blob or csv)")
+
+    def __init__(self, path: str | Path, grid: SpatialGrid, times: np.ndarray, fmt: str):
+        if fmt not in ("blob", "csv"):
+            raise ValidationError(f"unknown trajectory format {fmt!r} (expected blob or csv)")
+        self.path, self.grid, self.fmt, self.written = Path(path), grid, fmt, 0
+        if fmt == "blob":
+            header = {"grid": grid.geometry(), "n_nodes": len(times), "dtype": "<f8"}
+            with open(self.path, "wb") as fh:
+                fh.write(_TRAJ_MAGIC)
+                fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+                fh.write(_le_f8(times))
+        else:
+            self.path.mkdir(parents=True, exist_ok=True)
+            np.savetxt(self.path / "times.csv", times, delimiter=",", header="t", comments="",
+                       fmt="%.17g")
+
+    def append(self, values: np.ndarray) -> None:
+        """Write the next nodes, ``values`` of shape ``(b, *grid.shape)``."""
+        if self.fmt == "blob":
+            with open(self.path, "ab") as fh:
+                fh.write(_le_f8(values))
+            return
+        for node in values:
+            name = f"node_{self.written:05d}.csv"
+            save_grid_function(GridFunction(self.grid, node), self.path / name)
+            self.written += 1
+
+    def discard(self) -> None:
+        """Remove what this writer has written."""
+        if self.fmt == "blob":
+            self.path.unlink(missing_ok=True)
+        else:
+            shutil.rmtree(self.path, ignore_errors=True)
+
+
+def save_trajectory(traj: Trajectory, path: str | Path, fmt: str = "blob") -> Path:
+    """Persist a trajectory in the ``blob`` or ``csv`` format of :class:`_TrajectoryWriter`."""
+    writer = _TrajectoryWriter(path, traj.grid, traj.times, fmt)
+    writer.append(traj.values)
+    return writer.path
 
 
 def load_trajectory(path: str | Path) -> Trajectory:

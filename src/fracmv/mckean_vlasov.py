@@ -33,8 +33,10 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     _check_epsilon,
+    _collect,
     _law_on_nodes,
     _run_steps,
+    _step_nodes,
     solve_deterministic,
 )
 from .errors import FixedPointDivergenceError, GridMismatchError, ValidationError
@@ -114,6 +116,12 @@ class PicardReport:
     converged: bool
     threshold: float
 
+    @classmethod
+    def of_sweep(cls, problem: "MeanFieldProblem", cfg: "PicardConfig") -> "PicardReport":
+        """The report of the causal sweep of ``problem`` under ``cfg``."""
+        threshold = cfg.tol * (1.0 + l2_norm(problem.u0))
+        return cls(iterations=1, distance=0.0, converged=True, threshold=threshold)
+
 
 @dataclass(frozen=True)
 class PicardResult:
@@ -180,6 +188,15 @@ def _image(problem: MeanFieldProblem, law: np.ndarray | None, n: int, noise) -> 
                       law, float(problem.epsilon), None, noise)
 
 
+def _sweep_nodes(problem: MeanFieldProblem, n: int):
+    """The causal sweep of ``n`` particles, each driven by its own noise path and all
+    stepped against their ensemble's law: the nodes ``0 .. S`` as :func:`_step_nodes`
+    yields them, to be read and not written into.  The start and the noise stack are
+    checked and drawn here, before the first node is asked for."""
+    return _step_nodes(problem.grid, problem.coeffs, _initial_states(problem, n), problem.tgrid,
+                       None, float(problem.epsilon), None, _noise_stack(problem, n))
+
+
 def auto_lambda(
     problem: MeanFieldProblem,
     probe_flows: list[MeasureFlow],
@@ -234,15 +251,15 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     particle system stepped against its own empirical law, which one sweep of
     the step kernel makes, reading the law from the batch at each step.  So the
     report's values follow from the construction (see :class:`PicardReport`).
+    This collects :func:`_sweep_nodes` into a flow; ``simulate`` streams it.
     That ``apply_phi`` gives the sweep back bit for bit is measured by
     ``test_in_place_loop_equals_the_two_flow_loop`` and by the ``picard`` verify
     suite's row ``picard_iterates_reach_the_solved_fixed_point``.
     """
-    n = cfg.n_particles
-    states = _image(problem, None, n, _noise_stack(problem, n))
-    threshold = cfg.tol * (1.0 + l2_norm(problem.u0))
-    report = PicardReport(iterations=1, distance=0.0, converged=True, threshold=threshold)
-    return PicardResult(MeasureFlow._checked(problem.grid, problem.tgrid.nodes, states), report)
+    grid, times, n = problem.grid, problem.tgrid.nodes, cfg.n_particles
+    states = _collect(_sweep_nodes(problem, n), (times.size, n) + grid.shape)
+    flow = MeasureFlow._checked(grid, times, states)
+    return PicardResult(flow, PicardReport.of_sweep(problem, cfg))
 
 
 @dataclass(frozen=True)
