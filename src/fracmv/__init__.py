@@ -57,8 +57,6 @@ from .measure import (
 from .mckean_vlasov import (
     MeanFieldProblem,
     PicardConfig,
-    PicardReport,
-    PicardResult,
     apply_phi,
     auto_lambda,
     picard_solve,

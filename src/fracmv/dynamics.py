@@ -23,9 +23,10 @@ of controls against one such path run as rows of one batch.
 
 A node's triple fixes the step's state-free fields
 (:meth:`CoefficientSet.node_fields`), so the kernel does only the work that
-depends on the state.  Where the law moves with the flow or the state they
-are built node by node while stepping; the controlled solver freezes the law
-along ``base`` and builds them once, for every solve and adjoint sweep.
+depends on the state.  Where the law moves with the state they are built node
+by node while stepping; a frozen law, a given flow or the Dirac mass along
+``base``, is one table of them built before the first step, which the
+controlled solver shares with its adjoint sweeps.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ from .errors import BlowUpError, GridMismatchError, ValidationError
 from .grid import (
     GridFunction,
     SpatialGrid,
+    _check_count,
     _check_nodes,
+    _check_positive,
     _field_array,
     _time_nodes,
     load_grid_function,
@@ -84,10 +87,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (0.0 < float(self.horizon) < math.inf):
-            raise ValidationError(f"horizon must be finite and positive, got {self.horizon!r}")
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
-            raise ValidationError(f"steps must be an integer >= 1, got {self.steps!r}")
+        _check_positive("horizon", self.horizon)
+        _check_count("steps", self.steps)
 
     @property
     def dt(self) -> float:
@@ -220,7 +221,7 @@ def _step_nodes(
     coeffs: CoefficientSet,
     starts: np.ndarray,
     tgrid: TimeGrid,
-    law: np.ndarray | list[NodeFields] | None,
+    law: NodeFields | None,
     eps: float = 0.0,
     control: np.ndarray | None = None,
     noise: np.ndarray | None = None,
@@ -233,9 +234,8 @@ def _step_nodes(
     it before the check and the ``yield``: a step that overflows is caught by the
     finite check, not warned about, and no consumer sees the state.
 
-    ``law`` holds the law triple of each left node, shape ``(S, 3)``; or
-    their node fields, one per node, already built; or is None to take it
-    from the current state (the Dirac mass of a single path).  ``control``
+    ``law`` is the table of a frozen law (:func:`_law_table`), or None to take the
+    law from the current state (the Dirac mass of a single path).  ``control``
     and ``noise`` hold per-path mode coefficients, shape ``(S, N, K)``;
     sigma is applied once per step, to ``theta = dt v_s + sqrt(eps) dW_s``.
     """
@@ -253,11 +253,11 @@ def _step_nodes(
     yield vals
     for s in range(S):
         with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(law, list):
-                node = law[s]
-            else:
-                row = law_statistics(vals, grid, coeffs.f.h_cap) if law is None else law[s]
+            if law is None:
+                row = law_statistics(vals, grid, coeffs.f.h_cap)
                 node = coeffs.node_fields(grid, float(nodes[s]), row)
+            else:
+                node = NodeFields._make(col[s] for col in law)
             f = coeffs.f.values(vals, node.phi_h, f_buf)
             tamed = np.abs(f, out=tamed_buf)
             tamed *= dt
@@ -305,13 +305,14 @@ def _validate_run_args(
         noise.check_shape("noise", tgrid.steps, coeffs.sigma.n_modes, tgrid.dt)
 
 
-def _law_on_nodes(states: np.ndarray, grid: SpatialGrid, h_cap: float) -> np.ndarray:
-    """The law triple at each left node of ``states``, shape ``(S+1, N, *grid.shape)``,
-    as ``(S, 3)``; node by node, since one call over a flow would square a copy of it.
-    A time stride of 0 repeats one node, whose triple is taken once."""
-    if states.strides[0] == 0:
-        return np.repeat(law_statistics(states[0], grid, h_cap)[None], len(states) - 1, axis=0)
-    return np.array([law_statistics(mu, grid, h_cap) for mu in states[:-1]])
+def _law_table(coeffs: CoefficientSet, grid: SpatialGrid, times: np.ndarray,
+               states: np.ndarray) -> NodeFields:
+    """The node fields of the law frozen at each left node of ``states``, shape
+    ``(S+1, N, *grid.shape)`` over ``times``, stacked into one table indexed by step;
+    the law is read node by node, since one call over a flow would square a copy of it."""
+    by_node = [coeffs.node_fields(grid, t, law_statistics(mu, grid, coeffs.f.h_cap))
+               for t, mu in zip(times[:-1], states[:-1])]
+    return NodeFields(*map(np.stack, zip(*by_node)))
 
 
 def solve_frozen(
@@ -326,9 +327,9 @@ def solve_frozen(
     eps = _check_epsilon(eps)
     _validate_run_args(u0, coeffs, tgrid, noise, eps)
     _check_nodes("measure flow", mu_flow, u0.grid, tgrid.nodes)
-    stats = _law_on_nodes(mu_flow.states, u0.grid, coeffs.f.h_cap)
+    law = _law_table(coeffs, u0.grid, tgrid.nodes, mu_flow.states)
     vals = _run_steps(
-        u0.grid, coeffs, u0.values[None], tgrid, stats, eps, None,
+        u0.grid, coeffs, u0.values[None], tgrid, law, eps, None,
         None if noise is None else noise.increments[:, None],
     )
     return Trajectory(u0.grid, tgrid.nodes, vals[:, 0])
@@ -367,10 +368,7 @@ def _controlled_solver(u0: GridFunction, base: Trajectory, coeffs: CoefficientSe
     _check_nodes("base trajectory", base, grid, tgrid.nodes)
     if not np.array_equal(base.values[0], u0.values):
         raise ValidationError("base trajectory does not start at the given initial state")
-    stats = _law_on_nodes(base.values[:, None], grid, coeffs.f.h_cap)
-    by_node = [coeffs.node_fields(grid, t, row) for t, row in zip(tgrid.nodes[:-1], stats)]
-    table = NodeFields(*map(np.stack, zip(*by_node)))
-    law = [NodeFields(*row) for row in zip(*table)]
+    table = _law_table(coeffs, grid, tgrid.nodes, base.values[:, None])
     f, g, sig = coeffs.f, coeffs.g, coeffs.sigma
     S, K, dt = tgrid.steps, sig.n_modes, tgrid.dt
     res_mult = grid.resolvent_multiplier(coeffs.alpha, dt)
@@ -378,7 +376,7 @@ def _controlled_solver(u0: GridFunction, base: Trajectory, coeffs: CoefficientSe
     def paths(controls: np.ndarray) -> np.ndarray:
         starts = np.repeat(u0.values[None], len(controls), axis=0)
         by_step = np.ascontiguousarray(controls.transpose(1, 0, 2))
-        return _run_steps(grid, coeffs, starts, tgrid, law, 0.0, by_step).swapaxes(0, 1)
+        return _run_steps(grid, coeffs, starts, tgrid, table, 0.0, by_step).swapaxes(0, 1)
 
     def step_jacobian(v: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``du~_s/du_s`` at the left nodes ``u`` (diagonal): taming, g and sigma."""
@@ -468,14 +466,14 @@ def energy_residual(
     if base is not None:
         _check_nodes("base trajectory", base, g, traj.times)
     w = g.cell_volume
-    stats = _law_on_nodes((traj if base is None else base).values[:, None], g, coeffs.f.h_cap)
+    law = _law_table(coeffs, g, traj.times, (traj if base is None else base).values[:, None])
     energy = sq_norms(traj.values, g)
     semi_sq = sq_seminorms(traj.values[1:], g, coeffs.alpha)
 
     work = np.zeros(S)
     for s in range(S):
         u_s = traj.values[s]
-        node = coeffs.node_fields(g, float(traj.times[s]), stats[s])
+        node = NodeFields._make(col[s] for col in law)
         f_vals = coeffs.f.values(u_s, node.phi_h)
         g_vals = coeffs.g.values(u_s, node.psi, node.c2_h)
         work[s] = w * float(np.sum((f_vals - g_vals) * u_s))

@@ -58,6 +58,21 @@ def check_fractional_order(alpha: float, *, allow_one: bool = False) -> float:
     return a
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Refuse ``value`` for the field ``name`` unless it is an integer ``>= least``;
+    a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse ``value`` for the field ``name`` unless it is a finite positive real;
+    a bool or a string is not one."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not 0.0 < value < math.inf):
+        raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform periodic grid on ``[-L, L)^dim``.
@@ -83,13 +98,9 @@ class SpatialGrid:
         d, m = self.dim, self.points_per_dim
         if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d in (1, 2)):
             raise ValidationError(f"dim must be the integer 1 or 2, got {d!r}")
-        h = self.half_width
-        if (isinstance(h, bool) or not isinstance(h, (int, float, np.integer, np.floating))
-                or not 0.0 < h < math.inf):
-            raise ValidationError(f"half_width must be a finite positive number, got {h!r}")
-        object.__setattr__(self, "half_width", float(h))
-        if not (isinstance(m, (int, np.integer)) and m >= 4):
-            raise ValidationError(f"points_per_dim must be an integer >= 4, got {m!r}")
+        _check_positive("half_width", self.half_width)
+        object.__setattr__(self, "half_width", float(self.half_width))
+        _check_count("points_per_dim", m, 4)
         if m % 2 != 0:
             raise ValidationError(f"points_per_dim must be even, got {m}")
 

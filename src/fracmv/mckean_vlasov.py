@@ -6,9 +6,11 @@ map takes a candidate flow to the empirical flow of ``N`` frozen-measure
 paths driven by per-particle noise, advanced together by the batched step
 kernel.  The scheme freezes the law at each step's left node, so the map's
 fixed point is the particle system stepped against its own empirical law,
-which ``picard_solve`` makes in one causal sweep.  That the map gives the
-sweep back bit for bit is measured by the tier-1 tests and the ``picard``
-verify suite, not by each solve.  Under the weighted sup metric
+which ``picard_solve`` makes in one causal sweep and returns as its flow.
+That the map gives the sweep back bit for bit is measured by the tier-1 tests
+and the ``picard`` verify suite, not by each solve.  The map hands its frozen
+law to the step kernel as one table of node fields
+(:func:`~fracmv.dynamics._law_table`).  Under the weighted sup metric
 ``d(., .; lam)`` the map contracts once ``lam`` is large enough;
 ``auto_lambda`` measures the contraction ratio on probe flows and picks the
 weight empirically, for the verify suite that iterates the map.  The solve
@@ -31,24 +33,22 @@ from .coefficients import CoefficientSet
 from .dynamics import (
     NoisePath,
     TimeGrid,
-    Trajectory,
     _check_epsilon,
     _collect,
-    _law_on_nodes,
+    _law_table,
     _run_steps,
     _step_nodes,
     solve_deterministic,
 )
 from .errors import FixedPointDivergenceError, GridMismatchError, ValidationError
-from .grid import GridFunction, SpatialGrid, _check_nodes, _field_array, l2_norm, sq_norms
+from .grid import (GridFunction, SpatialGrid, _check_count, _check_nodes, _check_positive,
+                   _field_array, l2_norm, sq_norms)
 from .measure import EmpiricalMeasure, FlowPairW2, MeasureFlow
 from .measure import flow_distance  # noqa: F401  perfbench/spans.py wraps it here
 
 __all__ = [
     "MeanFieldProblem",
     "PicardConfig",
-    "PicardReport",
-    "PicardResult",
     "apply_phi",
     "auto_lambda",
     "picard_solve",
@@ -94,42 +94,8 @@ class PicardConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if not (isinstance(self.n_particles, (int, np.integer)) and self.n_particles >= 1):
-            raise ValidationError(
-                f"n_particles must be an integer >= 1, got {self.n_particles!r}"
-            )
-        if not (0.0 < float(self.tol) < math.inf):
-            raise ValidationError(f"tol must be finite and positive, got {self.tol!r}")
-
-
-@dataclass(frozen=True)
-class PicardReport:
-    """The record of one fixed-point solve.  Its values follow from the
-    construction: ``iterations`` is 1, the one causal sweep; ``distance`` is 0,
-    the plain sup distance of the sweep from its image under the freezing map;
-    ``converged`` is True; and ``threshold`` is ``tol * (1 + ||u0||)``, the
-    bound the ``picard`` verify suite holds the map's iterates to.
-    """
-
-    iterations: int
-    distance: float
-    converged: bool
-    threshold: float
-
-    @classmethod
-    def of_sweep(cls, problem: "MeanFieldProblem", cfg: "PicardConfig") -> "PicardReport":
-        """The report of the causal sweep of ``problem`` under ``cfg``."""
-        threshold = cfg.tol * (1.0 + l2_norm(problem.u0))
-        return cls(iterations=1, distance=0.0, converged=True, threshold=threshold)
-
-
-@dataclass(frozen=True)
-class PicardResult:
-    flow: MeasureFlow
-    report: PicardReport
-
-    def particle_trajectory(self, i: int) -> Trajectory:
-        return Trajectory(self.flow.grid, self.flow.times, self.flow.states[:, i])
+        _check_count("n_particles", self.n_particles)
+        _check_positive("tol", self.tol)
 
 
 def _initial_states(problem: MeanFieldProblem, n_particles: int) -> np.ndarray:
@@ -173,19 +139,12 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
     particle=i)``, so its path equals the single-particle
     ``solve_frozen`` run byte for byte.
     """
-    grid, tgrid, n = problem.grid, problem.tgrid, flow.n_particles
+    grid, coeffs, tgrid, n = problem.grid, problem.coeffs, problem.tgrid, flow.n_particles
     _check_nodes("flow", flow, grid, tgrid.nodes)
-    stats = _law_on_nodes(flow.states, grid, problem.coeffs.f.h_cap)
-    states = _image(problem, stats, n, _noise_stack(problem, n))
+    law = _law_table(coeffs, grid, tgrid.nodes, flow.states)
+    states = _run_steps(grid, coeffs, _initial_states(problem, n), tgrid, law,
+                        float(problem.epsilon), None, _noise_stack(problem, n))
     return MeasureFlow._checked(grid, tgrid.nodes, states)
-
-
-def _image(problem: MeanFieldProblem, law: np.ndarray | None, n: int, noise) -> np.ndarray:
-    """The states, shape ``(S+1, n, *grid.shape)``, of ``n`` particles driven by the
-    ``noise`` stack and stepped against the law table ``law``, or, with ``law`` None,
-    against their own ensemble's law."""
-    return _run_steps(problem.grid, problem.coeffs, _initial_states(problem, n), problem.tgrid,
-                      law, float(problem.epsilon), None, noise)
 
 
 def _sweep_nodes(problem: MeanFieldProblem, n: int):
@@ -244,22 +203,22 @@ def auto_lambda(
     return 2.0 * chosen, tuple(curve)
 
 
-def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) -> PicardResult:
-    """The fixed point of the freezing map: one causal sweep.
+def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) -> MeasureFlow:
+    """The fixed point of the freezing map, the flow of ``cfg.n_particles`` particles.
 
     The scheme freezes the law at the left node, so the fixed point is the
     particle system stepped against its own empirical law, which one sweep of
-    the step kernel makes, reading the law from the batch at each step.  So the
-    report's values follow from the construction (see :class:`PicardReport`).
-    This collects :func:`_sweep_nodes` into a flow; ``simulate`` streams it.
-    That ``apply_phi`` gives the sweep back bit for bit is measured by
-    ``test_in_place_loop_equals_the_two_flow_loop`` and by the ``picard`` verify
-    suite's row ``picard_iterates_reach_the_solved_fixed_point``.
+    the step kernel makes, reading the law from the batch at each step; so the
+    solve has no iterations and no stopping rule, and reads no ``tol``.  This
+    collects :func:`_sweep_nodes` into a flow; ``simulate`` and
+    :func:`small_noise_sweep` stream it.  That ``apply_phi`` gives the sweep back
+    bit for bit is measured by ``test_in_place_loop_equals_the_two_flow_loop``
+    and by the ``picard`` verify suite's row
+    ``picard_iterates_reach_the_solved_fixed_point``.
     """
     grid, times, n = problem.grid, problem.tgrid.nodes, cfg.n_particles
     states = _collect(_sweep_nodes(problem, n), (times.size, n) + grid.shape)
-    flow = MeasureFlow._checked(grid, times, states)
-    return PicardResult(flow, PicardReport.of_sweep(problem, cfg))
+    return MeasureFlow._checked(grid, times, states)
 
 
 @dataclass(frozen=True)
@@ -279,19 +238,18 @@ def small_noise_sweep(
     problem: MeanFieldProblem,
     eps_list: list[float],
     n_replicas: int,
-    cfg: PicardConfig | None = None,
 ) -> SmallNoiseSweep:
     """Estimate ``E sup_t ||u_eps - u_0||^2`` across noise intensities.
 
-    Each intensity gets its own fixed-point solve with ``n_replicas``
-    particles sharing the master seed, so the estimates use common
+    Each intensity gets its own causal sweep of ``n_replicas`` particles
+    (an integer >= 1) sharing the master seed, so the estimates use common
     random numbers across the sweep.  Every particle starts at ``u0``,
     the state the deviation is measured from, so a sampled
     ``initial_states`` ensemble is set aside.  The zero intensity
     decouples: the law rides the deterministic path exactly, so its row is 0.
+    The sweep is read node by node, so no flow is held.
     """
-    base_cfg = cfg or PicardConfig()
-    cfg = replace(base_cfg, n_particles=int(n_replicas))
+    _check_count("n_replicas", n_replicas)
     base = solve_deterministic(problem.u0, problem.coeffs, problem.tgrid)
     rows = []
     for eps in eps_list:
@@ -300,9 +258,8 @@ def small_noise_sweep(
             rows.append((0.0, 0.0, 0.0))
             continue
         sub = replace(problem, epsilon=e, initial_states=None)
-        res = picard_solve(sub, cfg)
-        # node by node, so no deviation the size of the flow is built
-        dev = [sq_norms(mu - u, problem.grid) for mu, u in zip(res.flow.states, base.values)]
+        nodes = _sweep_nodes(sub, n_replicas)
+        dev = [sq_norms(mu - u, problem.grid) for mu, u in zip(nodes, base.values)]
         sup_sq = np.max(dev, axis=0)
         stderr = (
             float(np.std(sup_sq, ddof=1) / math.sqrt(sup_sq.size))

@@ -41,7 +41,7 @@ from .dynamics import (
     sup_distance,
 )
 from .errors import ValidationError
-from .grid import GridFunction, SpatialGrid, _check_nodes, sq_norms
+from .grid import GridFunction, SpatialGrid, _check_count, _check_nodes, _check_positive, sq_norms
 
 __all__ = [
     "RateProblem",
@@ -94,13 +94,9 @@ class RateProblem:
     gap_tol: float = 1e-3
 
     def __post_init__(self):
-        for name in ("eta", "gap_tol"):
-            if not (0.0 < float(getattr(self, name)) < math.inf):
-                raise ValidationError(
-                    f"{name} must be finite and positive, got {getattr(self, name)!r}"
-                )
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
-            raise ValidationError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        _check_positive("eta", self.eta)
+        _check_positive("gap_tol", self.gap_tol)
+        _check_count("max_iters", self.max_iters)
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,7 @@ from .grid import (
     tail_masses,
 )
 from .measure import EmpiricalMeasure, MeasureFlow, flow_distance, wasserstein2
-from .mckean_vlasov import (PicardConfig, _initial_flow, apply_phi, auto_lambda, picard_solve,
-                            small_noise_sweep)
+from .mckean_vlasov import _initial_flow, apply_phi, auto_lambda, picard_solve, small_noise_sweep
 from .rate_function import _GN_GTOL, control_cost, estimate_rate, weak_convergence_experiment
 
 __all__ = ["CheckResult", "SUITES", "SUITE_BUDGETS", "check_suites", "run_suites", "format_report"]
@@ -217,14 +216,14 @@ def suite_energy(cfg: RunConfig) -> Iterator[tuple]:
 def suite_picard(cfg: RunConfig) -> Iterator[tuple]:
     """The freezing map contracts at the weight ``auto_lambda`` calibrates on its
     first two iterates and a scaled start, and its iterates reach ``picard_solve``'s
-    flow, which the map gives back bit for bit."""
+    flow within ``tol (1 + ||u0||)``, and the map gives that flow back bit for bit."""
     run = cfg.with_overrides(
         noise={"n_modes": 4}, time={"steps": 200}, picard={"n_particles": 64, "tol": 1e-6}
     )
-    problem, n = run.problem(), run.picard_config().n_particles
-    res = picard_solve(problem, run.picard_config())
-    rep = res.report
-    flow0 = _initial_flow(problem, n)
+    problem, pcfg = run.problem(), run.picard_config()
+    threshold = pcfg.tol * (1.0 + l2_norm(problem.u0))
+    solved = picard_solve(problem, pcfg)
+    flow0 = _initial_flow(problem, pcfg.n_particles)
     iterates = [flow0, apply_phi(problem, flow0)]
     iterates.append(apply_phi(problem, iterates[1]))
     scaled = MeasureFlow.constant(EmpiricalMeasure(flow0.grid, 1.25 * flow0.states[0]), flow0.times)
@@ -233,19 +232,19 @@ def suite_picard(cfg: RunConfig) -> Iterator[tuple]:
     distances = [flow_distance(a, b, lam) for a, b in zip(iterates, iterates[1:])]
     flow = iterates[-1]
     del iterates, scaled
-    while distances[-1] > rep.threshold and len(distances) < 20:
+    while distances[-1] > threshold and len(distances) < 20:
         image = apply_phi(problem, flow)
         distances.append(flow_distance(flow, image, lam))
         flow = image
     tiny = 10.0 * np.finfo(float).eps * (1.0 + l2_norm(problem.u0))
     ratios = [b / a for a, b in zip(distances, distances[1:]) if a > tiny]
-    converged = distances[-1] <= rep.threshold
+    converged = distances[-1] <= threshold
     yield (
         "picard_converges",
         converged,
         f"{'converged' if converged else 'stopped'} in {len(distances)} iterations, "
         f"last distance {distances[-1]:.2e}",
-        f"<= threshold {rep.threshold:.2e} (tol 1e-6) within the loop's 20 iterations",
+        f"<= threshold {threshold:.2e} (tol {pcfg.tol:g}) within the loop's 20 iterations",
     )
     late = ratios[1:]
     yield (
@@ -254,16 +253,16 @@ def suite_picard(cfg: RunConfig) -> Iterator[tuple]:
         f"ratios {', '.join(f'{r:.3f}' for r in ratios)} (weight {lam:g})",
         "<= 0.5 from the second ratio on",
     )
-    gap = flow_distance(flow, res.flow, 0.0)
+    gap = flow_distance(flow, solved, 0.0)
     del flow
     # the map gives the causal sweep back bit for bit, which every solve relies on
-    identity = flow_distance(res.flow, apply_phi(problem, res.flow), 0.0)
+    identity = flow_distance(solved, apply_phi(problem, solved), 0.0)
     yield (
         "picard_iterates_reach_the_solved_fixed_point",
-        gap <= rep.threshold and identity == 0.0,
+        gap <= threshold and identity == 0.0,
         f"last iterate {gap:.2e} from the solved flow (plain sup), "
         f"which the map gives back at {identity:.1e}",
-        f"<= threshold {rep.threshold:.2e}; map's image at 0",
+        f"<= threshold {threshold:.2e}; map's image at 0",
     )
 
 
@@ -272,12 +271,7 @@ def suite_picard(cfg: RunConfig) -> Iterator[tuple]:
 
 def suite_smallnoise(cfg: RunConfig) -> Iterator[tuple]:
     """Mean squared sup deviation from the zero-noise path scales linearly."""
-    sweep = small_noise_sweep(
-        cfg.problem(),
-        [0.0, 1e-2, 3e-3, 1e-3, 3e-4],
-        n_replicas=16,
-        cfg=PicardConfig(tol=1e-6),
-    )
+    sweep = small_noise_sweep(cfg.problem(), [0.0, 1e-2, 3e-3, 1e-3, 3e-4], n_replicas=16)
     rows = ", ".join(f"{e:.0e}: {v:.2e}" for e, v, _ in sweep.rows if e > 0)
     slope = sweep.slope
     yield "smallnoise_slope", 0.8 <= slope <= 1.2, f"slope {slope:.3f} ({rows})", "in [0.8, 1.2]"

@@ -11,6 +11,7 @@ from fracmv.coefficients import (
     CoefficientSet,
     DriftF,
     DriftG,
+    NodeFields,
     NoiseSigma,
     PsiField,
     TimeProfile,
@@ -36,7 +37,7 @@ from fracmv.dynamics import (
 from fracmv.errors import BlowUpError, GridMismatchError, ValidationError
 from fracmv.grid import GridFunction, apply_fractional_laplacian, l2_norm
 from fracmv.measure import EmpiricalMeasure, MeasureFlow
-from fracmv.mckean_vlasov import MeanFieldProblem, apply_phi
+from fracmv.mckean_vlasov import MeanFieldProblem, PicardConfig, apply_phi
 from fracmv.rate_function import RateProblem, estimate_rate
 
 
@@ -290,30 +291,36 @@ def test_mode_paths_refuse_flat_non_finite_and_step_free_arrays(cls, what):
         assert path.increments is path.values
 
 
+def table_bytes(table):
+    return [np.asarray(col).tobytes() for col in table]
+
+
 def test_law_on_nodes_matches_one_call_over_a_path(small_grid, small_coeffs, small_tgrid):
-    """The node-by-node law table equals one ``law_statistics`` call over
-    the left nodes of a path, bit for bit."""
+    """The law table, read node by node, equals the node fields of one
+    ``law_statistics`` call over the left nodes of a path, bit for bit."""
     from fracmv import dynamics
 
     path = solve_deterministic(build_u0(small_grid), small_coeffs, small_tgrid)
-    h_cap = small_coeffs.f.h_cap
-    table = dynamics._law_on_nodes(path.values[:, None], small_grid, h_cap)
-    one = law_statistics(path.values[:-1, None], small_grid, h_cap)
-    assert table.shape == one.shape == (small_tgrid.steps, 3)
-    assert table.tobytes() == one.tobytes()
+    table = dynamics._law_table(small_coeffs, small_grid, small_tgrid.nodes, path.values[:, None])
+    one = law_statistics(path.values[:-1, None], small_grid, small_coeffs.f.h_cap)
+    rows = [small_coeffs.node_fields(small_grid, float(t), row)
+            for t, row in zip(small_tgrid.nodes, one)]
+    assert table.phi_h.shape == (small_tgrid.steps,) + small_grid.shape
+    assert table_bytes(table) == table_bytes(NodeFields(*map(np.stack, zip(*rows))))
 
 
 def test_law_on_a_constant_view_is_the_node_by_node_table(small_grid, small_coeffs, rng):
-    """A stride-0 view repeats one node, so its triple is taken once; the table
-    equals the one taken node by node over a materialized copy, bit for bit."""
+    """A stride-0 view repeats one node; its law table equals the one of a
+    materialized copy, bit for bit."""
     from fracmv import dynamics
 
     node = rng.standard_normal((5,) + small_grid.shape)
     view = np.broadcast_to(node, (41,) + node.shape)
-    h_cap = small_coeffs.f.h_cap
-    table = dynamics._law_on_nodes(view, small_grid, h_cap)
-    assert table.shape == (40, 3)
-    assert table.tobytes() == dynamics._law_on_nodes(view.copy(), small_grid, h_cap).tobytes()
+    times = build_tgrid(steps=40).nodes
+    table = dynamics._law_table(small_coeffs, small_grid, times, view)
+    assert table.free.shape == (40, small_coeffs.sigma.n_modes) + small_grid.shape
+    copy = dynamics._law_table(small_coeffs, small_grid, times, view.copy())
+    assert table_bytes(table) == table_bytes(copy)
 
 
 # -- blow-up reporting ---------------------------------------------------
@@ -348,11 +355,11 @@ def test_node_stream_owns_its_floating_point_state(amp, law, small_grid, small_c
 
     tg = build_tgrid(steps=16)
     starts = build_u0(small_grid, amp=amp).values[None] * np.array([[1.0], [0.5]])
-    stats = None
+    table = None
     if law == "frozen":
         base = solve_deterministic(build_u0(small_grid), small_coeffs, tg)
-        stats = law_statistics(base.values[:-1, None], small_grid, small_coeffs.f.h_cap)
-    stream = dynamics._step_nodes(small_grid, small_coeffs, starts, tg, stats)
+        table = dynamics._law_table(small_coeffs, small_grid, tg.nodes, base.values[:, None])
+    stream = dynamics._step_nodes(small_grid, small_coeffs, starts, tg, table)
     assert next(stream) is starts
     with pytest.raises(BlowUpError) as exc_info:
         next(stream)
@@ -392,12 +399,12 @@ def test_run_steps_rows_with_control_and_noise_match_one_row_runs(dim, rng):
     u0 = build_u0(grid)
     starts = u0.values[None] * (1.0 + 0.2 * rng.standard_normal((n,) + (1,) * dim))
     base = solve_deterministic(u0, coeffs, tg)
-    stats = law_statistics(base.values[:-1, None], grid, coeffs.f.h_cap)
+    table = dynamics._law_table(coeffs, grid, tg.nodes, base.values[:, None])
     control = 0.5 * rng.standard_normal((tg.steps, n, K))
     noise = np.sqrt(tg.dt) * rng.standard_normal((tg.steps, n, K))
-    out = dynamics._run_steps(grid, coeffs, starts, tg, stats, 0.05, control, noise)
+    out = dynamics._run_steps(grid, coeffs, starts, tg, table, 0.05, control, noise)
     for i in range(n):
-        one = dynamics._run_steps(grid, coeffs, starts[i : i + 1], tg, stats, 0.05,
+        one = dynamics._run_steps(grid, coeffs, starts[i : i + 1], tg, table, 0.05,
                                   control[:, i : i + 1], noise[:, i : i + 1])
         assert out[:, i].tobytes() == one[:, 0].tobytes()
 
@@ -443,8 +450,8 @@ def _reference_run(grid, coeffs, starts, tg, stats, eps, control, noise):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_run_steps_matches_the_per_step_kernel_byte_for_byte(dim, n, law, rng):
     """The kernel that builds each node's fields once equals the step that
-    built them at every step, bit for bit: against a frozen ``(S, 3)`` law
-    with control and noise, against the Dirac law of the batch itself
+    built them at every step, bit for bit: against a frozen law's table
+    (:func:`_law_table`) with control and noise, against the Dirac law of the batch itself
     (``law=None``), and through the controlled solver's prebuilt node fields."""
     from fracmv import dynamics
 
@@ -469,10 +476,11 @@ def test_run_steps_matches_the_per_step_kernel_byte_for_byte(dim, n, law, rng):
         return
     starts = u0.values[None] * (1.0 + 0.3 * rng.standard_normal((n,) + (1,) * dim))
     noise = np.sqrt(tg.dt) * rng.standard_normal((tg.steps, n, K))
-    law_arg = stats if law == "frozen" else None
+    table = dynamics._law_table(coeffs, grid, tg.nodes, base.values[:, None])
+    law_arg, ref_law = (table, stats) if law == "frozen" else (None, None)
     for eps, ctl, dw in ((0.05, control, noise), (0.05, None, noise), (0.0, control, None)):
         got = dynamics._run_steps(grid, coeffs, starts, tg, law_arg, eps, ctl, dw)
-        ref = _reference_run(grid, coeffs, starts, tg, law_arg, eps, ctl, dw)
+        ref = _reference_run(grid, coeffs, starts, tg, ref_law, eps, ctl, dw)
         assert got.tobytes() == ref.tobytes()
 
 
@@ -636,3 +644,24 @@ def test_time_grid_validation():
     tg = TimeGrid(horizon=1.0, steps=4)
     assert np.allclose(tg.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert tg.dt == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda: TimeGrid(0.5, True), "steps"),
+        (lambda: TimeGrid("0.5", 10), "horizon"),
+        (lambda: PicardConfig(n_particles=True), "n_particles"),
+        (lambda: PicardConfig(tol="1e-6"), "tol"),
+        (lambda: RateProblem(None, max_iters=True), "max_iters"),
+        (lambda: RateProblem(None, eta="1e-6"), "eta"),
+        (lambda: RateProblem(None, gap_tol="1e-3"), "gap_tol"),
+    ],
+    ids=["steps-bool", "horizon-str", "n_particles-bool", "tol-str", "max_iters-bool",
+         "eta-str", "gap_tol-str"],
+)
+def test_settings_refuse_a_bool_count_and_a_string_real(build, field):
+    """A bool is not a count and a string is not a real: each is refused by name,
+    as ``SpatialGrid`` refuses them, not read as 1 or stored as text."""
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        build()

@@ -10,7 +10,8 @@ from helpers import build_coeffs, build_grid, build_tgrid, build_u0, full_sweep_
 from fracmv import dynamics, measure, mckean_vlasov
 from fracmv.cli import main
 from fracmv.config import RunConfig
-from fracmv.dynamics import NoisePath, TimeGrid, solve_frozen, sup_distance
+from fracmv.coefficients import NodeFields
+from fracmv.dynamics import NoisePath, TimeGrid, Trajectory, solve_frozen, sup_distance
 from fracmv.errors import BlowUpError, ValidationError
 from fracmv.grid import GridFunction, SpatialGrid, l2_norm
 from fracmv.measure import EmpiricalMeasure, MeasureFlow, flow_distance, second_moment
@@ -41,6 +42,18 @@ def make_problem(grid, coeffs, tgrid, u0=None, eps=0.01, seed=99, **kw):
 def constant_flow(grid, values, n, nodes):
     mu = EmpiricalMeasure(grid, np.broadcast_to(values, (n,) + grid.shape).copy())
     return MeasureFlow.constant(mu, nodes)
+
+
+def off_table(real):
+    """``real``, the law-table builder, with every table it builds 5 % off."""
+    return lambda *a: NodeFields(*(1.05 * col for col in real(*a)))
+
+
+def sweep_states(p, n):
+    """The states of ``n`` particles stepped against their own law, each driven by
+    its own noise path: one run of the step kernel with ``law=None``."""
+    return dynamics._run_steps(p.grid, p.coeffs, mckean_vlasov._initial_states(p, n), p.tgrid,
+                               None, p.epsilon, None, mckean_vlasov._noise_stack(p, n))
 
 
 def retired_config(**picard):
@@ -87,9 +100,9 @@ def test_flow_from_the_kernel_is_not_scanned_again(small_grid, small_coeffs, sma
                         lambda self: scanned.append(self.states.strides[0]) or real(self))
     image = apply_phi(p, flow0)
     assert scanned == []
-    result = picard_solve(p, PicardConfig(n_particles=4))
+    flow = picard_solve(p, PicardConfig(n_particles=4))
     assert scanned == []
-    assert np.isfinite(image.states).all() and np.isfinite(result.flow.states).all()
+    assert np.isfinite(image.states).all() and np.isfinite(flow.states).all()
 
 
 def test_blow_up_names_the_first_failing_particle(small_grid, small_coeffs, small_tgrid):
@@ -136,29 +149,25 @@ def test_measure_independent_coefficients_decouple(small_grid, small_tgrid):
     out_b = apply_phi(p, flow_b)
     assert np.array_equal(out_a.states, out_b.states)
 
-    result = picard_solve(p, PicardConfig(n_particles=4))
-    assert result.report.converged
-    assert result.report.iterations <= 2
+    flow = picard_solve(p, PicardConfig(n_particles=4))
+    assert flow.states.tobytes() == out_a.states.tobytes()
     # each particle solves the frozen equation with its own noise
     noise = NoisePath.generate(small_tgrid, coeffs.sigma.n_modes, p.master_seed, particle=2)
     ref = solve_frozen(p.u0, flow_a, coeffs, small_tgrid, eps=0.02, noise=noise)
-    assert sup_distance(result.particle_trajectory(2), ref) <= 1e-12
+    assert sup_distance(Trajectory(small_grid, flow.times, flow.states[:, 2]), ref) <= 1e-12
 
 
 # -- the fixed-point loop ------------------------------------------------
 
 
 def test_picard_converges_and_iterates_contract(small_grid, small_coeffs, small_tgrid):
+    """The solve returns the flow of its particles, started at ``u0``, which the
+    freezing map gives back: a fixed point, not one within a tolerance."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
-    result = picard_solve(p, PicardConfig(n_particles=8, tol=1e-6))
-    rep = result.report
-    assert rep.converged
-    assert rep.iterations == 1
-    assert rep.distance <= rep.threshold
-
-    # the returned flow is a fixed point up to the solve's own tolerance
-    residual = flow_distance(apply_phi(p, result.flow), result.flow, 0.0)
-    assert residual <= 2.0 * rep.threshold
+    flow = picard_solve(p, PicardConfig(n_particles=8, tol=1e-6))
+    assert isinstance(flow, MeasureFlow) and flow.n_particles == 8
+    assert np.array_equal(flow.states[0], np.broadcast_to(p.u0.values, (8,) + small_grid.shape))
+    assert flow_distance(apply_phi(p, flow), flow, 0.0) == 0.0
 
 
 def test_picard_fixed_weight_matches_auto_outcome(small_grid, small_coeffs, small_tgrid):
@@ -170,24 +179,21 @@ def test_picard_fixed_weight_matches_auto_outcome(small_grid, small_coeffs, smal
     assert cfgs == [PicardConfig(n_particles=6)] * 3
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     first, second = (picard_solve(p, cfg) for cfg in cfgs[:2])
-    assert first.flow.states.tobytes() == second.flow.states.tobytes()
-    assert first.report == second.report
+    assert first.states.tobytes() == second.states.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:mass .* outside")
 def test_only_a_failed_calibration_exits_3(small_grid, small_coeffs, small_tgrid, monkeypatch,
                                          tmp_path, capsys):
-    """A solve reads no law table, so one 5 % off leaves its flow and report as they
-    were and ``simulate`` exits 0.  Exit 3 stays reachable through ``verify``: the
+    """A solve reads no law table, so one 5 % off leaves its flow as it was and
+    ``simulate`` exits 0.  Exit 3 stays reachable through ``verify``: the
     picard suite's calibration raises the divergence error when no metric weight
     reaches the target contraction ratio."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     exact = picard_solve(p, PicardConfig(n_particles=4))
-    real = mckean_vlasov._law_on_nodes
-    monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real(*a))
+    monkeypatch.setattr(mckean_vlasov, "_law_table", off_table(mckean_vlasov._law_table))
     off = picard_solve(p, PicardConfig(n_particles=4))
-    assert off.flow.states.tobytes() == exact.flow.states.tobytes()
-    assert off.report == exact.report
+    assert off.states.tobytes() == exact.states.tobytes()
 
     config = tmp_path / "tiny.yaml"
     config.write_text("grid: {half_width: 4.0, points_per_dim: 32}\n"
@@ -204,8 +210,8 @@ def test_custom_initial_ensemble(small_grid, small_coeffs, small_tgrid, rng):
     u0 = build_u0(small_grid)
     states = u0.values[None] * (1.0 + 0.1 * rng.standard_normal((4, 1)))
     p = make_problem(small_grid, small_coeffs, small_tgrid, initial_states=states)
-    result = picard_solve(p, PicardConfig(n_particles=4))
-    assert np.array_equal(result.flow.states[0], states)
+    flow = picard_solve(p, PicardConfig(n_particles=4))
+    assert np.array_equal(flow.states[0], states)
     with pytest.raises(ValidationError):
         picard_solve(p, PicardConfig(n_particles=8))
 
@@ -282,12 +288,11 @@ def test_auto_lambda_matches_the_per_weight_distance_loop(small_grid, small_coef
 
 def test_picard_distances_match_recomputed_flow_distances(small_grid, small_coeffs,
                                                           small_tgrid):
-    """The report's distance, 0 by construction, is flow_distance between the
-    solved flow and its image, recomputed."""
+    """The distance ``simulate`` reports, 0 by construction, is flow_distance
+    between the solved flow and its image, recomputed."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
-    result = picard_solve(p, PicardConfig(n_particles=6, tol=1e-8))
-    recomputed = flow_distance(result.flow, apply_phi(p, result.flow), 0.0)
-    assert result.report.distance.hex() == recomputed.hex()
+    flow = picard_solve(p, PicardConfig(n_particles=6, tol=1e-8))
+    assert flow_distance(flow, apply_phi(p, flow), 0.0).hex() == (0.0).hex()
 
 
 def test_successive_iterates_take_few_node_solves(small_grid, small_coeffs, small_tgrid,
@@ -349,43 +354,38 @@ def test_in_place_loop_equals_the_two_flow_loop(grid, steps, weight):
     rng = np.random.default_rng(7)
     ensembles = {n: u0.values[None] * (1.0 + 0.2 * rng.standard_normal((n,) + (1,) * grid.dim))
                  for n in (6, 1, 8, 64)}
+    threshold = 1e-9 * (1.0 + l2_norm(u0))
     for eps in (0.0, 0.01):
         for n in (1, 8, 64, 6):  # 6 last: the reference loop below starts from it
             p = make_problem(grid, coeffs, build_tgrid(steps=steps), u0=u0, eps=eps,
                              initial_states=ensembles[n])
-            result = picard_solve(p, PicardConfig(n_particles=n, tol=1e-9))
-            assert apply_phi(p, result.flow).states.tobytes() == result.flow.states.tobytes(), n
-        rep = result.report
-        assert rep.distance == 0.0 and rep.iterations == 1 and rep.converged
-        distances, ref = reference_picard(p, 6, weight, rep.threshold)
+            flow = picard_solve(p, PicardConfig(n_particles=n, tol=1e-9))
+            assert apply_phi(p, flow).states.tobytes() == flow.states.tobytes(), n
+        distances, ref = reference_picard(p, 6, weight, threshold)
         assert len(distances) >= 3
-        assert flow_distance(ref, result.flow, 0.0) <= rep.threshold
+        assert flow_distance(ref, flow, 0.0) <= threshold
 
 
 @pytest.mark.parametrize("weight", [0.0, 1.0, "auto"])
 def test_tolerated_certificate_returns_the_sweep_it_certified(small_grid, small_coeffs,
                                                               small_tgrid, monkeypatch, weight):
     """Whatever the retired ``lambda_weight`` key reads, the solve solves no W2 and
-    returns the causal sweep, whose image is itself byte for byte, so its report
-    certifies distance 0.  A law table 5 % off, which an earlier streamed
-    certificate read and tolerated, no longer changes the flow or the report."""
+    returns the causal sweep, whose image is itself byte for byte.  A law table
+    5 % off, which an earlier streamed certificate read and tolerated, no longer
+    changes the flow."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
     n = 6
     solved = []
     real_w2 = measure.wasserstein2
     monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real_w2(a, b))
     exact = picard_solve(p, retired_config(n_particles=n, tol=1e-9, lambda_weight=weight))
-    rep = exact.report
-    assert rep.distance == 0.0 and rep.iterations == 1 and rep.converged
     assert solved == []
-    sweep = mckean_vlasov._image(p, None, n, mckean_vlasov._noise_stack(p, n))
-    assert exact.flow.states.tobytes() == sweep.tobytes()
-    assert apply_phi(p, exact.flow).states.tobytes() == sweep.tobytes()
-    real_law = mckean_vlasov._law_on_nodes
-    monkeypatch.setattr(mckean_vlasov, "_law_on_nodes", lambda *a: 1.05 * real_law(*a))
+    sweep = sweep_states(p, n)
+    assert exact.states.tobytes() == sweep.tobytes()
+    assert apply_phi(p, exact).states.tobytes() == sweep.tobytes()
+    monkeypatch.setattr(mckean_vlasov, "_law_table", off_table(mckean_vlasov._law_table))
     loose = picard_solve(p, retired_config(n_particles=n, tol=1.0, lambda_weight=weight))
-    assert loose.flow.states.tobytes() == sweep.tobytes()
-    assert loose.report.distance == 0.0 and loose.report.converged
+    assert loose.states.tobytes() == sweep.tobytes()
 
 
 def test_last_sweep_reads_no_law_table(small_grid, small_coeffs, small_tgrid, monkeypatch):
@@ -402,12 +402,11 @@ def test_last_sweep_reads_no_law_table(small_grid, small_coeffs, small_tgrid, mo
     monkeypatch.setattr(SpatialGrid, "apply_multiplier",
                         lambda *a: resolvents.append(1) or real_mult(*a))
     monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real_w2(a, b))
-    result = picard_solve(p, PicardConfig(n_particles=n, tol=1e-9))
+    flow = picard_solve(p, PicardConfig(n_particles=n, tol=1e-9))
     assert len(calls) == small_tgrid.steps
     assert len(resolvents) == small_tgrid.steps
     assert solved == []
-    sweep = mckean_vlasov._image(p, None, n, mckean_vlasov._noise_stack(p, n))
-    assert result.flow.states.tobytes() == sweep.tobytes()
+    assert flow.states.tobytes() == sweep_states(p, n).tobytes()
 
 
 @pytest.mark.parametrize("weight", [1.0, "auto"])
@@ -438,11 +437,11 @@ def test_fixed_weight_solve_holds_one_flow():
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        res = picard_solve(p, cfg)
+        flow = picard_solve(p, cfg)
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
-    assert peak < res.flow.states.nbytes + 20 * res.flow.states[0].nbytes
+    assert peak < flow.states.nbytes + 20 * flow.states[0].nbytes
 
 
 # -- stability of the mean-field estimate ---------------------------------
@@ -453,8 +452,8 @@ def test_particle_doubling_moves_the_law_estimate_little(small_grid, small_coeff
     moments = []
     for n, _ in cfgs:
         p = make_problem(small_grid, small_coeffs, small_tgrid)
-        r = picard_solve(p, PicardConfig(n_particles=n))
-        moments.append(second_moment(r.flow.measure(small_tgrid.steps)))
+        flow = picard_solve(p, PicardConfig(n_particles=n))
+        moments.append(second_moment(flow.measure(small_tgrid.steps)))
     assert abs(moments[0] - moments[1]) / moments[1] < 0.05
 
 
@@ -464,9 +463,9 @@ def test_second_moment_stays_bounded_by_initial_scale(small_grid, small_coeffs, 
     for amp in (0.5, 1.0, 2.0):
         u0 = build_u0(small_grid, amp=amp)
         p = make_problem(small_grid, small_coeffs, small_tgrid, u0=u0)
-        r = picard_solve(p, PicardConfig(n_particles=8))
+        flow = picard_solve(p, PicardConfig(n_particles=8))
         w = small_grid.cell_volume
-        norms_sq = w * np.sum(r.flow.states**2, axis=tuple(range(2, 2 + small_grid.dim)))
+        norms_sq = w * np.sum(flow.states**2, axis=tuple(range(2, 2 + small_grid.dim)))
         est = float(np.mean(np.max(norms_sq, axis=0)))
         assert est <= 1.0 * (1.0 + l2_norm(u0) ** 2)
 
@@ -476,8 +475,7 @@ def test_second_moment_stays_bounded_by_initial_scale(small_grid, small_coeffs, 
 
 def test_small_noise_sweep_zero_row_and_slope(small_grid, small_coeffs, small_tgrid):
     p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
-    sweep = small_noise_sweep(p, [0.0, 3e-3, 1e-2], 4,
-                              PicardConfig(n_particles=4))
+    sweep = small_noise_sweep(p, [0.0, 3e-3, 1e-2], 4)
     eps0, est0, err0 = sweep.rows[0]
     assert eps0 == 0.0 and est0 == 0.0 and err0 == 0.0
     assert 0.8 <= sweep.slope <= 1.2
@@ -488,8 +486,7 @@ def test_small_noise_sweep_rows_are_bitwise_unchanged(small_grid, small_coeffs, 
     """The per-node deviations of the causal sweep give the bits recorded from
     one whole-flow deviation of the same flow."""
     p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
-    sweep = small_noise_sweep(p, [0.0, 3e-3, 1e-2], 4,
-                              PicardConfig(n_particles=4))
+    sweep = small_noise_sweep(p, [0.0, 3e-3, 1e-2], 4)
     assert [tuple(v.hex() for v in row) for row in sweep.rows] == [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
         ("0x1.89374bc6a7efap-9", "0x1.29a70f22510f4p-11", "0x1.b2f464f33f4bap-13"),
@@ -500,6 +497,32 @@ def test_small_noise_sweep_rows_are_bitwise_unchanged(small_grid, small_coeffs, 
 
 def test_sweep_deviation_shrinks_with_epsilon(small_grid, small_coeffs, small_tgrid):
     p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
-    sweep = small_noise_sweep(p, [1e-3, 1e-2], 4,
-                              PicardConfig(n_particles=4))
+    sweep = small_noise_sweep(p, [1e-3, 1e-2], 4)
     assert sweep.rows[0][1] < sweep.rows[1][1]
+
+
+@pytest.mark.parametrize("n_replicas", [2.5, True], ids=["fractional", "bool"])
+def test_small_noise_sweep_refuses_a_count_that_is_not_one(small_grid, small_coeffs,
+                                                           small_tgrid, n_replicas):
+    """2.5 replicas are not truncated to 2, nor True read as 1: the sweep refuses
+    both by name, as ``PicardConfig`` refuses such an ``n_particles``."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
+    with pytest.raises(ValidationError, match="^n_replicas must be an integer >= 1"):
+        small_noise_sweep(p, [1e-2], n_replicas)
+
+
+def test_small_noise_sweep_holds_less_than_one_flow():
+    """The sweep reads each intensity's causal sweep node by node, so it holds its
+    noise stack, the zero-noise path and one deviation per particle and node, less
+    than the ``(S+1) x n`` flow a collected solve holds."""
+    g, tgrid, n = build_grid(points=64), build_tgrid(steps=100), 16
+    p = make_problem(g, build_coeffs(g), tgrid, eps=0.0)
+    small_noise_sweep(p, [1e-2], n)  # fill the per-grid caches outside the measurement
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        small_noise_sweep(p, [1e-2], n)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert peak < (tgrid.steps + 1) * n * g.n_cells * 8

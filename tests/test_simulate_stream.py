@@ -15,7 +15,7 @@ from helpers import run_fresh
 from fracmv import cli, dynamics
 from fracmv.cli import cmd_simulate, main
 from fracmv.config import load_config
-from fracmv.dynamics import save_trajectory
+from fracmv.dynamics import Trajectory, save_trajectory
 from fracmv.grid import tail_masses
 from fracmv.measure import save_measure, second_moment
 from fracmv.mckean_vlasov import picard_solve
@@ -49,16 +49,16 @@ def _digest(root: Path) -> str:
 def _collected_simulate(cfg, out: Path) -> None:
     """``simulate`` as one collected solve, then each file from the whole flow."""
     out.mkdir()
-    result = picard_solve(cfg.problem(), cfg.picard_config())
-    rep, flow = result.report, result.flow
+    flow = picard_solve(cfg.problem(), cfg.picard_config())
     (out / "trajectories").mkdir()
     ext = ".traj" if cfg.output_format == "blob" else ""
     for i in range(flow.n_particles):
-        save_trajectory(result.particle_trajectory(i),
+        save_trajectory(Trajectory(flow.grid, flow.times, flow.states[:, i]),
                         out / "trajectories" / f"particle_{i:03d}{ext}", fmt=cfg.output_format)
     save_measure(flow.measure(flow.n_times - 1), out / "final_measure")
+    # the one causal sweep's report: one iteration at distance 0
     cli._write_csv(out / "picard_report.csv", ["iteration", "distance", "ratio"],
-                   [(rep.iterations, f"{rep.distance:.17g}", "")])
+                   [(1, f"{0.0:.17g}", "")])
     cli._write_csv(
         out / "flow_summary.csv",
         ["node", "time", "mean_second_moment"],
@@ -71,8 +71,8 @@ def _collected_simulate(cfg, out: Path) -> None:
     cli._write_manifest(out, cli._manifest(cfg, "simulate", {
         "n_particles": flow.n_particles,
         "epsilon": cfg.epsilon,
-        "converged": rep.converged,
-        "iterations": rep.iterations,
+        "converged": True,
+        "iterations": 1,
         "domain_margin": {"radius": margin, "worst_tail": worst, "delta": delta},
     }))
 
