@@ -343,8 +343,10 @@ class NoiseSigma:
         free = np.multiply.outer(self.beta * root_m2, self.kappa.values)
         return self.profile(t) * self.shape_stack() + free
 
-    def drive(self, free: np.ndarray, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """The noise operator applied to mode coefficients, path by path.
+    def drive(self, free: np.ndarray, u: np.ndarray, theta: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """The noise operator applied to mode coefficients, path by path, into
+        ``out`` (a contiguous array shaped like ``u``) if given.
 
         ``u`` is a batch ``(N, *grid.shape)`` and ``theta`` has shape
         ``(N, K)``; path ``n`` gets ``sum_k theta[n, k] * field_k(u[n])``.
@@ -352,12 +354,16 @@ class NoiseSigma:
         (:meth:`free_fields`) is contracted with ``theta[n]`` and
         ``kappa u[n]`` is scaled by ``theta[n] . gamma``, one matrix product
         per path each, so a row equals its one-path call bit for bit and no
-        ``(N, K, *grid.shape)`` stack is built.
+        ``(N, K, *grid.shape)`` stack is built; the state term is the one
+        batch made here.
         """
-        col = (-1,) + (1,) * self.grid.dim
-        out = np.matmul(theta[:, None, :], free.reshape(1, self.n_modes, -1)).reshape(u.shape)
+        col, flat = (-1,) + (1,) * self.grid.dim, (len(u), 1, -1)
+        out = np.matmul(theta[:, None, :], free.reshape(1, self.n_modes, -1),
+                        out=None if out is None else out.reshape(flat)).reshape(u.shape)
         slope = np.matmul(theta[:, None, :], self.gamma[:, None]).reshape(col)
-        out += self.kappa.values * (slope * u)
+        state = slope * u
+        state *= self.kappa.values
+        out += state
         return out
 
     def derivative(self, theta: np.ndarray) -> np.ndarray:

@@ -124,13 +124,14 @@ class Control:
             raise ValidationError(f"{self._what} values must be 2-d, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{self._what} contains non-finite values")
-        if not (0.0 < float(self.dt) < math.inf):
-            raise ValidationError(f"{self._what} dt must be finite and positive, got {self.dt!r}")
+        _check_positive(f"{self._what} dt", self.dt, "must be finite and positive")
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "dt", float(self.dt))
 
     @classmethod
     def zero(cls, tgrid: TimeGrid, n_modes: int) -> "Control":
-        return cls(np.zeros((tgrid.steps, int(n_modes))), tgrid.dt)
+        _check_count("n_modes", n_modes)
+        return cls(np.zeros((tgrid.steps, n_modes)), tgrid.dt)
 
     @property
     def steps(self) -> int:
@@ -176,9 +177,10 @@ class NoisePath(Control):
     def generate(
         cls, tgrid: TimeGrid, n_modes: int, master_seed: int, particle: int = 0
     ) -> "NoisePath":
+        _check_count("n_modes", n_modes)
         key = stable_seed_key(master_seed, "noise", particle)
         gen = np.random.Generator(np.random.Philox(key=key))
-        draws = gen.standard_normal((tgrid.steps, int(n_modes)))
+        draws = gen.standard_normal((tgrid.steps, n_modes))
         return cls(draws * math.sqrt(tgrid.dt), tgrid.dt)
 
     @property
@@ -237,19 +239,24 @@ def _step_nodes(
     ``law`` is the table of a frozen law (:func:`_law_table`), or None to take the
     law from the current state (the Dirac mass of a single path).  ``control``
     and ``noise`` hold per-path mode coefficients, shape ``(S, N, K)``;
-    sigma is applied once per step, to ``theta = dt v_s + sqrt(eps) dW_s``.
+    sigma is applied once per step, to ``theta = dt v_s + sqrt(eps) dW_s``,
+    formed at step ``s`` for that step only.
+
+    A step allocates the spectrum of ``u~`` and the node it yields, and when
+    driven one batch for sigma's state term: f, its taming and g have a buffer
+    each, reused every step, and sigma's drive lands in f's.  ``starts`` is let go
+    once yielded, so the stream holds the node it reads and the one it makes.
     """
     S, dt, nodes = tgrid.steps, tgrid.dt, tgrid.nodes
     res_mult = grid.resolvent_multiplier(coeffs.alpha, dt)
-    theta = None if control is None else dt * control
-    if noise is not None and eps > 0.0:
-        kicks = math.sqrt(eps) * noise
-        theta = kicks if theta is None else theta + kicks
+    root_eps = math.sqrt(eps) if noise is not None and eps > 0.0 else None
+    driven = control is not None or root_eps is not None
     n = starts.shape[0]
     # one buffer each for f, its taming and g, reused every step: fresh batches each
     # step can be handed back to the system and faulted in again by the allocator
     f_buf, tamed_buf, g_buf = np.empty((3,) + starts.shape)
     vals = starts
+    del starts
     yield vals
     for s in range(S):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -267,8 +274,11 @@ def _step_nodes(
             tilde -= f
             tilde *= dt
             tilde += vals
-            if theta is not None:
-                tilde += coeffs.sigma.drive(node.free, vals, theta[s])
+            if driven:
+                theta = root_eps * noise[s] if control is None else dt * control[s]
+                if control is not None and root_eps is not None:
+                    theta += root_eps * noise[s]
+                tilde += coeffs.sigma.drive(node.free, vals, theta, out=f)
             vals = grid.apply_multiplier(tilde, res_mult)
         if not np.isfinite(vals).all():
             finite = np.isfinite(vals.reshape(n, -1)).all(axis=1)
@@ -507,8 +517,9 @@ _TRAJ_MAGIC = b"FRACMVTRAJ1\n"
 
 
 def _le_f8(values) -> memoryview:
-    """``values`` as little-endian float64, without a copy where they already are."""
-    return memoryview(np.ascontiguousarray(values, dtype="<f8"))
+    """The bytes of ``values`` as little-endian float64, flat, without a copy where
+    they already are."""
+    return memoryview(np.ascontiguousarray(values, dtype="<f8").reshape(-1).view(np.uint8))
 
 
 class _TrajectoryWriter:
@@ -542,8 +553,13 @@ class _TrajectoryWriter:
     def append(self, values: np.ndarray) -> None:
         """Write the next nodes, ``values`` of shape ``(b, *grid.shape)``."""
         if self.fmt == "blob":
-            with open(self.path, "ab") as fh:
-                fh.write(_le_f8(values))
+            data = _le_f8(values)
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             return
         for node in values:
             name = f"node_{self.written:05d}.csv"

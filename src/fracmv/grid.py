@@ -65,12 +65,12 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_positive(name: str, value) -> None:
-    """Refuse ``value`` for the field ``name`` unless it is a finite positive real;
-    a bool or a string is not one."""
+def _check_positive(name: str, value, rule: str = "must be a finite positive number") -> None:
+    """Refuse ``value`` for the field ``name``, saying it ``rule``, unless it is a finite
+    positive real; a bool or a string is not one."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not 0.0 < value < math.inf):
-        raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
+        raise ValidationError(f"{name} {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,22 @@ def test_drive_matches_the_mode_stack_contraction(dim, n_modes, n, rng):
         assert sig.drive(free, u[i : i + 1], theta[i : i + 1]).tobytes() == fast[i].tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [1, 5])
+def test_drive_into_a_buffer_equals_a_fresh_drive(dim, n, rng):
+    """``drive(..., out=buf)`` writes into ``buf`` the bits of the call that makes
+    its own array, and returns ``buf`` shaped like ``u``."""
+    g = build_grid(dim=dim, points=16)
+    sig = build_coeffs(g, n_modes=3).sigma
+    u = rng.standard_normal((n,) + g.shape)
+    theta = rng.standard_normal((n, 3))
+    free = sig.free_fields(0.3, 0.8)
+    buf = np.full_like(u, np.nan)
+    into = sig.drive(free, u, theta, out=buf)
+    assert into.shape == u.shape and np.shares_memory(into, buf)
+    assert buf.tobytes() == sig.drive(free, u, theta).tobytes()
+
+
 def test_hs_norm_and_growth_bound(rng):
     g = build_grid(points=16)
     coeffs = build_coeffs(g, n_modes=3)

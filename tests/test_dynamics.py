@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -275,18 +277,27 @@ def test_every_caller_refuses_a_wrong_mode_path_shape(caller, axis, small_grid, 
 @pytest.mark.parametrize("cls,what", [(Control, "control"), (NoisePath, "noise")])
 def test_mode_paths_refuse_flat_non_finite_and_step_free_arrays(cls, what):
     """A control and a noise path each refuse a 1-d array, a NaN entry and
-    a step size that is not finite and positive, by name."""
+    a step size that is not a finite positive number, by name, and store the
+    step as a float; ``Control.zero`` and ``NoisePath.generate`` refuse a mode
+    count that is not an integer >= 1, where ``int`` would draw 2 or 1 modes."""
     with pytest.raises(ValidationError, match=f"^{what} values must be 2-d, got shape \\(4,\\)$"):
         cls(np.zeros(4), 0.1)
     bad = np.zeros((4, 2))
     bad[2, 1] = np.nan
     with pytest.raises(ValidationError, match=f"^{what} contains non-finite values$"):
         cls(bad, 0.1)
-    for dt in (0.0, -0.1, float("nan"), float("inf")):
+    for dt in (0.0, -0.1, float("nan"), float("inf"), "0.1", True):
         with pytest.raises(ValidationError, match=f"^{what} dt must be finite and positive"):
             cls(np.zeros((4, 2)), dt)
     path = cls(np.ones((4, 2)), 0.1)
     assert path.values.shape == (4, 2) and path.steps == 4 and path.n_modes == 2
+    assert type(cls(np.ones((4, 2)), 1).dt) is float
+    tg = build_tgrid(steps=4)
+    make = Control.zero if cls is Control else partial(NoisePath.generate, master_seed=1)
+    for n_modes in (2.5, True, 0):
+        with pytest.raises(ValidationError,
+                           match=f"^n_modes must be an integer >= 1, got {re.escape(repr(n_modes))}$"):
+            make(tg, n_modes)
     if cls is NoisePath:
         assert path.increments is path.values
 
@@ -558,6 +569,24 @@ def test_blob_roundtrip_and_byte_determinism(tmp_path, small_grid, small_coeffs)
     assert back.grid == traj.grid
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.values, traj.values)
+
+
+def test_blob_append_survives_short_writes(tmp_path, small_grid, small_coeffs, monkeypatch):
+    """``os.write`` may write fewer bytes than it is given: a blob appended through
+    one that writes at most 1,000 bytes a call is the file of a whole write."""
+    traj = solve_deterministic(build_u0(small_grid), small_coeffs, build_tgrid(steps=10))
+    whole = save_trajectory(traj, tmp_path / "whole.traj").read_bytes()
+    real, calls = os.write, []
+
+    def short(fd, data):
+        calls.append(len(data))
+        return real(fd, data[:1000])
+
+    monkeypatch.setattr(os, "write", short)
+    path = save_trajectory(traj, tmp_path / "short.traj")
+    monkeypatch.undo()
+    assert len(calls) == math.ceil(traj.values.nbytes / 1000) > 1
+    assert path.read_bytes() == whole
 
 
 def test_csv_trajectory_roundtrip(tmp_path, small_coeffs):

@@ -18,7 +18,7 @@ from fracmv.config import load_config
 from fracmv.dynamics import Trajectory, save_trajectory
 from fracmv.grid import tail_masses
 from fracmv.measure import save_measure, second_moment
-from fracmv.mckean_vlasov import picard_solve
+from fracmv.mckean_vlasov import _sweep_nodes, picard_solve
 
 TINY = {
     "grid": {"half_width": 4.0, "points_per_dim": 32},
@@ -137,8 +137,8 @@ def test_simulate_blow_up_exits_3_and_leaves_no_trajectory(fmt, per_block, tmp_p
 @pytest.mark.filterwarnings("ignore:mass .* outside")
 def test_simulate_holds_a_block_not_the_flow(tmp_path):
     """A 2-d run of 64 particles and 101 nodes makes a 53 MB flow; ``simulate``
-    holds a 4 MB block of it, the step's buffers and the noise stack, under a
-    quarter of the flow, where the collected solve holds all of it."""
+    holds a 1 MiB block of it, the step's buffers and the noise stack, under an
+    eighth of the flow, where the collected solve holds all of it."""
     path = _config(tmp_path, grid={"dim": 2, "points_per_dim": 32}, time={"steps": 100},
                    picard={"n_particles": 64})
     cfg = load_config(path)
@@ -152,7 +152,30 @@ def test_simulate_holds_a_block_not_the_flow(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
-    assert peak < flow_bytes / 4
+    assert peak < flow_bytes / 8
+
+
+def test_the_sweep_holds_a_few_nodes(tmp_path):
+    """Read bare, the causal sweep of 64 particles on a 32 x 32 grid over 200 steps
+    holds under 8 nodes of ``N * cells * 8`` bytes at its peak, the noise stack
+    included: the step's three buffers, the node it reads, the spectrum and the node
+    it makes; no ``(S, N, K)`` copy of the noise, no batch per term of sigma's drive
+    and no copy of the start."""
+    cfg = load_config(_config(tmp_path, grid={"dim": 2, "points_per_dim": 32},
+                              time={"steps": 200}, picard={"n_particles": 64}))
+    node_bytes = 8 * 64 * cfg.grid.n_cells
+    problem = cfg.problem()
+    for _ in _sweep_nodes(cfg.with_overrides(picard={"n_particles": 2}).problem(), 2):
+        pass  # fill the per-grid caches outside the measurement
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for _ in _sweep_nodes(problem, 64):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * node_bytes
 
 
 @pytest.mark.filterwarnings("ignore:mass .* outside")
