@@ -105,9 +105,9 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     A blow-up removes the trajectories written so far.
     """
     out = _out_dir(out)
-    problem, pcfg = cfg.problem(), cfg.picard_config()
-    grid, times, n = problem.grid, problem.tgrid.nodes, pcfg.n_particles
-    nodes = _sweep_nodes(problem, n)
+    grid, times, n = cfg.grid, cfg.tgrid.nodes, cfg.picard_config().n_particles
+    # the problem is built in the call, so no name keeps its start alive past node 0
+    nodes = _sweep_nodes(cfg.problem(), n)
     margin = grid.half_width / 2.0
     delta = float(cfg.raw["verify"]["domain_margin_delta"])
 

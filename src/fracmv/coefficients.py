@@ -39,6 +39,7 @@ __all__ = [
     "CoefficientSet",
     "NodeFields",
     "law_statistics",
+    "law_from_sums",
     "hs_bound_constant",
     "sigma_lipschitz_constant",
     "ConditionCheck",
@@ -131,7 +132,13 @@ def law_statistics(states: np.ndarray, grid: SpatialGrid, h_cap: float) -> np.nd
     one-atom ensemble.
     """
     lead = states.shape[: states.ndim - grid.dim]
-    sq = np.sum(states.reshape(lead + (-1,)) ** 2, axis=-1)
+    return law_from_sums(np.sum(states.reshape(lead + (-1,)) ** 2, axis=-1), grid, h_cap)
+
+
+def law_from_sums(sq: np.ndarray, grid: SpatialGrid, h_cap: float) -> np.ndarray:
+    """The triple of :func:`law_statistics` from each atom's sum of squared values
+    over the cells, ``sq`` of shape ``(..., N)``, so a caller that has the sums
+    need not square its atoms again."""
     w = grid.cell_volume
     norms = np.sqrt(sq * w)
     return np.stack(

@@ -198,8 +198,10 @@ class SpatialGrid:
             np.fft.fft(spec, axis=-2, out=spec)
         return spec
 
-    def apply_multiplier(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        """Apply a real Fourier multiplier to a real field array.
+    def apply_multiplier(self, values: np.ndarray, mult: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+        """Apply a real Fourier multiplier to a real field array, into ``out`` (a
+        contiguous array shaped like ``values``) if given.
 
         The transform runs over the last ``dim`` axes, so ``values`` may
         be one field or a batch of fields stacked on leading axes.  The
@@ -211,7 +213,7 @@ class SpatialGrid:
         spec *= mult
         if self.dim == 2:
             np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
-        out = np.fft.irfft(spec, n=self.points_per_dim, norm="forward")
+        out = np.fft.irfft(spec, n=self.points_per_dim, norm="forward", out=out)
         out *= 1.0 / self.n_cells
         return out
 

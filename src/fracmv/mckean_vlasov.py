@@ -117,16 +117,32 @@ def _initial_flow(problem: MeanFieldProblem, n_particles: int) -> MeasureFlow:
     return MeasureFlow.constant(mu0, problem.tgrid.nodes)
 
 
-def _noise_stack(problem: MeanFieldProblem, n: int) -> np.ndarray | None:
-    """The increments of particles ``0 .. n-1``, shape ``(S, n, K)``, or None without
-    noise."""
+# Steps of each particle's noise drawn per generator call.  The chunk is 32 N K floats
+# whatever S is, where the (S, N, K) stack grew with the horizon.  Measured on a
+# 2-vCPU Xeon at the canonical 200 steps and 4 modes, N = 4,096 draws in 1.8 s a step
+# at a time, 0.39 s 8 at a time, 0.17 s 32 at a time and 0.14 s all at once.
+_NOISE_CHUNK = 32
+
+
+def _noise_rows(problem: MeanFieldProblem, n: int):
+    """The increments of particles ``0 .. n-1``, one ``(n, K)`` row per step, or None
+    without noise.  Each particle's generator is made here, when the sweep is built;
+    the rows are drawn from them ``_NOISE_CHUNK`` steps at a time into one preallocated
+    chunk, so a row is a view that the next chunk overwrites: read it in its step.
+    Row ``s`` equals the step-``s`` rows of the particles' ``NoisePath.generate``."""
     if problem.epsilon == 0.0:
         return None
-    K, tgrid = problem.coeffs.sigma.n_modes, problem.tgrid
-    return np.stack(
-        [NoisePath.generate(tgrid, K, problem.master_seed, i).increments for i in range(n)],
-        axis=1,
-    )
+    gens = [NoisePath.generator(problem.master_seed, i) for i in range(n)]
+    return _drawn_rows(gens, problem.tgrid, problem.coeffs.sigma.n_modes)
+
+
+def _drawn_rows(gens: list, tgrid: TimeGrid, n_modes: int):
+    chunk = np.empty((len(gens), _NOISE_CHUNK, n_modes))  # particle-major: a draw fills a block
+    for first in range(0, tgrid.steps, _NOISE_CHUNK):
+        size = min(_NOISE_CHUNK, tgrid.steps - first)
+        for gen, block in zip(gens, chunk):
+            NoisePath.draw(gen, block[:size], tgrid.dt)
+        yield from chunk[:, :size].swapaxes(0, 1)
 
 
 def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
@@ -143,17 +159,18 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
     _check_nodes("flow", flow, grid, tgrid.nodes)
     law = _law_table(coeffs, grid, tgrid.nodes, flow.states)
     states = _run_steps(grid, coeffs, _initial_states(problem, n), tgrid, law,
-                        float(problem.epsilon), None, _noise_stack(problem, n))
+                        float(problem.epsilon), None, _noise_rows(problem, n))
     return MeasureFlow._checked(grid, tgrid.nodes, states)
 
 
 def _sweep_nodes(problem: MeanFieldProblem, n: int):
     """The causal sweep of ``n`` particles, each driven by its own noise path and all
     stepped against their ensemble's law: the nodes ``0 .. S`` as :func:`_step_nodes`
-    yields them, to be read and not written into.  The start and the noise stack are
-    checked and drawn here, before the first node is asked for."""
+    yields them, to be read and not written into.  The start is checked and the
+    particles' noise generators are made here, before the first node is asked for; the
+    sweep holds neither ``problem`` nor a noise stack."""
     return _step_nodes(problem.grid, problem.coeffs, _initial_states(problem, n), problem.tgrid,
-                       None, float(problem.epsilon), None, _noise_stack(problem, n))
+                       None, float(problem.epsilon), None, _noise_rows(problem, n))
 
 
 def auto_lambda(

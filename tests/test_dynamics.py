@@ -378,10 +378,11 @@ def test_node_stream_owns_its_floating_point_state(amp, law, small_grid, small_c
 
 
 @pytest.mark.parametrize("bad", [1, 2, 64])
-def test_controlled_batch_blow_up_names_the_row(small_grid, small_coeffs, small_tgrid, bad):
+def test_controlled_batch_blow_up_names_the_row(small_grid, small_coeffs, small_tgrid, bad,
+                                                monkeypatch):
     """Row ``bad`` of a stack of controls overflows; that row is named
-    wherever it sits in the batch, and a single controlled path still
-    names none."""
+    wherever it sits in the batch, in one slab or in the last of several, and a
+    single controlled path still names none."""
     from fracmv import dynamics
 
     u0 = build_u0(small_grid)
@@ -391,6 +392,13 @@ def test_controlled_batch_blow_up_names_the_row(small_grid, small_coeffs, small_
     solve = dynamics._controlled_solver(u0, base, small_coeffs, small_tgrid)[0]
     with pytest.raises(BlowUpError) as exc_info:
         solve(controls)
+    assert exc_info.value.particle == bad
+    # in slabs of 4 rows the bad row sits in the last slab: the 2-row slab 64-65 at
+    # bad = 64, the 3- and 4-row single slabs at bad = 1 and 2
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_SLAB_BYTES", 4 * 8 * small_grid.n_cells)
+        with pytest.raises(BlowUpError) as exc_info:
+            solve(controls)
     assert exc_info.value.particle == bad
     with pytest.raises(BlowUpError) as exc_info:
         solve_controlled(u0, Control(controls[bad], small_tgrid.dt), base, small_coeffs, small_tgrid)
@@ -493,6 +501,47 @@ def test_run_steps_matches_the_per_step_kernel_byte_for_byte(dim, n, law, rng):
         got = dynamics._run_steps(grid, coeffs, starts, tg, law_arg, eps, ctl, dw)
         ref = _reference_run(grid, coeffs, starts, tg, ref_law, eps, ctl, dw)
         assert got.tobytes() == ref.tobytes()
+
+
+def test_slabs_of_four_and_one_rows_match_one_row_runs(rng):
+    """On a 64 x 64 grid a slab holds 4 fields, so 5 paths run as slabs of 4 rows
+    and 1.  Each row equals its one-row run bit for bit: a sweep against its own law
+    (``law=None``, read from sums taken slab by slab) is the ``solve_frozen`` run of
+    each path against the swept flow and the whole-batch reference step; a
+    frozen-table ``apply_phi`` is one ``solve_frozen`` per particle; a controlled
+    stack is one ``solve_controlled`` per control."""
+    from fracmv import dynamics
+
+    grid = build_grid(dim=2, points=64)
+    assert dynamics._SLAB_BYTES // (8 * grid.n_cells) == 4
+    coeffs = build_coeffs(grid, n_modes=3)
+    tg, n, K, eps, seed = build_tgrid(steps=6), 5, coeffs.sigma.n_modes, 0.05, 11
+    u0 = build_u0(grid)
+    starts = u0.values[None] * (1.0 + 0.2 * rng.standard_normal((n, 1, 1)))
+    paths = [NoisePath.generate(tg, K, seed, i) for i in range(n)]
+    noise = np.stack([w.increments for w in paths], axis=1)
+
+    sweep = dynamics._run_steps(grid, coeffs, starts, tg, None, eps, None, noise)
+    ref = _reference_run(grid, coeffs, starts, tg, None, eps, None, noise)
+    assert sweep.tobytes() == ref.tobytes()
+    flow = MeasureFlow(grid, tg.nodes, sweep)
+    for i in range(n):
+        one = solve_frozen(GridFunction(grid, starts[i]), flow, coeffs, tg, eps, paths[i])
+        assert sweep[:, i].tobytes() == one.values.tobytes()
+
+    problem = MeanFieldProblem(grid, tg, coeffs, u0, eps, seed, initial_states=starts)
+    flow0 = MeasureFlow.constant(EmpiricalMeasure(grid, starts), tg.nodes)
+    image = apply_phi(problem, flow0)
+    for i in range(n):
+        one = solve_frozen(GridFunction(grid, starts[i]), flow0, coeffs, tg, eps, paths[i])
+        assert image.states[:, i].tobytes() == one.values.tobytes()
+
+    base = solve_deterministic(u0, coeffs, tg)
+    controls = rng.standard_normal((n, tg.steps, K))
+    stack = dynamics._controlled_solver(u0, base, coeffs, tg)[0](controls)
+    for v, path in zip(controls, stack, strict=True):
+        one = solve_controlled(u0, Control(v, tg.dt), base, coeffs, tg)
+        assert path.tobytes() == one.values.tobytes()
 
 
 def test_controlled_solver_builds_node_fields_once(small_grid, small_coeffs, small_tgrid,

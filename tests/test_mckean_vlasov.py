@@ -49,11 +49,19 @@ def off_table(real):
     return lambda *a: NodeFields(*(1.05 * col for col in real(*a)))
 
 
+def noise_stack(p, n):
+    """Particles ``0 .. n-1``'s ``NoisePath.generate`` increments, stacked ``(S, n, K)``."""
+    K = p.coeffs.sigma.n_modes
+    return np.stack([NoisePath.generate(p.tgrid, K, p.master_seed, i).increments
+                     for i in range(n)], axis=1)
+
+
 def sweep_states(p, n):
     """The states of ``n`` particles stepped against their own law, each driven by
-    its own noise path: one run of the step kernel with ``law=None``."""
+    its own noise path: one run of the step kernel with ``law=None``, fed the
+    stacked noise paths."""
     return dynamics._run_steps(p.grid, p.coeffs, mckean_vlasov._initial_states(p, n), p.tgrid,
-                               None, p.epsilon, None, mckean_vlasov._noise_stack(p, n))
+                               None, p.epsilon, None, noise_stack(p, n))
 
 
 def retired_config(**picard):
@@ -389,46 +397,65 @@ def test_tolerated_certificate_returns_the_sweep_it_certified(small_grid, small_
 
 
 def test_last_sweep_reads_no_law_table(small_grid, small_coeffs, small_tgrid, monkeypatch):
-    """A solve is one run of the step kernel: it reads its ensemble's law and
-    applies the spectral resolvent once per step, solves no W2, and returns the
-    sweep of the particles against their own law, driven by their noise stack."""
+    """A solve is one run of the step kernel: it reads its ensemble's law once per
+    step from the paths' squared sums and builds no law table, applies the spectral
+    resolvent once per step and slab (three slabs of 2, 2 and 1 paths here), solves
+    no W2, and returns the sweep of the particles against their own law, driven by
+    their stacked noise paths, in the default single slab."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
-    n, calls, resolvents, solved = 5, [], [], []
-    real = dynamics.law_statistics
-    counted = lambda *a: calls.append(1) or real(*a)  # noqa: E731
+    n, reads, tables, resolvents, solved = 5, [], [], [], []
+    ref = sweep_states(p, n)
+    real_read, real_table = dynamics.law_from_sums, dynamics.law_statistics
+    monkeypatch.setattr(dynamics, "law_from_sums", lambda *a: reads.append(1) or real_read(*a))
     for module in (dynamics, mckean_vlasov):  # the solver module must hold no copy of its own
-        monkeypatch.setattr(module, "law_statistics", counted, raising=False)
+        monkeypatch.setattr(module, "law_statistics",
+                            lambda *a: tables.append(1) or real_table(*a), raising=False)
     real_mult, real_w2 = SpatialGrid.apply_multiplier, measure.wasserstein2
     monkeypatch.setattr(SpatialGrid, "apply_multiplier",
-                        lambda *a: resolvents.append(1) or real_mult(*a))
+                        lambda *a, **k: resolvents.append(1) or real_mult(*a, **k))
     monkeypatch.setattr(measure, "wasserstein2", lambda a, b: solved.append(1) or real_w2(a, b))
+    monkeypatch.setattr(dynamics, "_SLAB_BYTES", 2 * 8 * small_grid.n_cells)
     flow = picard_solve(p, PicardConfig(n_particles=n, tol=1e-9))
-    assert len(calls) == small_tgrid.steps
-    assert len(resolvents) == small_tgrid.steps
+    assert len(reads) == small_tgrid.steps
+    assert tables == []
+    assert len(resolvents) == 3 * small_tgrid.steps
     assert solved == []
-    assert flow.states.tobytes() == sweep_states(p, n).tobytes()
+    assert flow.states.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 31, 32, 33, 200])
+def test_noise_rows_are_the_stacked_noise_paths(small_grid, small_coeffs, steps):
+    """The sweep's noise stream, drawn 32 steps at a time, gives row by row the
+    stacked ``NoisePath.generate`` increments bit for bit, for horizons shorter than
+    a chunk, one chunk, one step past it and several chunks; its rows are views of one
+    chunk, so each is copied as it is read."""
+    p = make_problem(small_grid, small_coeffs, build_tgrid(steps=steps))
+    rows = [row.copy() for row in mckean_vlasov._noise_rows(p, 3)]
+    assert len(rows) == steps
+    assert np.stack(rows).tobytes() == noise_stack(p, 3).tobytes()
+    assert mckean_vlasov._noise_rows(dataclasses.replace(p, epsilon=0.0), 3) is None
 
 
 @pytest.mark.parametrize("weight", [1.0, "auto"])
 def test_solve_draws_each_particles_noise_once(small_grid, small_coeffs, small_tgrid,
                                                monkeypatch, weight):
-    """Whatever the retired ``lambda_weight`` key reads, a solve draws each
-    particle's noise once; the problem holds no noise, so ``apply_phi`` draws its
-    own."""
+    """Whatever the retired ``lambda_weight`` key reads, a solve makes each
+    particle's noise generator once; the problem holds no noise, so ``apply_phi``
+    makes its own."""
     p = make_problem(small_grid, small_coeffs, small_tgrid)
-    drawn = []
-    real = NoisePath.generate.__func__
-    monkeypatch.setattr(NoisePath, "generate",
-                        classmethod(lambda cls, *a, **k: drawn.append(1) or real(cls, *a, **k)))
+    made = []
+    real = NoisePath.generator
+    monkeypatch.setattr(NoisePath, "generator",
+                        staticmethod(lambda *a: made.append(a[1]) or real(*a)))
     picard_solve(p, retired_config(n_particles=5, lambda_weight=weight))
-    assert len(drawn) == 5
+    assert made == [0, 1, 2, 3, 4]
     apply_phi(p, _initial_flow(p, 5))
-    assert len(drawn) == 10
+    assert made == [0, 1, 2, 3, 4] * 2
 
 
 def test_fixed_weight_solve_holds_one_flow():
     """A solve is one causal sweep, so it holds one flow and a few nodes (under 20
-    here: the step's buffers, the node in hand and the noise stack), where a
+    here: the step's buffers, the node in hand and a chunk of noise), where a
     two-flow loop holds two flows."""
     g = build_grid(points=64)
     p = make_problem(g, build_coeffs(g), build_tgrid(steps=100))
@@ -513,7 +540,7 @@ def test_small_noise_sweep_refuses_a_count_that_is_not_one(small_grid, small_coe
 
 def test_small_noise_sweep_holds_less_than_one_flow():
     """The sweep reads each intensity's causal sweep node by node, so it holds its
-    noise stack, the zero-noise path and one deviation per particle and node, less
+    noise chunk, the zero-noise path and one deviation per particle and node, less
     than the ``(S+1) x n`` flow a collected solve holds."""
     g, tgrid, n = build_grid(points=64), build_tgrid(steps=100), 16
     p = make_problem(g, build_coeffs(g), tgrid, eps=0.0)

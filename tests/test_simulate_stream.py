@@ -3,6 +3,7 @@ the collected solve's, byte for byte, while it holds a bounded block of nodes
 and one file at a time, and a blow-up must leave no partial trajectory."""
 
 import hashlib
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -137,8 +138,9 @@ def test_simulate_blow_up_exits_3_and_leaves_no_trajectory(fmt, per_block, tmp_p
 @pytest.mark.filterwarnings("ignore:mass .* outside")
 def test_simulate_holds_a_block_not_the_flow(tmp_path):
     """A 2-d run of 64 particles and 101 nodes makes a 53 MB flow; ``simulate``
-    holds a 1 MiB block of it, the step's buffers and the noise stack, under an
-    eighth of the flow, where the collected solve holds all of it."""
+    holds a 1 MiB block of it, the two nodes and slab of the step and a 32-step
+    chunk of noise, under an eighth of the flow, where the collected solve holds
+    all of it."""
     path = _config(tmp_path, grid={"dim": 2, "points_per_dim": 32}, time={"steps": 100},
                    picard={"n_particles": 64})
     cfg = load_config(path)
@@ -155,27 +157,66 @@ def test_simulate_holds_a_block_not_the_flow(tmp_path):
     assert peak < flow_bytes / 8
 
 
-def test_the_sweep_holds_a_few_nodes(tmp_path):
-    """Read bare, the causal sweep of 64 particles on a 32 x 32 grid over 200 steps
-    holds under 8 nodes of ``N * cells * 8`` bytes at its peak, the noise stack
-    included: the step's three buffers, the node it reads, the spectrum and the node
-    it makes; no ``(S, N, K)`` copy of the noise, no batch per term of sigma's drive
-    and no copy of the start."""
-    cfg = load_config(_config(tmp_path, grid={"dim": 2, "points_per_dim": 32},
-                              time={"steps": 200}, picard={"n_particles": 64}))
-    node_bytes = 8 * 64 * cfg.grid.n_cells
+def _sweep_peak(cfg, n: int) -> float:
+    """The ``tracemalloc`` peak of a bare causal sweep of ``n`` particles, in nodes of
+    ``n * cells * 8`` bytes, the problem built outside the measurement."""
     problem = cfg.problem()
-    for _ in _sweep_nodes(cfg.with_overrides(picard={"n_particles": 2}).problem(), 2):
-        pass  # fill the per-grid caches outside the measurement
+    two = cfg.with_overrides(picard={"n_particles": 2}).problem()
+    for _ in itertools.islice(_sweep_nodes(two, 2), 2):
+        pass  # one step fills the per-grid caches outside the measurement
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        for _ in _sweep_nodes(problem, 64):
+        for _ in _sweep_nodes(problem, n):
             pass
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
-    assert peak < 8 * node_bytes
+    return peak / (8 * n * cfg.grid.n_cells)
+
+
+def test_the_sweep_holds_a_few_nodes(tmp_path):
+    """Read bare, the causal sweep of 64 particles on a 32 x 32 grid over 200 steps
+    holds under 5.5 nodes of ``N * cells * 8`` bytes at its peak, noise included:
+    the node it reads and the node it makes, and a slab of 16 fields each for the
+    step's three buffers, the spectrum and sigma's state term; no ``(S, N, K)``
+    noise stack, no batch-sized temporary and no copy of the start."""
+    cfg = load_config(_config(tmp_path, grid={"dim": 2, "points_per_dim": 32},
+                              time={"steps": 200}, picard={"n_particles": 64}))
+    assert _sweep_peak(cfg, 64) < 5.5
+
+
+def test_a_long_sweep_holds_as_few_nodes(tmp_path, monkeypatch):
+    """Over 2,000 steps the sweep holds under the same 5.5 nodes as over 200: its
+    noise is a chunk of 32 steps, not the 2,000-step stack (8 nodes here on its own).  The 1-d grid
+    of 256 cells and 32 particles is small, so the slab is cut to 8 fields to keep
+    four slabs a node, as the 2-d case has."""
+    cfg = load_config(_config(tmp_path, grid={"points_per_dim": 256}, noise={"n_modes": 1},
+                              time={"steps": 2000}, picard={"n_particles": 32}))
+    monkeypatch.setattr(dynamics, "_SLAB_BYTES", 8 * 8 * cfg.grid.n_cells)
+    assert _sweep_peak(cfg, 32) < 5.5
+
+
+@pytest.mark.filterwarnings("ignore:mass .* outside")
+def test_jittered_simulate_lets_its_start_go(tmp_path):
+    """A jittered start is the problem's own array; ``simulate`` does not keep the
+    problem, so the start is let go after node 0 and the run peaks within a quarter
+    node of an unjittered one, where holding it would cost a whole node."""
+    path = _config(tmp_path, grid={"dim": 2, "points_per_dim": 32}, picard={"n_particles": 64})
+    cfg = load_config(path)
+    node_bytes = 8 * 64 * cfg.grid.n_cells
+    cmd_simulate(cfg.with_overrides(picard={"n_particles": 2}), tmp_path / "warm")
+    peaks = []
+    for jitter in (0.0, 0.1):
+        run = cfg.with_overrides(initial={"jitter": jitter})
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            cmd_simulate(run, tmp_path / f"sim{jitter}")
+            peaks.append(tracemalloc.get_traced_memory()[1] - baseline)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.25 * node_bytes
 
 
 @pytest.mark.filterwarnings("ignore:mass .* outside")
