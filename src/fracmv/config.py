@@ -1,12 +1,16 @@
 """Run configuration: one YAML file describing a whole experiment.
 
-Loading builds every component once.  This module checks key names,
-YAML types and the few rules no component owns (noise shape and
-envelope, initial state, seed, output and verify settings); every other
-rule lives in the component that uses the value, and ``_at`` adds the
-key path to its message.  The normalized document (defaults filled in,
-key order fixed) is hashed so that output manifests pin down exactly
-what produced them.
+Loading builds every component once.  Types are checked once, where
+``_merge_defaults`` overlays the file on the canonical defaults: an
+unknown key is refused, and each leaf must have its default's type (a
+finite number for a float, so an integer too large for a float is
+refused by name).  Each range is checked once: ``_rule`` checks the few
+that no component owns (noise shape and envelope, the weight rules'
+decay, initial state, seed, retired keys, output and verify settings),
+and every other lives in the component that takes the block, with
+``_at`` adding the key path to its message.  The normalized document
+(defaults filled in, key order fixed) is hashed so that output manifests
+pin down exactly what produced them.
 
 The noise family is generated from compact rules rather than listing
 fields: mode ``k`` (1-based) gets the shape
@@ -20,6 +24,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -87,25 +92,55 @@ def canonical_dict() -> dict:
     }
 
 
-# keys whose rule-mapping default may be replaced by an explicit list
+# keys whose rule-mapping default may be replaced by an explicit list of numbers
 _LIST_OK = {"noise.beta", "noise.gamma"}
 
 
+def _is_number(val) -> bool:
+    """A finite int or float, not a bool; an int too large for a float is not one."""
+    try:
+        return not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
+    except OverflowError:
+        return False
+
+
+def _check_leaf(val, default, key: str) -> None:
+    """Refuse ``val`` at ``key`` unless it has the type of its canonical
+    ``default``: a bool for a bool, an integer (not a bool) for an integer, a
+    finite number for a float, a string for a string.  The retired
+    ``picard.lambda_weight`` takes ``auto`` or a finite number."""
+    if key == "picard.lambda_weight":
+        ok, kind = val == "auto" or _is_number(val), "auto or a finite number"
+    elif isinstance(default, bool):
+        ok, kind = isinstance(val, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = isinstance(val, int) and not isinstance(val, bool), "an integer"
+    elif isinstance(default, float):
+        ok, kind = _is_number(val), "a finite number"
+    else:
+        ok, kind = isinstance(val, str), "a string"
+    if not ok:
+        raise ValidationError(f"config: {key} must be {kind}, got {val!r}")
+
+
 def _merge_defaults(raw: dict, defaults: dict, path: str) -> dict:
-    """Overlay ``raw`` on ``defaults``, rejecting unknown keys."""
+    """Overlay ``raw`` on ``defaults``, rejecting unknown keys and checking
+    each leaf's type against its default (``_check_leaf``)."""
     out = copy.deepcopy(defaults)
     for key, val in raw.items():
+        where = f"{path}{key}"
         if key not in defaults:
-            raise ValidationError(f"config: unknown key {path}{key}")
-        if isinstance(defaults[key], dict):
-            if isinstance(val, list) and f"{path}{key}" in _LIST_OK:
-                out[key] = val
-            elif not isinstance(val, dict):
-                raise ValidationError(f"config: {path}{key} must be a mapping")
-            else:
-                out[key] = _merge_defaults(val, defaults[key], f"{path}{key}.")
+            raise ValidationError(f"config: unknown key {where}")
+        if isinstance(val, list) and where in _LIST_OK:
+            for j, entry in enumerate(val):
+                _check_leaf(entry, 0.0, f"{where}.{j}")
+        elif isinstance(defaults[key], dict):
+            if not isinstance(val, dict):
+                raise ValidationError(f"config: {where} must be a mapping")
+            val = _merge_defaults(val, defaults[key], f"{where}.")
         else:
-            out[key] = val
+            _check_leaf(val, defaults[key], where)
+        out[key] = val
     return out
 
 
@@ -125,71 +160,27 @@ def _at(block: str):
         raise type(exc)(f"config: {block}.{exc}") from None
 
 
-def _get(cfg: dict, path: str):
-    node = cfg
-    for part in path.split("."):
-        node = node[int(part)] if isinstance(node, list) else node[part]
-    return node
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 
 
-def _num(cfg: dict, path: str, lo=None, strict_lo=False) -> float:
-    node = _get(cfg, path)
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ValidationError(f"config: {path} must be a number, got {node!r}")
-    v = float(node)
-    if not np.isfinite(v):
-        raise ValidationError(f"config: {path} must be finite, got {node!r}")
-    if lo is not None and (v <= lo if strict_lo else v < lo):
-        op = ">" if strict_lo else ">="
-        raise ValidationError(f"config: {path} must be {op} {lo}, got {node!r}")
-    return v
+def _rule(cfg: dict, key: str, ok, rule: str):
+    """The value at the dotted ``key``, refused unless ``ok(value)``: a rule
+    that no component owns, which the message states as ``must be {rule}``."""
+    val = cfg
+    for part in key.split("."):
+        val = val[part]
+    if not ok(val):
+        raise ValidationError(f"config: {key} must be {rule}, got {val!r}")
+    return val
 
 
-def _numbers(cfg: dict, path: str) -> list[float]:
-    node = _get(cfg, path)
-    if not isinstance(node, list):
-        raise ValidationError(f"config: {path} must be a list of numbers, got {node!r}")
-    return [_num(cfg, f"{path}.{j}") for j in range(len(node))]
-
-
-def _int(cfg: dict, path: str, lo=None, hi=None) -> int:
-    node = _get(cfg, path)
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise ValidationError(f"config: {path} must be an integer, got {node!r}")
-    if lo is not None and node < lo:
-        raise ValidationError(f"config: {path} must be >= {lo}, got {node!r}")
-    if hi is not None and node > hi:
-        raise ValidationError(f"config: {path} must be <= {hi}, got {node!r}")
-    return int(node)
-
-
-def _choice(cfg: dict, path: str, allowed: tuple) -> str:
-    node = _get(cfg, path)
-    if node not in allowed:
-        raise ValidationError(
-            f"config: {path} must be one of {allowed}, got {node!r}"
-        )
-    return node
-
-
-def _mode_weights(cfg: dict, block: str, n_modes: int) -> np.ndarray:
+def _mode_weights(cfg: dict, block: str, n_modes: int):
     node = cfg["noise"][block]
     if isinstance(node, list):
-        return np.asarray(_numbers(cfg, f"noise.{block}"))
-    if not isinstance(node, dict):
-        raise ValidationError(
-            f"config: noise.{block} must be a rule mapping or a list of {n_modes} numbers"
-        )
-    amp = _num(cfg, f"noise.{block}.amp")
-    decay = _num(cfg, f"noise.{block}.decay", lo=0.0)
-    ks = np.arange(1, n_modes + 1, dtype=float)
-    return amp * ks ** (-decay)
-
-
-def _psi_field(cfg: dict, path: str) -> PsiField:
-    with _at(path):
-        kind = _get(cfg, f"{path}.kind")
-        return PsiField(kind, _num(cfg, f"{path}.amp"), _num(cfg, f"{path}.width"))
+        return node
+    decay = _rule(cfg, f"noise.{block}.decay", *_NON_NEGATIVE)
+    return node["amp"] * np.arange(1, n_modes + 1, dtype=float) ** (-decay)
 
 
 def _initial_values(grid: SpatialGrid, kind: str, amp: float, width: float) -> np.ndarray:
@@ -224,34 +215,25 @@ class RunConfig:
         self.raw = cfg
 
         with _at("grid"):
-            self.grid = SpatialGrid(
-                dim=_int(cfg, "grid.dim"),
-                half_width=_num(cfg, "grid.half_width"),
-                points_per_dim=_int(cfg, "grid.points_per_dim"),
-            )
+            self.grid = SpatialGrid(**cfg["grid"])
         L = self.grid.half_width
         with _at("time"):
-            self.tgrid = TimeGrid(horizon=_num(cfg, "time.horizon"), steps=_int(cfg, "time.steps"))
+            self.tgrid = TimeGrid(**cfg["time"])
 
+        with _at("drift_f.phi"):
+            phi = PsiField(**cfg["drift_f"]["phi"])
         with _at("drift_f"):
-            f = DriftF(
-                p=_int(cfg, "drift_f.p"),
-                lambda_f=_num(cfg, "drift_f.lambda_f"),
-                h_cap=_num(cfg, "drift_f.h_cap"),
-                phi=_psi_field(cfg, "drift_f.phi"),
-            )
+            f = DriftF(**{**cfg["drift_f"], "phi": phi})
+        with _at("drift_g.psi"):
+            psi = PsiField(**cfg["drift_g"]["psi"])
         with _at("drift_g"):
-            g = DriftG(
-                c0=_num(cfg, "drift_g.c0"),
-                c1=_num(cfg, "drift_g.c1"),
-                c2=_num(cfg, "drift_g.c2"),
-                psi=_psi_field(cfg, "drift_g.psi"),
-            )
+            g = DriftG(**{**cfg["drift_g"], "psi": psi})
 
-        K = _int(cfg, "noise.n_modes")
-        s_amp = _num(cfg, "noise.shape.amp", lo=0.0)
-        s_width = _num(cfg, "noise.shape.width", lo=0.0, strict_lo=True)
-        s_decay = _num(cfg, "noise.shape.decay", lo=0.0)
+        noise = cfg["noise"]
+        K = noise["n_modes"]
+        s_amp = _rule(cfg, "noise.shape.amp", *_NON_NEGATIVE)
+        s_width = _rule(cfg, "noise.shape.width", *_POSITIVE)
+        s_decay = _rule(cfg, "noise.shape.decay", *_NON_NEGATIVE)
         r = self.grid.radius()
         x1 = self.grid.coordinates()[0]
         envelope = np.exp(-(r**2) / s_width**2)
@@ -262,64 +244,37 @@ class RunConfig:
             )
             for k in range(1, K + 1)
         )
-        k_amp = _num(cfg, "noise.kappa.amp", lo=0.0)
-        k_width = _num(cfg, "noise.kappa.width", lo=0.0, strict_lo=True)
+        k_amp = _rule(cfg, "noise.kappa.amp", *_NON_NEGATIVE)
+        k_width = _rule(cfg, "noise.kappa.width", *_POSITIVE)
         kappa = GridFunction(self.grid, k_amp * np.exp(-(r**2) / k_width**2))
-        profile = TimeProfile(
-            offset=_num(cfg, "noise.profile.offset"),
-            amp=_num(cfg, "noise.profile.amp"),
-            freq=_num(cfg, "noise.profile.freq"),
-            phase=_num(cfg, "noise.profile.phase"),
-        )
         with _at("noise"):
-            sigma = NoiseSigma(
-                shapes=shapes,
-                kappa=kappa,
-                beta=_mode_weights(cfg, "beta", K),
-                gamma=_mode_weights(cfg, "gamma", K),
-                profile=profile,
-            )
+            sigma = NoiseSigma(shapes, kappa, _mode_weights(cfg, "beta", K),
+                               _mode_weights(cfg, "gamma", K), TimeProfile(**noise["profile"]))
+        model = cfg["model"]
         with _at("model"):
-            self.coeffs = CoefficientSet(
-                f=f, g=g, sigma=sigma, alpha=_num(cfg, "model.alpha"), c_v=_num(cfg, "model.c_v")
-            )
-            self.epsilon = _check_epsilon(_num(cfg, "model.epsilon"))
+            self.coeffs = CoefficientSet(f, g, sigma, model["alpha"], model["c_v"])
+            self.epsilon = _check_epsilon(model["epsilon"])
 
-        kind = _choice(cfg, "initial.kind", ("gaussian", "bump"))
-        i_amp = _num(cfg, "initial.amp")
-        i_width = _num(cfg, "initial.width", lo=0.0, strict_lo=True)
-        _num(cfg, "initial.jitter", lo=0.0)
-        if kind == "bump" and i_width >= L:
-            raise ValidationError(
-                f"config: initial.width must be below grid.half_width for a bump, got {i_width}"
-            )
-        self.u0 = GridFunction(self.grid, _initial_values(self.grid, kind, i_amp, i_width))
+        kind = _rule(cfg, "initial.kind", lambda v: v in ("gaussian", "bump"), "gaussian or bump")
+        i_width = _rule(cfg, "initial.width", lambda v: 0 < v and (kind == "gaussian" or v < L),
+                        "> 0, and below grid.half_width for a bump")
+        _rule(cfg, "initial.jitter", *_NON_NEGATIVE)
+        u0 = _initial_values(self.grid, kind, cfg["initial"]["amp"], i_width)
+        self.u0 = GridFunction(self.grid, u0)
 
-        _int(cfg, "seed", lo=0, hi=2**64 - 1)
+        _rule(cfg, "seed", lambda v: 0 <= v <= 2**64 - 1, "in [0, 2**64 - 1]")
         # retired keys, read by nothing; kept so old configs and hashes stay valid
-        _int(cfg, "workers", lo=1)
-        _int(cfg, "picard.max_iters", lo=1)
-        if cfg["picard"]["lambda_weight"] != "auto":
-            _num(cfg, "picard.lambda_weight", lo=0.0)
+        _rule(cfg, "workers", lambda v: v >= 1, ">= 1")
+        _rule(cfg, "picard.max_iters", lambda v: v >= 1, ">= 1")
+        _rule(cfg, "picard.lambda_weight", lambda v: v == "auto" or v >= 0, "auto or >= 0")
         with _at("picard"):
-            self._picard = PicardConfig(
-                n_particles=_int(cfg, "picard.n_particles"), tol=_num(cfg, "picard.tol")
-            )
+            self._picard = PicardConfig(cfg["picard"]["n_particles"], cfg["picard"]["tol"])
         with _at("rate"):
             # a settings template; rate_problem() supplies the target
-            self._rate = RateProblem(
-                None,
-                eta=_num(cfg, "rate.eta"),
-                max_iters=_int(cfg, "rate.max_iters"),
-                gap_tol=_num(cfg, "rate.gap_tol"),
-            )
-        _choice(cfg, "output.trajectory_format", ("blob", "csv"))
-        _num(cfg, "verify.tail_delta", lo=0.0, strict_lo=True)
-        _num(cfg, "verify.domain_margin_delta", lo=0.0, strict_lo=True)
-        if not isinstance(cfg["verify"]["strong_dissipativity"], bool):
-            raise ValidationError(
-                "config: verify.strong_dissipativity must be true or false"
-            )
+            self._rate = RateProblem(None, **cfg["rate"])
+        _rule(cfg, "output.trajectory_format", lambda v: v in ("blob", "csv"), "blob or csv")
+        _rule(cfg, "verify.tail_delta", *_POSITIVE)
+        _rule(cfg, "verify.domain_margin_delta", *_POSITIVE)
 
     # -- derived accessors -------------------------------------------
 

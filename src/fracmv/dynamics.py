@@ -88,11 +88,12 @@ class TimeGrid:
 
     def __post_init__(self):
         _check_positive("horizon", self.horizon)
+        object.__setattr__(self, "horizon", float(self.horizon))
         _check_count("steps", self.steps)
 
     @property
     def dt(self) -> float:
-        return float(self.horizon) / self.steps
+        return self.horizon / self.steps
 
     @property
     def nodes(self) -> np.ndarray:

@@ -112,25 +112,69 @@ def _leaf_paths(node, path=()):
             yield path + (j,)
 
 
-@pytest.mark.parametrize(
-    "path", list(_leaf_paths(canonical_dict())), ids=lambda p: ".".join(map(str, p))
-)
+def _listed_weights() -> dict:
+    """The canonical document with ``noise.beta`` and ``noise.gamma`` as the
+    explicit lists their rules give."""
+    raw = canonical_dict()
+    for key in ("beta", "gamma"):
+        raw["noise"][key] = [0.2 / k for k in range(1, 5)]
+    return raw
+
+
+# every leaf path, with the document it is a leaf of
+_LEAVES = {path: make for make in (_listed_weights, canonical_dict) for path in _leaf_paths(make())}
+
+
+@pytest.mark.parametrize("path", list(_LEAVES), ids=lambda p: ".".join(map(str, p)))
 def test_every_leaf_rejects_bad_values_by_name(path):
-    """A wrong type or a non-finite number at any key either builds a valid
-    config or raises a ValidationError naming the key; never anything else."""
+    """A wrong type, a bool where no bool belongs, a non-finite number, or an
+    integer too large for a float where a float belongs, at any key, raises a
+    ValidationError naming the key; never anything else."""
     key = ".".join(p for p in path if isinstance(p, str))
-    for bad in ("x", None, math.nan, math.inf):
-        raw = canonical_dict()
+    default = _LEAVES[path]()
+    for part in path:
+        default = default[part]
+    bads = ["x", None, math.nan, math.inf, True]
+    if isinstance(default, float):
+        bads.append(10**400)
+    for bad in bads:
+        raw = _LEAVES[path]()
         node = raw
         for part in path[:-1]:
             node = node[part]
         node[path[-1]] = bad
-        try:
+        if bad is True and isinstance(default, bool):
             RunConfig(raw)
-        except ValidationError as exc:
-            assert key in str(exc), (bad, str(exc))
-        else:
-            assert not isinstance(bad, float), f"{key} accepted {bad!r}"
+            continue
+        with pytest.raises(ValidationError) as exc_info:
+            RunConfig(raw)
+        assert key in str(exc_info.value), (bad, str(exc_info.value))
+
+
+def test_canonical_config_hash_is_pinned():
+    """The normalized canonical document hashes as it always has, so every
+    manifest written from it keeps its ``config_hash``."""
+    assert RunConfig().config_hash() == (
+        "2864a7e4eb311b08fa043550f9964de501500f3036f56badafa69ff74d7c5b47"
+    )
+
+
+def test_integer_spellings_give_float_fields(tmp_path):
+    """``time.horizon: 1`` and ``grid.half_width: 4`` build the same float fields
+    and manifest as ``1.0`` and ``4.0``; only the config hash tells them apart."""
+    runs = {}
+    for name, horizon, half_width in (("int", 1, 4), ("float", 1.0, 4.0)):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(TINY_YAML.replace("half_width: 4.0", f"half_width: {half_width}")
+                        .replace("horizon: 0.25", f"horizon: {horizon}"))
+        cfg = load_config(path)
+        assert type(cfg.tgrid.horizon) is float and cfg.tgrid.horizon == 1.0
+        assert type(cfg.grid.half_width) is float and cfg.grid.half_width == 4.0
+        assert main(["skeleton", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        runs[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+    assert '"horizon": 1.0' in (tmp_path / "int" / "manifest.json").read_text()
+    assert runs["int"].pop("config_hash") != runs["float"].pop("config_hash")
+    assert runs["int"] == runs["float"]
 
 
 def test_unknown_keys_are_rejected():
@@ -281,6 +325,26 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error[validation]" in err and "grid.points_per_dim" in err
+
+
+@pytest.mark.parametrize(
+    "yaml_line,needle",
+    [
+        (f"time: {{horizon: {10**400}}}", "time.horizon"),
+        (f"noise: {{beta: [0.2, {10**400}]}}", "noise.beta.1"),
+        (f"seed: {10**400}", "seed"),
+    ],
+    ids=["time.horizon", "noise.beta", "seed"],
+)
+def test_integer_too_large_for_a_float_exits_2(yaml_line, needle, tmp_path, capsys):
+    """A 401-digit integer is refused by name, not converted into an OverflowError."""
+    bad = tmp_path / "huge.yaml"
+    bad.write_text(yaml_line + "\n")
+    out = tmp_path / "x"
+    assert main(["skeleton", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error[validation] ValidationError: config: {needle} must be" in err
+    assert not out.exists()
 
 
 def test_bogus_rate_target_exits_2(tiny_config, tmp_path, capsys):
