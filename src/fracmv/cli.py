@@ -107,7 +107,7 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     out = _out_dir(out)
     grid, times, n = cfg.grid, cfg.tgrid.nodes, cfg.picard_config().n_particles
     # the problem is built in the call, so no name keeps its start alive past node 0
-    nodes = _sweep_nodes(cfg.problem(), n)
+    nodes = _sweep_nodes(cfg.problem(), n, None)
     margin = grid.half_width / 2.0
     delta = float(cfg.raw["verify"]["domain_margin_delta"])
 

@@ -21,6 +21,7 @@ the energy balance and the audit all call it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -68,8 +69,8 @@ class PsiField:
             raise ValidationError(f"kind must be gaussian or separable, got {self.kind!r}")
         if not (float(self.amp) >= 0.0):
             raise ValidationError(f"amp must be >= 0, got {self.amp!r}")
-        if not (float(self.width) > 0.0):
-            raise ValidationError(f"width must be positive, got {self.width!r}")
+        if not (float(self.width) > 0.0 and float(self.width) * float(self.width) < math.inf):
+            raise ValidationError(f"width must be > 0, with a finite square, got {self.width!r}")
 
     def spatial(self, grid: SpatialGrid) -> np.ndarray:
         key = ("spatial", grid)
@@ -176,8 +177,9 @@ class DriftF:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 2 and self.p % 2 == 0):
-            raise ValidationError(f"p must be an even integer >= 2, got {self.p!r}")
+        if not (isinstance(self.p, (int, np.integer)) and 2 <= self.p <= sys.float_info.max
+                and self.p % 2 == 0):
+            raise ValidationError(f"p must be an even integer >= 2 that a float holds, got {self.p!r}")
         if not (float(self.h_cap) > 0.0):
             raise ValidationError(f"h_cap must be positive, got {self.h_cap!r}")
         if validate and not (float(self.lambda_f) > 0.0):

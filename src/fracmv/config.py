@@ -162,6 +162,8 @@ def _at(block: str):
 
 _POSITIVE = (lambda v: v > 0, "> 0")
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+# a width enters squared, and the square must be a float
+_WIDTH = (lambda v: v > 0 and float(v) * float(v) < math.inf, "> 0, with a finite square")
 
 
 def _rule(cfg: dict, key: str, ok, rule: str):
@@ -232,7 +234,7 @@ class RunConfig:
         noise = cfg["noise"]
         K = noise["n_modes"]
         s_amp = _rule(cfg, "noise.shape.amp", *_NON_NEGATIVE)
-        s_width = _rule(cfg, "noise.shape.width", *_POSITIVE)
+        s_width = _rule(cfg, "noise.shape.width", *_WIDTH)
         s_decay = _rule(cfg, "noise.shape.decay", *_NON_NEGATIVE)
         r = self.grid.radius()
         x1 = self.grid.coordinates()[0]
@@ -245,7 +247,7 @@ class RunConfig:
             for k in range(1, K + 1)
         )
         k_amp = _rule(cfg, "noise.kappa.amp", *_NON_NEGATIVE)
-        k_width = _rule(cfg, "noise.kappa.width", *_POSITIVE)
+        k_width = _rule(cfg, "noise.kappa.width", *_WIDTH)
         kappa = GridFunction(self.grid, k_amp * np.exp(-(r**2) / k_width**2))
         with _at("noise"):
             sigma = NoiseSigma(shapes, kappa, _mode_weights(cfg, "beta", K),
@@ -256,8 +258,9 @@ class RunConfig:
             self.epsilon = _check_epsilon(model["epsilon"])
 
         kind = _rule(cfg, "initial.kind", lambda v: v in ("gaussian", "bump"), "gaussian or bump")
-        i_width = _rule(cfg, "initial.width", lambda v: 0 < v and (kind == "gaussian" or v < L),
-                        "> 0, and below grid.half_width for a bump")
+        i_width = _rule(cfg, "initial.width",
+                        lambda v: _WIDTH[0](v) and (kind == "gaussian" or v < L),
+                        f"{_WIDTH[1]}, and below grid.half_width for a bump")
         _rule(cfg, "initial.jitter", *_NON_NEGATIVE)
         u0 = _initial_values(self.grid, kind, cfg["initial"]["amp"], i_width)
         self.u0 = GridFunction(self.grid, u0)

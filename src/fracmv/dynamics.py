@@ -7,10 +7,12 @@ One semi-implicit step from node ``s`` reads::
     u_{s+1} = (I + dt (-lap)^alpha)^(-1) u~
 
 with every coefficient evaluated at the left node (the measure argument
-is frozen there as well); ``sigma_s`` is linear, so control and noise
-share one application of it.  The polynomial drift is tamed pointwise,
-the fractional diffusion is treated by the exact spectral resolvent, and
-a non-finite state aborts the run with the offending step attached.
+is frozen there as well); ``sigma_s`` is linear, so it is applied once, to
+the drive in parentheses, ``theta_s``, which the caller forms: the particle
+system, the controlled skeleton and a tilted path differ only in it.  The
+polynomial drift is tamed pointwise, the fractional diffusion is treated by
+the exact spectral resolvent, and a non-finite state aborts the run with the
+offending step attached.
 
 The law enters only through three scalars per node, so all solvers
 share one batched kernel that advances ``N`` paths against one such
@@ -43,7 +45,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; load it here, not in the first noise draw
 
 from .coefficients import CoefficientSet, NodeFields, law_from_sums, law_statistics
-from .errors import BlowUpError, GridMismatchError, ValidationError
+from .errors import BlowUpError, ValidationError
 from .grid import (
     GridFunction,
     SpatialGrid,
@@ -90,6 +92,9 @@ class TimeGrid:
         _check_positive("horizon", self.horizon)
         object.__setattr__(self, "horizon", float(self.horizon))
         _check_count("steps", self.steps)
+        most = np.iinfo(np.intp).max // 8  # float64 nodes: numpy holds no more bytes than an intp
+        if self.steps >= most:
+            raise ValidationError(f"steps must be below {most}, got {self.steps!r}")
 
     @property
     def dt(self) -> float:
@@ -253,9 +258,7 @@ def _step_nodes(
     starts: np.ndarray,
     tgrid: TimeGrid,
     law: NodeFields | None,
-    eps: float = 0.0,
-    control: np.ndarray | None = None,
-    noise=None,
+    theta=None,
 ):
     """Advance ``N`` paths from ``starts``, shape ``(N, *grid.shape)``, one step of
     the scheme per node, yielding the nodes ``0 .. S`` as they are made: ``starts``
@@ -266,12 +269,11 @@ def _step_nodes(
     warned about, and no consumer sees the state.
 
     ``law`` is the table of a frozen law (:func:`_law_table`), or None to take the
-    law from the current state (the Dirac mass of a single path).  ``control``
-    holds per-path mode coefficients, shape ``(S, N, K)``; ``noise`` is any iterable
-    of one ``(N, K)`` row of increments per step, such as an ``(S, N, K)`` array or
-    :func:`~fracmv.mckean_vlasov._noise_rows`, and each row is read in its own step,
-    before the next is asked for.  sigma is applied once per step, to
-    ``theta = dt v_s + sqrt(eps) dW_s``, formed at step ``s`` for that step only.
+    law from the current state (the Dirac mass of a single path).  ``theta`` is
+    sigma's drive, any iterable of one ``(N, K)`` row of mode coefficients per step,
+    ``theta_s = dt v_s + sqrt(eps) dW_s``, such as an ``(S, N, K)`` array or
+    :func:`~fracmv.mckean_vlasov._noise_rows`; each row is read in its own step,
+    before the next is asked for.  None drives nothing: sigma is not applied.
 
     A step makes its node into a fresh array, slab by slab (``_SLAB_BYTES``): f, its
     taming, g, sigma's drive and the resolvent run on one slab of paths at a time,
@@ -285,9 +287,7 @@ def _step_nodes(
     """
     S, dt, nodes = tgrid.steps, tgrid.dt, tgrid.nodes
     res_mult = grid.resolvent_multiplier(coeffs.alpha, dt)
-    root_eps = math.sqrt(eps) if noise is not None and eps > 0.0 else None
-    rows = None if root_eps is None else iter(noise)
-    driven = control is not None or root_eps is not None
+    rows = None if theta is None else iter(theta)
     n = starts.shape[0]
     per_slab = max(1, min(n, _SLAB_BYTES // (8 * grid.n_cells)))
     # one buffer each for f, its taming and g, reused every step and slab: fresh
@@ -311,10 +311,8 @@ def _step_nodes(
                 node = coeffs.node_fields(grid, float(nodes[s]), row)
             else:
                 node = NodeFields._make(col[s] for col in law)
-            if driven:
-                theta = root_eps * next(rows) if control is None else dt * control[s]
-                if control is not None and root_eps is not None:
-                    theta += root_eps * next(rows)
+            if rows is not None:
+                theta_s = next(rows)
             made = np.empty(vals.shape)
             for sl, f_buf, tamed_buf, g_buf in slabs:
                 u = vals[sl]
@@ -327,8 +325,8 @@ def _step_nodes(
                 tilde -= f
                 tilde *= dt
                 tilde += u
-                if driven:
-                    tilde += coeffs.sigma.drive(node.free, u, theta[sl], out=f)
+                if rows is not None:
+                    tilde += coeffs.sigma.drive(node.free, u, theta_s[sl], out=f)
                 out = grid.apply_multiplier(tilde, res_mult, out=made[sl])
                 if not np.isfinite(out).all():
                     finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
@@ -341,42 +339,36 @@ def _step_nodes(
         yield vals
 
 
-def _collect(nodes, shape: tuple) -> np.ndarray:
-    """The nodes a :func:`_step_nodes` stream yields, collected into one array of
-    ``shape``, ``(S+1, N, *grid.shape)``."""
-    out = np.empty(shape)
+def _collect(nodes, n_nodes: int) -> np.ndarray:
+    """The ``n_nodes`` nodes a :func:`_step_nodes` stream yields, collected into one
+    array shaped ``(n_nodes, *node.shape)`` by the first node read."""
     for s, vals in enumerate(nodes):
+        if s == 0:
+            out = np.empty((n_nodes,) + vals.shape)
         out[s] = vals
     return out
 
 
-def _run_steps(grid: SpatialGrid, coeffs: CoefficientSet, starts: np.ndarray, tgrid: TimeGrid,
-               *args) -> np.ndarray:
-    """The paths of :func:`_step_nodes` (``args`` are its ``law`` onward) collected,
-    shape ``(S+1, N, *grid.shape)``."""
-    nodes = _step_nodes(grid, coeffs, starts, tgrid, *args)
-    return _collect(nodes, (tgrid.steps + 1,) + starts.shape)
-
-
-def _validate_run_args(
-    u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGrid, noise: NoisePath | None, eps: float
-) -> None:
-    if u0.grid != coeffs.sigma.grid:
-        raise GridMismatchError("initial state and coefficients must share one grid")
-    if eps > 0.0:
-        if noise is None:
-            raise ValidationError("epsilon > 0 requires a noise path")
-        noise.check_shape("noise", tgrid.steps, coeffs.sigma.n_modes, tgrid.dt)
-
-
-def _law_table(coeffs: CoefficientSet, grid: SpatialGrid, times: np.ndarray,
-               states: np.ndarray) -> NodeFields:
-    """The node fields of the law frozen at each left node of ``states``, shape
-    ``(S+1, N, *grid.shape)`` over ``times``, stacked into one table indexed by step;
-    the law is read node by node, since one call over a flow would square a copy of it."""
+def _law_table(coeffs: CoefficientSet, grid: SpatialGrid, times: np.ndarray, nodes) -> NodeFields:
+    """The node fields of the law frozen at each left node, stacked into one table indexed
+    by step.  ``nodes``, a flow's states or a :func:`_step_nodes` stream, is read node by
+    node through ``zip(times[:-1], nodes)``, so a stream's last step is never run and no
+    call squares a copy of a flow."""
     by_node = [coeffs.node_fields(grid, t, law_statistics(mu, grid, coeffs.f.h_cap))
-               for t, mu in zip(times[:-1], states[:-1])]
+               for t, mu in zip(times[:-1], nodes)]
     return NodeFields(*map(np.stack, zip(*by_node)))
+
+
+def _single_path(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGrid, frozen=None,
+                 theta=None) -> Trajectory:
+    """The path of :func:`_step_nodes` from ``u0`` alone, on the coefficients' grid, against
+    the law frozen along the nodes ``frozen`` (:func:`_law_table`) or, with None, the Dirac
+    mass at the path itself; ``theta`` as there, with rows of shape ``(1, K)``."""
+    grid = u0.grid
+    _check_nodes("initial state", u0, coeffs.sigma.grid)
+    law = None if frozen is None else _law_table(coeffs, grid, tgrid.nodes, frozen)
+    nodes = _step_nodes(grid, coeffs, u0.values[None], tgrid, law, theta)
+    return Trajectory(grid, tgrid.nodes, _collect(nodes, tgrid.steps + 1)[:, 0])
 
 
 def solve_frozen(
@@ -388,15 +380,14 @@ def solve_frozen(
     noise: NoisePath | None = None,
 ) -> Trajectory:
     """Integrate against a prescribed measure flow (left-node freezing)."""
-    eps = _check_epsilon(eps)
-    _validate_run_args(u0, coeffs, tgrid, noise, eps)
-    _check_nodes("measure flow", mu_flow, u0.grid, tgrid.nodes)
-    law = _law_table(coeffs, u0.grid, tgrid.nodes, mu_flow.states)
-    vals = _run_steps(
-        u0.grid, coeffs, u0.values[None], tgrid, law, eps, None,
-        None if noise is None else noise.increments[:, None],
-    )
-    return Trajectory(u0.grid, tgrid.nodes, vals[:, 0])
+    eps, theta = _check_epsilon(eps), None
+    if eps > 0.0:
+        if noise is None:
+            raise ValidationError("epsilon > 0 requires a noise path")
+        noise.check_shape("noise", tgrid.steps, coeffs.sigma.n_modes, tgrid.dt)
+        theta = math.sqrt(eps) * noise.increments[:, None]
+    _check_nodes("measure flow", mu_flow, coeffs.sigma.grid, tgrid.nodes)
+    return _single_path(u0, coeffs, tgrid, mu_flow.states, theta)
 
 
 def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGrid) -> Trajectory:
@@ -405,9 +396,7 @@ def solve_deterministic(u0: GridFunction, coeffs: CoefficientSet, tgrid: TimeGri
     Self-consistent because the law of a deterministic path is the
     point mass travelling along it.
     """
-    _validate_run_args(u0, coeffs, tgrid, None, 0.0)
-    vals = _run_steps(u0.grid, coeffs, u0.values[None], tgrid, None)
-    return Trajectory(u0.grid, tgrid.nodes, vals[:, 0])
+    return _single_path(u0, coeffs, tgrid)
 
 
 def _controlled_solver(u0: GridFunction, base: Trajectory, coeffs: CoefficientSet, tgrid: TimeGrid):
@@ -427,8 +416,8 @@ def _controlled_solver(u0: GridFunction, base: Trajectory, coeffs: CoefficientSe
     ``du_{s+1} = R (du~/du_s du_s + dt sigma_s(u_s) dv_s)``.  Causality bounds it, since
     before step ``s`` only the directions of steps ``< s`` have moved the path; each node's
     ``J_s`` is folded into the sum and dropped, so no ``J`` is stored."""
-    _validate_run_args(u0, coeffs, tgrid, None, 0.0)
     grid = u0.grid
+    _check_nodes("initial state", u0, coeffs.sigma.grid)
     _check_nodes("base trajectory", base, grid, tgrid.nodes)
     if not np.array_equal(base.values[0], u0.values):
         raise ValidationError("base trajectory does not start at the given initial state")
@@ -439,8 +428,9 @@ def _controlled_solver(u0: GridFunction, base: Trajectory, coeffs: CoefficientSe
 
     def paths(controls: np.ndarray) -> np.ndarray:
         starts = np.repeat(u0.values[None], len(controls), axis=0)
-        by_step = np.ascontiguousarray(controls.transpose(1, 0, 2))
-        return _run_steps(grid, coeffs, starts, tgrid, table, 0.0, by_step).swapaxes(0, 1)
+        theta = dt * np.ascontiguousarray(controls.transpose(1, 0, 2))
+        nodes = _step_nodes(grid, coeffs, starts, tgrid, table, theta)
+        return _collect(nodes, S + 1).swapaxes(0, 1)
 
     def step_jacobian(v: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``du~_s/du_s`` at the left nodes ``u`` (diagonal): taming, g and sigma."""

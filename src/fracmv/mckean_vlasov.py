@@ -36,7 +36,6 @@ from .dynamics import (
     _check_epsilon,
     _collect,
     _law_table,
-    _run_steps,
     _step_nodes,
     solve_deterministic,
 )
@@ -125,24 +124,25 @@ _NOISE_CHUNK = 32
 
 
 def _noise_rows(problem: MeanFieldProblem, n: int):
-    """The increments of particles ``0 .. n-1``, one ``(n, K)`` row per step, or None
-    without noise.  Each particle's generator is made here, when the sweep is built;
-    the rows are drawn from them ``_NOISE_CHUNK`` steps at a time into one preallocated
-    chunk, so a row is a view that the next chunk overwrites: read it in its step.
-    Row ``s`` equals the step-``s`` rows of the particles' ``NoisePath.generate``."""
+    """sigma's drive ``sqrt(eps) dW`` for particles ``0 .. n-1``, one ``(n, K)`` row per step,
+    or None without noise.  Each particle's generator is made here, when the sweep is built;
+    the increments are drawn ``_NOISE_CHUNK`` steps at a time into one chunk, and each row is
+    scaled into a fresh C-contiguous array, since sigma's product slows on a strided row.
+    Row ``s`` is ``sqrt(eps)`` times the step-``s`` rows of ``NoisePath.generate``."""
     if problem.epsilon == 0.0:
         return None
     gens = [NoisePath.generator(problem.master_seed, i) for i in range(n)]
-    return _drawn_rows(gens, problem.tgrid, problem.coeffs.sigma.n_modes)
+    return _drawn_rows(gens, problem.tgrid, problem.coeffs.sigma.n_modes,
+                       math.sqrt(problem.epsilon))
 
 
-def _drawn_rows(gens: list, tgrid: TimeGrid, n_modes: int):
+def _drawn_rows(gens: list, tgrid: TimeGrid, n_modes: int, scale: float):
     chunk = np.empty((len(gens), _NOISE_CHUNK, n_modes))  # particle-major: a draw fills a block
     for first in range(0, tgrid.steps, _NOISE_CHUNK):
         size = min(_NOISE_CHUNK, tgrid.steps - first)
         for gen, block in zip(gens, chunk):
             NoisePath.draw(gen, block[:size], tgrid.dt)
-        yield from chunk[:, :size].swapaxes(0, 1)
+        yield from (scale * row for row in chunk[:, :size].swapaxes(0, 1))
 
 
 def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
@@ -155,22 +155,22 @@ def apply_phi(problem: MeanFieldProblem, flow: MeasureFlow) -> MeasureFlow:
     particle=i)``, so its path equals the single-particle
     ``solve_frozen`` run byte for byte.
     """
-    grid, coeffs, tgrid, n = problem.grid, problem.coeffs, problem.tgrid, flow.n_particles
+    grid, tgrid = problem.grid, problem.tgrid
     _check_nodes("flow", flow, grid, tgrid.nodes)
-    law = _law_table(coeffs, grid, tgrid.nodes, flow.states)
-    states = _run_steps(grid, coeffs, _initial_states(problem, n), tgrid, law,
-                        float(problem.epsilon), None, _noise_rows(problem, n))
+    law = _law_table(problem.coeffs, grid, tgrid.nodes, flow.states)
+    states = _collect(_sweep_nodes(problem, flow.n_particles, law), tgrid.steps + 1)
     return MeasureFlow._checked(grid, tgrid.nodes, states)
 
 
-def _sweep_nodes(problem: MeanFieldProblem, n: int):
-    """The causal sweep of ``n`` particles, each driven by its own noise path and all
-    stepped against their ensemble's law: the nodes ``0 .. S`` as :func:`_step_nodes`
+def _sweep_nodes(problem: MeanFieldProblem, n: int, law):
+    """The sweep of ``n`` particles, each driven by its own noise path, against the
+    frozen law ``law`` (:func:`_law_table`) or, with None, stepped against their
+    ensemble's own law (the causal sweep): the nodes ``0 .. S`` as :func:`_step_nodes`
     yields them, to be read and not written into.  The start is checked and the
     particles' noise generators are made here, before the first node is asked for; the
     sweep holds neither ``problem`` nor a noise stack."""
     return _step_nodes(problem.grid, problem.coeffs, _initial_states(problem, n), problem.tgrid,
-                       None, float(problem.epsilon), None, _noise_rows(problem, n))
+                       law, _noise_rows(problem, n))
 
 
 def auto_lambda(
@@ -233,9 +233,9 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     and by the ``picard`` verify suite's row
     ``picard_iterates_reach_the_solved_fixed_point``.
     """
-    grid, times, n = problem.grid, problem.tgrid.nodes, cfg.n_particles
-    states = _collect(_sweep_nodes(problem, n), (times.size, n) + grid.shape)
-    return MeasureFlow._checked(grid, times, states)
+    times = problem.tgrid.nodes
+    states = _collect(_sweep_nodes(problem, cfg.n_particles, None), times.size)
+    return MeasureFlow._checked(problem.grid, times, states)
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,7 @@ def small_noise_sweep(
             rows.append((0.0, 0.0, 0.0))
             continue
         sub = replace(problem, epsilon=e, initial_states=None)
-        nodes = _sweep_nodes(sub, n_replicas)
+        nodes = _sweep_nodes(sub, n_replicas, None)
         dev = [sq_norms(mu - u, problem.grid) for mu, u in zip(nodes, base.values)]
         sup_sq = np.max(dev, axis=0)
         stderr = (

@@ -22,7 +22,7 @@ from fracmv.coefficients import (
     PsiField,
     TimeProfile,
 )
-from fracmv.dynamics import TimeGrid
+from fracmv.dynamics import TimeGrid, _collect, _step_nodes
 from fracmv.grid import GridFunction, SpatialGrid
 from fracmv.measure import MeasureFlow, wasserstein2
 
@@ -79,6 +79,11 @@ def build_coeffs(
 
 def build_tgrid(horizon: float = 0.25, steps: int = 40) -> TimeGrid:
     return TimeGrid(horizon=horizon, steps=steps)
+
+
+def run_kernel(grid, coeffs, starts, tg, law, theta=None) -> np.ndarray:
+    """The paths of the step kernel, collected, shape ``(S+1, N, *grid.shape)``."""
+    return _collect(_step_nodes(grid, coeffs, starts, tg, law, theta), tg.steps + 1)
 
 
 def random_field(grid: SpatialGrid, rng: np.random.Generator, scale: float = 1.0) -> GridFunction:

@@ -347,6 +347,53 @@ def test_integer_too_large_for_a_float_exits_2(yaml_line, needle, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "yaml_line,needle",
+    [
+        (f"drift_f: {{p: {10**400}}}", "drift_f.p"),
+        (f"time: {{steps: {10**400}}}", "time.steps"),
+        (f"time: {{steps: {2**60}}}", "time.steps"),
+    ],
+    ids=["drift_f.p", "time.steps", "time.steps-2**60"],
+)
+def test_integer_leaf_too_large_for_its_arithmetic_exits_2(yaml_line, needle, tmp_path,
+                                                           capsys):
+    """An even ``p`` no float holds and a step count whose float64 nodes numpy cannot
+    make are refused by name by ``DriftF`` and ``TimeGrid``, not met as an
+    ``OverflowError`` or a ``ValueError`` in the run after ``--out`` is made."""
+    bad = tmp_path / "huge.yaml"
+    bad.write_text(yaml_line + "\n")
+    out = tmp_path / "x"
+    assert main(["skeleton", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error[validation] ValidationError: config: {needle} must be" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "block,needle",
+    [
+        ("noise: {shape: {width: 1.0e+300}}", "noise.shape.width"),
+        ("noise: {kappa: {width: 1.0e+300}}", "noise.kappa.width"),
+        ("initial: {width: 1.0e+300}", "initial.width"),
+        ("drift_f: {phi: {width: 1.0e+300}}", "drift_f.phi.width"),
+        ("drift_g: {psi: {width: 1.0e+300}}", "drift_g.psi.width"),
+        (f"noise: {{shape: {{width: {10**200}}}}}", "noise.shape.width"),
+    ],
+    ids=["noise.shape", "noise.kappa", "initial", "drift_f.phi", "drift_g.psi", "integer"],
+)
+def test_width_whose_square_overflows_exits_2(block, needle, tmp_path, capsys):
+    """A width enters squared; one whose square is no float is refused by name, by
+    the config's rule or by ``PsiField``, before ``--out`` is made."""
+    bad = tmp_path / "wide.yaml"
+    bad.write_text(block + "\n")
+    out = tmp_path / "x"
+    assert main(["skeleton", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error[validation] ValidationError: config: {needle} must be" in err
+    assert not out.exists()
+
+
 def test_bogus_rate_target_exits_2(tiny_config, tmp_path, capsys):
     rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
                "--target", "bogus"])

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import build_coeffs, build_grid, build_tgrid, build_u0
+from helpers import build_coeffs, build_grid, build_tgrid, build_u0, run_kernel
 
 from fracmv.coefficients import (
     CoefficientSet,
@@ -407,8 +407,9 @@ def test_controlled_batch_blow_up_names_the_row(small_grid, small_coeffs, small_
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_run_steps_rows_with_control_and_noise_match_one_row_runs(dim, rng):
-    """A batch driven by both a control and noise: each row equals its
-    own one-row run bit for bit, so the batch size never shows."""
+    """A batch driven by both a control and noise, sigma's drive formed here as
+    ``dt v + sqrt(eps) dW``: each row equals its own one-row run bit for bit, so the
+    batch size never shows."""
     from fracmv import dynamics
 
     grid = build_grid(dim=dim, points=16)
@@ -421,10 +422,10 @@ def test_run_steps_rows_with_control_and_noise_match_one_row_runs(dim, rng):
     table = dynamics._law_table(coeffs, grid, tg.nodes, base.values[:, None])
     control = 0.5 * rng.standard_normal((tg.steps, n, K))
     noise = np.sqrt(tg.dt) * rng.standard_normal((tg.steps, n, K))
-    out = dynamics._run_steps(grid, coeffs, starts, tg, table, 0.05, control, noise)
+    theta = tg.dt * control + math.sqrt(0.05) * noise
+    out = run_kernel(grid, coeffs, starts, tg, table, theta)
     for i in range(n):
-        one = dynamics._run_steps(grid, coeffs, starts[i : i + 1], tg, table, 0.05,
-                                  control[:, i : i + 1], noise[:, i : i + 1])
+        one = run_kernel(grid, coeffs, starts[i : i + 1], tg, table, theta[:, i : i + 1])
         assert out[:, i].tobytes() == one[:, 0].tobytes()
 
 
@@ -471,7 +472,9 @@ def test_run_steps_matches_the_per_step_kernel_byte_for_byte(dim, n, law, rng):
     """The kernel that builds each node's fields once equals the step that
     built them at every step, bit for bit: against a frozen law's table
     (:func:`_law_table`) with control and noise, against the Dirac law of the batch itself
-    (``law=None``), and through the controlled solver's prebuilt node fields."""
+    (``law=None``), and through the controlled solver's prebuilt node fields.  The
+    kernel is fed sigma's drive ``dt v + sqrt(eps) dW`` formed here; the reference forms
+    it from the control and the noise at each step."""
     from fracmv import dynamics
 
     grid = build_grid(dim=dim, points=16)
@@ -497,8 +500,14 @@ def test_run_steps_matches_the_per_step_kernel_byte_for_byte(dim, n, law, rng):
     noise = np.sqrt(tg.dt) * rng.standard_normal((tg.steps, n, K))
     table = dynamics._law_table(coeffs, grid, tg.nodes, base.values[:, None])
     law_arg, ref_law = (table, stats) if law == "frozen" else (None, None)
-    for eps, ctl, dw in ((0.05, control, noise), (0.05, None, noise), (0.0, control, None)):
-        got = dynamics._run_steps(grid, coeffs, starts, tg, law_arg, eps, ctl, dw)
+    root_eps = math.sqrt(0.05)
+    cases = (
+        (0.05, control, noise, tg.dt * control + root_eps * noise),
+        (0.05, None, noise, root_eps * noise),
+        (0.0, control, None, tg.dt * control),
+    )
+    for eps, ctl, dw, theta in cases:
+        got = run_kernel(grid, coeffs, starts, tg, law_arg, theta)
         ref = _reference_run(grid, coeffs, starts, tg, ref_law, eps, ctl, dw)
         assert got.tobytes() == ref.tobytes()
 
@@ -521,7 +530,7 @@ def test_slabs_of_four_and_one_rows_match_one_row_runs(rng):
     paths = [NoisePath.generate(tg, K, seed, i) for i in range(n)]
     noise = np.stack([w.increments for w in paths], axis=1)
 
-    sweep = dynamics._run_steps(grid, coeffs, starts, tg, None, eps, None, noise)
+    sweep = run_kernel(grid, coeffs, starts, tg, None, math.sqrt(eps) * noise)
     ref = _reference_run(grid, coeffs, starts, tg, None, eps, None, noise)
     assert sweep.tobytes() == ref.tobytes()
     flow = MeasureFlow(grid, tg.nodes, sweep)

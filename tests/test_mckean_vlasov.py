@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import build_coeffs, build_grid, build_tgrid, build_u0, full_sweep_sup
+from helpers import (build_coeffs, build_grid, build_tgrid, build_u0, full_sweep_sup,
+                     run_kernel)
 
 from fracmv import dynamics, measure, mckean_vlasov
 from fracmv.cli import main
@@ -58,10 +60,10 @@ def noise_stack(p, n):
 
 def sweep_states(p, n):
     """The states of ``n`` particles stepped against their own law, each driven by
-    its own noise path: one run of the step kernel with ``law=None``, fed the
-    stacked noise paths."""
-    return dynamics._run_steps(p.grid, p.coeffs, mckean_vlasov._initial_states(p, n), p.tgrid,
-                               None, p.epsilon, None, noise_stack(p, n))
+    its own noise path: one run of the step kernel with ``law=None``, fed sigma's
+    drive ``sqrt(eps) dW`` from the stacked noise paths."""
+    return run_kernel(p.grid, p.coeffs, mckean_vlasov._initial_states(p, n), p.tgrid, None,
+                      math.sqrt(p.epsilon) * noise_stack(p, n))
 
 
 def retired_config(**picard):
@@ -425,15 +427,33 @@ def test_last_sweep_reads_no_law_table(small_grid, small_coeffs, small_tgrid, mo
 
 @pytest.mark.parametrize("steps", [1, 31, 32, 33, 200])
 def test_noise_rows_are_the_stacked_noise_paths(small_grid, small_coeffs, steps):
-    """The sweep's noise stream, drawn 32 steps at a time, gives row by row the
-    stacked ``NoisePath.generate`` increments bit for bit, for horizons shorter than
-    a chunk, one chunk, one step past it and several chunks; its rows are views of one
-    chunk, so each is copied as it is read."""
+    """The sweep's drive stream, drawn 32 steps at a time, gives row by row
+    ``sqrt(eps)`` times the stacked ``NoisePath.generate`` increments bit for bit, for
+    horizons shorter than a chunk, one chunk, one step past it and several chunks.
+    Each row is a fresh C-contiguous array, not a view of the chunk, so it may be
+    kept as it is read."""
     p = make_problem(small_grid, small_coeffs, build_tgrid(steps=steps))
-    rows = [row.copy() for row in mckean_vlasov._noise_rows(p, 3)]
+    rows = list(mckean_vlasov._noise_rows(p, 3))
     assert len(rows) == steps
-    assert np.stack(rows).tobytes() == noise_stack(p, 3).tobytes()
+    assert all(row.flags.c_contiguous and row.base is None for row in rows)
+    assert np.stack(rows).tobytes() == (math.sqrt(p.epsilon) * noise_stack(p, 3)).tobytes()
     assert mckean_vlasov._noise_rows(dataclasses.replace(p, epsilon=0.0), 3) is None
+
+
+def test_law_table_reads_a_sweep_stream_as_its_collected_flow(small_grid, small_coeffs,
+                                                              small_tgrid, monkeypatch):
+    """The law table over a ``_sweep_nodes`` stream equals the table over the
+    collected flow bit for bit, and it never asks for the last node, so the stream
+    runs S - 1 steps (one law read from the batch each)."""
+    p = make_problem(small_grid, small_coeffs, small_tgrid)
+    times = small_tgrid.nodes
+    flow = picard_solve(p, PicardConfig(n_particles=5))
+    collected = dynamics._law_table(p.coeffs, p.grid, times, flow.states)
+    reads, real_read = [], dynamics.law_from_sums
+    monkeypatch.setattr(dynamics, "law_from_sums", lambda *a: reads.append(1) or real_read(*a))
+    streamed = dynamics._law_table(p.coeffs, p.grid, times, mckean_vlasov._sweep_nodes(p, 5, None))
+    assert len(reads) == small_tgrid.steps - 1
+    assert [col.tobytes() for col in streamed] == [col.tobytes() for col in collected]
 
 
 @pytest.mark.parametrize("weight", [1.0, "auto"])

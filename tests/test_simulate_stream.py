@@ -162,12 +162,12 @@ def _sweep_peak(cfg, n: int) -> float:
     ``n * cells * 8`` bytes, the problem built outside the measurement."""
     problem = cfg.problem()
     two = cfg.with_overrides(picard={"n_particles": 2}).problem()
-    for _ in itertools.islice(_sweep_nodes(two, 2), 2):
+    for _ in itertools.islice(_sweep_nodes(two, 2, None), 2):
         pass  # one step fills the per-grid caches outside the measurement
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        for _ in _sweep_nodes(problem, n):
+        for _ in _sweep_nodes(problem, n, None):
             pass
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
