@@ -7,8 +7,9 @@ condition audit (``coefficients``), tamed semi-implicit time stepping
 for the frozen / deterministic / controlled equations (``dynamics``),
 the measure-freezing fixed-point solver (``mckean_vlasov``), action
 minimisation over controls (``rate_function``), configuration
-(``config``), the verification suites (``verify``), and the command
-line front end (``cli``).
+(``config``), the verification suites (``verify``, loaded on first use
+of ``SUITES``, ``CheckResult`` or ``run_suites``), and the command line
+front end (``cli``).
 """
 
 from .coefficients import (
@@ -70,6 +71,15 @@ from .rate_function import (
     estimate_rate,
     weak_convergence_experiment,
 )
-from .verify import SUITES, CheckResult, run_suites
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Serve the verify suites' names on first use, so that importing the
+    package (and every command but ``verify``) never loads ``verify``."""
+    if name in ("SUITES", "CheckResult", "run_suites"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

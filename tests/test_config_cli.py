@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
+from helpers import run_fresh
+
 from fracmv.cli import cmd_verify, main
 from fracmv.config import RunConfig, canonical_dict, load_config
 from fracmv.dynamics import load_trajectory
@@ -410,10 +412,15 @@ def test_blow_up_exits_3(tmp_path, capsys):
 
 
 def test_unknown_suite_exits_2(tiny_config, tmp_path, capsys):
+    """The refusal lists all 11 suites, the names the ``--suite`` help points to."""
+    from fracmv.verify import SUITES
+
     rc = main(["verify", "--config", str(tiny_config), "--out", str(tmp_path / "v"),
                "--suite", "nope"])
     assert rc == 2
-    assert "unknown suite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown suite" in err
+    assert len(SUITES) == 11 and f"available: {', '.join(SUITES)}" in err
 
 
 def test_unknown_suite_is_caught_before_any_suite_runs(tiny_config, tmp_path, monkeypatch, capsys):
@@ -426,6 +433,13 @@ def test_unknown_suite_is_caught_before_any_suite_runs(tiny_config, tmp_path, mo
     assert rc == 2
     assert "unknown suite 'nope'" in capsys.readouterr().err
     assert ran == []
+
+
+def test_verify_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--suite" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["simulate", "skeleton", "rate", "verify"])
@@ -466,15 +480,18 @@ def test_unreadable_config_exits_2_naming_the_file(kind, source, tmp_path, monke
 
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_empty_suite_list_exits_2(source, tiny_config, tmp_path, monkeypatch, capsys):
+    from fracmv.verify import SUITES
+
     out = tmp_path / "v"
     argv = ["verify", "--config", str(tiny_config), "--out", str(out)]
     if source == "flag":
-        argv += ["--suite", ","]
+        argv += ["--suite", ",,"]
     else:
         monkeypatch.setenv("FRACMV_SUITE", ",")
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error[validation]" in err and "--suite" in err
+    assert len(SUITES) == 11 and f"available: {', '.join(SUITES)}" in err
     assert not out.exists()
 
 
@@ -946,3 +963,60 @@ def test_terminal_target_with_a_nan_value_names_the_file(tiny_config, tmp_path, 
     assert rc == 2
     err = capsys.readouterr().err
     assert "error[validation]" in err and "field.csv" in err and "non-finite" in err
+
+
+# -- what each command loads ---------------------------------------------------
+
+COMMAND_LOADS = """
+import json
+from pathlib import Path
+
+import numpy
+
+bare = "numpy.random" in sys.modules
+import fracmv.cli
+
+def loaded():
+    return [m for m in ("fracmv.verify", "numpy.random") if m in sys.modules]
+
+tmp = Path(sys.argv[1])
+cfg = tmp / "tiny.yaml"
+cfg.write_text("time: {horizon: 0.25, steps: 20}\\nnoise: {n_modes: 2}\\npicard: {n_particles: 4}\\n")
+seen = {"bare": bare, "import": loaded()}
+if len(sys.argv) > 2:
+    argv = sys.argv[2:]
+    assert fracmv.cli.main([argv[0], "--config", str(cfg), "--out", str(tmp / "out"), *argv[1:]]) == 0
+seen["run"] = loaded()
+print(json.dumps(seen))
+"""
+
+# (arguments, the watched modules loaded once they have run)
+LOAD_CASES = {
+    "import": ([], []),
+    "rate": (["rate", "--target", "deterministic"], []),
+    "skeleton": (["skeleton"], []),
+    "simulate": (["simulate"], ["numpy.random"]),
+    "verify": (["verify", "--suite", "spectral"], ["fracmv.verify", "numpy.random"]),
+}
+
+
+@pytest.fixture(scope="module", params=list(LOAD_CASES))
+def command_loads(request, tmp_path_factory):
+    """What a fresh interpreter has loaded after ``import fracmv.cli`` and
+    after one tiny run of the command, and what it should have loaded."""
+    argv, expected = LOAD_CASES[request.param]
+    return run_fresh(COMMAND_LOADS, tmp_path_factory.mktemp(request.param), *argv), expected
+
+
+def test_only_verify_loads_the_verify_suites(command_loads):
+    seen, expected = command_loads
+    assert "fracmv.verify" not in seen["import"]
+    assert ("fracmv.verify" in seen["run"]) == ("fracmv.verify" in expected)
+
+
+def test_only_a_noise_draw_loads_numpy_random(command_loads):
+    seen, expected = command_loads
+    if seen["bare"]:
+        pytest.skip("a bare `import numpy` loads numpy.random under this numpy")
+    assert "numpy.random" not in seen["import"]
+    assert ("numpy.random" in seen["run"]) == ("numpy.random" in expected)
