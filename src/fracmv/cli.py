@@ -113,11 +113,7 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     traj_dir = out / "trajectories"
     made_dir = not traj_dir.is_dir()
     traj_dir.mkdir(exist_ok=True)
-    ext = ".traj" if cfg.output_format == "blob" else ""
-    writers = [
-        _TrajectoryWriter(traj_dir / f"particle_{i:03d}{ext}", grid, times, cfg.output_format)
-        for i in range(n)
-    ]
+    writers = [_TrajectoryWriter(traj_dir / f"particle_{i:03d}.traj", grid, times) for i in range(n)]
     per_block = min(times.size, max(1, _BLOCK_BYTES // (8 * n * grid.n_cells)))
     block = np.empty((n, per_block) + grid.shape)  # particle-major: each slice is contiguous
     moments, worst, held = [], 0.0, 0
@@ -184,8 +180,7 @@ def cmd_skeleton(cfg: RunConfig, out: str | Path, control_path: str | Path | Non
     v = None if control_path is None else _load_run_control(cfg, control_path, "control file")
     out = _out_dir(out)
     base = solve_deterministic(cfg.u0, cfg.coeffs, cfg.tgrid)
-    ext = ".traj" if cfg.output_format == "blob" else ""
-    save_trajectory(base, out / f"skeleton{ext}", fmt=cfg.output_format)
+    save_trajectory(base, out / "skeleton.traj")
 
     def residual_rows(traj, control=None, base_traj=None):
         res = energy_residual(traj, cfg.coeffs, control=control, base=base_traj)
@@ -203,7 +198,7 @@ def cmd_skeleton(cfg: RunConfig, out: str | Path, control_path: str | Path | Non
     extra: dict = {"control": None}
     if v is not None:
         controlled = solve_controlled(cfg.u0, v, base, cfg.coeffs, cfg.tgrid)
-        save_trajectory(controlled, out / f"controlled{ext}", fmt=cfg.output_format)
+        save_trajectory(controlled, out / "controlled.traj")
         _write_csv(
             out / "controlled_energy_residual.csv",
             ["node", "time", "residual"],

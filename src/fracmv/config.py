@@ -275,7 +275,8 @@ class RunConfig:
         with _at("rate"):
             # a settings template; rate_problem() supplies the target
             self._rate = RateProblem(None, **cfg["rate"])
-        _rule(cfg, "output.trajectory_format", lambda v: v in ("blob", "csv"), "blob or csv")
+        # the key's one value: trajectories are blob files, csv directories are retired
+        _rule(cfg, "output.trajectory_format", lambda v: v == "blob", "blob")
         _rule(cfg, "verify.tail_delta", *_POSITIVE)
         _rule(cfg, "verify.domain_margin_delta", *_POSITIVE)
 
@@ -284,10 +285,6 @@ class RunConfig:
     @property
     def seed(self) -> int:
         return int(self.raw["seed"])
-
-    @property
-    def output_format(self) -> str:
-        return self.raw["output"]["trajectory_format"]
 
     def picard_config(self) -> PicardConfig:
         return self._picard

@@ -37,7 +37,6 @@ import hashlib
 import json
 import math
 import os
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,8 +52,6 @@ from .grid import (
     _check_positive,
     _field_array,
     _time_nodes,
-    load_grid_function,
-    save_grid_function,
     sq_norms,
     sq_seminorms,
     sq_v_norms,
@@ -566,81 +563,53 @@ def _le_f8(values) -> memoryview:
 
 
 class _TrajectoryWriter:
-    """The one writer of both trajectory formats, fed one path's nodes in order,
-    a block of them at a time.
+    """The one trajectory writer, fed one path's nodes in order, a block of them
+    at a time.
 
-    ``blob`` is a single self-describing binary file: a magic line, a JSON
+    A trajectory is a single self-describing binary file: a magic line, a JSON
     header, then the time and value arrays as little-endian float64.  The
     bytes are a pure function of the payload, so equal trajectories give
-    identical files.  ``csv`` is a directory of the node times and one
-    grid-function CSV per node.  The head (header and times) is written here;
-    each :meth:`append` opens, writes and closes, so writers hold no file
-    open between blocks and a run holds one file open however many it writes.
+    identical files.  The head (header and times) is written here; each
+    :meth:`append` opens, writes and closes, so writers hold no file open
+    between blocks and a run holds one file open however many it writes.
     """
 
-    def __init__(self, path: str | Path, grid: SpatialGrid, times: np.ndarray, fmt: str):
-        if fmt not in ("blob", "csv"):
-            raise ValidationError(f"unknown trajectory format {fmt!r} (expected blob or csv)")
-        self.path, self.grid, self.fmt, self.written = Path(path), grid, fmt, 0
-        if fmt == "blob":
-            header = {"grid": grid.geometry(), "n_nodes": len(times), "dtype": "<f8"}
-            with open(self.path, "wb") as fh:
-                fh.write(_TRAJ_MAGIC)
-                fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-                fh.write(_le_f8(times))
-        else:
-            self.path.mkdir(parents=True, exist_ok=True)
-            np.savetxt(self.path / "times.csv", times, delimiter=",", header="t", comments="",
-                       fmt="%.17g")
+    def __init__(self, path: str | Path, grid: SpatialGrid, times: np.ndarray):
+        self.path = Path(path)
+        header = {"grid": grid.geometry(), "n_nodes": len(times), "dtype": "<f8"}
+        with open(self.path, "wb") as fh:
+            fh.write(_TRAJ_MAGIC)
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            fh.write(_le_f8(times))
 
     def append(self, values: np.ndarray) -> None:
         """Write the next nodes, ``values`` of shape ``(b, *grid.shape)``."""
-        if self.fmt == "blob":
-            data = _le_f8(values)
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
-            try:
-                while data:
-                    data = data[os.write(fd, data):]
-            finally:
-                os.close(fd)
-            return
-        for node in values:
-            name = f"node_{self.written:05d}.csv"
-            save_grid_function(GridFunction(self.grid, node), self.path / name)
-            self.written += 1
+        data = _le_f8(values)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
 
     def discard(self) -> None:
         """Remove what this writer has written."""
-        if self.fmt == "blob":
-            self.path.unlink(missing_ok=True)
-        else:
-            shutil.rmtree(self.path, ignore_errors=True)
+        self.path.unlink(missing_ok=True)
 
 
-def save_trajectory(traj: Trajectory, path: str | Path, fmt: str = "blob") -> Path:
-    """Persist a trajectory in the ``blob`` or ``csv`` format of :class:`_TrajectoryWriter`."""
-    writer = _TrajectoryWriter(path, traj.grid, traj.times, fmt)
+def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
+    """Persist a trajectory as the one file :class:`_TrajectoryWriter` writes."""
+    writer = _TrajectoryWriter(path, traj.grid, traj.times)
     writer.append(traj.values)
     return writer.path
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    """Read a trajectory written by :func:`save_trajectory` (either format)."""
+    """Read a trajectory file written by :func:`save_trajectory`."""
     path = Path(path)
-    if path.is_dir():
-        try:
-            times = np.loadtxt(path / "times.csv", delimiter=",", skiprows=1, ndmin=1)
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"{path}: missing or malformed times.csv ({exc})") from None
-        nodes = sorted(path.glob("node_*.csv"))
-        fns = [load_grid_function(p) for p in nodes]
-        if not fns or len(fns) != times.size:
-            raise ValidationError(f"{path}: node files do not match the time array")
-        if any(f.grid != fns[0].grid for f in fns):
-            raise ValidationError(f"{path}: node files live on different grids")
-        return _trajectory_at(path, fns[0].grid, times, np.stack([f.values for f in fns]))
     if not path.is_file():
-        raise ValidationError(f"{path}: trajectory file not found")
+        what = "is a directory; a trajectory is one blob file" if path.is_dir() else "not found"
+        raise ValidationError(f"{path}: {what}")
     with open(path, "rb") as fh:
         magic = fh.read(len(_TRAJ_MAGIC))
         if magic != _TRAJ_MAGIC:
@@ -666,13 +635,8 @@ def load_trajectory(path: str | Path) -> Trajectory:
             )
         times, values = fh.read(8 * n), fh.read(8 * count)
     values = np.frombuffer(values, dtype="<f8").reshape((n,) + grid.shape)
-    return _trajectory_at(path, grid, np.frombuffer(times, dtype="<f8"), values)
-
-
-def _trajectory_at(path: Path, grid: SpatialGrid, times: np.ndarray, values: np.ndarray) -> Trajectory:
-    """``Trajectory(grid, times, values)``, naming ``path`` if the arrays are refused."""
     try:
-        return Trajectory(grid, times, values)
+        return Trajectory(grid, np.frombuffer(times, dtype="<f8"), values)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -103,6 +103,15 @@ class SpatialGrid:
         _check_count("points_per_dim", m, 4)
         if m % 2 != 0:
             raise ValidationError(f"points_per_dim must be even, got {m}")
+        # the norms weigh by the cell volume and the operators by |xi|^2 up to its largest
+        xi_max = math.pi * m / (2.0 * self.half_width)
+        sizes = (math.prod([self.spacing] * d), d * xi_max * xi_max)
+        if not all(np.finfo(float).tiny <= size < math.inf for size in sizes):
+            raise ValidationError(
+                "half_width must be a width whose cell volume (2L/M)^dim and largest squared "
+                "wavenumber dim (pi M / 2L)^2 are finite, positive, normal floats, got "
+                f"{self.half_width!r} (they are {sizes[0]!r} and {sizes[1]!r})"
+            )
 
     # -- geometry ------------------------------------------------------
 

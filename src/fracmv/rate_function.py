@@ -95,6 +95,8 @@ class RateProblem:
 
     def __post_init__(self):
         _check_positive("eta", self.eta)
+        if not 1.0 / self.eta < math.inf:  # the penalty weighs the gap by 1/eta
+            raise ValidationError(f"eta must have a finite reciprocal, got {self.eta!r}")
         _check_positive("gap_tol", self.gap_tol)
         _check_count("max_iters", self.max_iters)
 

@@ -88,6 +88,8 @@ def test_defaults_build_canonical_instance(canonical_cfg):
         ({"rate": {"eta": 0}}, "rate.eta"),
         ({"rate": {"eta": math.inf}}, "rate.eta"),
         ({"rate": {"max_iters": 0}}, "rate.max_iters"),
+        # trajectories are blob files only; the retired csv value is refused by name
+        ({"output": {"trajectory_format": "csv"}}, "output.trajectory_format"),
     ],
 )
 def test_validation_errors_name_the_field(patch, needle):
@@ -381,18 +383,67 @@ def test_integer_leaf_too_large_for_its_arithmetic_exits_2(yaml_line, needle, tm
         ("drift_f: {phi: {width: 1.0e+300}}", "drift_f.phi.width"),
         ("drift_g: {psi: {width: 1.0e+300}}", "drift_g.psi.width"),
         (f"noise: {{shape: {{width: {10**200}}}}}", "noise.shape.width"),
+        ("grid: {dim: 2, half_width: 1.0e+200, points_per_dim: 8}", "grid.half_width"),
+        ("grid: {half_width: 1.0e+308}", "grid.half_width"),
+        ("grid: {dim: 2, half_width: 1.0e-200, points_per_dim: 8}", "grid.half_width"),
+        ("grid: {half_width: 1.0e-160}", "grid.half_width"),
     ],
-    ids=["noise.shape", "noise.kappa", "initial", "drift_f.phi", "drift_g.psi", "integer"],
+    ids=["noise.shape", "noise.kappa", "initial", "drift_f.phi", "drift_g.psi", "integer",
+         "grid-2d-1e200", "grid-1d-1e308", "grid-2d-1e-200", "grid-1d-1e-160"],
 )
 def test_width_whose_square_overflows_exits_2(block, needle, tmp_path, capsys):
     """A width enters squared; one whose square is no float is refused by name, by
-    the config's rule or by ``PsiField``, before ``--out`` is made."""
+    the config's rule or by ``PsiField``, before ``--out`` is made.  A grid's half
+    width enters as the cell volume ``(2L/M)^dim`` and the squared wavenumbers up to
+    ``dim (pi M / 2L)^2``; one that makes either no normal float (an overflow, an
+    underflow, or one of each) is refused by ``SpatialGrid``, where it met an
+    ``OverflowError``, a non-finite field or a ``nan`` residual."""
     bad = tmp_path / "wide.yaml"
     bad.write_text(block + "\n")
     out = tmp_path / "x"
     assert main(["skeleton", "--config", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"error[validation] ValidationError: config: {needle} must be" in err
+    assert not out.exists()
+
+
+def test_eta_of_1e_300_still_stops_on_the_gradient(tmp_path):
+    """``1/eta`` bounds ``eta`` from below only where the reciprocal overflows:
+    ``1e-300`` runs to the zero control and stops on the gradient test."""
+    out = tmp_path / "r"
+    config = _tiny_with(tmp_path, rate={"eta": 1.0e-300})
+    assert main(["rate", "--config", str(config), "--out", str(out), "--target", "deterministic"]) == 0
+    with open(out / "rate_estimate.csv", newline="") as fh:
+        assert list(csv.DictReader(fh))[0]["stop"] == "gradient"
+
+
+@pytest.mark.parametrize("command", ["simulate", "skeleton"])
+def test_csv_trajectory_format_exits_2(command, tmp_path, capsys):
+    """Trajectories are blob files only; ``output.trajectory_format: csv`` is refused
+    by name before ``--out`` is made."""
+    out = tmp_path / "x"
+    config = _tiny_with(tmp_path, output={"trajectory_format": "csv"})
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[validation] ValidationError: config: output.trajectory_format must" in err
+    assert not out.exists()
+
+
+def test_trajectory_directory_target_exits_2_naming_it(tiny_config, tmp_path, capsys):
+    """A directory of blobs, like ``simulate``'s ``trajectories``, is not a
+    trajectory: it is refused naming it, before ``--out`` is made."""
+    from fracmv.dynamics import Trajectory, save_trajectory
+    from fracmv.grid import SpatialGrid
+
+    grid = SpatialGrid(1, 4.0, 32)
+    traj_dir = tmp_path / "trajectories"
+    traj_dir.mkdir()
+    save_trajectory(Trajectory(grid, [0.0, 0.25], np.zeros((2, 32))), traj_dir / "particle_000.traj")
+    out = tmp_path / "r"
+    assert main(["rate", "--config", str(tiny_config), "--out", str(out),
+                 "--target", f"trajectory:{traj_dir}"]) == 2
+    err = capsys.readouterr().err
+    assert f"error[validation] ValidationError: {traj_dir}: is a directory" in err
     assert not out.exists()
 
 
@@ -737,14 +788,15 @@ def test_terminal_target_with_malformed_sidecar_exits_2(sidecar, tiny_config, tm
 
 @pytest.mark.parametrize("key,value", [("points_per_dim", 32.7), ("dim", 1.5),
                                        ("half_width", math.inf), ("half_width", "4.0"),
-                                       ("half_width", True)])
+                                       ("half_width", True), ("half_width", 1.0e-160)])
 @pytest.mark.parametrize("kind", ["terminal", "trajectory"])
 def test_target_with_malformed_grid_geometry_exits_2(kind, key, value, tiny_config, tmp_path,
                                                      capsys):
-    """A target whose grid has a fractional size, or a half width that is infinite
-    or not a number, is refused by the field's name before ``--out`` is made; a
-    ``points_per_dim`` of 32.7 is not truncated to the run's 32 cells, nor a
-    ``half_width`` of ``"4.0"`` or ``true`` read as 4.0 or 1.0."""
+    """A target whose grid has a fractional size, or a half width that is infinite,
+    not a number or too narrow for its squared wavenumbers, is refused by the field's
+    name before ``--out`` is made; a ``points_per_dim`` of 32.7 is not truncated to
+    the run's 32 cells, nor a ``half_width`` of ``"4.0"`` or ``true`` read as 4.0 or
+    1.0."""
     from fracmv.grid import save_grid_function
 
     if kind == "terminal":
@@ -785,8 +837,12 @@ def _tiny_with(tmp_path, **sections):
         ("simulate", {"picard": {"lambda_weight": math.inf}}, "picard.lambda_weight"),
         ("skeleton", {"rate": {"eta": math.inf}}, "rate.eta"),
         ("rate", {"rate": {"eta": math.inf}}, "rate.eta"),
+        # the penalty weighs the gap by 1/eta, which overflows here (a nan gradient)
+        ("rate", {"rate": {"eta": 1.0e-309}}, "rate.eta"),
+        ("rate", {"rate": {"eta": 5.0e-324}}, "rate.eta"),
     ],
-    ids=["simulate-lambda_weight", "skeleton-eta", "rate-eta"],
+    ids=["simulate-lambda_weight", "skeleton-eta", "rate-eta", "rate-eta-1e-309",
+         "rate-eta-5e-324"],
 )
 def test_non_finite_weight_exits_2(command, sections, needle, tmp_path, capsys):
     config = _tiny_with(tmp_path, **sections)
@@ -796,6 +852,7 @@ def test_non_finite_weight_exits_2(command, sections, needle, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error[validation]" in err and needle in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -842,6 +899,8 @@ def test_terminal_target_with_non_numeric_value_exits_2(tiny_config, tmp_path, c
 
 
 def test_trajectory_directory_with_mixed_grids_exits_2(tiny_config, tmp_path, capsys):
+    """A directory in the retired csv layout is refused naming it, whatever its
+    node files hold (here two grids)."""
     from fracmv.grid import GridFunction, SpatialGrid, save_grid_function
 
     traj = tmp_path / "mixed"
@@ -858,23 +917,18 @@ def test_trajectory_directory_with_mixed_grids_exits_2(tiny_config, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "fmt,times",
-    [("csv", [0.1, 0.0]), ("blob", [0.1, 0.0]), ("blob", [0.0, math.nan])],
-    ids=["csv-decreasing", "blob-decreasing", "blob-nan-time"],
+    "times", [[0.1, 0.0], [0.0, math.nan]], ids=["blob-decreasing", "blob-nan-time"]
 )
-def test_trajectory_with_bad_times_names_the_file(fmt, times, tiny_config, tmp_path, capsys):
+def test_trajectory_with_bad_times_names_the_file(times, tiny_config, tmp_path, capsys):
     from fracmv.dynamics import Trajectory, save_trajectory
     from fracmv.grid import SpatialGrid
 
     grid = SpatialGrid(1, 4.0, 32)
     path = save_trajectory(Trajectory(grid, [0.0, 0.1], np.zeros((2, 32))),
-                           tmp_path / "bad_times", fmt)
-    if fmt == "csv":
-        np.savetxt(path / "times.csv", times, header="t", comments="")
-    else:
-        blob = path.read_bytes()
-        start = blob.index(b"\n", blob.index(b"\n") + 1) + 1
-        path.write_bytes(blob[:start] + np.array(times, "<f8").tobytes() + blob[start + 16:])
+                           tmp_path / "bad_times")
+    blob = path.read_bytes()
+    start = blob.index(b"\n", blob.index(b"\n") + 1) + 1
+    path.write_bytes(blob[:start] + np.array(times, "<f8").tobytes() + blob[start + 16:])
     rc = main(["rate", "--config", str(tiny_config), "--out", str(tmp_path / "r"),
                "--target", f"trajectory:{path}"])
     assert rc == 2

@@ -647,17 +647,12 @@ def test_blob_append_survives_short_writes(tmp_path, small_grid, small_coeffs, m
     assert path.read_bytes() == whole
 
 
-def test_csv_trajectory_roundtrip(tmp_path, small_coeffs):
-    g = build_grid(points=16)
-    tg = build_tgrid(steps=4)
-    coeffs = build_coeffs(g)
-    traj = solve_deterministic(build_u0(g), coeffs, tg)
-    d = save_trajectory(traj, tmp_path / "nodes", fmt="csv")
-    back = load_trajectory(d)
-    assert np.array_equal(back.values, traj.values)
-    assert np.array_equal(back.times, traj.times)
-    with pytest.raises(ValidationError):
-        save_trajectory(traj, tmp_path / "x", fmt="parquet")
+def test_load_trajectory_refuses_a_directory(tmp_path):
+    """A trajectory is one blob file; a directory, such as one in the retired csv
+    layout, is refused naming it."""
+    (tmp_path / "nodes").mkdir()
+    with pytest.raises(ValidationError, match=r"nodes: is a directory; a trajectory is one blob"):
+        load_trajectory(tmp_path / "nodes")
 
 
 def test_control_roundtrip(tmp_path):

@@ -52,10 +52,9 @@ def _collected_simulate(cfg, out: Path) -> None:
     out.mkdir()
     flow = picard_solve(cfg.problem(), cfg.picard_config())
     (out / "trajectories").mkdir()
-    ext = ".traj" if cfg.output_format == "blob" else ""
     for i in range(flow.n_particles):
         save_trajectory(Trajectory(flow.grid, flow.times, flow.states[:, i]),
-                        out / "trajectories" / f"particle_{i:03d}{ext}", fmt=cfg.output_format)
+                        out / "trajectories" / f"particle_{i:03d}.traj")
     save_measure(flow.measure(flow.n_times - 1), out / "final_measure")
     # the one causal sweep's report: one iteration at distance 0
     cli._write_csv(out / "picard_report.csv", ["iteration", "distance", "ratio"],
@@ -80,7 +79,7 @@ def _collected_simulate(cfg, out: Path) -> None:
 
 @pytest.mark.filterwarnings("ignore:mass .* outside")
 @pytest.mark.parametrize("per_block", [4, 1])
-@pytest.mark.parametrize("fmt", ["blob", "csv"])
+@pytest.mark.parametrize("fmt", ["blob"])  # output.trajectory_format's one value, set explicitly
 @pytest.mark.parametrize("dim,points", [(1, 32), (2, 8)])
 def test_streamed_simulate_is_the_collected_solves_run_directory(dim, points, fmt, per_block,
                                                                  tmp_path, monkeypatch):
@@ -108,7 +107,7 @@ def test_streamed_simulate_is_the_collected_solves_run_directory(dim, points, fm
 
 
 @pytest.mark.parametrize("per_block", [None, 1])
-@pytest.mark.parametrize("fmt", ["blob", "csv"])
+@pytest.mark.parametrize("fmt", ["blob"])  # output.trajectory_format's one value, set explicitly
 def test_simulate_blow_up_exits_3_and_leaves_no_trajectory(fmt, per_block, tmp_path, monkeypatch,
                                                            capsys):
     """A blow-up removes the trajectories this run wrote, whether none of its nodes
@@ -220,7 +219,7 @@ def test_jittered_simulate_lets_its_start_go(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:mass .* outside")
-@pytest.mark.parametrize("fmt", ["blob", "csv"])
+@pytest.mark.parametrize("fmt", ["blob"])  # output.trajectory_format's one value, set explicitly
 def test_simulate_writes_more_particles_than_it_may_open_files(fmt, tmp_path):
     """In a process whose soft ``RLIMIT_NOFILE`` is below the particle count,
     ``simulate`` exits 0 and writes the bytes of an unlimited run: it holds one
