@@ -30,8 +30,11 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .dynamics import (
+    _SLAB_BYTES,
     Control,
     _TrajectoryWriter,
+    _le_f8,
+    _square_sums,
     energy_residual,
     load_control,
     load_trajectory,
@@ -43,7 +46,7 @@ from .dynamics import (
 )
 from .errors import BlowUpError, FixedPointDivergenceError, GridMismatchError, ValidationError
 from .grid import load_grid_function, tail_masses
-from .measure import EmpiricalMeasure, save_measure, second_moment
+from .measure import EmpiricalMeasure, save_measure
 from .mckean_vlasov import _sweep_nodes
 from .mckean_vlasov import picard_solve  # noqa: F401  perfbench/spans.py wraps it here
 from .rate_function import check_target, control_cost, estimate_rate
@@ -86,21 +89,19 @@ def _out_dir(out: str | Path) -> Path:
     return out
 
 
-# the nodes a run gathers before appending them to each particle's trajectory, so what
-# a run holds does not grow with its steps (a node larger than this is written alone).
-# 1 MiB: a block costs one raw append per particle, about 4 us plus its bytes on a
-# 2-vCPU Xeon, so a smaller block costs the run little time, and a larger one is held
-# for nothing
+# the bytes of nodes a run holds before appending them to each particle's trajectory, so
+# what a run holds does not grow with its steps (a node larger than this is written alone).
+# 1 MiB: a flush costs one gathered append per particle, about 4 us plus its bytes on a
+# 2-vCPU Xeon, so fewer nodes a flush cost the run little time, and more are held for nothing
 _BLOCK_BYTES = 1 << 20
 
 
 def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     """Solve the mean-field fixed point and persist the ensemble, node by node.
 
-    The causal sweep's nodes are read as they are made: each gives its
-    ``flow_summary.csv`` row and its tail mass and joins a block of at most
-    ``_BLOCK_BYTES``, whose particle slices are appended to the trajectories
-    when it fills; the last node is ``final_measure``.  So no flow is held.
+    Each node of the causal sweep gives its ``flow_summary.csv`` row and tail
+    mass, a slab at a time, and is held, not copied, until ``_BLOCK_BYTES`` of
+    nodes are, then appended to the trajectories; the last is ``final_measure``.
     A blow-up removes the trajectories written so far.
     """
     out = _out_dir(out)
@@ -114,19 +115,23 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     made_dir = not traj_dir.is_dir()
     traj_dir.mkdir(exist_ok=True)
     writers = [_TrajectoryWriter(traj_dir / f"particle_{i:03d}.traj", grid, times) for i in range(n)]
-    per_block = min(times.size, max(1, _BLOCK_BYTES // (8 * n * grid.n_cells)))
-    block = np.empty((n, per_block) + grid.shape)  # particle-major: each slice is contiguous
-    moments, worst, held = [], 0.0, 0
+    row = 8 * grid.n_cells  # a particle's bytes at a node
+    per_block = min(times.size, max(1, _BLOCK_BYTES // (n * row)))
+    per_slab = max(1, min(n, _SLAB_BYTES // row))
+    scratch, sums = np.empty((per_slab,) + grid.shape), np.empty(n)
+    moments, worst, held = [], 0.0, []  # held: the bytes of each node not yet appended
     try:
         for vals in nodes:
-            block[:, held] = vals
-            held += 1
-            moments.append(second_moment(EmpiricalMeasure(grid, vals)))
-            worst = max(worst, float(np.max(tail_masses(vals, grid, margin))))
-            if held == per_block or len(moments) == times.size:
-                for writer, path in zip(writers, block):
-                    writer.append(path[:held])
-                held = 0
+            held.append(_le_f8(vals))
+            for a in range(0, n, per_slab):
+                slab = vals[a:a + per_slab]
+                _square_sums(slab, scratch[:len(slab)], sums[a:a + per_slab])
+                worst = max(worst, float(np.max(tail_masses(slab, grid, margin))))
+            moments.append(float(np.mean(sums) * grid.cell_volume))  # second_moment's expression
+            if len(held) == per_block or len(moments) == times.size:
+                for i, writer in enumerate(writers):
+                    writer.append([node[i * row:(i + 1) * row] for node in held])
+                held = []
     except BlowUpError:
         for writer in writers:
             writer.discard()

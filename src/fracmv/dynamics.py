@@ -562,16 +562,19 @@ def _le_f8(values) -> memoryview:
     return memoryview(np.ascontiguousarray(values, dtype="<f8").reshape(-1).view(np.uint8))
 
 
+# the most buffers one os.writev takes (IOV_MAX; 1,024 on Linux, 16 at the least by POSIX)
+_IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
+
+
 class _TrajectoryWriter:
-    """The one trajectory writer, fed one path's nodes in order, a block of them
-    at a time.
+    """The one trajectory writer, fed one path's nodes in order, some at a time.
 
     A trajectory is a single self-describing binary file: a magic line, a JSON
     header, then the time and value arrays as little-endian float64.  The
     bytes are a pure function of the payload, so equal trajectories give
     identical files.  The head (header and times) is written here; each
     :meth:`append` opens, writes and closes, so writers hold no file open
-    between blocks and a run holds one file open however many it writes.
+    between appends and a run holds one file open however many it writes.
     """
 
     def __init__(self, path: str | Path, grid: SpatialGrid, times: np.ndarray):
@@ -582,13 +585,19 @@ class _TrajectoryWriter:
             fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
             fh.write(_le_f8(times))
 
-    def append(self, values: np.ndarray) -> None:
-        """Write the next nodes, ``values`` of shape ``(b, *grid.shape)``."""
-        data = _le_f8(values)
+    def append(self, bufs: list) -> None:
+        """Write the next nodes, a list of buffers of their bytes in order
+        (:func:`_le_f8`), gathered by ``os.writev``, a short write resumed through a view."""
+        first = 0
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
         try:
-            while data:
-                data = data[os.write(fd, data):]
+            while first < len(bufs):
+                done = os.writev(fd, bufs[first:first + _IOV_MAX])
+                while first < len(bufs) and done >= len(bufs[first]):
+                    done -= len(bufs[first])
+                    first += 1
+                if done:
+                    bufs[first] = bufs[first][done:]
         finally:
             os.close(fd)
 
@@ -600,7 +609,7 @@ class _TrajectoryWriter:
 def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
     """Persist a trajectory as the one file :class:`_TrajectoryWriter` writes."""
     writer = _TrajectoryWriter(path, traj.grid, traj.times)
-    writer.append(traj.values)
+    writer.append(list(map(_le_f8, traj.values)))
     return writer.path
 
 

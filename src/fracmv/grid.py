@@ -103,14 +103,16 @@ class SpatialGrid:
         _check_count("points_per_dim", m, 4)
         if m % 2 != 0:
             raise ValidationError(f"points_per_dim must be even, got {m}")
-        # the norms weigh by the cell volume and the operators by |xi|^2 up to its largest
+        # the norms weigh by the cell volume, the operators by |xi|^2 up to its largest,
+        # and the tail masses by the radius, whose square is largest at a corner
         xi_max = math.pi * m / (2.0 * self.half_width)
-        sizes = (math.prod([self.spacing] * d), d * xi_max * xi_max)
+        sizes = (math.prod([self.spacing] * d), d * xi_max * xi_max,
+                 d * self.half_width * self.half_width)
         if not all(np.finfo(float).tiny <= size < math.inf for size in sizes):
             raise ValidationError(
-                "half_width must be a width whose cell volume (2L/M)^dim and largest squared "
-                "wavenumber dim (pi M / 2L)^2 are finite, positive, normal floats, got "
-                f"{self.half_width!r} (they are {sizes[0]!r} and {sizes[1]!r})"
+                "half_width must be a width whose cell volume (2L/M)^dim, largest squared "
+                "wavenumber dim (pi M / 2L)^2 and squared corner radius dim L^2 are finite, "
+                f"positive, normal floats, got {self.half_width!r} (they are {sizes!r})"
             )
 
     # -- geometry ------------------------------------------------------
@@ -388,16 +390,17 @@ def save_grid_function(u: GridFunction, path: str | Path) -> Path:
     the value, printed with 17 significant digits so float64 round trips
     exactly.
     """
-    path = Path(path)
-    g = u.grid
-    coords = [c.ravel() for c in g.coordinates()]
-    cols = coords + [u.values.ravel()]
-    header = ",".join([f"x{i + 1}" for i in range(g.dim)] + ["value"])
-    data = np.column_stack(cols)
-    # np.savetxt's bytes in one formatting pass, not one per row
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    path.write_text(header + "\n" + (row * data.shape[0]) % tuple(data.ravel().tolist()))
-    _meta_path(path).write_text(json.dumps(g.geometry(), sort_keys=True) + "\n")
+    path, g = Path(path), u.grid
+    if "csv" not in g._cache:  # the text bar the values, a %.17g slot each, made once a grid
+        coords = np.stack(g.coordinates(), axis=-1).reshape(-1, g.dim)
+        rows = ("%.17g," * g.dim + "%%.17g\n") * len(coords)
+        g._cache["csv"] = ("".join(map("x{},".format, range(1, g.dim + 1))) + "value\n"
+                           + rows % tuple(coords.ravel().tolist()),
+                           json.dumps(g.geometry(), sort_keys=True) + "\n")
+    text, meta = g._cache["csv"]
+    # np.savetxt's bytes in one formatting pass of the values, not one per row
+    path.write_text(text % tuple(u.values.ravel().tolist()))
+    _meta_path(path).write_text(meta)
     return path
 
 

@@ -384,20 +384,23 @@ def test_integer_leaf_too_large_for_its_arithmetic_exits_2(yaml_line, needle, tm
         ("drift_g: {psi: {width: 1.0e+300}}", "drift_g.psi.width"),
         (f"noise: {{shape: {{width: {10**200}}}}}", "noise.shape.width"),
         ("grid: {dim: 2, half_width: 1.0e+200, points_per_dim: 8}", "grid.half_width"),
+        ("grid: {dim: 2, half_width: 1.0e+154, points_per_dim: 8}", "grid.half_width"),
         ("grid: {half_width: 1.0e+308}", "grid.half_width"),
         ("grid: {dim: 2, half_width: 1.0e-200, points_per_dim: 8}", "grid.half_width"),
         ("grid: {half_width: 1.0e-160}", "grid.half_width"),
     ],
     ids=["noise.shape", "noise.kappa", "initial", "drift_f.phi", "drift_g.psi", "integer",
-         "grid-2d-1e200", "grid-1d-1e308", "grid-2d-1e-200", "grid-1d-1e-160"],
+         "grid-2d-1e200", "grid-2d-1e154", "grid-1d-1e308", "grid-2d-1e-200", "grid-1d-1e-160"],
 )
 def test_width_whose_square_overflows_exits_2(block, needle, tmp_path, capsys):
     """A width enters squared; one whose square is no float is refused by name, by
     the config's rule or by ``PsiField``, before ``--out`` is made.  A grid's half
     width enters as the cell volume ``(2L/M)^dim`` and the squared wavenumbers up to
-    ``dim (pi M / 2L)^2``; one that makes either no normal float (an overflow, an
+    ``dim (pi M / 2L)^2``, and the tail masses as the squared corner radius
+    ``dim L^2``; one that makes any of them no normal float (an overflow, an
     underflow, or one of each) is refused by ``SpatialGrid``, where it met an
-    ``OverflowError``, a non-finite field or a ``nan`` residual."""
+    ``OverflowError``, a non-finite field, a ``nan`` residual or an infinite radius
+    (``1.0e+154`` in 2-d, whose cell volume and wavenumbers are floats)."""
     bad = tmp_path / "wide.yaml"
     bad.write_text(block + "\n")
     out = tmp_path / "x"

@@ -630,20 +630,23 @@ def test_blob_roundtrip_and_byte_determinism(tmp_path, small_grid, small_coeffs)
 
 
 def test_blob_append_survives_short_writes(tmp_path, small_grid, small_coeffs, monkeypatch):
-    """``os.write`` may write fewer bytes than it is given: a blob appended through
-    one that writes at most 1,000 bytes a call is the file of a whole write."""
+    """``os.writev`` may write fewer bytes than it is given, and stop inside a buffer:
+    a blob appended through one that writes at most 1,000 bytes a call is the file
+    of a whole write, and each call is handed what the last one left."""
     traj = solve_deterministic(build_u0(small_grid), small_coeffs, build_tgrid(steps=10))
     whole = save_trajectory(traj, tmp_path / "whole.traj").read_bytes()
-    real, calls = os.write, []
+    calls = []
 
-    def short(fd, data):
+    def short(fd, bufs):
+        data = b"".join(bufs)
         calls.append(len(data))
-        return real(fd, data[:1000])
+        return os.write(fd, data[:1000])
 
-    monkeypatch.setattr(os, "write", short)
+    monkeypatch.setattr(os, "writev", short)
     path = save_trajectory(traj, tmp_path / "short.traj")
     monkeypatch.undo()
     assert len(calls) == math.ceil(traj.values.nbytes / 1000) > 1
+    assert calls == [traj.values.nbytes - 1000 * k for k in range(len(calls))]
     assert path.read_bytes() == whole
 
 

@@ -4,6 +4,7 @@ and one file at a time, and a blow-up must leave no partial trajectory."""
 
 import hashlib
 import itertools
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -77,6 +78,24 @@ def _collected_simulate(cfg, out: Path) -> None:
     }))
 
 
+def _streamed_is_collected(cfg, tmp_path: Path, monkeypatch) -> list:
+    """Run ``simulate`` streamed and as the collected solve, assert the two run
+    directories are equal byte for byte, and return the streamed run's node count
+    of each trajectory append."""
+    appends = []
+    real = dynamics._TrajectoryWriter.append
+    monkeypatch.setattr(dynamics._TrajectoryWriter, "append",
+                        lambda self, nodes: appends.append(len(nodes)) or real(self, nodes))
+    _collected_simulate(cfg, tmp_path / "collected")
+    appends.clear()
+    cmd_simulate(cfg, tmp_path / "streamed")
+    collected, streamed = _tree(tmp_path / "collected"), _tree(tmp_path / "streamed")
+    assert list(streamed) == list(collected)
+    for name, data in collected.items():
+        assert streamed[name] == data, name
+    return appends
+
+
 @pytest.mark.filterwarnings("ignore:mass .* outside")
 @pytest.mark.parametrize("per_block", [4, 1])
 @pytest.mark.parametrize("fmt", ["blob"])  # output.trajectory_format's one value, set explicitly
@@ -90,20 +109,49 @@ def test_streamed_simulate_is_the_collected_solves_run_directory(dim, points, fm
                               output={"trajectory_format": fmt}))
     n, nodes = cfg.picard_config().n_particles, cfg.tgrid.steps + 1
     monkeypatch.setattr(cli, "_BLOCK_BYTES", per_block * 8 * n * cfg.grid.n_cells)
-    appends = []
-    real = dynamics._TrajectoryWriter.append
-    monkeypatch.setattr(dynamics._TrajectoryWriter, "append",
-                        lambda self, values: appends.append(len(values)) or real(self, values))
-    _collected_simulate(cfg, tmp_path / "collected")
-    appends.clear()
-    cmd_simulate(cfg, tmp_path / "streamed")
+    appends = _streamed_is_collected(cfg, tmp_path, monkeypatch)
     assert per_block == 1 or (n % per_block and nodes % per_block)
     whole, rest = divmod(nodes, per_block)
     assert appends == [per_block] * n * whole + [rest] * n * bool(rest)
-    collected, streamed = _tree(tmp_path / "collected"), _tree(tmp_path / "streamed")
-    assert list(streamed) == list(collected)
-    for name, data in collected.items():
-        assert streamed[name] == data, name
+
+
+@pytest.mark.filterwarnings("ignore:mass .* outside")
+def test_a_flush_of_more_nodes_than_one_gathered_write_takes(tmp_path, monkeypatch):
+    """One particle on 64 cells makes 2,048 nodes a 1 MiB block, twice the 1,024
+    buffers Linux lets one ``os.writev`` gather; over 1,100 steps the one flush
+    holds 1,101 nodes, which go to the file in writes of at most ``_IOV_MAX``
+    buffers, and every byte is the collected solve's."""
+    cfg = load_config(_config(tmp_path, grid={"points_per_dim": 64}, time={"steps": 1100},
+                              picard={"n_particles": 1}))
+    nodes = cfg.tgrid.steps + 1
+    assert nodes > dynamics._IOV_MAX
+    gathered, real = [], os.writev
+    monkeypatch.setattr(os, "writev", lambda fd, bufs: gathered.append(len(bufs)) or real(fd, bufs))
+    assert _streamed_is_collected(cfg, tmp_path, monkeypatch) == [nodes]
+    whole, rest = divmod(nodes, dynamics._IOV_MAX)
+    assert gathered[-whole - bool(rest):] == [dynamics._IOV_MAX] * whole + [rest] * bool(rest)
+
+
+@pytest.mark.filterwarnings("ignore:mass .* outside")
+def test_a_short_gathered_write_is_finished_from_the_nodes(tmp_path, monkeypatch):
+    """An ``os.writev`` that writes only the first half of its buffers and half of
+    the next leaves the rest to the next call, which is handed views of the same
+    nodes: no buffer is longer than one particle's node, so the block is never
+    copied whole, and every byte is the collected solve's."""
+    cfg = load_config(_config(tmp_path, grid={"dim": 2, "points_per_dim": 8}))
+    n = cfg.picard_config().n_particles
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 4 * 8 * n * cfg.grid.n_cells)
+    longest, real = [], os.writev
+
+    def short(fd, bufs):
+        half = len(bufs) // 2
+        longest.append(max(len(b) for b in bufs))
+        return real(fd, [*bufs[:half], bufs[half][:(len(bufs[half]) + 1) // 2]])
+
+    monkeypatch.setattr(os, "writev", short)
+    appends = _streamed_is_collected(cfg, tmp_path, monkeypatch)
+    assert len(longest) > len(appends)
+    assert max(longest) <= 8 * cfg.grid.n_cells
 
 
 @pytest.mark.parametrize("per_block", [None, 1])
@@ -119,7 +167,7 @@ def test_simulate_blow_up_exits_3_and_leaves_no_trajectory(fmt, per_block, tmp_p
     appends = []
     real = dynamics._TrajectoryWriter.append
     monkeypatch.setattr(dynamics._TrajectoryWriter, "append",
-                        lambda self, values: appends.append(len(values)) or real(self, values))
+                        lambda self, nodes: appends.append(len(nodes)) or real(self, nodes))
     boom = _config(tmp_path, initial={"kind": "gaussian", "amp": 1.0e120, "width": 1.0},
                    output={"trajectory_format": fmt})
     out = tmp_path / "b"
@@ -137,13 +185,15 @@ def test_simulate_blow_up_exits_3_and_leaves_no_trajectory(fmt, per_block, tmp_p
 @pytest.mark.filterwarnings("ignore:mass .* outside")
 def test_simulate_holds_a_block_not_the_flow(tmp_path):
     """A 2-d run of 64 particles and 101 nodes makes a 53 MB flow; ``simulate``
-    holds a 1 MiB block of it, the two nodes and slab of the step and a 32-step
-    chunk of noise, under an eighth of the flow, where the collected solve holds
-    all of it."""
+    holds what the bare sweep holds, no copy of a node: the block it appends is
+    the node arrays the sweep made, at most 1 MiB (two nodes here) of them, and
+    its statistics take a slab at a time.  Its peak lies within half a node of
+    the bare sweep's, where copying each node into a block of its own cost two
+    nodes more."""
     path = _config(tmp_path, grid={"dim": 2, "points_per_dim": 32}, time={"steps": 100},
                    picard={"n_particles": 64})
     cfg = load_config(path)
-    flow_bytes = 8 * (cfg.tgrid.steps + 1) * 64 * cfg.grid.n_cells
+    node_bytes = 8 * 64 * cfg.grid.n_cells
     # fill the per-grid caches outside the measurement
     cmd_simulate(cfg.with_overrides(picard={"n_particles": 2}), tmp_path / "warm")
     tracemalloc.start()
@@ -153,7 +203,7 @@ def test_simulate_holds_a_block_not_the_flow(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
-    assert peak < flow_bytes / 8
+    assert peak / node_bytes < _sweep_peak(cfg, 64) + 0.5
 
 
 def _sweep_peak(cfg, n: int) -> float:
