@@ -33,7 +33,6 @@ from .dynamics import (
     _SLAB_BYTES,
     Control,
     _TrajectoryWriter,
-    _le_f8,
     _square_sums,
     energy_residual,
     load_control,
@@ -45,7 +44,7 @@ from .dynamics import (
     sup_distance,
 )
 from .errors import BlowUpError, FixedPointDivergenceError, GridMismatchError, ValidationError
-from .grid import load_grid_function, tail_masses
+from .grid import _le_f8, load_grid_function, tail_masses
 from .measure import EmpiricalMeasure, save_measure
 from .mckean_vlasov import _sweep_nodes
 from .mckean_vlasov import picard_solve  # noqa: F401  perfbench/spans.py wraps it here
@@ -101,10 +100,16 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
 
     Each node of the causal sweep gives its ``flow_summary.csv`` row and tail
     mass, a slab at a time, and is held, not copied, until ``_BLOCK_BYTES`` of
-    nodes are, then appended to the trajectories; the last is ``final_measure``.
-    A blow-up removes the trajectories written so far.
+    nodes are, then appended to the trajectories; the last is written as the
+    blob ``final_measure.blob``.  An earlier run's particle files are removed
+    first, and a blow-up removes the trajectories written so far.
     """
     out = _out_dir(out)
+    if (out / "final_measure").is_dir():
+        raise ValidationError(
+            f"{out / 'final_measure'}: an earlier version's final measure directory; simulate "
+            "writes final_measure.blob, so remove it or choose another --out"
+        )
     grid, times, n = cfg.grid, cfg.tgrid.nodes, cfg.picard_config().n_particles
     # the problem is built in the call, so no name keeps its start alive past node 0
     nodes = _sweep_nodes(cfg.problem(), n, None)
@@ -112,8 +117,9 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     delta = float(cfg.raw["verify"]["domain_margin_delta"])
 
     traj_dir = out / "trajectories"
-    made_dir = not traj_dir.is_dir()
     traj_dir.mkdir(exist_ok=True)
+    for stale in [*traj_dir.glob("particle_*.traj"), out / "final_measure.blob"]:
+        stale.unlink(missing_ok=True)
     writers = [_TrajectoryWriter(traj_dir / f"particle_{i:03d}.traj", grid, times) for i in range(n)]
     row = 8 * grid.n_cells  # a particle's bytes at a node
     per_block = min(times.size, max(1, _BLOCK_BYTES // (n * row)))
@@ -135,10 +141,10 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     except BlowUpError:
         for writer in writers:
             writer.discard()
-        if made_dir:
+        if not any(traj_dir.iterdir()):
             traj_dir.rmdir()
         raise
-    save_measure(EmpiricalMeasure(grid, vals), out / "final_measure")
+    save_measure(EmpiricalMeasure(grid, vals), out / "final_measure.blob")
 
     # one causal sweep is the fixed point, so this row and the manifest's converged and
     # iterations are constants; CI and perfbench/workloads.check_output read them

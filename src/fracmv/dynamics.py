@@ -34,7 +34,6 @@ controlled solver shares with its adjoint sweeps.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -51,7 +50,10 @@ from .grid import (
     _check_nodes,
     _check_positive,
     _field_array,
+    _le_f8,
+    _load_blob,
     _time_nodes,
+    _write_blob,
     sq_norms,
     sq_seminorms,
     sq_v_norms,
@@ -555,13 +557,6 @@ def integrated_v_distance(a: Trajectory, b: Trajectory, alpha: float, c_v: float
 
 _TRAJ_MAGIC = b"FRACMVTRAJ1\n"
 
-
-def _le_f8(values) -> memoryview:
-    """The bytes of ``values`` as little-endian float64, flat, without a copy where
-    they already are."""
-    return memoryview(np.ascontiguousarray(values, dtype="<f8").reshape(-1).view(np.uint8))
-
-
 # the most buffers one os.writev takes (IOV_MAX; 1,024 on Linux, 16 at the least by POSIX)
 _IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
 
@@ -569,21 +564,16 @@ _IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
 class _TrajectoryWriter:
     """The one trajectory writer, fed one path's nodes in order, some at a time.
 
-    A trajectory is a single self-describing binary file: a magic line, a JSON
-    header, then the time and value arrays as little-endian float64.  The
-    bytes are a pure function of the payload, so equal trajectories give
-    identical files.  The head (header and times) is written here; each
-    :meth:`append` opens, writes and closes, so writers hold no file open
-    between appends and a run holds one file open however many it writes.
+    A trajectory is a single blob file (:func:`~fracmv.grid._write_blob`): a magic
+    line, a JSON header, then the time and value arrays as little-endian float64.
+    The head (header and times) is written here; each :meth:`append` opens, writes
+    and closes, so writers hold no file open between appends and a run holds one
+    file open however many it writes.
     """
 
     def __init__(self, path: str | Path, grid: SpatialGrid, times: np.ndarray):
-        self.path = Path(path)
-        header = {"grid": grid.geometry(), "n_nodes": len(times), "dtype": "<f8"}
-        with open(self.path, "wb") as fh:
-            fh.write(_TRAJ_MAGIC)
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            fh.write(_le_f8(times))
+        header = {"grid": grid.geometry(), "n_nodes": len(times)}
+        self.path = _write_blob(path, _TRAJ_MAGIC, header, _le_f8(times))
 
     def append(self, bufs: list) -> None:
         """Write the next nodes, a list of buffers of their bytes in order
@@ -615,39 +605,8 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
 
 def load_trajectory(path: str | Path) -> Trajectory:
     """Read a trajectory file written by :func:`save_trajectory`."""
-    path = Path(path)
-    if not path.is_file():
-        what = "is a directory; a trajectory is one blob file" if path.is_dir() else "not found"
-        raise ValidationError(f"{path}: {what}")
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_TRAJ_MAGIC))
-        if magic != _TRAJ_MAGIC:
-            raise ValidationError(f"{path}: not a trajectory blob")
-        try:
-            header = json.loads(fh.readline().decode())
-            grid = SpatialGrid.from_geometry(header["grid"])
-            n, dtype = header["n_nodes"], header["dtype"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}: malformed trajectory header ({exc})") from exc
-        if dtype != "<f8":
-            raise ValidationError(f"{path}: header field dtype must be '<f8', got {dtype!r}")
-        if type(n) is not int or n < 1:  # JSON's true is an int to isinstance
-            raise ValidationError(
-                f"{path}: header field n_nodes must be an integer >= 1, got {n!r}"
-            )
-        count = n * grid.n_cells
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != 8 * (n + count):
-            raise ValidationError(
-                f"{path}: {size} data bytes, but header fields n_nodes = {n} and grid "
-                f"({grid.n_cells} cells) make {8 * (n + count)}"
-            )
-        times, values = fh.read(8 * n), fh.read(8 * count)
-    values = np.frombuffer(values, dtype="<f8").reshape((n,) + grid.shape)
-    try:
-        return Trajectory(grid, np.frombuffer(times, dtype="<f8"), values)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return _load_blob(path, _TRAJ_MAGIC, "trajectory", "n_nodes", 1, lambda grid, n, data:
+                      Trajectory(grid, data[:n], data[n:].reshape((n,) + grid.shape)))
 
 
 def save_control(v: Control, path: str | Path) -> Path:

@@ -13,12 +13,16 @@ single-field view of ``sq_norms``.
 
 Grid functions serialize to CSV (one row per cell, coordinate columns
 then the value) with a small JSON sidecar recording the grid geometry.
+Trajectories and particle ensembles serialize to one blob layout, written
+and checked here: a magic line, a JSON header with sorted keys, then raw
+little-endian float64.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -391,16 +395,11 @@ def save_grid_function(u: GridFunction, path: str | Path) -> Path:
     exactly.
     """
     path, g = Path(path), u.grid
-    if "csv" not in g._cache:  # the text bar the values, a %.17g slot each, made once a grid
-        coords = np.stack(g.coordinates(), axis=-1).reshape(-1, g.dim)
-        rows = ("%.17g," * g.dim + "%%.17g\n") * len(coords)
-        g._cache["csv"] = ("".join(map("x{},".format, range(1, g.dim + 1))) + "value\n"
-                           + rows % tuple(coords.ravel().tolist()),
-                           json.dumps(g.geometry(), sort_keys=True) + "\n")
-    text, meta = g._cache["csv"]
-    # np.savetxt's bytes in one formatting pass of the values, not one per row
-    path.write_text(text % tuple(u.values.ravel().tolist()))
-    _meta_path(path).write_text(meta)
+    data = np.column_stack([c.ravel() for c in g.coordinates()] + [u.values.ravel()])
+    # np.savetxt's bytes in one formatting pass, not one per row
+    rows = ("%.17g," * g.dim + "%.17g\n") * len(data) % tuple(data.ravel().tolist())
+    path.write_text("".join(map("x{},".format, range(1, g.dim + 1))) + "value\n" + rows)
+    _meta_path(path).write_text(json.dumps(g.geometry(), sort_keys=True) + "\n")
     return path
 
 
@@ -432,3 +431,61 @@ def load_grid_function(path: str | Path) -> GridFunction:
         return GridFunction(grid, data[:, -1].reshape(grid.shape))
     except ValidationError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+# -- blobs ---------------------------------------------------------------
+
+
+def _le_f8(values) -> memoryview:
+    """The bytes of ``values`` as little-endian float64, flat, without a copy where
+    they already are."""
+    return memoryview(np.ascontiguousarray(values, dtype="<f8").reshape(-1).view(np.uint8))
+
+
+def _write_blob(path: str | Path, magic: bytes, header: dict, data) -> Path:
+    """Write a blob file: ``magic``, then ``header`` with its ``dtype`` as one line of
+    JSON with sorted keys, then ``data``, the bytes of its first values (:func:`_le_f8`).
+    The bytes are a pure function of the payload, so equal payloads give equal files."""
+    path = Path(path)
+    with open(path, "wb") as fh:
+        fh.write(magic + json.dumps({**header, "dtype": "<f8"}, sort_keys=True).encode() + b"\n")
+        fh.write(data)
+    return path
+
+
+def _load_blob(path: str | Path, magic: bytes, what: str, count: str, lead: int, build):
+    """``build(grid, n, data)`` of a ``what`` blob written by :func:`_write_blob`: its
+    header's grid, its ``count`` field ``n`` and its ``n * (lead + cells)`` float64 values.
+
+    The magic, the header, its ``dtype``, ``n`` (an integer >= 1) and the file's size are
+    checked here, and ``build`` checks the values; every refusal names the file.
+    """
+    path = Path(path)
+    if not path.is_file():
+        why = f"is a directory; a {what} is one blob file" if path.is_dir() else "not found"
+        raise ValidationError(f"{path}: {why}")
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise ValidationError(f"{path}: not a {what} blob")
+        try:
+            header = json.loads(fh.readline().decode())
+            grid = SpatialGrid.from_geometry(header["grid"])
+            n, dtype = header[count], header["dtype"]
+        except (ValueError, KeyError, TypeError) as exc:  # ValidationError too
+            raise ValidationError(f"{path}: malformed {what} header ({exc})") from exc
+        if dtype != "<f8":
+            raise ValidationError(f"{path}: header field dtype must be '<f8', got {dtype!r}")
+        if type(n) is not int or n < 1:  # JSON's true is an int to isinstance
+            raise ValidationError(f"{path}: header field {count} must be an integer >= 1, got {n!r}")
+        want = 8 * n * (lead + grid.n_cells)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != want:
+            raise ValidationError(
+                f"{path}: {size} data bytes, but header fields {count} = {n} and grid "
+                f"({grid.n_cells} cells) make {want}"
+            )
+        data = np.frombuffer(fh.read(size), dtype="<f8")
+    try:
+        return build(grid, n, data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -23,15 +23,14 @@ same float as the maximum over every node's solve.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .grid import GridFunction, SpatialGrid, _check_nodes, _field_array, _time_nodes
-from .grid import load_grid_function, save_grid_function
+from .grid import GridFunction, SpatialGrid, _check_nodes, _field_array, _le_f8, _load_blob
+from .grid import _time_nodes, _write_blob
 
 __all__ = [
     "EmpiricalMeasure",
@@ -263,54 +262,18 @@ def flow_distance(mu: MeasureFlow, nu: MeasureFlow, lam: float) -> float:
 # -- persistence -------------------------------------------------------
 
 
-def save_measure(mu: EmpiricalMeasure, directory: str | Path) -> Path:
-    """Write one CSV per particle plus a manifest into ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    width = max(4, len(str(mu.n_particles - 1)))
-    for i in range(mu.n_particles):
-        save_grid_function(mu.particle(i), directory / f"particle_{i:0{width}d}.csv")
-    manifest = {
-        "n_particles": mu.n_particles,
-        "grid": mu.grid.geometry(),
-        "particle_files": [f"particle_{i:0{width}d}.csv" for i in range(mu.n_particles)],
-    }
-    (directory / "measure_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-    return directory
+_MEASURE_MAGIC = b"FRACMVMEAS1\n"
 
 
-def load_measure(directory: str | Path) -> EmpiricalMeasure:
+def save_measure(mu: EmpiricalMeasure, path: str | Path) -> Path:
+    """Write the ensemble as one blob file (:func:`~fracmv.grid._write_blob`): a magic
+    line, the header ``{dtype, grid, n_particles}``, then the atoms' values, particle by
+    particle, as little-endian float64, written from ``mu.states`` without a copy."""
+    header = {"grid": mu.grid.geometry(), "n_particles": mu.n_particles}
+    return _write_blob(path, _MEASURE_MAGIC, header, _le_f8(mu.states))
+
+
+def load_measure(path: str | Path) -> EmpiricalMeasure:
     """Read an ensemble written by :func:`save_measure`."""
-    directory = Path(directory)
-    try:
-        manifest = json.loads((directory / "measure_manifest.json").read_text())
-        names, count = manifest["particle_files"], manifest["n_particles"]
-    except (OSError, UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(
-            f"{directory}: missing or malformed measure_manifest.json: {type(exc).__name__} {exc}"
-        ) from None
-    if type(count) is not int:  # JSON's true is an int to isinstance
-        raise ValidationError(
-            f"{directory}: manifest field n_particles must be an integer, got {count!r}"
-        )
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-        raise ValidationError(
-            f"{directory}: manifest field particle_files must be a list of file names"
-        )
-    try:
-        grid = SpatialGrid.from_geometry(manifest["grid"])
-    except (ValueError, KeyError, TypeError) as exc:  # ValidationError too
-        raise ValidationError(
-            f"{directory}: manifest field grid is malformed: {type(exc).__name__} {exc}"
-        ) from None
-    mu = EmpiricalMeasure.from_functions([load_grid_function(directory / n) for n in names])
-    if mu.n_particles != count:
-        raise ValidationError(f"{directory}: manifest particle count mismatch")
-    if mu.grid != grid:
-        raise ValidationError(
-            f"{directory}: manifest field grid {grid.geometry()} is not the particle files' "
-            f"grid {mu.grid.geometry()}"
-        )
-    return mu
+    return _load_blob(path, _MEASURE_MAGIC, "measure", "n_particles", 0, lambda grid, n, data:
+                      EmpiricalMeasure(grid, data.reshape((n,) + grid.shape)))

@@ -266,7 +266,9 @@ def test_simulate_command_writes_artifacts(tiny_config, tmp_path):
     assert sorted(p.name for p in (out / "trajectories").iterdir()) == [
         f"particle_{i:03d}.traj" for i in range(4)
     ]
-    assert (out / "final_measure" / "measure_manifest.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "final_measure.blob", "flow_summary.csv", "manifest.json", "picard_report.csv",
+        "trajectories"]
     assert (out / "picard_report.csv").exists()
     summary = (out / "flow_summary.csv").read_text().strip().splitlines()
     assert len(summary) == 1 + 20 + 1

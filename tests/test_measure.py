@@ -259,51 +259,72 @@ def test_from_functions_requires_common_grid(rng):
 def test_measure_roundtrip_is_exact(tmp_path, rng):
     g = build_grid(half_width=2.0, points=8)
     mu = random_measure(g, rng, 4)
-    save_measure(mu, tmp_path / "m")
-    back = load_measure(tmp_path / "m")
+    path = save_measure(mu, tmp_path / "m.blob")
+    back = load_measure(path)
     assert back.n_particles == 4
     assert np.array_equal(back.states, mu.states)
+
+
+@pytest.mark.parametrize("dim,points", [(1, 16), (2, 8)])
+def test_measure_blob_roundtrip_is_bit_exact(tmp_path, rng, dim, points):
+    """The blob is a magic line, the sorted header and the atoms' bytes, particle
+    by particle, so equal ensembles give equal files, and every bit, signed zeros
+    and subnormals included, reads back."""
+    g = build_grid(dim=dim, half_width=2.0, points=points)
+    states = rng.standard_normal((3,) + g.shape)
+    states.reshape(-1)[:4] = [-0.0, 5e-324, -1e300, 1e-300]
+    mu = EmpiricalMeasure(g, states)
+    path = save_measure(mu, tmp_path / "a.blob")
+    assert path.read_bytes() == save_measure(mu, tmp_path / "b.blob").read_bytes()
+    header = json.dumps({"dtype": "<f8", "grid": g.geometry(), "n_particles": 3}, sort_keys=True)
+    assert path.read_bytes() == (b"FRACMVMEAS1\n" + header.encode() + b"\n"
+                                 + states.astype("<f8").tobytes())
+    back = load_measure(path)
+    assert back.grid == g
+    assert back.states.tobytes() == states.tobytes()
+
+
+def _edited_measure(tmp_path, rng, edit_header, tail=b"", cut=0):
+    """A saved 4-particle measure blob with its JSON header edited, ``tail`` appended
+    and its last ``cut`` bytes removed."""
+    g = build_grid(half_width=2.0, points=8)
+    path = save_measure(random_measure(g, rng, 4), tmp_path / "edited.blob")
+    magic, header, data = path.read_bytes().split(b"\n", 2)
+    doc = json.loads(header)
+    edit_header(doc)
+    path.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + data[:len(data) - cut]
+                     + tail)
+    return path
 
 
 @pytest.mark.parametrize(
     "field,value",
     [("n_particles", 4.0), ("n_particles", 3.5), ("n_particles", "4"), ("n_particles", True),
-     ("particle_files", "particle_0000.csv"), ("particle_files", [0, 1, 2, 3])],
-    ids=["count-float", "count-fractional", "count-string", "count-true", "files-string",
-         "files-not-names"],
+     ("dtype", "<f4"), ("dtype", "object")],
+    ids=["count-float", "count-fractional", "count-string", "count-true", "dtype-f4",
+         "dtype-object"],
 )
 def test_load_measure_refuses_a_mistyped_manifest_field_by_name(tmp_path, rng, field, value):
-    """A manifest count that is not a JSON integer is refused, not truncated, and
-    a ``particle_files`` that is not a list of names is refused, not iterated
-    character by character into a missing sidecar."""
-    g = build_grid(half_width=2.0, points=8)
-    directory = save_measure(random_measure(g, rng, 4), tmp_path / "m")
-    path = directory / "measure_manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest[field] = value
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ValidationError, match=f"manifest field {field} must be"):
-        load_measure(directory)
+    """A header count that is not a JSON integer is refused, not truncated (true is
+    not 1), and a ``dtype`` other than little-endian float64 is refused, not read."""
+    path = _edited_measure(tmp_path, rng, lambda h: h.update({field: value}))
+    with pytest.raises(ValidationError, match=f"edited.blob: header field {field} must be"):
+        load_measure(path)
 
 
 @pytest.mark.parametrize(
     "grid",
     [{"dim": 2, "half_width": 2.0, "points_per_dim": 64},
-     {"dim": 1, "half_width": 3.0, "points_per_dim": 8}, {"dim": 1, "points_per_dim": 8},
+     {"dim": 1, "half_width": 2.0, "points_per_dim": 16}, {"dim": 1, "points_per_dim": 8},
      {"dim": 1, "half_width": "2.0", "points_per_dim": 8}, "1-d, 8 cells", None],
-    ids=["other-dim", "other-width", "no-width", "width-string", "string", "null"],
+    ids=["other-dim", "other-points", "no-width", "width-string", "string", "null"],
 )
 def test_load_measure_refuses_a_manifest_grid_unlike_its_particles(tmp_path, rng, grid):
-    """The manifest's grid must be the particle files' grid: one that disagrees with
-    them, or is malformed, is refused by the field's name, not passed over."""
-    g = build_grid(half_width=2.0, points=8)
-    directory = save_measure(random_measure(g, rng, 4), tmp_path / "m")
-    path = directory / "measure_manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["grid"] = grid
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ValidationError, match="manifest field grid"):
-        load_measure(directory)
+    """The header's grid must be one whose cells make the file's values: one of other
+    cells, or a malformed one, is refused naming the file and the grid."""
+    path = _edited_measure(tmp_path, rng, lambda h: h.update(grid=grid))
+    with pytest.raises(ValidationError, match=r"edited\.blob: .*(grid|malformed measure header)"):
+        load_measure(path)
 
 
 @pytest.mark.parametrize(
@@ -312,15 +333,64 @@ def test_load_measure_refuses_a_manifest_grid_unlike_its_particles(tmp_path, rng
     ids=["missing", "not-json", "no-particle-files"],
 )
 def test_load_measure_names_the_directory(tmp_path, rng, manifest):
-    g = build_grid(half_width=2.0, points=8)
-    directory = save_measure(random_measure(g, rng, 4), tmp_path / "m")
-    path = directory / "measure_manifest.json"
+    """A missing measure, or one whose header is not JSON or lacks its fields, is
+    refused naming the measure's path."""
+    path = save_measure(random_measure(build_grid(half_width=2.0, points=8), rng, 4),
+                        tmp_path / "m.blob")
     if manifest is None:
         path.unlink()
     else:
-        path.write_text(manifest)
-    with pytest.raises(ValidationError, match=re.escape(str(directory))):
-        load_measure(directory)
+        magic, _, data = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(magic + b"\n" + manifest.encode() + b"\n" + data)
+    with pytest.raises(ValidationError, match=re.escape(str(path))):
+        load_measure(path)
+
+
+@pytest.mark.parametrize(
+    "edit,tail,cut,needle",
+    [
+        (lambda h: h.update(n_particles=-1), b"", 0, "n_particles must be an integer >= 1"),
+        (lambda h: h.update(n_particles=0), b"", 0, "n_particles must be an integer >= 1"),
+        (lambda h: h.update(n_particles=5), b"", 0, "n_particles = 5"),
+        (lambda h: None, b"\0" * 8, 0, "n_particles = 4"),
+        (lambda h: None, b"", 8, "n_particles = 4"),
+    ],
+    ids=["n-particles-negative", "n-particles-zero", "n-particles-over", "overlong", "truncated"],
+)
+def test_measure_blob_with_a_bad_header_field_is_refused(edit, tail, cut, needle, tmp_path, rng):
+    """The measure blob's refusals mirror the trajectory blob's, from the same reader:
+    a count below 1, or one the file's size does not hold, is refused by the field's
+    name and the file's."""
+    path = _edited_measure(tmp_path, rng, edit, tail, cut)
+    with pytest.raises(ValidationError, match=f"edited.blob: .*{needle}"):
+        load_measure(path)
+
+
+@pytest.mark.parametrize("what", ["magic", "trajectory", "nan", "directory"])
+def test_load_measure_refuses_what_is_no_measure_blob(what, tmp_path, rng):
+    """A file with another magic line, a trajectory blob among them, a blob with a
+    non-finite value, and a directory such as the retired ``final_measure/`` are
+    refused naming the path."""
+    from fracmv.dynamics import Trajectory, save_trajectory
+
+    g = build_grid(half_width=2.0, points=8)
+    path = tmp_path / "m.blob"
+    if what == "directory":
+        path.mkdir()
+        needle = "is a directory; a measure is one blob file"
+    elif what == "trajectory":
+        save_trajectory(Trajectory(g, [0.0], np.zeros((1,) + g.shape)), path)
+        needle = "not a measure blob"
+    else:
+        blob = bytearray(save_measure(random_measure(g, rng, 2), path).read_bytes())
+        if what == "magic":
+            blob[:len(b"FRACMVJUNK1\n")] = b"FRACMVJUNK1\n"
+        else:
+            blob[-8:] = np.array([np.nan], "<f8").tobytes()
+        path.write_bytes(blob)
+        needle = "not a measure blob" if what == "magic" else "empirical measure contains non-finite"
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: ") + needle):
+        load_measure(path)
 
 
 SOLVER_PATHS = """

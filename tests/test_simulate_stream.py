@@ -17,9 +17,9 @@ from helpers import run_fresh
 from fracmv import cli, dynamics
 from fracmv.cli import cmd_simulate, main
 from fracmv.config import load_config
-from fracmv.dynamics import Trajectory, save_trajectory
+from fracmv.dynamics import Trajectory, load_trajectory, save_trajectory
 from fracmv.grid import tail_masses
-from fracmv.measure import save_measure, second_moment
+from fracmv.measure import load_measure, save_measure, second_moment
 from fracmv.mckean_vlasov import _sweep_nodes, picard_solve
 
 TINY = {
@@ -56,7 +56,7 @@ def _collected_simulate(cfg, out: Path) -> None:
     for i in range(flow.n_particles):
         save_trajectory(Trajectory(flow.grid, flow.times, flow.states[:, i]),
                         out / "trajectories" / f"particle_{i:03d}.traj")
-    save_measure(flow.measure(flow.n_times - 1), out / "final_measure")
+    save_measure(flow.measure(flow.n_times - 1), out / "final_measure.blob")
     # the one causal sweep's report: one iteration at distance 0
     cli._write_csv(out / "picard_report.csv", ["iteration", "distance", "ratio"],
                    [(1, f"{0.0:.17g}", "")])
@@ -152,6 +152,52 @@ def test_a_short_gathered_write_is_finished_from_the_nodes(tmp_path, monkeypatch
     appends = _streamed_is_collected(cfg, tmp_path, monkeypatch)
     assert len(longest) > len(appends)
     assert max(longest) <= 8 * cfg.grid.n_cells
+
+
+@pytest.mark.filterwarnings("ignore:mass .* outside")
+@pytest.mark.parametrize("dim,points", [(1, 32), (2, 8)])
+def test_simulate_final_measure_is_every_trajectorys_last_node(dim, points, tmp_path):
+    """``final_measure.blob`` holds the ensemble at the last node: particle ``i`` is
+    the last node of ``particle_{i}.traj``, bit for bit."""
+    cfg = load_config(_config(tmp_path, grid={"dim": dim, "points_per_dim": points}))
+    out = cmd_simulate(cfg, tmp_path / "sim")
+    mu = load_measure(out / "final_measure.blob")
+    assert (mu.grid, mu.n_particles) == (cfg.grid, cfg.picard_config().n_particles)
+    for i in range(mu.n_particles):
+        last = load_trajectory(out / "trajectories" / f"particle_{i:03d}.traj").values[-1]
+        assert mu.states[i].tobytes() == last.tobytes(), i
+
+
+@pytest.mark.filterwarnings("ignore:mass .* outside")
+def test_a_reused_out_holds_only_this_runs_particles(tmp_path):
+    """A 6-particle run followed by a 3-particle run into the same ``--out`` leaves
+    the 3-particle run's directory, byte for byte: the earlier run's
+    ``particle_003..005.traj`` are removed, not kept beside a manifest that says 3.
+    A file of the user's in ``trajectories`` is kept."""
+    out = tmp_path / "reused"
+    assert main(["simulate", "--config", str(_config(tmp_path, picard={"n_particles": 6})),
+                 "--out", str(out)]) == 0
+    (out / "trajectories" / "notes.txt").write_text("mine\n")
+    three = _config(tmp_path, "three.yaml", picard={"n_particles": 3})
+    assert main(["simulate", "--config", str(three), "--out", str(out)]) == 0
+    assert main(["simulate", "--config", str(three), "--out", str(tmp_path / "fresh")]) == 0
+    (tmp_path / "fresh" / "trajectories" / "notes.txt").write_text("mine\n")
+    assert _tree(out) == _tree(tmp_path / "fresh")
+    assert sorted(p.name for p in (out / "trajectories").iterdir()) == [
+        "notes.txt", "particle_000.traj", "particle_001.traj", "particle_002.traj"]
+
+
+def test_simulate_refuses_a_retired_final_measure_directory(tmp_path, capsys):
+    """An ``--out`` holding the retired ``final_measure/`` directory exits 2 naming it,
+    before any file is written, and the directory is kept, not removed."""
+    out = tmp_path / "old"
+    (out / "final_measure").mkdir(parents=True)
+    (out / "final_measure" / "measure_manifest.json").write_text("{}\n")
+    assert main(["simulate", "--config", str(_config(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error[validation] ValidationError: {out / 'final_measure'}: " in err
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "final_measure", "final_measure/measure_manifest.json"]
 
 
 @pytest.mark.parametrize("per_block", [None, 1])
