@@ -2,25 +2,24 @@
 
 Subpackages are organised bottom-up: periodic spectral grids and
 fractional operators (``grid``), empirical measures and transport
-metrics (``measure``), the structured coefficient family and its
-condition audit (``coefficients``), tamed semi-implicit time stepping
+metrics (``measure``), the structured coefficient family
+(``coefficients``), tamed semi-implicit time stepping
 for the frozen / deterministic / controlled equations (``dynamics``),
 the measure-freezing fixed-point solver (``mckean_vlasov``), action
 minimisation over controls (``rate_function``), configuration
-(``config``), the verification suites (``verify``, loaded on first use
-of ``SUITES``, ``CheckResult`` or ``run_suites``), and the command line
-front end (``cli``).
+(``config``), the verification suites and the experiments they run
+(``verify``, loaded on first use of ``SUITES``, ``CheckResult``,
+``run_suites``, ``verify_conditions`` or ``ConditionReport``), and the
+command line front end (``cli``).
 """
 
 from .coefficients import (
     CoefficientSet,
-    ConditionReport,
     DriftF,
     DriftG,
     NoiseSigma,
     PsiField,
     TimeProfile,
-    verify_conditions,
 )
 from .dynamics import (
     Control,
@@ -61,7 +60,6 @@ from .mckean_vlasov import (
     apply_phi,
     auto_lambda,
     picard_solve,
-    small_noise_sweep,
 )
 from .config import RunConfig, canonical_dict, load_config
 from .rate_function import (
@@ -69,16 +67,16 @@ from .rate_function import (
     RateProblem,
     control_cost,
     estimate_rate,
-    weak_convergence_experiment,
 )
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Serve the verify suites' names on first use, so that importing the
-    package (and every command but ``verify``) never loads ``verify``."""
-    if name in ("SUITES", "CheckResult", "run_suites"):
+    """Serve the verify suites' names and the condition audit on first use, so
+    that importing the package (and every command but ``verify``) never loads
+    ``verify``."""
+    if name in ("SUITES", "CheckResult", "run_suites", "verify_conditions", "ConditionReport"):
         from . import verify
 
         return getattr(verify, name)

@@ -101,8 +101,9 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
     Each node of the causal sweep gives its ``flow_summary.csv`` row and tail
     mass, a slab at a time, and is held, not copied, until ``_BLOCK_BYTES`` of
     nodes are, then appended to the trajectories; the last is written as the
-    blob ``final_measure.blob``.  An earlier run's particle files are removed
-    first, and a blow-up removes the trajectories written so far.
+    blob ``final_measure.blob``.  An earlier run's particle files, final measure,
+    manifest and CSV reports are removed first, and a blow-up removes the
+    trajectories written so far, so a failed run leaves no file of the earlier one.
     """
     out = _out_dir(out)
     if (out / "final_measure").is_dir():
@@ -118,7 +119,8 @@ def cmd_simulate(cfg: RunConfig, out: str | Path) -> Path:
 
     traj_dir = out / "trajectories"
     traj_dir.mkdir(exist_ok=True)
-    for stale in [*traj_dir.glob("particle_*.traj"), out / "final_measure.blob"]:
+    for stale in [*traj_dir.glob("particle_*.traj"), out / "final_measure.blob",
+                  out / "manifest.json", out / "flow_summary.csv", out / "picard_report.csv"]:
         stale.unlink(missing_ok=True)
     writers = [_TrajectoryWriter(traj_dir / f"particle_{i:03d}.traj", grid, times) for i in range(n)]
     row = 8 * grid.n_cells  # a particle's bytes at a node

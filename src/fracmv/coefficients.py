@@ -4,13 +4,14 @@ Three ingredients enter the equation: a polynomial dissipative drift
 ``f``, a bounded reaction term ``g``, and a countable family of noise
 modes ``sigma``.  Every family here is parametric with derived
 structural constants (dissipation rate, Lipschitz rates, growth bound
-fields), and :func:`verify_conditions` audits the claimed inequalities
-on randomized draws, reporting worst-case slack per condition.
+fields); the condition audit of the ``conditions`` verify suite
+(:func:`fracmv.verify.verify_conditions`) checks the claimed inequalities
+on randomized draws.
 
 The measure enters through bounded statistics of the particle
 ensemble (:func:`law_statistics`): capped mean norms (drift coupling)
 and the root second moment (noise coupling).  All are 1-Lipschitz
-along Wasserstein-2, which is what makes the audit's Lipschitz
+along Wasserstein-2, which is what makes the model's Lipschitz
 conditions uniform in the ensemble.  At a time node those scalars fix
 the state-free parts of ``f``, ``g`` and ``sigma``
 (:meth:`CoefficientSet.node_fields`); each formula is written once, as a
@@ -29,7 +30,6 @@ import numpy as np
 
 from .errors import GridMismatchError, ValidationError
 from .grid import GridFunction, SpatialGrid, check_fractional_order, l2_norm
-from .measure import EmpiricalMeasure, second_moment, wasserstein2
 
 __all__ = [
     "PsiField",
@@ -43,9 +43,6 @@ __all__ = [
     "law_from_sums",
     "hs_bound_constant",
     "sigma_lipschitz_constant",
-    "ConditionCheck",
-    "ConditionReport",
-    "verify_conditions",
 ]
 
 
@@ -165,7 +162,7 @@ class DriftF:
 
     with ``hbar`` the capped mean norm of the ensemble.  ``p`` must be
     an even integer >= 2.  ``lambda_f`` is the dissipation rate; the
-    model contract requires it positive, which :func:`verify_conditions`
+    model contract requires it positive, which the condition audit
     checks (construction with ``validate=False`` admits broken instances
     for audit exercises).
     """
@@ -448,206 +445,3 @@ class NodeFields(NamedTuple):
     psi: np.ndarray  # psi(t)
     c2_h: float  # c2 hbar1, the law part of g
     free: np.ndarray  # sigma's state-free stack (K, *grid.shape)
-
-
-# -- randomized condition audit ----------------------------------------
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    condition: str
-    passed: bool
-    worst_slack: float
-    detail: str = ""
-
-    def __str__(self) -> str:
-        return self.condition + (f" ({self.detail})" if self.detail else "")
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    checks: tuple[ConditionCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> list[ConditionCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
-def _random_field(rng: np.random.Generator, grid: SpatialGrid) -> np.ndarray:
-    """A smooth random field with a widely varying amplitude scale."""
-    L = grid.half_width
-    vals = np.zeros(grid.shape)
-    for axis_coord in grid.coordinates():
-        for j in range(1, 4):
-            amp = rng.standard_normal()
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            vals = vals + amp * np.cos(np.pi * j * axis_coord / L + phase)
-    vals += rng.standard_normal()
-    scale = 10.0 ** rng.uniform(-1.3, 0.9)
-    return scale * vals
-
-
-def _random_measure(rng: np.random.Generator, grid: SpatialGrid, n: int) -> EmpiricalMeasure:
-    return EmpiricalMeasure(grid, np.stack([_random_field(rng, grid) for _ in range(n)]))
-
-
-# Worst normalized slack that passes: round-off in a tight but true inequality.
-_SLACK_TOL = 1e-9
-
-
-def verify_conditions(
-    coeffs: CoefficientSet,
-    grid: SpatialGrid,
-    horizon: float,
-    n_draws: int = 1000,
-    seed: int = 0,
-    include_strong_dissipativity: bool = False,
-) -> ConditionReport:
-    """Randomized audit of every structural inequality of the model.
-
-    Each draw picks a time, a pair of random fields, and a pair of
-    small random ensembles, then checks the pointwise and integrated
-    inequalities with the instance's claimed constants.  Writing a
-    condition as ``lhs <= rhs``, its slack at a sample point is the
-    scale-free gap ``(rhs - lhs) / (1 + |lhs| + |rhs|)``, so a tight
-    but true inequality sits at round-off level regardless of the draw
-    amplitude.  A condition passes when its worst observed slack stays
-    above ``-_SLACK_TOL``.  Structural facts (positivity of rates, coefficient
-    caps) are folded into the condition they underwrite.
-    """
-    if n_draws < 1:
-        raise ValidationError(f"n_draws must be >= 1, got {n_draws!r}")
-    rng = np.random.default_rng(seed)
-    f, g, sig = coeffs.f, coeffs.g, coeffs.sigma
-    T = float(horizon)
-
-    worst: dict[str, float] = {}
-    notes: dict[str, str] = {}
-
-    def track(name: str, lhs, rhs) -> None:
-        """Record the worst normalized slack of ``lhs <= rhs``."""
-        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-        gap = (rhs - lhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
-        worst[name] = min(worst.get(name, np.inf), float(np.min(gap)))
-
-    # structural parts
-    if not (f.dissipation_rate > 0.0):
-        worst["f_dissipativity"] = -np.inf
-        notes["f_dissipativity"] = f"dissipation rate {f.lambda_f!r} is not positive"
-    if not (f.lipschitz_rate > 0.0):
-        worst["f_lipschitz"] = -np.inf
-        notes["f_lipschitz"] = "lipschitz rate is not positive"
-    if not (f.growth_rate > 0.0):
-        worst["f_growth"] = -np.inf
-        notes["f_growth"] = "growth rate is not positive"
-    if abs(g.c0) > 1.0:
-        notes["g_bound_at_zero"] = f"|c0| = {abs(g.c0):.3g} exceeds the unit cap"
-    if max(abs(g.c1), abs(g.c2)) > 1.0:
-        notes["g_lipschitz"] = (
-            f"max(|c1|,|c2|) = {max(abs(g.c1), abs(g.c2)):.3g} exceeds the unit cap"
-        )
-    if max(abs(g.c0), abs(g.c1), abs(g.c2)) > 1.0:
-        notes["g_growth"] = "a reaction coefficient exceeds the unit cap"
-
-    M_T = hs_bound_constant(sig, T)
-    L_sig = sigma_lipschitz_constant(sig)
-    L_modes = sig.mode_lipschitz().reshape((sig.n_modes,) + (1,) * grid.dim)
-    kappa_vals = sig.kappa.values
-    w = grid.cell_volume
-
-    zero_u = np.zeros(grid.shape)
-
-    p = f.p
-    lam1, lam2, lam3 = f.dissipation_rate, f.lipschitz_rate, f.growth_rate
-    lam4 = f.strong_dissipation_rate
-
-    for _ in range(int(n_draws)):
-        t = rng.uniform(0.0, T)
-        u1 = _random_field(rng, grid)
-        u2 = _random_field(rng, grid)
-        mu1 = _random_measure(rng, grid, 4)
-        mu2 = _random_measure(rng, grid, 4)
-        w2 = wasserstein2(mu1, mu2)
-        m2_1 = second_moment(mu1)
-        law1 = law_statistics(mu1.states, grid, f.h_cap)
-        law2 = law_statistics(mu2.states, grid, f.h_cap)
-        r1, r2 = law1[2], law2[2]
-        node1, node2 = coeffs.node_fields(grid, t, law1), coeffs.node_fields(grid, t, law2)
-
-        f1 = f.values(u1, node1.phi_h)
-        f2 = f.values(u2, node2.phi_h)
-        psi1 = f.dissipation_bound_values(t, grid)
-        psi3 = f.measure_coupling_values(t, grid)
-
-        track("f_dissipativity", lam1 * np.abs(u1) ** p - psi1 * (1.0 + u1**2 + m2_1), f1 * u1)
-        lip_rhs = lam2 * (np.abs(u1) ** (p - 2) + np.abs(u2) ** (p - 2)) * np.abs(u1 - u2)
-        track("f_lipschitz", np.abs(f1 - f2), lip_rhs + psi3 * w2)
-        track("f_growth", np.abs(f1), lam3 * np.abs(u1) ** (p - 1) + psi3 * (1.0 + r1))
-        # monotonicity in the state alone: both fields against mu1's law
-        f2_mu = f.values(u2, node1.phi_h)
-        track("f_monotonicity", 0.0, (f1 - f2_mu) * (u1 - u2))
-        if include_strong_dissipativity:
-            track(
-                "f_strong_dissipativity",
-                lam4 * np.abs(u1 - u2) ** p,
-                (f1 - f2_mu) * (u1 - u2),
-            )
-
-        bound = g.bound_values(t, grid)
-        # the Dirac mass at the zero field has capped mean norm 0
-        node0 = coeffs.node_fields(grid, t, (0.0, 0.0, 0.0))
-        g0 = g.values(zero_u, node0.psi, node0.c2_h)
-        track("g_bound_at_zero", np.abs(g0), bound)
-        g1 = g.values(u1, node1.psi, node1.c2_h)
-        g2 = g.values(u2, node2.psi, node2.c2_h)
-        track("g_lipschitz", np.abs(g1 - g2), bound * (np.abs(u1 - u2) + w2))
-        track("g_growth", np.abs(g1), bound * (1.0 + np.abs(u1) + r1))
-
-        sig2_1 = sig.sigma2(u1, r1)
-        sig2_2 = sig.sigma2(u2, r2)
-        # the growth envelope beta_k (1 + root_m2) + gamma_k |u| has the sigma2 form
-        track("sigma2_growth", np.abs(sig2_1), sig.sigma2(np.abs(u1), 1.0 + r1))
-        lip = L_modes * (np.abs(u1 - u2)[None] + w2)
-        track("sigma2_lipschitz", np.abs(sig2_1 - sig2_2), lip)
-
-        fields1 = sig.fields(t, u1, r1)
-        hs1 = w * np.sum(fields1**2)
-        norm_u1_sq = w * np.sum(u1**2)
-        track("hs_growth", hs1, M_T * (1.0 + norm_u1_sq + m2_1))
-        diff = kappa_vals[None] * (sig2_1 - sig2_2)
-        hs_diff = w * np.sum(diff**2)
-        norm_du_sq = w * np.sum((u1 - u2) ** 2)
-        track("hs_lipschitz", hs_diff, L_sig * (norm_du_sq + w2**2))
-
-    order = [
-        "f_dissipativity",
-        "f_lipschitz",
-        "f_growth",
-        "f_monotonicity",
-        "g_bound_at_zero",
-        "g_lipschitz",
-        "g_growth",
-        "sigma2_growth",
-        "sigma2_lipschitz",
-        "hs_growth",
-        "hs_lipschitz",
-    ]
-    if include_strong_dissipativity:
-        order.insert(4, "f_strong_dissipativity")
-
-    checks = []
-    for name in order:
-        slack = worst.get(name, np.inf)
-        passed = slack >= -_SLACK_TOL and name not in notes
-        checks.append(
-            ConditionCheck(
-                condition=name,
-                passed=bool(passed),
-                worst_slack=float(slack),
-                detail=notes.get(name, ""),
-            )
-        )
-    return ConditionReport(tuple(checks))

@@ -24,7 +24,7 @@ common random numbers and the map is a deterministic map between flows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -37,11 +37,10 @@ from .dynamics import (
     _collect,
     _law_table,
     _step_nodes,
-    solve_deterministic,
 )
 from .errors import FixedPointDivergenceError, GridMismatchError, ValidationError
 from .grid import (GridFunction, SpatialGrid, _check_count, _check_nodes, _check_positive,
-                   _field_array, l2_norm, sq_norms)
+                   _field_array, l2_norm)
 from .measure import EmpiricalMeasure, FlowPairW2, MeasureFlow
 from .measure import flow_distance  # noqa: F401  perfbench/spans.py wraps it here
 
@@ -51,8 +50,6 @@ __all__ = [
     "apply_phi",
     "auto_lambda",
     "picard_solve",
-    "SmallNoiseSweep",
-    "small_noise_sweep",
 ]
 
 _LAMBDA_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -227,8 +224,8 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     particle system stepped against its own empirical law, which one sweep of
     the step kernel makes, reading the law from the batch at each step; so the
     solve has no iterations and no stopping rule, and reads no ``tol``.  This
-    collects :func:`_sweep_nodes` into a flow; ``simulate`` and
-    :func:`small_noise_sweep` stream it.  That ``apply_phi`` gives the sweep back
+    collects :func:`_sweep_nodes` into a flow; ``simulate`` and the ``smallnoise``
+    verify suite stream it.  That ``apply_phi`` gives the sweep back
     bit for bit is measured by ``test_in_place_loop_equals_the_two_flow_loop``
     and by the ``picard`` verify suite's row
     ``picard_iterates_reach_the_solved_fixed_point``.
@@ -236,59 +233,3 @@ def picard_solve(problem: MeanFieldProblem, cfg: PicardConfig = PicardConfig()) 
     times = problem.tgrid.nodes
     states = _collect(_sweep_nodes(problem, cfg.n_particles, None), times.size)
     return MeasureFlow._checked(problem.grid, times, states)
-
-
-@dataclass(frozen=True)
-class SmallNoiseSweep:
-    """Mean squared sup deviation from the zero-noise path, per intensity.
-
-    Rows are ``(epsilon, estimate, stderr)`` with the standard error
-    taken over replicas; the slope is the log-log regression of the
-    estimate against the positive intensities.
-    """
-
-    rows: tuple[tuple[float, float, float], ...]
-    slope: float
-
-
-def small_noise_sweep(
-    problem: MeanFieldProblem,
-    eps_list: list[float],
-    n_replicas: int,
-) -> SmallNoiseSweep:
-    """Estimate ``E sup_t ||u_eps - u_0||^2`` across noise intensities.
-
-    Each intensity gets its own causal sweep of ``n_replicas`` particles
-    (an integer >= 1) sharing the master seed, so the estimates use common
-    random numbers across the sweep.  Every particle starts at ``u0``,
-    the state the deviation is measured from, so a sampled
-    ``initial_states`` ensemble is set aside.  The zero intensity
-    decouples: the law rides the deterministic path exactly, so its row is 0.
-    The sweep is read node by node, so no flow is held.
-    """
-    _check_count("n_replicas", n_replicas)
-    base = solve_deterministic(problem.u0, problem.coeffs, problem.tgrid)
-    rows = []
-    for eps in eps_list:
-        e = float(eps)
-        if e == 0.0:
-            rows.append((0.0, 0.0, 0.0))
-            continue
-        sub = replace(problem, epsilon=e, initial_states=None)
-        nodes = _sweep_nodes(sub, n_replicas, None)
-        dev = [sq_norms(mu - u, problem.grid) for mu, u in zip(nodes, base.values)]
-        sup_sq = np.max(dev, axis=0)
-        stderr = (
-            float(np.std(sup_sq, ddof=1) / math.sqrt(sup_sq.size))
-            if sup_sq.size > 1
-            else 0.0
-        )
-        rows.append((e, float(np.mean(sup_sq)), stderr))
-    pos = [(e, v) for e, v, _ in rows if e > 0.0 and v > 0.0]
-    if len(pos) >= 2:
-        xs = np.log([e for e, _ in pos])
-        ys = np.log([v for _, v in pos])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = float("nan")
-    return SmallNoiseSweep(rows=tuple(rows), slope=slope)

@@ -35,10 +35,8 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     _controlled_solver,
-    integrated_v_distance,
     solve_controlled,  # unused here, but perfbench/spans.py traces this name
     solve_deterministic,
-    sup_distance,
 )
 from .errors import ValidationError
 from .grid import GridFunction, SpatialGrid, _check_count, _check_nodes, _check_positive, sq_norms
@@ -49,8 +47,6 @@ __all__ = [
     "check_target",
     "control_cost",
     "estimate_rate",
-    "WeakConvergenceTable",
-    "weak_convergence_experiment",
 ]
 
 
@@ -256,68 +252,3 @@ def estimate_rate(
         stop=stop,
         grad_max=float(np.max(np.abs(grad))),
     )
-
-
-# -- weak-convergence experiment -----------------------------------------
-
-
-@dataclass(frozen=True)
-class WeakConvergenceTable:
-    """Distances of oscillatory perturbations to the reference path.
-
-    Row ``(i, sup_h, l2_v, v_norm, offset_norm)`` records, for the
-    perturbation oscillating at frequency ``i``, the sup distance and
-    the integrated graph-norm distance of ``u_{v_i}`` to ``u_v``, the
-    control norm ``||v_i||``, and ``||v_i - v||``.  The offset norms
-    stay bounded away from zero while the solution distances shrink:
-    the convergence is driven by oscillation, not by control smallness.
-    """
-
-    rows: tuple[tuple[int, float, float, float, float], ...]
-
-
-def weak_convergence_experiment(
-    v: Control,
-    mode_index: int,
-    amplitude: float,
-    i_list: list[int],
-    u0: GridFunction,
-    coeffs: CoefficientSet,
-    tgrid: TimeGrid,
-    base: Trajectory | None = None,
-) -> WeakConvergenceTable:
-    """Drive the dynamics with ``v + A sin(i t) e_k`` for increasing ``i``.
-
-    The perturbations all carry (asymptotically) the same extra energy
-    but oscillate themselves to irrelevance; the solver responses must
-    collapse onto ``u_v``.
-    """
-    K = coeffs.sigma.n_modes
-    if not (0 <= mode_index < K):
-        raise ValidationError(
-            f"mode_index must lie in [0, {K}), got {mode_index!r}"
-        )
-    v.check_shape("control", tgrid.steps, K, tgrid.dt)
-    if base is None:
-        base = solve_deterministic(u0, coeffs, tgrid)
-    t_left = tgrid.nodes[:-1]
-    alpha, c_v = coeffs.alpha, coeffs.c_v
-
-    # The reference control and every perturbation, solved as one batch.
-    controls = np.repeat(v.values[None], len(i_list) + 1, axis=0)
-    for row, i in enumerate(i_list, start=1):
-        controls[row, :, mode_index] += amplitude * np.sin(i * t_left)
-    paths = _controlled_solver(u0, base, coeffs, tgrid)[0](controls)
-    u_ref = Trajectory(u0.grid, tgrid.nodes, paths[0])
-
-    rows = []
-    for i, vals, path in zip(i_list, controls[1:], paths[1:]):
-        ui = Trajectory(u0.grid, tgrid.nodes, path)
-        rows.append((
-            int(i),
-            sup_distance(ui, u_ref),
-            integrated_v_distance(ui, u_ref, alpha, c_v),
-            math.sqrt(Control(vals, v.dt).l2_norm_sq()),
-            math.sqrt(Control(vals - v.values, v.dt).l2_norm_sq()),
-        ))
-    return WeakConvergenceTable(rows=tuple(rows))

@@ -16,11 +16,11 @@ from fracmv.coefficients import (
     hs_bound_constant,
     law_statistics,
     sigma_lipschitz_constant,
-    verify_conditions,
 )
 from fracmv.errors import ValidationError
 from fracmv.grid import GridFunction, l2_norm
 from fracmv.measure import EmpiricalMeasure, second_moment, wasserstein2
+from fracmv.verify import verify_conditions
 
 
 def random_measure(grid, rng, n=4, scale=1.0):
@@ -261,7 +261,7 @@ def test_sigma_lipschitz_bound_on_draws(rng):
         assert lhs <= L * (du**2 + dw**2) + 1e-12
 
 
-# -- randomized audit --------------------------------------------------
+# -- randomized audit (the ``conditions`` verify suite's experiment) ------
 
 
 def test_audit_passes_on_small_instance(rng):

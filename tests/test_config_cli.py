@@ -729,13 +729,12 @@ def test_refused_rate_target_names_the_file(kind, tiny_config, tmp_path, capsys)
 def test_smallnoise_suite_runs_on_a_jittered_config(tiny_config, tmp_path, capsys):
     """The sweep starts every intensity at ``u0``, so a jittered initial
     ensemble of another size changes neither its rows nor the verdict."""
-    from fracmv.mckean_vlasov import small_noise_sweep
+    from fracmv.verify import _smallnoise_rows
 
     plain = load_config(tiny_config)
     jittered = plain.with_overrides(initial={"jitter": 0.1})
     assert jittered.problem().initial_states.shape[0] == 4
-    rows = [small_noise_sweep(c.problem(), [0.0, 1e-2, 1e-3], n_replicas=3).rows
-            for c in (plain, jittered)]
+    rows = [_smallnoise_rows(c.problem(), [0.0, 1e-2, 1e-3], 3) for c in (plain, jittered)]
     assert rows[0] == rows[1]
     jittered_yaml = tmp_path / "jittered.yaml"
     jittered_yaml.write_text(TINY_YAML + "initial: {jitter: 0.1}\n")
@@ -745,6 +744,32 @@ def test_smallnoise_suite_runs_on_a_jittered_config(tiny_config, tmp_path, capsy
                      "--suite", "smallnoise"]) == 0
         lines.append([line.rsplit("(", 1)[0] for line in capsys.readouterr().out.splitlines()])
     assert lines[0] == lines[1]
+
+
+def test_determinism_suite_compares_the_whole_run_directory(monkeypatch):
+    """The rerun row hashes every file of both run directories, 12 for the suite's
+    8 particles, so a rerun that writes a different ``final_measure.blob`` (its last
+    byte flipped here) fails the row, as a different trajectory would."""
+    from fracmv import cli, verify
+
+    cfg = RunConfig()
+    assert next(verify.suite_determinism(cfg))[:3] == (
+        "simulate_byte_identical_rerun", True, "12 files compared")
+    real, runs = cli.cmd_simulate, []
+
+    def drifting(cfg, out):
+        runs.append(real(cfg, out))
+        if len(runs) == 2:
+            blob = runs[-1] / "final_measure.blob"
+            data = bytearray(blob.read_bytes())
+            data[-1] ^= 1
+            blob.write_bytes(bytes(data))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "cmd_simulate", drifting)
+    row = next(verify.suite_determinism(cfg))
+    assert len(runs) == 2
+    assert row[:3] == ("simulate_byte_identical_rerun", False, "12 files compared")
 
 
 def test_malformed_control_header_exits_2(tiny_config, tmp_path, capsys):

@@ -242,15 +242,11 @@ def test_every_caller_refuses_a_wrong_grid_and_shifted_nodes(caller, mismatch, s
 
 
 @pytest.mark.parametrize("axis", ["steps", "modes", "dt"])
-@pytest.mark.parametrize(
-    "caller", ["solve_frozen", "solve_controlled", "energy_residual", "weak_convergence_experiment"]
-)
+@pytest.mark.parametrize("caller", ["solve_frozen", "solve_controlled", "energy_residual"])
 def test_every_caller_refuses_a_wrong_mode_path_shape(caller, axis, small_grid, small_coeffs):
     """A noise path or control one row or one mode off is refused, naming the
     shape it has and the ``(steps, modes)`` it should have; one drawn or costed
     with twice the step is refused, naming both step sizes."""
-    from fracmv.rate_function import weak_convergence_experiment
-
     tg = build_tgrid(steps=10)
     K = small_coeffs.sigma.n_modes
     u0 = build_u0(small_grid)
@@ -263,8 +259,6 @@ def test_every_caller_refuses_a_wrong_mode_path_shape(caller, axis, small_grid, 
                                              eps=0.01, noise=noise),
         "solve_controlled": lambda: solve_controlled(u0, v, base, small_coeffs, tg),
         "energy_residual": lambda: energy_residual(base, small_coeffs, control=v),
-        "weak_convergence_experiment": lambda: weak_convergence_experiment(
-            v, 0, 0.5, [1], u0, small_coeffs, tg, base=base),
     }
     what = "noise" if caller == "solve_frozen" else "control"
     needle = f"{what} has shape {shape}, expected (steps, modes) = ({tg.steps}, {K})"

@@ -1,5 +1,5 @@
 """``from fracmv.<module> import *`` raises on a stale ``__all__`` entry, and the
-package serves the verify suites' names, loaded on first use."""
+package serves the verify suites' names and the condition audit, loaded on first use."""
 
 import importlib
 import pkgutil
@@ -19,11 +19,13 @@ def test_every_exported_name_resolves(name):
 
 
 def test_package_serves_the_verify_names():
-    from fracmv import SUITES, CheckResult, run_suites
+    from fracmv import SUITES, CheckResult, ConditionReport, run_suites, verify_conditions
     from fracmv import verify
 
     assert SUITES is verify.SUITES and CheckResult is verify.CheckResult
     assert run_suites is verify.run_suites
+    assert verify_conditions is verify.verify_conditions
+    assert ConditionReport is verify.ConditionReport
 
 
 def test_package_refuses_an_unknown_name():

@@ -9,7 +9,7 @@ import pytest
 from helpers import (build_coeffs, build_grid, build_tgrid, build_u0, full_sweep_sup,
                      run_kernel)
 
-from fracmv import dynamics, measure, mckean_vlasov
+from fracmv import dynamics, measure, mckean_vlasov, verify
 from fracmv.cli import main
 from fracmv.config import RunConfig
 from fracmv.coefficients import NodeFields
@@ -25,8 +25,8 @@ from fracmv.mckean_vlasov import (
     apply_phi,
     auto_lambda,
     picard_solve,
-    small_noise_sweep,
 )
+from fracmv.verify import _smallnoise_rows
 
 
 def make_problem(grid, coeffs, tgrid, u0=None, eps=0.01, seed=99, **kw):
@@ -517,45 +517,56 @@ def test_second_moment_stays_bounded_by_initial_scale(small_grid, small_coeffs, 
         assert est <= 1.0 * (1.0 + l2_norm(u0) ** 2)
 
 
-# -- small-noise sweep -----------------------------------------------------
+# -- small-noise sweep (the ``smallnoise`` verify suite's experiment) --------
+
+
+def _slope(eps, rows):
+    return float(np.polyfit(np.log(eps), np.log(rows), 1)[0])
 
 
 def test_small_noise_sweep_zero_row_and_slope(small_grid, small_coeffs, small_tgrid):
     p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
-    sweep = small_noise_sweep(p, [0.0, 3e-3, 1e-2], 4)
-    eps0, est0, err0 = sweep.rows[0]
-    assert eps0 == 0.0 and est0 == 0.0 and err0 == 0.0
-    assert 0.8 <= sweep.slope <= 1.2
-    assert all(est > 0.0 for _, est, _ in sweep.rows[1:])
+    zero, *rows = _smallnoise_rows(p, [0.0, 3e-3, 1e-2], 4)
+    assert zero == 0.0
+    assert 0.8 <= _slope([3e-3, 1e-2], rows) <= 1.2
+    assert all(est > 0.0 for est in rows)
 
 
 def test_small_noise_sweep_rows_are_bitwise_unchanged(small_grid, small_coeffs, small_tgrid):
     """The per-node deviations of the causal sweep give the bits recorded from
-    one whole-flow deviation of the same flow."""
+    one whole-flow deviation of the same flow; the intensity-0 sweep, run like
+    the others, gives the skeleton back exactly."""
     p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
-    sweep = small_noise_sweep(p, [0.0, 3e-3, 1e-2], 4)
-    assert [tuple(v.hex() for v in row) for row in sweep.rows] == [
-        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-        ("0x1.89374bc6a7efap-9", "0x1.29a70f22510f4p-11", "0x1.b2f464f33f4bap-13"),
-        ("0x1.47ae147ae147bp-7", "0x1.f23b2a43d28f7p-10", "0x1.6ca04d1ddba2bp-11"),
-    ]
-    assert sweep.slope.hex() == "0x1.00eaaff3371b1p+0"
+    rows = _smallnoise_rows(p, [0.0, 3e-3, 1e-2], 4)
+    assert [v.hex() for v in rows] == [
+        "0x0.0p+0", "0x1.29a70f22510f4p-11", "0x1.f23b2a43d28f7p-10"]
+    assert _slope([3e-3, 1e-2], rows[1:]).hex() == "0x1.00eaaff3371b1p+0"
+
+
+def test_small_noise_zero_row_is_measured(small_grid, small_coeffs, small_tgrid, monkeypatch):
+    """Intensity 0 is swept and measured like every other intensity, not written
+    as a constant: against a skeleton moved by 1e-3 at every cell and node, its
+    row reads the move's squared norm, and the suite's zero-limit gate fails."""
+    real = verify.solve_deterministic
+
+    def moved(u0, coeffs, tgrid):
+        base = real(u0, coeffs, tgrid)
+        return Trajectory(base.grid, base.times, base.values + 1e-3)
+
+    monkeypatch.setattr(verify, "solve_deterministic", moved)
+    p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
+    (zero,) = _smallnoise_rows(p, [0.0], 4)
+    box = (2.0 * small_grid.half_width) ** small_grid.dim
+    assert zero == pytest.approx(1e-6 * box, rel=1e-9)
+    cfg = RunConfig().with_overrides(grid={"points_per_dim": 32}, time={"steps": 20})
+    zero_limit = list(verify.suite_smallnoise(cfg))[1]
+    assert zero_limit[0] == "smallnoise_zero_limit" and not zero_limit[1]
 
 
 def test_sweep_deviation_shrinks_with_epsilon(small_grid, small_coeffs, small_tgrid):
     p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
-    sweep = small_noise_sweep(p, [1e-3, 1e-2], 4)
-    assert sweep.rows[0][1] < sweep.rows[1][1]
-
-
-@pytest.mark.parametrize("n_replicas", [2.5, True], ids=["fractional", "bool"])
-def test_small_noise_sweep_refuses_a_count_that_is_not_one(small_grid, small_coeffs,
-                                                           small_tgrid, n_replicas):
-    """2.5 replicas are not truncated to 2, nor True read as 1: the sweep refuses
-    both by name, as ``PicardConfig`` refuses such an ``n_particles``."""
-    p = make_problem(small_grid, small_coeffs, small_tgrid, eps=0.0)
-    with pytest.raises(ValidationError, match="^n_replicas must be an integer >= 1"):
-        small_noise_sweep(p, [1e-2], n_replicas)
+    rows = _smallnoise_rows(p, [1e-3, 1e-2], 4)
+    assert rows[0] < rows[1]
 
 
 def test_small_noise_sweep_holds_less_than_one_flow():
@@ -564,11 +575,11 @@ def test_small_noise_sweep_holds_less_than_one_flow():
     than the ``(S+1) x n`` flow a collected solve holds."""
     g, tgrid, n = build_grid(points=64), build_tgrid(steps=100), 16
     p = make_problem(g, build_coeffs(g), tgrid, eps=0.0)
-    small_noise_sweep(p, [1e-2], n)  # fill the per-grid caches outside the measurement
+    _smallnoise_rows(p, [1e-2], n)  # fill the per-grid caches outside the measurement
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        small_noise_sweep(p, [1e-2], n)
+        _smallnoise_rows(p, [1e-2], n)
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()

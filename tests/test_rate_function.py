@@ -25,8 +25,8 @@ from fracmv.rate_function import (
     RateProblem,
     control_cost,
     estimate_rate,
-    weak_convergence_experiment,
 )
+from fracmv.verify import _weak_rows
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +437,7 @@ def test_streamed_normal_matrix_is_the_dense_gram_of_the_tangents(linearized):
     assert np.array_equal(got, got.T)
 
 
-# -- weak-convergence experiment --------------------------------------------
+# -- weak-convergence experiment (the ``weak`` verify suite's batch) ----------
 
 
 def test_oscillatory_perturbations_fade(instance):
@@ -452,31 +452,20 @@ def test_oscillatory_perturbations_fade(instance):
         tg.dt,
     )
     A = 0.5
-    table = weak_convergence_experiment(v, 0, A, [1, 2, 4, 8], u0, coeffs, tg)
-    sups = [row[1] for row in table.rows]
+    rows = _weak_rows(v, A, [1, 2, 4, 8], u0, coeffs, tg)
+    sups = [row[0] for row in rows]
     assert all(a > b for a, b in zip(sups, sups[1:]))
     exact_offset = A * math.sqrt(T / 2.0)
-    for row in table.rows:
-        assert row[4] == pytest.approx(exact_offset, rel=1e-12)
+    for row in rows:
+        assert row[2] == pytest.approx(exact_offset, rel=1e-12)
 
 
 def test_zero_amplitude_gives_identical_paths(instance):
-    g, coeffs, u0, tg, base = instance
+    g, coeffs, u0, tg, _ = instance
     v = Control(np.zeros((tg.steps, coeffs.sigma.n_modes)), tg.dt)
-    table = weak_convergence_experiment(v, 1, 0.0, [1, 3], u0, coeffs, tg, base=base)
-    for row in table.rows:
-        assert row[1] == 0.0  # sup distance
-        assert row[4] == 0.0  # control offset
-
-
-def test_weak_experiment_validation(instance):
-    g, coeffs, u0, tg, base = instance
-    v = Control(np.zeros((tg.steps, coeffs.sigma.n_modes)), tg.dt)
-    with pytest.raises(ValidationError):
-        weak_convergence_experiment(v, 5, 0.5, [1], u0, coeffs, tg)
-    bad_v = Control(np.zeros((tg.steps + 1, coeffs.sigma.n_modes)), tg.dt)
-    with pytest.raises(ValidationError):
-        weak_convergence_experiment(bad_v, 0, 0.5, [1], u0, coeffs, tg)
+    for row in _weak_rows(v, 0.0, [1, 3], u0, coeffs, tg):
+        assert row[0] == 0.0  # sup distance
+        assert row[2] == 0.0  # control offset
 
 
 def test_weak_experiment_batch_matches_single_solves(instance):
@@ -484,15 +473,15 @@ def test_weak_experiment_batch_matches_single_solves(instance):
     t_left = tg.nodes[:-1]
     v = Control(np.column_stack([0.3 * np.ones_like(t_left), 0.1 * np.sin(t_left)]), tg.dt)
     freqs, A = [1, 2, 4, 8], 0.5
-    table = weak_convergence_experiment(v, 0, A, freqs, u0, coeffs, tg, base=base)
+    rows = _weak_rows(v, A, freqs, u0, coeffs, tg)
     u_ref = solve_controlled(u0, v, base, coeffs, tg)
-    for row, i in zip(table.rows, freqs):
+    for row, i in zip(rows, freqs):
         vals = v.values.copy()
         vals[:, 0] += A * np.sin(i * t_left)
         ui = solve_controlled(u0, Control(vals, tg.dt), base, coeffs, tg)
         sup_h = math.sqrt(float(np.max(sq_norms(ui.values - u_ref.values, g))))
-        assert row[1] == sup_h
-        assert row[2] == integrated_v_distance(ui, u_ref, coeffs.alpha, coeffs.c_v)
+        assert row[0] == sup_h
+        assert row[1] == integrated_v_distance(ui, u_ref, coeffs.alpha, coeffs.c_v)
 
 
 # -- level sets --------------------------------------------------------------

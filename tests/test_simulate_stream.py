@@ -187,6 +187,24 @@ def test_a_reused_out_holds_only_this_runs_particles(tmp_path):
         "notes.txt", "particle_000.traj", "particle_001.traj", "particle_002.traj"]
 
 
+@pytest.mark.filterwarnings("ignore:mass .* outside")
+def test_a_blow_up_in_a_reused_out_leaves_no_file_of_the_earlier_run(tmp_path, capsys):
+    """A 3-particle run, then a run that blows up (``initial.amp: 1.0e120``) into the
+    same ``--out``: it exits 3 and leaves none of the earlier run's files, its
+    manifest and CSV reports included, which would read as a complete run that
+    lost its particles.  A file of the user's is kept."""
+    out = tmp_path / "reused"
+    three = _config(tmp_path, "three.yaml", picard={"n_particles": 3})
+    assert main(["simulate", "--config", str(three), "--out", str(out)]) == 0
+    assert {"manifest.json", "flow_summary.csv", "picard_report.csv"} <= {
+        p.name for p in out.iterdir()}
+    (out / "notes.txt").write_text("mine\n")
+    boom = _config(tmp_path, "boom.yaml", picard={"n_particles": 3}, initial={"amp": 1.0e120})
+    assert main(["simulate", "--config", str(boom), "--out", str(out)]) == 3
+    assert "error[numerical] BlowUpError" in capsys.readouterr().err
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["notes.txt"]
+
+
 def test_simulate_refuses_a_retired_final_measure_directory(tmp_path, capsys):
     """An ``--out`` holding the retired ``final_measure/`` directory exits 2 naming it,
     before any file is written, and the directory is kept, not removed."""
